@@ -8,8 +8,9 @@ Run from the root of a source checkout. The benchmark generates the
 workload's input files from the seed, then runs ``cdmgen pipeline`` in a
 fresh process again and again for S seconds (at least twice) in a closed
 loop: one batch at a time, ``max_inflight`` = 2. Between batches it times
-the user's one-off set-up. It checks every batch's outputs and prints one
-JSON line last:
+the user's one-off set-up and a fixed reference task that tracks the
+host's drifting speed (see ``HostMeter``).
+It checks every batch's outputs and prints one JSON line last:
 end-to-end metrics with ``--trace 0``, per-layer metrics from one extra,
 traced batch with ``--trace 1``. Workloads, metrics and their bases are
 described in ``bench/README.md``.
@@ -51,7 +52,13 @@ LATENCY_REPLICAS = 3
 LATENCY = {"base_ms": 10.0, "prompt_ms_per_char": 0.002, "completion_ms_per_char": 0.25}
 FAULTS = ("missing_key", "extra_key", "wrong_type", "prose")
 SETUP_REPEATS = 7
-SETUP_SLICE_S = 0.3
+# The host is a share of a machine whose speed drifts by tens of percent
+# over seconds to minutes. A fixed reference task, timed after every batch
+# and set-up, tracks that drift over the run; the CPU part of each measured
+# time is rescaled to a host on which the task takes REFERENCE_NOMINAL_S
+# (see HostMeter).
+REFERENCE_REPS = 256
+REFERENCE_NOMINAL_S = 0.4
 PIPELINE_TIMEOUT_S = 60
 ARTIFACT_SUFFIXES = (".template.json", ".cdm.json", ".provenance.json", ".report.json")
 
@@ -66,21 +73,10 @@ class Prepared:
     coverage: bool
     prompts: dict[str, str]  # populate prompt hash -> system + user text
     replies: dict[str, str]  # populate prompt hash -> correct reply
-    setup: Callable[[], tuple[float, float]]  # -> (set-up seconds, ingest seconds)
+    setup: Callable[[], tuple[float, float, float]]  # -> (wall, CPU, ingest) seconds
     server: Optional["FakeServer"] = None
     sizes: dict = field(default_factory=dict)
-    setup_times: list[tuple[float, float]] = field(default_factory=list)
-
-    def time_setup(self, seconds: float) -> None:
-        """Repeat the set-up for about ``seconds``, at least once.
-
-        Repeats are spread between batches so that they sample the same
-        stretch of machine time as the batches do.
-        """
-        started = time.perf_counter()
-        self.setup_times.append(self.setup())
-        while time.perf_counter() - started < seconds:
-            self.setup_times.append(self.setup())
+    setup_times: list[tuple[float, float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -88,6 +84,7 @@ class Batch:
     """Outputs of one ``cdmgen pipeline`` run."""
 
     wall_s: float
+    cpu_s: float  # user + system time of the pipeline process
     rss_mb: float
     exit_code: int
     digest: str
@@ -96,6 +93,70 @@ class Batch:
     provenance: dict[str, dict]
     artifact_bytes: int
     server: dict
+
+
+_REFERENCE_DOC = {
+    f"field{i:03d}": {
+        "path": "trade.economics.leg." * (1 + i % 3),
+        "value": i * 1.25,
+        "tags": [f"t{j}" for j in range(i % 5)],
+    }
+    for i in range(200)
+}
+
+
+def reference_work() -> int:
+    """Fixed interpreter work of the kinds the pipeline does (JSON, dicts,
+    strings, sorting, hashing, arithmetic), independent of the program."""
+    text = json.dumps(_REFERENCE_DOC, sort_keys=True)
+    doc = json.loads(text)
+    size = 0
+    for key in sorted(doc, key=lambda k: doc[k]["path"] + k):
+        entry = doc[key]
+        size += len(f"{key}={entry['path']}:{entry['value']}") + len(entry["tags"])
+    size += sum(i * i % 7 for i in range(5000))
+    return size + len(hashlib.sha256(text.encode()).digest())
+
+
+def reference_seconds() -> float:
+    """Time REFERENCE_REPS runs of the reference task, an equal share on each
+    CPU this process may use: the pipeline's threads move between all of
+    them, and their speeds drift apart."""
+    cpus = sorted(os.sched_getaffinity(0))
+    reps = max(1, REFERENCE_REPS // len(cpus))
+    elapsed = 0.0
+    try:
+        for cpu in cpus:
+            os.sched_setaffinity(0, {cpu})
+            start = time.perf_counter()
+            for _ in range(reps):
+                reference_work()
+            elapsed += time.perf_counter() - start
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return elapsed * REFERENCE_REPS / (reps * len(cpus))
+
+
+class HostMeter:
+    """Times of the reference task, taken between batches through a run."""
+
+    def __init__(self) -> None:
+        self.references = [reference_seconds()]
+
+    def tick(self) -> None:
+        self.references.append(reference_seconds())
+
+    def scaled(self, wall: float, cpu: float) -> float:
+        """``wall`` with the part spent on a CPU rescaled to the reference host.
+
+        That part is multiplied by REFERENCE_NOMINAL_S over the mean reference
+        time of the run; waiting (for the model server, for instance) is left
+        as measured. The mean over the whole run follows the host's drift
+        while averaging out the reference's own jitter from one timing to
+        the next.
+        """
+        busy = min(cpu, wall)
+        return wall - busy + busy * REFERENCE_NOMINAL_S / statistics.fmean(self.references)
 
 
 class FakeServer:
@@ -178,16 +239,18 @@ def prepare(workload: str, seed: int, scale: str, work: Path, env: dict) -> Prep
         spec = corpus.SMOKE_SCALE if scale == "smoke" else corpus.CDM_SCALE
         if workload == "cdm_scale_rag" and scale != "smoke":
             # Each retrieval scans every chunk of the base, so one example and
-            # one contract per type keep a batch to a few seconds. Retrieval
-            # does not read the contract text: more types, not more
-            # contracts, average the seed's effect on what is retrieved.
-            spec = replace(spec, examples_per_type=1, contracts_per_type=1)
+            # one contract of each of two types keep a batch near two
+            # seconds, and the host-speed reference is timed often enough to
+            # follow the host. The bases' sizes differ by under 1 % between
+            # seeds, so two types suffice.
+            spec = replace(spec, types=2, examples_per_type=1, contracts_per_type=1)
         batch = corpus.cdm_scale_batch(inputs, rng, spec)
     use_rag = workload == "cdm_scale_rag"
     kb_paths = {t: inputs / "kb" / f"{t}.json" for t in batch.examples_dirs} if use_rag else {}
 
-    def setup() -> tuple[float, float]:
+    def setup() -> tuple[float, float, float]:
         """The user's one-off preparation, as calls into the public API."""
+        cpu = time.process_time()
         start = time.perf_counter()
         load_schema_dir(batch.schema_dir, batch.root_file)
         loaded = time.perf_counter()
@@ -195,7 +258,7 @@ def prepare(workload: str, seed: int, scale: str, work: Path, env: dict) -> Prep
             path.parent.mkdir(parents=True, exist_ok=True)
             ingest_examples(batch.examples_dirs[contract_type], contract_type, KB_BUDGET).save(path)
         end = time.perf_counter()
-        return end - start, (end - loaded) if kb_paths else 0.0
+        return end - start, time.process_time() - cpu, (end - loaded) if kb_paths else 0.0
 
     setup()  # writes the knowledge bases; repeats between batches are timed
 
@@ -326,7 +389,9 @@ def run_batch(prepared: Prepared, env: dict, trace_path: Optional[Path] = None) 
     shutil.rmtree(prepared.out_dir, ignore_errors=True)
     if prepared.server:
         prepared.server.reset()
-    command = [sys.executable, str(BENCH / "launch.py")]
+    peak_rss = prepared.config_path.parent / "peak_rss_kb.txt"
+    peak_rss.unlink(missing_ok=True)
+    command = [sys.executable, str(BENCH / "launch.py"), "--peak-rss", str(peak_rss)]
     if trace_path is not None:
         command += ["--trace", str(trace_path)]
     command += ["pipeline", "--config", str(prepared.config_path)]
@@ -344,10 +409,12 @@ def run_batch(prepared: Prepared, env: dict, trace_path: Optional[Path] = None) 
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         sys.stderr.write(log.read_text(encoding="utf-8")[-4000:])
-    return collect(prepared, wall, usage.ru_maxrss / 1024.0, proc.returncode)
+    cpu = usage.ru_utime + usage.ru_stime
+    rss_mb = int(peak_rss.read_text(encoding="ascii")) / 1024.0 if peak_rss.is_file() else 0.0
+    return collect(prepared, wall, cpu, rss_mb, proc.returncode)
 
 
-def collect(prepared: Prepared, wall: float, rss_mb: float, exit_code: int) -> Batch:
+def collect(prepared: Prepared, wall: float, cpu: float, rss_mb: float, exit_code: int) -> Batch:
     out = prepared.out_dir
     files = sorted(out.glob("*")) if out.is_dir() else []
     digest = hashlib.sha256()
@@ -374,6 +441,7 @@ def collect(prepared: Prepared, wall: float, rss_mb: float, exit_code: int) -> B
     provenance = {c: p for c in prepared.contracts if (p := read(f"{c}.provenance.json")) is not None}
     return Batch(
         wall_s=wall,
+        cpu_s=cpu,
         rss_mb=rss_mb,
         exit_code=exit_code,
         digest=digest.hexdigest(),
@@ -481,11 +549,12 @@ def check(prepared: Prepared, batch: Batch, reference: Optional[Batch]) -> list[
     return problems
 
 
-def end_to_end(prepared: Prepared, batches: list[Batch], counts: Counts) -> dict:
+def end_to_end(prepared: Prepared, batches: list[Batch], host: HostMeter, counts: Counts) -> dict:
     contracts = counts.contracts
+    scaled = sum(host.scaled(b.wall_s, b.cpu_s) for b in batches)
     return {
-        "contracts_per_s": (statistics.median(b.reached / b.wall_s for b in batches), "1/s"),
-        "setup_s": (statistics.median(t for t, _ in prepared.setup_times), "s"),
+        "contracts_per_s": (sum(b.reached for b in batches) / scaled, "1/s"),
+        "setup_s": (statistics.median(host.scaled(w, cpu) for w, cpu, _ in prepared.setup_times), "s"),
         "calls_per_contract": (counts.calls / contracts, "count"),
         "prompt_chars_per_contract": (counts.prompt_chars / contracts, "chars"),
         "completion_chars_per_contract": (counts.completion_chars / contracts, "chars"),
@@ -497,11 +566,17 @@ def end_to_end(prepared: Prepared, batches: list[Batch], counts: Counts) -> dict
 
 
 def layer_metrics(
-    prepared: Prepared, traced: Batch, trace_path: Path, untraced_wall: float, counts: Counts
+    prepared: Prepared,
+    traced: Batch,
+    trace_path: Path,
+    untraced: list[Batch],
+    host: HostMeter,
+    counts: Counts,
 ) -> tuple[dict, list[str], list[str]]:
     import tracer
     from cdmgen.treeops import iter_leaf_paths
 
+    untraced_walls = [b.wall_s for b in untraced]
     absent, spans = tracer.load(trace_path)
     layers = tracer.Layers(spans)
     metrics = tracer.per_layer(layers, MAX_INFLIGHT)
@@ -512,13 +587,15 @@ def layer_metrics(
     metrics.update(
         {
             "template_builder.leaves": (statistics.fmean(leaves) if leaves else 0, "count"),
-            "knowledge_base.ingest_s": (statistics.median(i for _, i in prepared.setup_times), "s"),
+            "knowledge_base.ingest_s": (statistics.median(i for _, _, i in prepared.setup_times), "s"),
             "gateway.server.requests": (traced.server.get("requests", 0), "count"),
             "gateway.server.max_concurrent": (traced.server.get("max_concurrent", 0), "count"),
             "populator.first_try_ok_share": (counts.first_try_ok / counts.tasks if counts.tasks else 0.0, "ratio"),
             "cli.artifact_bytes": (traced.artifact_bytes, "bytes"),
             "trace.wall_s": (traced.wall_s, "s"),
-            "trace.overhead_share": (traced.wall_s / untraced_wall - 1.0, "ratio"),
+            "trace.overhead_share": (traced.wall_s / statistics.median(untraced_walls) - 1.0, "ratio"),
+            "host.reference_s": (statistics.fmean(host.references), "s"),
+            "host.unscaled_contracts_per_s": (sum(b.reached for b in untraced) / sum(untraced_walls), "1/s"),
             "trace.spans": (len(spans), "count"),
             "trace.absent": (len(absent), "count"),
         }
@@ -566,17 +643,19 @@ def main(argv=None) -> int:
         batches: list[Batch] = []
         problems: list[str] = []
         started = time.perf_counter()
+        host = HostMeter()
         while len(batches) < 2 or time.perf_counter() - started < args.seconds:
             batch = run_batch(prepared, env)
+            prepared.setup_times.append(prepared.setup())
+            host.tick()
             problems += check(prepared, batch, batches[0] if batches else None)
             batches.append(batch)
             if batch.exit_code != 0:
                 break
-            prepared.time_setup(SETUP_SLICE_S)
         while len(prepared.setup_times) < SETUP_REPEATS:
-            prepared.time_setup(0)
+            prepared.setup_times.append(prepared.setup())
         counts = count(prepared, batches[0])
-        metrics = end_to_end(prepared, batches, counts)
+        metrics = end_to_end(prepared, batches, host, counts)
         report_lines = []
         if args.trace:
             trace_path = WORK / "traces" / f"{args.workload}.jsonl"
@@ -584,8 +663,9 @@ def main(argv=None) -> int:
             traced = run_batch(prepared, env, trace_path)
             problems += check(prepared, traced, batches[0])
             batches.append(traced)
-            untraced = statistics.median(b.wall_s for b in batches[:-1])
-            metrics, trace_problems, report_lines = layer_metrics(prepared, traced, trace_path, untraced, counts)
+            metrics, trace_problems, report_lines = layer_metrics(
+                prepared, traced, trace_path, batches[:-1], host, counts
+            )
             problems += trace_problems
         failed = sum(len(prepared.contracts) - len(b.reports) for b in batches)
         attempted = len(prepared.contracts) * len(batches)
@@ -603,6 +683,7 @@ def main(argv=None) -> int:
         print(f"check failed: {problem}", file=sys.stderr)
     print(f"workload {args.workload} seed {args.seed}: {prepared.sizes}")
     print(f"batches {len(batches)}, walls " + " ".join(f"{b.wall_s:.3f}" for b in batches))
+    print("reference task " + " ".join(f"{r:.3f}" for r in host.references))
     print(f"prefix_share base: {counts.prefix_base}")
     for line in report_lines:
         print(line)
