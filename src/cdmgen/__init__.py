@@ -24,7 +24,6 @@ from .gateway import (
     MockProvider,
     PromptBundle,
     ProviderConfig,
-    complete,
     extract_structured,
     prompt_hash,
     synthesize_description,
@@ -47,7 +46,6 @@ from .schema_index import (
     SchemaDocument,
     SchemaIndex,
     load_schema_dir,
-    path_exists,
     resolve_ref,
 )
 from .template_builder import (
@@ -86,7 +84,6 @@ __all__ = [
     "build_prompt",
     "build_template",
     "clean",
-    "complete",
     "compute_depths",
     "coverage_lists",
     "coverage_score",
@@ -96,7 +93,6 @@ __all__ = [
     "flatten_examples",
     "ingest_examples",
     "load_schema_dir",
-    "path_exists",
     "populate",
     "prompt_hash",
     "prune_empty",

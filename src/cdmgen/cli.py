@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -107,19 +108,32 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _provider_config(
+    endpoint, model="default", credential_env="", timeout=30.0, retries=2, **_ignored
+) -> ProviderConfig:
+    """The provider flags, or a run config's ``provider`` object, as a
+    ProviderConfig. Keyword names follow the run config; unknown keys there
+    are ignored."""
+    return ProviderConfig(
+        endpoint=endpoint,
+        model_name=model,
+        credential_ref=credential_env,
+        timeout=float(timeout),
+        retry_limit=int(retries),
+    )
+
+
+def _flag_provider_config(args) -> ProviderConfig:
+    return _provider_config(
+        args.provider, args.model, args.credential_env, args.timeout, args.provider_retries
+    )
+
+
 def _make_gateway(args, parser: argparse.ArgumentParser):
     if args.mock_script:
         return MockProvider.from_file(args.mock_script)
     if args.provider:
-        return HttpProvider(
-            ProviderConfig(
-                endpoint=args.provider,
-                model_name=args.model,
-                credential_ref=args.credential_env,
-                timeout=args.timeout,
-                retry_limit=args.provider_retries,
-            )
-        )
+        return HttpProvider(_flag_provider_config(args))
     parser.error("a provider is required: pass --provider URL or --mock-script FILE")
 
 
@@ -148,15 +162,7 @@ def cmd_ingest_kb(args, parser) -> int:
         if args.mock_embedder:
             provider = MockEmbeddingProvider()
         elif args.provider:
-            provider = HttpEmbeddingProvider(
-                ProviderConfig(
-                    endpoint=args.provider,
-                    model_name=args.model,
-                    credential_ref=args.credential_env,
-                    timeout=args.timeout,
-                    retry_limit=args.provider_retries,
-                )
-            )
+            provider = HttpEmbeddingProvider(_flag_provider_config(args))
         else:
             parser.error("--embed requires --provider URL or --mock-embedder")
         kb = embed_corpus(kb, provider)
@@ -165,29 +171,27 @@ def cmd_ingest_kb(args, parser) -> int:
     return 0
 
 
-def _population_config(args, config: Optional[dict] = None) -> PopulationConfig:
-    config = config or {}
-    return PopulationConfig(
-        depth_threshold=_setting(
-            args.depth, ENV_DEPTH, config.get("depth_threshold"), populator.DEFAULT_DEPTH_THRESHOLD, int
-        ),
-        use_rag=bool(args.rag if args.rag is not None else config.get("use_rag", False)),
-        retry_limit=args.retries if args.retries is not None else config.get("retry_limit", 2),
-        k_chunks=args.k_chunks if args.k_chunks is not None else config.get("k_chunks", 3),
-        max_inflight=args.max_inflight
-        if args.max_inflight is not None
-        else config.get("max_inflight", 4),
-    )
-
-
-def cmd_populate(args, parser) -> int:
+def _generation_inputs(args, parser):
+    """Gateway, contract text and knowledge base of ``populate`` and ``baseline``."""
     if args.rag and not args.kb:
         parser.error("--rag requires --kb FILE")
     gateway = _make_gateway(args, parser)
-    template = Template.load(args.template)
     contract_text = Path(args.contract).read_text(encoding="utf-8")
-    kb = KnowledgeBase.load(args.kb) if args.kb else None
-    cfg = _population_config(args)
+    return gateway, contract_text, KnowledgeBase.load(args.kb) if args.kb else None
+
+
+def cmd_populate(args, parser) -> int:
+    gateway, contract_text, kb = _generation_inputs(args, parser)
+    template = Template.load(args.template)
+    cfg = PopulationConfig(
+        depth_threshold=_setting(
+            args.depth, ENV_DEPTH, None, populator.DEFAULT_DEPTH_THRESHOLD, int
+        ),
+        use_rag=bool(args.rag),
+        retry_limit=args.retries,
+        k_chunks=args.k_chunks,
+        max_inflight=args.max_inflight,
+    )
     try:
         doc = populate(template, contract_text, kb, gateway, cfg)
     except ProviderUnavailable as exc:
@@ -212,12 +216,8 @@ def cmd_populate(args, parser) -> int:
 
 
 def cmd_baseline(args, parser) -> int:
-    if args.rag and not args.kb:
-        parser.error("--rag requires --kb FILE")
-    gateway = _make_gateway(args, parser)
-    contract_text = Path(args.contract).read_text(encoding="utf-8")
-    kb = KnowledgeBase.load(args.kb) if args.kb else None
-    cfg = _population_config(args)
+    gateway, contract_text, kb = _generation_inputs(args, parser)
+    cfg = PopulationConfig(use_rag=bool(args.rag), k_chunks=args.k_chunks)
     result = populator.baseline_generate(contract_text, kb, gateway, cfg)
     write_json(args.out, result)
     return 0
@@ -266,39 +266,19 @@ def _summary_rows(groups: dict[str, list], failures: list[tuple[str, str]]) -> l
                 return ""
             return f"{data[kind]:.4f}"
 
-        rows.append(
-            [
-                group,
-                str(row["count"]["n"]),
-                cell("syntactical_correctness", "mean"),
-                cell("syntactical_correctness", "stddev"),
-                cell("schema_adherence", "mean"),
-                cell("schema_adherence", "stddev"),
-                cell("coverage_score", "mean"),
-                cell("coverage_score", "stddev"),
-                "ok",
-            ]
-        )
+        cells = [cell(metric, kind) for metric in evaluator.METRICS for kind in ("mean", "stddev")]
+        rows.append([group, str(row["count"]["n"]), *cells, "ok"])
     for name, detail in sorted(failures):
         rows.append([name, "0", "", "", "", "", "", "", f"failed: {detail}"])
     return rows
 
 
 def _write_summary(path, rows: list[list]) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", newline="", dir=target.parent, prefix=f".{target.name}.", delete=False
-    )
-    try:
-        with handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(SUMMARY_COLUMNS)
-            writer.writerows(rows)
-        os.replace(handle.name, target)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(SUMMARY_COLUMNS)
+    writer.writerows(rows)
+    atomic_write_text(path, text.getvalue())
 
 
 def cmd_report(args, parser) -> int:
@@ -415,15 +395,7 @@ def cmd_pipeline(args, parser) -> int:
     if run.mock_script:
         gateway = MockProvider.from_file(run.mock_script)
     elif run.provider.get("endpoint"):
-        gateway = HttpProvider(
-            ProviderConfig(
-                endpoint=run.provider["endpoint"],
-                model_name=run.provider.get("model", "default"),
-                credential_ref=run.provider.get("credential_env", ""),
-                timeout=float(run.provider.get("timeout", 30.0)),
-                retry_limit=int(run.provider.get("retries", 2)),
-            )
-        )
+        gateway = HttpProvider(_provider_config(**run.provider))
     else:
         parser.error("pipeline needs a provider endpoint or a mock script")
 
@@ -522,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb")
     p.add_argument("--rag", action="store_true", default=None)
     p.add_argument("--depth", type=int)
-    p.add_argument("--retries", type=int)
-    p.add_argument("--k-chunks", type=int)
-    p.add_argument("--max-inflight", type=int)
+    p.add_argument("--retries", type=int, default=PopulationConfig.retry_limit)
+    p.add_argument("--k-chunks", type=int, default=PopulationConfig.k_chunks)
+    p.add_argument("--max-inflight", type=int, default=PopulationConfig.max_inflight)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance")
     _add_provider_flags(p)
@@ -534,10 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contract", required=True)
     p.add_argument("--kb")
     p.add_argument("--rag", action="store_true", default=None)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--retries", type=int)
-    p.add_argument("--k-chunks", type=int)
-    p.add_argument("--max-inflight", type=int)
+    p.add_argument("--k-chunks", type=int, default=PopulationConfig.k_chunks)
     p.add_argument("--out", required=True)
     _add_provider_flags(p)
     p.set_defaults(func=cmd_baseline)

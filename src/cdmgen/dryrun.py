@@ -17,14 +17,8 @@ from typing import Optional
 from . import treeops
 from .errors import CycleDetected
 from .gateway import prompt_hash
-from .knowledge_base import KnowledgeBase, retrieve
-from .populator import (
-    PopulationConfig,
-    build_prompt,
-    compute_depths,
-    select_tasks,
-    task_query,
-)
+from .knowledge_base import KnowledgeBase
+from .populator import PopulationConfig, build_prompt, plan_tasks
 from .schema_index import SchemaIndex
 from .template_builder import Template
 
@@ -90,14 +84,13 @@ def build_population_script(
     cfg: PopulationConfig,
     kb: Optional[KnowledgeBase] = None,
 ) -> dict[str, str]:
-    """Mock-script entries covering every task of one population run."""
-    tasks = select_tasks(compute_depths(template), cfg.depth_threshold)
+    """Mock-script entries covering every task of one population run.
+
+    Tasks come from the planner :func:`populate` uses; prompts are built
+    through this module's ``build_prompt`` name.
+    """
     script: dict[str, str] = {}
-    for task in tasks:
-        if cfg.use_rag:
-            if kb is None:
-                raise ValueError("use_rag requires a knowledge base")
-            task.retrieved_chunks = retrieve(kb, task_query(task), cfg.k_chunks)
+    for task in plan_tasks(template, cfg, kb):
         base = ".".join(task.traversal_context) if task.unwrap_key else task.target_path
         filled = fill_fragment(index, task.target_subtree, base)
         prompt = build_prompt(task, contract_text, cfg)

@@ -104,54 +104,35 @@ class EvaluationReport:
 # structural metrics
 
 
+def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
+    """Both structural metrics from one walk with one schema lookup per
+    key occurrence; the per-path detail records ``exists`` and ``adheres``."""
+    if not isinstance(doc, dict) or not doc:
+        raise EmptyDocument("document contains no keys")
+    detail = []
+    for path, value in treeops.iter_key_paths(doc):
+        prop = _property_at(index, path)
+        adheres = prop is not None and _value_conforms(prop, value)
+        detail.append({"path": path, "exists": prop is not None, "adheres": adheres})
+    return EvaluationReport(
+        syntactical_correctness=100.0 * sum(d["exists"] for d in detail) / len(detail),
+        schema_adherence=100.0 * sum(d["adheres"] for d in detail) / len(detail),
+        per_path_detail=detail,
+    )
+
+
 def syntactical_correctness(doc: dict, index: SchemaIndex) -> tuple[float, list[dict]]:
     """Percentage of generated key occurrences whose paths exist in the schema."""
-    occurrences = _key_occurrences(doc)
-    detail = []
-    hits = 0
-    for path, _ in occurrences:
-        exists = _path_ok(index, path)
-        hits += exists
-        detail.append({"path": path, "exists": exists})
-    return 100.0 * hits / len(occurrences), detail
+    report = evaluate_document(doc, index)
+    detail = [{"path": d["path"], "exists": d["exists"]} for d in report.per_path_detail]
+    return report.syntactical_correctness, detail
 
 
 def schema_adherence(doc: dict, index: SchemaIndex) -> tuple[float, list[dict]]:
     """Percentage of key occurrences whose path exists and value kind conforms."""
-    occurrences = _key_occurrences(doc)
-    detail = []
-    hits = 0
-    for path, value in occurrences:
-        prop = _property_at(index, path)
-        adheres = prop is not None and _value_conforms(prop, value)
-        hits += adheres
-        detail.append({"path": path, "adheres": adheres})
-    return 100.0 * hits / len(occurrences), detail
-
-
-def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
-    """Both structural metrics with a merged per-path detail."""
-    syntactical, exists_detail = syntactical_correctness(doc, index)
-    adherence, adheres_detail = schema_adherence(doc, index)
-    merged = [
-        {"path": a["path"], "exists": a["exists"], "adheres": b["adheres"]}
-        for a, b in zip(exists_detail, adheres_detail)
-    ]
-    return EvaluationReport(
-        syntactical_correctness=syntactical,
-        schema_adherence=adherence,
-        per_path_detail=merged,
-    )
-
-
-def _key_occurrences(doc: dict) -> list[tuple[str, object]]:
-    if not isinstance(doc, dict) or not doc:
-        raise EmptyDocument("document contains no keys")
-    return list(treeops.iter_key_paths(doc))
-
-
-def _path_ok(index: SchemaIndex, path: str) -> bool:
-    return _property_at(index, path) is not None
+    report = evaluate_document(doc, index)
+    detail = [{"path": d["path"], "adheres": d["adheres"]} for d in report.per_path_detail]
+    return report.schema_adherence, detail
 
 
 def _property_at(index: SchemaIndex, path: str) -> Optional[PropertyDef]:

@@ -16,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import requests
 
@@ -103,23 +103,12 @@ class MockProvider:
         )
 
 
-class HttpProvider:
-    """OpenAI-compatible chat-completion client with retry and backoff.
-
-    Transient transport failures (connection errors, timeouts, 5xx) retry up
-    to ``cfg.retry_limit`` times with exponential backoff; authentication
-    failures never retry. The endpoint can be overridden through the
-    ``CDMGEN_ENDPOINT`` environment variable.
-    """
+class _HttpClient:
+    """Session, credential header and auth check shared by the HTTP providers."""
 
     def __init__(self, cfg: ProviderConfig, session: Optional[requests.Session] = None):
         self.cfg = cfg
         self.session = session or requests.Session()
-        self._sleep = time.sleep
-
-    @property
-    def endpoint(self) -> str:
-        return os.environ.get(ENDPOINT_OVERRIDE_VAR) or self.cfg.endpoint
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -131,6 +120,27 @@ class HttpProvider:
                 )
             headers["Authorization"] = f"Bearer {token}"
         return headers
+
+    @staticmethod
+    def _reject_auth(response) -> None:
+        if response.status_code in (401, 403):
+            raise AuthFailure(f"provider rejected credentials ({response.status_code})")
+
+
+class HttpProvider(_HttpClient):
+    """OpenAI-compatible chat-completion client with retry and backoff.
+
+    Transient transport failures (connection errors, timeouts, 5xx) retry up
+    to ``cfg.retry_limit`` times with exponential backoff; authentication
+    failures never retry. The endpoint can be overridden through the
+    ``CDMGEN_ENDPOINT`` environment variable.
+    """
+
+    _sleep = staticmethod(time.sleep)
+
+    @property
+    def endpoint(self) -> str:
+        return os.environ.get(ENDPOINT_OVERRIDE_VAR) or self.cfg.endpoint
 
     def complete(self, prompt: PromptBundle) -> CompletionResult:
         payload = {
@@ -159,8 +169,7 @@ class HttpProvider:
                 last_error = ProviderUnavailable(f"provider unreachable: {exc}")
                 logger.warning("provider unreachable attempt=%d", attempt + 1)
                 continue
-            if response.status_code in (401, 403):
-                raise AuthFailure(f"provider rejected credentials ({response.status_code})")
+            self._reject_auth(response)
             if response.status_code >= 500:
                 last_error = ProviderUnavailable(
                     f"provider error {response.status_code}: {response.text[:200]}"
@@ -188,16 +197,6 @@ class HttpProvider:
         )
 
 
-Provider = Union[MockProvider, HttpProvider]
-
-
-def complete(provider, prompt: PromptBundle) -> CompletionResult:
-    """Run one completion. Accepts a provider object or a ProviderConfig."""
-    if isinstance(provider, ProviderConfig):
-        provider = HttpProvider(provider)
-    return provider.complete(prompt)
-
-
 # ---------------------------------------------------------------------------
 # embedding providers
 
@@ -220,22 +219,11 @@ class MockEmbeddingProvider:
         return out
 
 
-class HttpEmbeddingProvider:
+class HttpEmbeddingProvider(_HttpClient):
     """OpenAI-compatible embeddings client (``input`` batch in, vectors out)."""
 
-    def __init__(self, cfg: ProviderConfig, session: Optional[requests.Session] = None):
-        self.cfg = cfg
-        self.session = session or requests.Session()
-
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        headers = {"Content-Type": "application/json"}
-        if self.cfg.credential_ref:
-            token = os.environ.get(self.cfg.credential_ref)
-            if not token:
-                raise AuthFailure(
-                    f"credential variable {self.cfg.credential_ref} is not set"
-                )
-            headers["Authorization"] = f"Bearer {token}"
+        headers = self._headers()
         try:
             response = self.session.post(
                 self.cfg.endpoint,
@@ -245,8 +233,7 @@ class HttpEmbeddingProvider:
             )
         except requests.RequestException as exc:
             raise ProviderUnavailable(f"embedding provider unreachable: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthFailure(f"provider rejected credentials ({response.status_code})")
+        self._reject_auth(response)
         if response.status_code != 200:
             raise ProviderUnavailable(
                 f"embedding provider error {response.status_code}: {response.text[:200]}"
@@ -339,8 +326,7 @@ def synthesize_description(provider, cdm_example: dict, reference_texts: Sequenc
     """Generate a natural-language contract description from a CDM instance.
 
     The prompt embeds the structured example plus any reference term sheets
-    as style guides. ``provider`` may be a provider object or a
-    :class:`ProviderConfig`.
+    as style guides. ``provider`` is any object with ``complete(prompt)``.
     """
     if not cdm_example:
         raise ValueError("cdm_example must be a non-empty structured value")
@@ -354,4 +340,4 @@ def synthesize_description(provider, cdm_example: dict, reference_texts: Sequenc
         system_text=prompts.load("synthesize_system.txt"),
         user_text="\n\n".join(sections),
     )
-    return complete(provider, bundle).text
+    return provider.complete(bundle).text

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, EmptyExampleDir, MalformedDocument
+from .errors import DimensionMismatch
+from .template_builder import load_examples
 
 logger = logging.getLogger(__name__)
 
@@ -110,18 +111,9 @@ def ingest_examples(example_dir, contract_type: str, chunk_budget: int) -> Knowl
     """
     if chunk_budget <= 0:
         raise ValueError("chunk_budget must be positive")
-    base = Path(example_dir)
-    files = sorted(base.rglob("*.json")) if base.is_dir() else []
-    if not files:
-        raise EmptyExampleDir(f"no example files found in {example_dir}")
-
     chunks: list[Chunk] = []
-    for file in files:
-        try:
-            parsed = json.loads(file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(file.name, exc.pos, exc.msg) from exc
-        _split(parsed, file.name, "", None, False, contract_type, chunk_budget, chunks)
+    for file_name, parsed in load_examples(example_dir):
+        _split(parsed, file_name, "", None, False, contract_type, chunk_budget, chunks)
     return KnowledgeBase(chunks=chunks)
 
 
@@ -176,19 +168,12 @@ def _chunk_body(value, name: Optional[str], in_array: bool) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
-def retrieve(
-    kb: KnowledgeBase,
-    query: str,
-    k: int = DEFAULT_K,
-    use_path_affinity: bool = False,
-) -> list[Chunk]:
+def retrieve(kb: KnowledgeBase, query: str, k: int = DEFAULT_K) -> list[Chunk]:
     """Top-``k`` chunks for a query, ties broken by chunk id ascending.
 
     The lexical scorer counts distinct query tokens present in the chunk
-    body, normalized by the chunk's token count. With ``use_path_affinity``
-    the overlap between the query and the chunk's source path is added,
-    normalized the same way. Embedding-scored knowledge bases rank by cosine
-    against the attached embedder's query vector.
+    body, normalized by the chunk's token count. Embedding-scored knowledge
+    bases rank by cosine against the attached embedder's query vector.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -197,20 +182,17 @@ def retrieve(
     if kb.scorer == "embedding":
         scored = _embedding_scores(kb, query)
     else:
-        scored = _lexical_scores(kb, query, use_path_affinity)
+        scored = _lexical_scores(kb, query)
     ranked = sorted(scored, key=lambda pair: (-pair[0], pair[1].chunk_id))
     return [chunk for _, chunk in ranked[:k]]
 
 
-def _lexical_scores(kb: KnowledgeBase, query: str, use_path_affinity: bool):
+def _lexical_scores(kb: KnowledgeBase, query: str):
     query_tokens = set(lexical_tokens(query))
     for chunk in kb.chunks:
         body_tokens = lexical_tokens(chunk.body)
         overlap = len(query_tokens & set(body_tokens))
         score = overlap / max(1, len(body_tokens))
-        if use_path_affinity:
-            path_tokens = lexical_tokens(chunk.source_path)
-            score += len(query_tokens & set(path_tokens)) / max(1, len(path_tokens))
         yield score, chunk
 
 

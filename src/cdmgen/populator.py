@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
@@ -115,8 +116,8 @@ class PopulatedDocument:
 def compute_depths(template: Template) -> DepthAnnotatedNode:
     """Annotate every template node with its subtree depth.
 
-    Leaves have depth 1; containers are one more than their deepest child;
-    empty containers count 1. The returned root is the anonymous template
+    Depth follows :func:`treeops.depth_over`, applied once per node to its
+    children's depths. The returned root is the anonymous template
     container at path ``""``.
     """
     return _annotate_node("", "", (), template.tree)
@@ -131,12 +132,11 @@ def _annotate_node(name, path, segments, fragment) -> DepthAnnotatedNode:
     elif isinstance(fragment, list):
         for i, value in enumerate(fragment):
             children.append(_annotate_node(name, path, segments + (i,), value))
-    depth = 1 + max((c.depth for c in children), default=0) if children else 1
     return DepthAnnotatedNode(
         name=name,
         path=path,
         segments=segments,
-        depth=depth,
+        depth=treeops.depth_over(c.depth for c in children),
         children=children,
         fragment=fragment,
     )
@@ -189,6 +189,34 @@ def _definition_of(fragment) -> str:
     if isinstance(fragment, list) and fragment and isinstance(fragment[0], dict):
         return treeops.node_annotation(fragment[0])
     return ""
+
+
+def plan_tasks(
+    template: Template, cfg: PopulationConfig, kb: Optional[KnowledgeBase]
+) -> list[PopulationTask]:
+    """The tasks a run issues, in order: selected, then given their
+    retrieved chunks when RAG is on. An empty template has no tasks."""
+    if cfg.use_rag and kb is None:
+        raise ValueError("use_rag requires a knowledge base")
+    if not treeops.data_items(template.tree):
+        return []
+    tasks = select_tasks(compute_depths(template), cfg.depth_threshold)
+    if cfg.use_rag:
+        for task in tasks:
+            task.retrieved_chunks = retrieve(kb, task_query(task), cfg.k_chunks)
+    return tasks
+
+
+def _provenance_keys(tasks: list[PopulationTask]) -> list[str]:
+    """One provenance key per task: its target path, ``(root)`` for the
+    root, with ``+`` appended until unique (array elements share a path)."""
+    keys: dict[str, None] = {}
+    for task in tasks:
+        key = task.target_path or "(root)"
+        while key in keys:
+            key += "+"
+        keys[key] = None
+    return list(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +376,6 @@ def _join(path: str, key: str) -> str:
 # population run
 
 
-@dataclass
-class _TaskOutcome:
-    task: PopulationTask
-    tree: Optional[Any]
-    record: dict
-
-
 def populate(
     template: Template,
     contract_text: str,
@@ -370,71 +391,61 @@ def populate(
     placeholders and are recorded as failures. A provider outage aborts the
     run, attaching the partial provenance to the raised error.
     """
-    if cfg.use_rag and kb is None:
-        raise ValueError("use_rag requires a knowledge base")
-    if not treeops.data_items(template.tree):
+    tasks = plan_tasks(template, cfg, kb)
+    if not tasks:
         return PopulatedDocument(tree={}, provenance={}, contract_type=template.contract_type)
-
-    tasks = select_tasks(compute_depths(template), cfg.depth_threshold)
-    if cfg.use_rag:
-        for task in tasks:
-            task.retrieved_chunks = retrieve(kb, task_query(task), cfg.k_chunks)
-
-    outcomes = _run_tasks(tasks, contract_text, gateway, cfg)
+    keys = _provenance_keys(tasks)
+    outcomes = _run_tasks(tasks, keys, contract_text, gateway, cfg)
 
     # Annotations are removed from the template copy up front: validated
     # replies never carry them, and stripping afterwards would also delete
     # genuine data fields named "description" that a reply filled with text.
     doc = treeops.strip_annotations(template.tree)
-    provenance: dict[str, dict] = {}
-    for outcome in outcomes:
-        if outcome.tree is not None:
-            doc = _graft(doc, outcome.task.segments, outcome.tree)
-        key = outcome.task.target_path or "(root)"
-        while key in provenance:
-            key += "+"
-        provenance[key] = outcome.record
+    for task, (tree, _) in zip(tasks, outcomes):
+        if tree is not None:
+            doc = _graft(doc, task.segments, tree)
     return PopulatedDocument(
         tree=doc,
-        provenance=provenance,
+        provenance={key: record for key, (_, record) in zip(keys, outcomes)},
         contract_type=template.contract_type,
     )
 
 
-def _run_tasks(tasks, contract_text, gateway, cfg) -> list[_TaskOutcome]:
-    if cfg.max_inflight <= 1 or len(tasks) <= 1:
-        outcomes = []
-        for task in tasks:
-            try:
-                outcomes.append(_run_one(task, contract_text, gateway, cfg))
-            except ProviderUnavailable as exc:
-                raise ProviderUnavailable(
-                    str(exc), provenance={o.task.target_path: o.record for o in outcomes}
-                ) from exc
-        return outcomes
+def _run_tasks(tasks, keys, contract_text, gateway, cfg) -> list[tuple[Optional[Any], dict]]:
+    """(grafted tree or None, provenance record) per task, in task order.
 
-    with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
-        futures = [pool.submit(_run_one, task, contract_text, gateway, cfg) for task in tasks]
+    Tasks run on ``max(1, cfg.max_inflight)`` threads. The first exception
+    stops the run: queued tasks are cancelled and never call the provider,
+    and a provider outage is re-raised carrying the records of the tasks
+    that finished, under the keys a completed run would give them.
+    """
+    stopped = threading.Event()
+
+    def run(task):
+        if stopped.is_set():
+            return None
+        try:
+            return _run_one(task, contract_text, gateway, cfg)
+        except BaseException:
+            stopped.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=max(1, cfg.max_inflight)) as pool:
+        futures = [pool.submit(run, task) for task in tasks]
         wait(futures, return_when=FIRST_EXCEPTION)
-        outcomes: list[_TaskOutcome] = []
-        partial: dict[str, dict] = {}
-        failure: Optional[ProviderUnavailable] = None
         for future in futures:
-            exc = future.exception()
-            if exc is None:
-                outcome = future.result()
-                outcomes.append(outcome)
-                partial[outcome.task.target_path] = outcome.record
-            elif isinstance(exc, ProviderUnavailable) and failure is None:
-                failure = exc
-            elif not isinstance(exc, ProviderUnavailable):
-                raise exc
-        if failure is not None:
-            raise ProviderUnavailable(str(failure), provenance=partial) from failure
-        return outcomes
+            future.cancel()
+    failure = next((f.exception() for f in futures if not f.cancelled() and f.exception()), None)
+    results = [None if f.cancelled() or f.exception() else f.result() for f in futures]
+    if isinstance(failure, ProviderUnavailable):
+        partial = {key: result[1] for key, result in zip(keys, results) if result is not None}
+        raise ProviderUnavailable(str(failure), provenance=partial) from failure
+    if failure is not None:
+        raise failure
+    return results
 
 
-def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> _TaskOutcome:
+def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> tuple[Optional[Any], dict]:
     original = build_prompt(task, contract_text, cfg)
     base_hash = prompt_hash(original)
     current = original
@@ -449,27 +460,19 @@ def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> _TaskOutcome:
             logger.info(
                 "task=%s attempts=%d status=ok", task.target_path or "(root)", attempts
             )
-            return _TaskOutcome(
-                task=task,
-                tree=result,
-                record={"prompt_hash": base_hash, "attempts": attempts, "failed": False},
-            )
+            return result, {"prompt_hash": base_hash, "attempts": attempts, "failed": False}
         last_report = report
         if attempts <= cfg.retry_limit:
             current = repair_prompt(original, report)
     logger.info(
         "task=%s attempts=%d status=failed", task.target_path or "(root)", attempts
     )
-    return _TaskOutcome(
-        task=task,
-        tree=None,
-        record={
-            "prompt_hash": base_hash,
-            "attempts": attempts,
-            "failed": True,
-            "mismatches": last_report.to_payload() if last_report else [],
-        },
-    )
+    return None, {
+        "prompt_hash": base_hash,
+        "attempts": attempts,
+        "failed": True,
+        "mismatches": last_report.to_payload() if last_report else [],
+    }
 
 
 def _assess(task: PopulationTask, completion) -> tuple[ShapeReport, Optional[dict]]:
@@ -500,22 +503,12 @@ def _graft(doc, segments: tuple, value):
 def clean(doc):
     """Remove unfilled content: empty strings, date placeholders, empty
     containers — applied at fixpoint, so the result is idempotent under a
-    second pass. Accepts a :class:`PopulatedDocument` or a bare tree."""
+    second pass. Accepts a :class:`PopulatedDocument` or a bare tree.
+
+    Emptiness is tested on plain values, not through annotation detection:
+    grafted data may hold a filled field named ``description``."""
     tree = doc.tree if isinstance(doc, PopulatedDocument) else doc
-    return _clean(tree)
-
-
-def _clean(value):
-    if isinstance(value, dict):
-        out = {}
-        for key, child in value.items():
-            kept = _clean(child)
-            if not _removable(kept):
-                out[key] = kept
-        return out
-    if isinstance(value, list):
-        return [kept for kept in (_clean(v) for v in value) if not _removable(kept)]
-    return value
+    return treeops.prune(tree, _removable)
 
 
 def _removable(value) -> bool:

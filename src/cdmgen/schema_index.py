@@ -71,9 +71,8 @@ class SchemaIndex:
 
     ``documents`` holds one entry per ``.json`` file, keyed by the file's
     path relative to the directory root. Inline objects live in a separate
-    internal table so document counts reflect files on disk. ``reachable``
-    flags which files the root actually links to; unreachable files are kept
-    so paths from example data that bypass the root can still be scored.
+    internal table so document counts reflect files on disk. Files the root
+    never links to are kept too.
 
     The path table is a lazy memo over :meth:`lookup`; it is bounded by the
     set of distinct normalized paths ever queried.
@@ -81,7 +80,6 @@ class SchemaIndex:
 
     root_id: str
     documents: dict[str, SchemaDocument]
-    reachable: frozenset[str]
     max_path_depth: int = DEFAULT_MAX_PATH_DEPTH
     _inline: dict[str, SchemaDocument] = field(default_factory=dict, repr=False)
     _path_table: dict[str, Optional[PropertyDef]] = field(
@@ -133,11 +131,6 @@ class SchemaIndex:
         return True, prop
 
 
-def path_exists(index: SchemaIndex, path: str) -> tuple[bool, Optional[PropertyDef]]:
-    """Functional alias for :meth:`SchemaIndex.lookup`."""
-    return index.lookup(path)
-
-
 def resolve_ref(index: SchemaIndex, from_doc: str, ref_text: str) -> str:
     """Canonical document id for a ``$ref`` written inside ``from_doc``.
 
@@ -163,9 +156,8 @@ def load_schema_dir(schema_dir, root_file) -> SchemaIndex:
     """Load every ``.json`` file under ``schema_dir`` and resolve references.
 
     ``root_file`` may be an absolute path, a path relative to ``schema_dir``,
-    or a bare filename within it. Every reference reachable from the root
-    must resolve; files the root never links to are loaded and flagged
-    unreachable.
+    or a bare filename within it. Every reference in every file must
+    resolve; files the root never links to are loaded too.
     """
     base = Path(schema_dir)
     if not base.is_dir():
@@ -207,7 +199,6 @@ class _IndexBuilder:
         self.root_id = root_id
         self.documents: dict[str, SchemaDocument] = {}
         self.inline: dict[str, SchemaDocument] = {}
-        self.ref_edges: dict[str, set[str]] = {doc_id: set() for doc_id in raw_docs}
 
     def build(self) -> SchemaIndex:
         for doc_id in self.raw:
@@ -217,13 +208,7 @@ class _IndexBuilder:
                 properties=properties,
                 description=self._description(self.raw[doc_id]),
             )
-        reachable = self._reachable_from_root()
-        return SchemaIndex(
-            root_id=self.root_id,
-            documents=self.documents,
-            reachable=frozenset(reachable),
-            _inline=self.inline,
-        )
+        return SchemaIndex(root_id=self.root_id, documents=self.documents, _inline=self.inline)
 
     # -- property collection ------------------------------------------------
 
@@ -273,8 +258,12 @@ class _IndexBuilder:
         description = self._description(raw_prop)
 
         if "$ref" in raw_prop:
-            target = self._resolve(doc_id, raw_prop["$ref"], where)
-            return self._ref_property(name, target, description, group)
+            target = self._chase_alias(self._resolve(doc_id, raw_prop["$ref"], where))
+            if self._is_scalar_doc(target, frozenset()):
+                raw_target = self.raw[target]
+                description = description or self._description(raw_target)
+                return self._scalar("scalar", name, raw_target, description, group)
+            return self._ref("object-ref", name, target, description, group)
 
         items = raw_prop.get("items")
         if raw_prop.get("type") == "array" or isinstance(items, dict):
@@ -282,80 +271,35 @@ class _IndexBuilder:
 
         if "properties" in raw_prop or raw_prop.get("type") == "object":
             target = self._register_inline(doc_id, name, raw_prop)
-            return PropertyDef(
-                name=name,
-                kind="inline-object",
-                ref_target=target,
-                description=description,
-                choice_group=group,
-            )
+            return self._ref("inline-object", name, target, description, group)
 
-        scalar_type, enum_values = self._scalar_type(raw_prop)
-        return PropertyDef(
-            name=name,
-            kind="scalar",
-            scalar_type=scalar_type,
-            description=description,
-            enum_values=enum_values,
-            choice_group=group,
-        )
-
-    def _ref_property(self, name, target, description, group) -> PropertyDef:
-        final = self._chase_alias(target)
-        raw_target = self.raw[final]
-        if self._is_scalar_doc(final, frozenset()):
-            scalar_type, enum_values = self._scalar_type(raw_target)
-            return PropertyDef(
-                name=name,
-                kind="scalar",
-                scalar_type=scalar_type,
-                description=description or self._description(raw_target),
-                enum_values=enum_values,
-                choice_group=group,
-            )
-        return PropertyDef(
-            name=name,
-            kind="object-ref",
-            ref_target=final,
-            description=description,
-            choice_group=group,
-        )
+        return self._scalar("scalar", name, raw_prop, description, group)
 
     def _array_property(self, doc_id, name, raw_prop, description, group, where) -> PropertyDef:
         items = raw_prop.get("items")
         items = items if isinstance(items, dict) else {}
+        target = None
         if "$ref" in items:
             target = self._chase_alias(self._resolve(doc_id, items["$ref"], where))
             if self._is_scalar_doc(target, frozenset()):
-                scalar_type, enum_values = self._scalar_type(self.raw[target])
-                return PropertyDef(
-                    name=name,
-                    kind="array-of-scalar",
-                    scalar_type=scalar_type,
-                    description=description,
-                    enum_values=enum_values,
-                    choice_group=group,
-                )
-            return PropertyDef(
-                name=name,
-                kind="array-of-ref",
-                ref_target=target,
-                description=description,
-                choice_group=group,
-            )
-        if "properties" in items or items.get("type") == "object":
+                items, target = self.raw[target], None
+        elif "properties" in items or items.get("type") == "object":
             target = self._register_inline(doc_id, f"{name}[]", items)
-            return PropertyDef(
-                name=name,
-                kind="array-of-ref",
-                ref_target=target,
-                description=description,
-                choice_group=group,
-            )
-        scalar_type, enum_values = self._scalar_type(items)
+        if target is not None:
+            return self._ref("array-of-ref", name, target, description, group)
+        return self._scalar("array-of-scalar", name, items, description, group)
+
+    @staticmethod
+    def _ref(kind, name, target, description, group) -> PropertyDef:
+        return PropertyDef(
+            name=name, kind=kind, ref_target=target, description=description, choice_group=group
+        )
+
+    def _scalar(self, kind, name, raw, description, group) -> PropertyDef:
+        scalar_type, enum_values = self._scalar_type(raw)
         return PropertyDef(
             name=name,
-            kind="array-of-scalar",
+            kind=kind,
             scalar_type=scalar_type,
             description=description,
             enum_values=enum_values,
@@ -387,7 +331,6 @@ class _IndexBuilder:
         target = _normalize_ref(from_doc, ref_text)
         if target not in self.raw:
             raise UnresolvedRef(ref_text, where)
-        self.ref_edges.setdefault(from_doc, set()).add(target)
         return target
 
     def _chase_alias(self, doc_id: str) -> str:
@@ -440,14 +383,3 @@ class _IndexBuilder:
         if declared in ("number", "integer", "boolean"):
             return declared, None
         return "string", None
-
-    def _reachable_from_root(self) -> set[str]:
-        seen = {self.root_id}
-        frontier = [self.root_id]
-        while frontier:
-            doc_id = frontier.pop()
-            for target in self.ref_edges.get(doc_id, ()):
-                if target in self.raw and target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return seen

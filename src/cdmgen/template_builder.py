@@ -87,26 +87,34 @@ class Template:
         )
 
 
-def flatten_examples(example_dir) -> KeyPathSet:
-    """Union of dot-separated leaf paths over every example in a directory.
+def load_examples(example_dir) -> list[tuple[str, Any]]:
+    """(file name, parsed instance) for every ``.json`` file under a directory.
 
-    Array indices contribute no segment, so ``a[0].b`` and ``a[3].b`` both
-    flatten to ``a.b``. Raises :class:`EmptyExampleDir` when no ``.json``
-    files are present and :class:`MalformedDocument` naming the first file
-    that fails to parse.
+    Raises :class:`EmptyExampleDir` when there is none and
+    :class:`MalformedDocument` naming the first file that fails to parse.
     """
     base = Path(example_dir)
     files = sorted(base.rglob("*.json")) if base.is_dir() else []
     if not files:
         raise EmptyExampleDir(f"no example files found in {example_dir}")
-    paths: set[str] = set()
+    examples = []
     for file in files:
         try:
-            parsed = json.loads(file.read_text(encoding="utf-8"))
+            examples.append((file.name, json.loads(file.read_text(encoding="utf-8"))))
         except json.JSONDecodeError as exc:
             raise MalformedDocument(file.name, exc.pos, exc.msg) from exc
-        paths.update(path for path, _ in treeops.iter_leaf_paths(parsed))
-    return KeyPathSet(paths=frozenset(paths), source_count=len(files))
+    return examples
+
+
+def flatten_examples(example_dir) -> KeyPathSet:
+    """Union of dot-separated leaf paths over every example in a directory.
+
+    Array indices contribute no segment, so ``a[0].b`` and ``a[3].b`` both
+    flatten to ``a.b``. Errors are those of :func:`load_examples`.
+    """
+    examples = load_examples(example_dir)
+    paths = {path for _, parsed in examples for path, _ in treeops.iter_leaf_paths(parsed)}
+    return KeyPathSet(paths=frozenset(paths), source_count=len(examples))
 
 
 def build_template(index: SchemaIndex, keys: KeyPathSet, contract_type: str) -> Template:
@@ -170,40 +178,17 @@ def prune_empty(tree):
     """Remove empty objects and arrays (annotations discounted) at fixpoint.
 
     Scalar placeholders are leaves, not empty structures, and survive. An
-    object left with only its description annotation counts as empty. A
-    single bottom-up pass reaches the fixpoint because emptiness only
-    propagates upward; the operation is idempotent.
+    object left with only its description annotation counts as empty, the
+    root included. The operation is idempotent.
     """
-    pruned = _prune(tree)
-    return pruned if isinstance(pruned, dict) else {}
-
-
-def _prune(value):
-    if isinstance(value, dict):
-        out = {}
-        data_count = 0
-        for key, child in value.items():
-            if treeops.is_annotation(key, child):
-                out[key] = child
-                continue
-            kept = _prune(child)
-            if _is_empty_container(kept):
-                continue
-            out[key] = kept
-            data_count += 1
-        return out if data_count else {}
-    if isinstance(value, list):
-        kept = [_prune(v) for v in value]
-        return [v for v in kept if not _is_empty_container(v)]
-    return value
+    pruned = treeops.prune(tree, _is_empty_container)
+    return pruned if isinstance(pruned, dict) and treeops.data_items(pruned) else {}
 
 
 def _is_empty_container(value) -> bool:
     if isinstance(value, dict):
-        return not any(not treeops.is_annotation(k, v) for k, v in value.items())
-    if isinstance(value, list):
-        return not value
-    return False
+        return not treeops.data_items(value)
+    return isinstance(value, list) and not value
 
 
 def template_stats(template: Template) -> dict[str, int]:

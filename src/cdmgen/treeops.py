@@ -9,17 +9,13 @@ so depth, leaf and key enumeration agree across modules.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 DESCRIPTION_KEY = "description"
 FALLBACK_DESCRIPTION_KEY = "_template_description"
 
 DATE_TOKEN = "YYYY-MM-DD"
 DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-
-# Scalar placeholder values a template leaf may hold. The date token doubles
-# as a string, so annotation detection must exclude it explicitly.
-SCALAR_PLACEHOLDERS = ("", DATE_TOKEN, 0, False)
 
 
 def is_annotation(key: str, value: Any) -> bool:
@@ -61,21 +57,41 @@ def strip_annotations(value: Any) -> Any:
     return value
 
 
-def subtree_depth(value: Any) -> int:
-    """Depth of a template fragment: leaf = 1, container = 1 + max(children).
+def depth_over(child_depths: Iterable[int]) -> int:
+    """The depth rule: leaf = 1, container = 1 + max(children), empty = 1."""
+    return 1 + max(child_depths, default=0)
 
-    Empty containers count as depth 1; annotation entries are invisible.
+
+def subtree_depth(value: Any) -> int:
+    """Depth of a template fragment under :func:`depth_over`.
+
+    Annotation entries are invisible.
     """
     if isinstance(value, dict):
-        children = data_items(value)
-        if not children:
-            return 1
-        return 1 + max(subtree_depth(v) for _, v in children)
+        return depth_over(subtree_depth(v) for _, v in data_items(value))
     if isinstance(value, list):
-        if not value:
-            return 1
-        return 1 + max(subtree_depth(v) for v in value)
+        return depth_over(subtree_depth(v) for v in value)
     return 1
+
+
+def prune(value: Any, removable: Callable[[Any], bool]) -> Any:
+    """Copy of ``value`` without the object fields and array elements that
+    ``removable`` flags once their own contents are pruned.
+
+    One bottom-up pass reaches the fixpoint, because a removal can only make
+    a container removable, and the container is tested after its contents.
+    The root itself is never removed.
+    """
+    if isinstance(value, dict):
+        out = {}
+        for key, child in value.items():
+            kept = prune(child, removable)
+            if not removable(kept):
+                out[key] = kept
+        return out
+    if isinstance(value, list):
+        return [kept for kept in (prune(v, removable) for v in value) if not removable(kept)]
+    return value
 
 
 def iter_leaf_paths(value: Any, prefix: str = "") -> Iterator[tuple[str, Any]]:

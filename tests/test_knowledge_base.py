@@ -27,11 +27,11 @@ def write_example(directory, name, payload) -> None:
     (directory / name).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def make_chunk(chunk_id: str, body: str, source_path: str = "") -> Chunk:
+def make_chunk(chunk_id: str, body: str) -> Chunk:
     return Chunk(
         chunk_id=chunk_id,
         contract_type="sample",
-        source_path=source_path,
+        source_path="",
         body=body,
         token_estimate=len(lexical_tokens(body)),
     )
@@ -162,19 +162,6 @@ def test_irrelevant_chunk_preserves_relative_order(five_chunks):
     extended = KnowledgeBase(chunks=five_chunks.chunks + [make_chunk("zz-pad", '{"qqq": 1}')])
     after = [c.chunk_id for c in retrieve(extended, query, k=6) if c.chunk_id != "zz-pad"]
     assert after == before
-
-
-def test_path_affinity_flag_changes_scoring_only_when_enabled():
-    kb = KnowledgeBase(
-        chunks=[
-            make_chunk("c1", '{"x": "unrelated"}', source_path="trade.party"),
-            make_chunk("c2", '{"y": "unrelated"}', source_path="other.thing"),
-        ]
-    )
-    plain = retrieve(kb, "trade party", k=2)
-    assert [c.chunk_id for c in plain] == ["c1", "c2"]  # tie broken by id
-    boosted = retrieve(kb, "trade party", k=2, use_path_affinity=True)
-    assert boosted[0].chunk_id == "c1"
 
 
 def test_retrieve_rejects_bad_arguments(five_chunks):

@@ -3,8 +3,12 @@ from __future__ import annotations
 import copy
 import json
 import random
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cdmgen.dryrun import build_population_script
@@ -473,6 +477,111 @@ def test_populate_aborts_on_provider_outage_with_partial_provenance():
         populate(template, "contract", None, gateway, cfg)
     assert "a" in exc_info.value.provenance
     assert exc_info.value.provenance["a"]["failed"] is False
+
+
+class FailingProvider:
+    """Replays a mock script, sleeping ``delay`` per call, but raises
+    ProviderUnavailable on call number ``fail_on`` (counted from 1)."""
+
+    def __init__(self, script, fail_on, delay=0.0):
+        self.mock = MockProvider(script)
+        self.fail_on = fail_on
+        self.delay = delay
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call == self.fail_on:
+            raise ProviderUnavailable(f"outage on call {call}")
+        time.sleep(self.delay)
+        return self.mock.complete(prompt)
+
+
+def valid_script(template, cfg) -> dict:
+    """A reply that validates first time for every task of ``template``."""
+    return {
+        prompt_hash(build_prompt(task, "c", cfg)): json.dumps(_fill_naive(task.target_subtree))
+        for task in select_tasks(compute_depths(template), cfg.depth_threshold)
+    }
+
+
+def test_outage_keeps_partial_provenance_of_array_elements_under_distinct_keys():
+    leg = {"a": {"b": {"c": ""}}}
+    template = make_template({"legs": [leg, copy.deepcopy(leg)], "z": ""})
+    cfg = config(depth_threshold=4)
+    tasks = select_tasks(compute_depths(template), cfg.depth_threshold)
+    assert [t.target_path for t in tasks] == ["legs", "legs", "z"]
+    full = populate(template, "c", None, MockProvider(valid_script(template, cfg)), cfg)
+    assert set(full.provenance) == {"legs", "legs+", "z"}
+    gateway = FailingProvider(valid_script(template, cfg), fail_on=3)
+    with pytest.raises(ProviderUnavailable) as exc_info:
+        populate(template, "c", None, gateway, cfg)
+    assert exc_info.value.provenance == {k: full.provenance[k] for k in ("legs", "legs+")}
+
+
+def test_outage_stops_queued_tasks():
+    template = make_template({f"f{i:02d}": "" for i in range(42)})
+    cfg = config(depth_threshold=1, max_inflight=4)
+    assert len(select_tasks(compute_depths(template), cfg.depth_threshold)) == 42
+    # Successful calls take 20 ms, so the tasks in flight cannot finish and
+    # start new ones before the outage on call 2 stops the run.
+    gateway = FailingProvider(valid_script(template, cfg), fail_on=2, delay=0.02)
+    with pytest.raises(ProviderUnavailable):
+        populate(template, "c", None, gateway, cfg)
+    assert gateway.calls <= 2 + cfg.max_inflight
+
+
+_PLACEHOLDERS = st.sampled_from(["", "YYYY-MM-DD", 0, False])
+
+
+def _arrays(children):
+    # Hand-written templates may repeat an element; its tasks share a path.
+    return st.tuples(children, st.integers(1, 3)).map(
+        lambda pair: [copy.deepcopy(pair[0]) for _ in range(pair[1])]
+    )
+
+
+_TEMPLATE_NODES = st.recursive(
+    _PLACEHOLDERS,
+    lambda children: st.one_of(
+        st.dictionaries(st.sampled_from("abcd"), children, min_size=1, max_size=3), _arrays(children)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tree=st.dictionaries(st.sampled_from("uvwxyz"), _TEMPLATE_NODES, min_size=1, max_size=4),
+    depth=st.integers(1, 4),
+    fail_on=st.integers(1, 24),
+)
+def test_outage_at_any_call_completes_or_keeps_a_subset_of_the_full_provenance(
+    tree, depth, fail_on
+):
+    template = make_template(tree)
+    script = valid_script(template, config(depth_threshold=depth))
+    full = populate(template, "c", None, MockProvider(script), config(depth_threshold=depth))
+    for max_inflight in (1, 4):
+        cfg = config(depth_threshold=depth, max_inflight=max_inflight)
+        try:
+            doc = populate(template, "c", None, FailingProvider(script, fail_on), cfg)
+        except ProviderUnavailable as exc:
+            assert fail_on <= len(full.provenance)
+            # Every task whose call came before the outage finished and kept
+            # its record; run serially, no other task did.
+            assert len(exc.provenance) >= fail_on - 1
+            if max_inflight == 1:
+                assert len(exc.provenance) == fail_on - 1
+            assert set(exc.provenance) <= set(full.provenance)
+            assert all(full.provenance[key] == record for key, record in exc.provenance.items())
+        else:
+            assert fail_on > len(full.provenance)
+            assert doc.tree == full.tree
+            assert doc.provenance == full.provenance
 
 
 def test_populate_truncated_reply_is_retried():

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from cdmgen.errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
-from cdmgen.schema_index import load_schema_dir, path_exists, resolve_ref
+from cdmgen.schema_index import load_schema_dir, resolve_ref
 
 
 def write(path, payload) -> None:
@@ -26,7 +26,6 @@ def test_three_file_fixture_loads_and_resolves(tiny_index):
         "address.schema.json",
     }
     assert tiny_index.root_id == "root.schema.json"
-    assert tiny_index.reachable == frozenset(tiny_index.documents)
     party = tiny_index.documents["root.schema.json"].properties["party"]
     assert party.kind == "object-ref"
     assert party.ref_target == "party.schema.json"
@@ -71,7 +70,6 @@ def test_unreachable_documents_retained_and_flagged(tmp_path, tiny_schema_dir):
     write(tmp_path / "island.schema.json", {"properties": {"x": {"type": "string"}}})
     index = load_schema_dir(tmp_path, "root.schema.json")
     assert "island.schema.json" in index.documents
-    assert "island.schema.json" not in index.reachable
 
 
 def test_loading_twice_yields_equal_indexes(tiny_schema_dir):
@@ -164,8 +162,8 @@ def test_composite_union_and_choice_groups(tmp_path):
 
 
 def test_figure_style_identifier_path_exists(cdm_index):
-    exists, prop = path_exists(
-        cdm_index, "trade.tradeIdentifier.assignedIdentifier.identifier.value"
+    exists, prop = cdm_index.lookup(
+        "trade.tradeIdentifier.assignedIdentifier.identifier.value"
     )
     assert exists is True
     assert prop.scalar_type == "string"
@@ -181,7 +179,7 @@ def test_unknown_path_with_index_segment(cdm_index, cdm_schema_dir):
     # absent from the exhaustively enumerated schema paths.
     enumerated = oracles.enumerate_schema_paths(cdm_schema_dir, "contract.schema.json")
     assert "trade.nonsenseField" not in enumerated
-    exists, prop = path_exists(cdm_index, "trade.0.nonsenseField")
+    exists, prop = cdm_index.lookup("trade.0.nonsenseField")
     assert exists is False
     assert prop is None
 
