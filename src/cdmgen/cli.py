@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import evaluator, populator, template_builder
-from .errors import CdmgenError, ProviderUnavailable
+from .errors import CdmgenError, ProviderOutage
 from .gateway import (
     HttpEmbeddingProvider,
     HttpProvider,
@@ -194,7 +194,7 @@ def cmd_populate(args, parser) -> int:
     )
     try:
         doc = populate(template, contract_text, kb, gateway, cfg)
-    except ProviderUnavailable as exc:
+    except ProviderOutage as exc:
         if args.provenance:
             write_json(args.provenance, exc.provenance)
         raise
@@ -415,18 +415,30 @@ def cmd_pipeline(args, parser) -> int:
     out_dir = run.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Contracts of one type built from the same examples share a template,
+    # and contracts naming the same knowledge base share it; neither is
+    # mutated by a run.
+    templates: dict[tuple[Path, str], Template] = {}
+    bases: dict[Path, KnowledgeBase] = {}
     groups: dict[str, list] = {}
     failures: list[tuple[str, str]] = []
     for job in run.contracts:
         logger.info("pipeline contract=%s type=%s", job.name, job.contract_type)
         try:
-            keys = flatten_examples(job.examples_dir)
-            template = build_template(index, keys, job.contract_type)
+            template_key = (job.examples_dir, job.contract_type)
+            if template_key not in templates:
+                keys = flatten_examples(job.examples_dir)
+                templates[template_key] = build_template(index, keys, job.contract_type)
+            template = templates[template_key]
             atomic_write_text(out_dir / f"{job.name}.template.json", template.to_text())
             contract_text = job.contract_path.read_text(encoding="utf-8")
-            kb = KnowledgeBase.load(job.kb_path) if job.kb_path else None
+            kb = None
+            if job.kb_path:
+                if job.kb_path not in bases:
+                    bases[job.kb_path] = KnowledgeBase.load(job.kb_path)
+                kb = bases[job.kb_path]
             doc = populate(template, contract_text, kb, gateway, cfg)
-        except ProviderUnavailable as exc:
+        except ProviderOutage as exc:
             write_json(out_dir / f"{job.name}.provenance.json", exc.provenance)
             raise
         except CdmgenError as exc:
@@ -444,7 +456,7 @@ def cmd_pipeline(args, parser) -> int:
                 lists = evaluator.coverage_lists(contract_text, cleaned, gateway)
                 report.lists = lists
                 report.coverage_score = evaluator.coverage_score(lists, weights)
-        except ProviderUnavailable:
+        except ProviderOutage:
             raise
         except CdmgenError as exc:
             failures.append((job.name, type(exc).__name__))

@@ -64,8 +64,8 @@ class DimensionMismatch(CdmgenError):
 # providers
 
 
-class ProviderUnavailable(CdmgenError):
-    """The completion or embedding provider could not be reached.
+class ProviderOutage(CdmgenError):
+    """The provider cannot serve this run, so the run stops at once.
 
     When raised mid-run by the populator, ``provenance`` carries the partial
     per-task records collected before the abort.
@@ -76,11 +76,16 @@ class ProviderUnavailable(CdmgenError):
         super().__init__(detail)
 
 
-class AuthFailure(CdmgenError):
+class ProviderUnavailable(ProviderOutage):
+    """The completion or embedding provider could not be reached, or sent
+    a reply that is not the expected JSON."""
+
+
+class AuthFailure(ProviderOutage):
     """The provider rejected or could not resolve the configured credential."""
 
 
-class Timeout(CdmgenError):
+class Timeout(ProviderOutage):
     """A provider call exceeded its configured timeout after all retries."""
 
 

@@ -104,7 +104,8 @@ class MockProvider:
 
 
 class _HttpClient:
-    """Session, credential header and auth check shared by the HTTP providers."""
+    """Session, credential header, auth check and JSON body decoding shared
+    by the HTTP providers."""
 
     def __init__(self, cfg: ProviderConfig, session: Optional[requests.Session] = None):
         self.cfg = cfg
@@ -126,14 +127,22 @@ class _HttpClient:
         if response.status_code in (401, 403):
             raise AuthFailure(f"provider rejected credentials ({response.status_code})")
 
+    @staticmethod
+    def _json_body(response):
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise ProviderUnavailable(f"provider sent a non-JSON body: {exc}") from exc
+
 
 class HttpProvider(_HttpClient):
     """OpenAI-compatible chat-completion client with retry and backoff.
 
     Transient transport failures (connection errors, timeouts, 5xx) retry up
     to ``cfg.retry_limit`` times with exponential backoff; authentication
-    failures never retry. The endpoint can be overridden through the
-    ``CDMGEN_ENDPOINT`` environment variable.
+    failures never retry, nor does a 200 reply that is not JSON or carries
+    no message (both raise :class:`ProviderUnavailable`). The endpoint can
+    be overridden through the ``CDMGEN_ENDPOINT`` environment variable.
     """
 
     _sleep = staticmethod(time.sleep)
@@ -179,7 +188,7 @@ class HttpProvider(_HttpClient):
                 raise ProviderUnavailable(
                     f"provider error {response.status_code}: {response.text[:200]}"
                 )
-            return self._parse(response.json())
+            return self._parse(self._json_body(response))
         raise last_error if last_error else ProviderUnavailable("provider call failed")
 
     @staticmethod
@@ -238,8 +247,11 @@ class HttpEmbeddingProvider(_HttpClient):
             raise ProviderUnavailable(
                 f"embedding provider error {response.status_code}: {response.text[:200]}"
             )
-        body = response.json()
-        return [row["embedding"] for row in body["data"]]
+        body = self._json_body(response)
+        try:
+            return [row["embedding"] for row in body["data"]]
+        except (KeyError, TypeError) as exc:
+            raise ProviderUnavailable(f"malformed embedding response: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

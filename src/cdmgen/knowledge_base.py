@@ -5,7 +5,9 @@ token budget, preserving well-formed JSON in every chunk body. Retrieval is
 exhaustive scoring: corpora here are at most hundreds of chunks, so no
 nearest-neighbor index is needed. The default scorer is a deterministic
 lexical overlap so the whole pipeline runs offline; an embedding provider
-can be attached for cosine scoring.
+can be attached for cosine scoring. Each chunk tokenizes its body once, on
+the first lexical query that reaches it, and keeps the result, so a query
+costs one tokenization of its own text plus one set intersection per chunk.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,6 +52,16 @@ class Chunk:
     token_estimate: int
     oversized: bool = False
     vector: Optional[tuple[float, ...]] = None
+
+    @cached_property
+    def _lexical_terms(self) -> tuple[frozenset[str], int]:
+        """Distinct body tokens and the body's token count.
+
+        Derived from the frozen ``body`` and stored on this chunk, so it
+        can neither go stale nor outlive it; not a field, so equality,
+        ``repr`` and ``save`` ignore it."""
+        tokens = lexical_tokens(self.body)
+        return frozenset(tokens), len(tokens)
 
 
 @dataclass
@@ -172,8 +185,11 @@ def retrieve(kb: KnowledgeBase, query: str, k: int = DEFAULT_K) -> list[Chunk]:
     """Top-``k`` chunks for a query, ties broken by chunk id ascending.
 
     The lexical scorer counts distinct query tokens present in the chunk
-    body, normalized by the chunk's token count. Embedding-scored knowledge
-    bases rank by cosine against the attached embedder's query vector.
+    body, normalized by the chunk's token count. Body tokens are computed
+    once per chunk and reused by every query, so a query costs one
+    tokenization of its own text plus one set intersection per chunk.
+    Embedding-scored knowledge bases rank by cosine against the attached
+    embedder's query vector.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -190,10 +206,8 @@ def retrieve(kb: KnowledgeBase, query: str, k: int = DEFAULT_K) -> list[Chunk]:
 def _lexical_scores(kb: KnowledgeBase, query: str):
     query_tokens = set(lexical_tokens(query))
     for chunk in kb.chunks:
-        body_tokens = lexical_tokens(chunk.body)
-        overlap = len(query_tokens & set(body_tokens))
-        score = overlap / max(1, len(body_tokens))
-        yield score, chunk
+        terms, token_count = chunk._lexical_terms
+        yield len(query_tokens & terms) / max(1, token_count), chunk
 
 
 def _embedding_scores(kb: KnowledgeBase, query: str):

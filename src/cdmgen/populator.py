@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from . import prompts, treeops
-from .errors import GenerationIncomplete, NoStructuredPayload, ProviderUnavailable
+from .errors import GenerationIncomplete, NoStructuredPayload, ProviderOutage
 from .gateway import PromptBundle, extract_structured, prompt_hash
 from .knowledge_base import Chunk, KnowledgeBase, retrieve
 from .template_builder import Template
@@ -388,8 +388,9 @@ def populate(
     Each selected substructure is prompted, parsed, and shape-checked; a
     mismatching reply triggers a follow-up carrying the validation report,
     up to ``cfg.retry_limit`` re-prompts. Exhausted tasks keep their
-    placeholders and are recorded as failures. A provider outage aborts the
-    run, attaching the partial provenance to the raised error.
+    placeholders and are recorded as failures. A provider outage
+    (:class:`ProviderOutage`) aborts the run, attaching the partial
+    provenance to the raised error.
     """
     tasks = plan_tasks(template, cfg, kb)
     if not tasks:
@@ -416,8 +417,9 @@ def _run_tasks(tasks, keys, contract_text, gateway, cfg) -> list[tuple[Optional[
 
     Tasks run on ``max(1, cfg.max_inflight)`` threads. The first exception
     stops the run: queued tasks are cancelled and never call the provider,
-    and a provider outage is re-raised carrying the records of the tasks
-    that finished, under the keys a completed run would give them.
+    and a provider outage (unreachable, auth failure or timeout) is re-raised
+    carrying the records of the tasks that finished, under the keys a
+    completed run would give them.
     """
     stopped = threading.Event()
 
@@ -437,9 +439,10 @@ def _run_tasks(tasks, keys, contract_text, gateway, cfg) -> list[tuple[Optional[
             future.cancel()
     failure = next((f.exception() for f in futures if not f.cancelled() and f.exception()), None)
     results = [None if f.cancelled() or f.exception() else f.result() for f in futures]
-    if isinstance(failure, ProviderUnavailable):
-        partial = {key: result[1] for key, result in zip(keys, results) if result is not None}
-        raise ProviderUnavailable(str(failure), provenance=partial) from failure
+    if isinstance(failure, ProviderOutage):
+        failure.provenance = {
+            key: result[1] for key, result in zip(keys, results) if result is not None
+        }
     if failure is not None:
         raise failure
     return results

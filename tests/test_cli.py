@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -560,3 +562,72 @@ def test_pipeline_failed_contract_gets_failure_row(
     assert by_group["InterestRateSwap"]["status"] == "ok"
     assert by_group["foreign_exchange"]["status"].startswith("failed:")
     assert "combined" in by_group
+
+
+class _ScriptThenRejectHandler(BaseHTTPRequestHandler):
+    """Chat endpoint answering from a mock script until call ``reject_from``,
+    then rejecting the credential (401) on every call."""
+
+    script: dict = {}
+    reject_from = 0
+    calls = 0
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        handler = _ScriptThenRejectHandler
+        handler.calls += 1
+        if handler.calls >= handler.reject_from:
+            self.send_response(401)
+            self.end_headers()
+            return
+        system, user = (m["content"] for m in payload["messages"])
+        text = handler.script[prompt_hash(PromptBundle(system_text=system, user_text=user))]
+        raw = json.dumps({"choices": [{"message": {"content": text}, "finish_reason": "stop"}]})
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw.encode())
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_pipeline_stops_at_first_auth_failure(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, capsys, max_inflight
+):
+    names = ["interest_rate_swap", "equity_swap", "foreign_exchange"]
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=names
+    )
+    server = HTTPServer(("127.0.0.1", 0), _ScriptThenRejectHandler)
+    _ScriptThenRejectHandler.script = json.loads(script_path.read_text(encoding="utf-8"))
+    _ScriptThenRejectHandler.reject_from = 3
+    _ScriptThenRejectHandler.calls = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    del config["mock_script"]
+    config["max_inflight"] = max_inflight
+    config["provider"] = {
+        "endpoint": f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+        "retries": 0,
+    }
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    try:
+        code = run(["pipeline", "--config", config_path])
+    finally:
+        server.shutdown()
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "AuthFailure"
+    assert _ScriptThenRejectHandler.calls <= 2 + max_inflight
+    provenance = json.loads((out_dir / f"{names[0]}.provenance.json").read_text(encoding="utf-8"))
+    assert len(provenance) >= 2
+    if max_inflight == 1:
+        assert len(provenance) == 2
+    assert not any(record["failed"] for record in provenance.values())
+    assert not (out_dir / f"{names[0]}.cdm.json").exists()
+    for name in names[1:]:
+        assert not list(out_dir.glob(f"{name}.*"))
+    assert not (out_dir / "summary.csv").exists()

@@ -74,6 +74,7 @@ class _Handler(BaseHTTPRequestHandler):
     captured: list = []
     behavior = "ok"
     fail_times = 0
+    raw_body = b""
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -90,6 +91,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(502)
             self.end_headers()
             self.wfile.write(b"bad gateway")
+            return
+        if _Handler.behavior == "raw":
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(_Handler.raw_body)))
+            self.end_headers()
+            self.wfile.write(_Handler.raw_body)
             return
         body = {
             "choices": [{"message": {"content": '{"echo": true}'}, "finish_reason": "stop"}],
@@ -114,6 +121,7 @@ def local_server():
     _Handler.captured = []
     _Handler.behavior = "ok"
     _Handler.fail_times = 0
+    _Handler.raw_body = b""
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
 
@@ -166,6 +174,32 @@ def test_http_provider_timeout(local_server):
     cfg = ProviderConfig(endpoint=local_server, model_name="m", timeout=0.1, retry_limit=0)
     with pytest.raises(Timeout):
         HttpProvider(cfg).complete(BUNDLE)
+
+
+def test_http_provider_non_json_body_is_provider_unavailable(local_server):
+    _Handler.behavior = "raw"
+    _Handler.raw_body = b"<html>upstream proxy error</html>"
+    cfg = ProviderConfig(endpoint=local_server, model_name="m", retry_limit=3)
+    with pytest.raises(ProviderUnavailable, match="non-JSON"):
+        HttpProvider(cfg).complete(BUNDLE)
+
+
+@pytest.mark.parametrize(
+    "raw_body, message",
+    [
+        (b"not json at all", "non-JSON"),
+        (b'{"object": "list", "model": "m"}', "malformed embedding response"),
+    ],
+    ids=["non_json_body", "body_without_data"],
+)
+def test_http_embedding_provider_malformed_body_is_provider_unavailable(
+    local_server, raw_body, message
+):
+    _Handler.behavior = "raw"
+    _Handler.raw_body = raw_body
+    cfg = ProviderConfig(endpoint=local_server, model_name="m")
+    with pytest.raises(ProviderUnavailable, match=message):
+        HttpEmbeddingProvider(cfg).embed(["a", "b"])
 
 
 def test_unreachable_endpoint_zero_retries():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cdmgen.errors import DimensionMismatch, EmptyExampleDir
@@ -162,6 +164,58 @@ def test_irrelevant_chunk_preserves_relative_order(five_chunks):
     extended = KnowledgeBase(chunks=five_chunks.chunks + [make_chunk("zz-pad", '{"qqq": 1}')])
     after = [c.chunk_id for c in retrieve(extended, query, k=6) if c.chunk_id != "zz-pad"]
     assert after == before
+
+
+def reference_retrieve(chunks, query: str, k: int) -> list[str]:
+    """Brute force: tokenize every body for this query, rank by
+    (-score, chunk_id)."""
+    query_tokens = set(lexical_tokens(query))
+    scored = []
+    for chunk in chunks:
+        tokens = lexical_tokens(chunk.body)
+        score = len(query_tokens & set(tokens)) / max(1, len(tokens))
+        scored.append((-score, chunk.chunk_id))
+    return [chunk_id for _, chunk_id in sorted(scored)[:k]]
+
+
+_TEXT = st.text(alphabet='abcAB01 {}[]":,._-\n', max_size=30)
+# Drawn often, so bases repeat bodies and queries hit them; "{}" and "[]"
+# have no tokens, and repeated tokens make the token count exceed the
+# distinct-token count.
+_BODIES = st.one_of(
+    _TEXT,
+    st.sampled_from(["{}", "[]", '{"alpha": "one"}', "ALPHA beta 01", '{"a": "a", "b": [1, 1]}']),
+)
+_QUERIES = st.one_of(_TEXT, st.sampled_from(["alpha", "beta one", "a b", "01 1"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bodies=st.lists(_BODIES, min_size=1, max_size=8),
+    queries=st.lists(_QUERIES, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_retrieval_matches_per_query_tokenization(bodies, queries, data):
+    ids = data.draw(st.permutations([f"c{i:02d}" for i in range(len(bodies))]))
+    kb = KnowledgeBase(chunks=[make_chunk(i, body) for i, body in zip(ids, bodies)])
+    for query in queries:
+        k = data.draw(st.integers(1, len(bodies) + 2))
+        got = [chunk.chunk_id for chunk in retrieve(kb, query, k)]
+        assert got == reference_retrieve(kb.chunks, query, k)
+
+
+def test_retrieval_ranks_by_current_bodies_under_reused_chunk_ids():
+    first = KnowledgeBase(
+        chunks=[make_chunk("c1", '{"alpha": "one"}'), make_chunk("c2", '{"beta": "two"}')]
+    )
+    assert [c.chunk_id for c in retrieve(first, "alpha", k=1)] == ["c1"]
+    second = KnowledgeBase(
+        chunks=[make_chunk("c1", '{"beta": "two"}'), make_chunk("c2", '{"alpha": "one"}')]
+    )
+    assert [c.chunk_id for c in retrieve(second, "alpha", k=1)] == ["c2"]
+    # A chunk replaced in a base's list is scored by its own body.
+    first.chunks[1] = make_chunk("c2", "alpha")
+    assert [c.chunk_id for c in retrieve(first, "alpha", k=2)] == ["c2", "c1"]
 
 
 def test_retrieve_rejects_bad_arguments(five_chunks):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cdmgen.dryrun import build_population_script
-from cdmgen.errors import GenerationIncomplete, ProviderUnavailable
+from cdmgen.errors import AuthFailure, GenerationIncomplete, ProviderUnavailable, Timeout
 from cdmgen.gateway import CompletionResult, MockProvider, prompt_hash
 from cdmgen.knowledge_base import Chunk, KnowledgeBase
 from cdmgen.populator import (
@@ -481,12 +481,13 @@ def test_populate_aborts_on_provider_outage_with_partial_provenance():
 
 class FailingProvider:
     """Replays a mock script, sleeping ``delay`` per call, but raises
-    ProviderUnavailable on call number ``fail_on`` (counted from 1)."""
+    ``error`` on call number ``fail_on`` (counted from 1)."""
 
-    def __init__(self, script, fail_on, delay=0.0):
+    def __init__(self, script, fail_on, delay=0.0, error=ProviderUnavailable):
         self.mock = MockProvider(script)
         self.fail_on = fail_on
         self.delay = delay
+        self.error = error
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -495,7 +496,7 @@ class FailingProvider:
             self.calls += 1
             call = self.calls
         if call == self.fail_on:
-            raise ProviderUnavailable(f"outage on call {call}")
+            raise self.error(f"outage on call {call}")
         time.sleep(self.delay)
         return self.mock.complete(prompt)
 
@@ -520,6 +521,23 @@ def test_outage_keeps_partial_provenance_of_array_elements_under_distinct_keys()
     with pytest.raises(ProviderUnavailable) as exc_info:
         populate(template, "c", None, gateway, cfg)
     assert exc_info.value.provenance == {k: full.provenance[k] for k in ("legs", "legs+")}
+
+
+@pytest.mark.parametrize("error", [AuthFailure, Timeout])
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_auth_failure_and_timeout_keep_partial_provenance(error, max_inflight):
+    template = make_template({f"f{i}": "" for i in range(6)})
+    cfg = config(depth_threshold=1, max_inflight=max_inflight)
+    full = populate(template, "c", None, MockProvider(valid_script(template, cfg)), cfg)
+    gateway = FailingProvider(valid_script(template, cfg), fail_on=3, error=error)
+    with pytest.raises(error) as exc_info:
+        populate(template, "c", None, gateway, cfg)
+    partial = exc_info.value.provenance
+    # Calls 1 and 2 finished; run serially, nothing after call 3 started.
+    assert len(partial) >= 2
+    if max_inflight == 1:
+        assert set(partial) == {"f0", "f1"}
+    assert all(full.provenance[key] == record for key, record in partial.items())
 
 
 def test_outage_stops_queued_tasks():
