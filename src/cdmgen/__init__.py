@@ -28,7 +28,7 @@ from .gateway import (
     prompt_hash,
     synthesize_description,
 )
-from .knowledge_base import Chunk, KnowledgeBase, embed_corpus, ingest_examples, retrieve
+from .knowledge_base import Chunk, KnowledgeBase, ingest_examples, retrieve
 from .populator import (
     PopulatedDocument,
     PopulationConfig,
@@ -87,7 +87,6 @@ __all__ = [
     "compute_depths",
     "coverage_lists",
     "coverage_score",
-    "embed_corpus",
     "evaluate_document",
     "extract_structured",
     "flatten_examples",

@@ -22,18 +22,12 @@ from typing import Optional
 
 from . import evaluator, populator, template_builder
 from .errors import CdmgenError, ProviderOutage
-from .gateway import (
-    HttpEmbeddingProvider,
-    HttpProvider,
-    MockEmbeddingProvider,
-    MockProvider,
-    ProviderConfig,
-    synthesize_description,
-)
-from .knowledge_base import KnowledgeBase, embed_corpus, ingest_examples
+from .gateway import HttpProvider, MockProvider, ProviderConfig, synthesize_description
+from .knowledge_base import KnowledgeBase, ingest_examples
 from .populator import PopulationConfig, clean, populate
 from .schema_index import load_schema_dir
 from .template_builder import Template, build_template, flatten_examples
+from .treeops import read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -85,6 +79,13 @@ def _setting(flag_value, env_var: str, config_value, default, cast):
     return default
 
 
+def _input_file(value: str) -> str:
+    """argparse type of an input-file flag: a missing file is a usage error."""
+    if not Path(value).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # provider construction
 
@@ -104,36 +105,37 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--mock-script",
+        type=_input_file,
         help="JSON file mapping prompt hashes to scripted responses; replaces the provider",
     )
 
 
 def _provider_config(
-    endpoint, model="default", credential_env="", timeout=30.0, retries=2, **_ignored
+    parser, endpoint, model="default", credential_env="", timeout=30.0, retries=2, **_ignored
 ) -> ProviderConfig:
     """The provider flags, or a run config's ``provider`` object, as a
     ProviderConfig. Keyword names follow the run config; unknown keys there
-    are ignored."""
-    return ProviderConfig(
-        endpoint=endpoint,
-        model_name=model,
-        credential_ref=credential_env,
-        timeout=float(timeout),
-        retry_limit=int(retries),
-    )
-
-
-def _flag_provider_config(args) -> ProviderConfig:
-    return _provider_config(
-        args.provider, args.model, args.credential_env, args.timeout, args.provider_retries
-    )
+    are ignored, and a value ProviderConfig rejects is a usage error."""
+    try:
+        return ProviderConfig(
+            endpoint=endpoint,
+            model_name=model,
+            credential_ref=credential_env,
+            timeout=float(timeout),
+            retry_limit=int(retries),
+        )
+    except (TypeError, ValueError) as exc:
+        parser.error(f"provider setting: {exc}")
 
 
 def _make_gateway(args, parser: argparse.ArgumentParser):
     if args.mock_script:
         return MockProvider.from_file(args.mock_script)
     if args.provider:
-        return HttpProvider(_flag_provider_config(args))
+        cfg = _provider_config(
+            parser, args.provider, args.model, args.credential_env, args.timeout, args.provider_retries
+        )
+        return HttpProvider(cfg)
     parser.error("a provider is required: pass --provider URL or --mock-script FILE")
 
 
@@ -157,16 +159,11 @@ def cmd_make_template(args, parser) -> int:
 
 
 def cmd_ingest_kb(args, parser) -> int:
-    kb = ingest_examples(args.examples, args.contract_type, args.budget)
-    if args.embed:
-        if args.mock_embedder:
-            provider = MockEmbeddingProvider()
-        elif args.provider:
-            provider = HttpEmbeddingProvider(_flag_provider_config(args))
-        else:
-            parser.error("--embed requires --provider URL or --mock-embedder")
-        kb = embed_corpus(kb, provider)
-    kb.save(args.out)
+    try:
+        kb = ingest_examples(args.examples, args.contract_type, args.budget)
+    except ValueError as exc:
+        parser.error(str(exc))
+    atomic_write_text(args.out, kb.to_text())
     logger.info("knowledge base written out=%s chunks=%d", args.out, len(kb.chunks))
     return 0
 
@@ -181,17 +178,20 @@ def _generation_inputs(args, parser):
 
 
 def cmd_populate(args, parser) -> int:
+    try:
+        cfg = PopulationConfig(
+            depth_threshold=_setting(
+                args.depth, ENV_DEPTH, None, populator.DEFAULT_DEPTH_THRESHOLD, int
+            ),
+            use_rag=bool(args.rag),
+            retry_limit=args.retries,
+            k_chunks=args.k_chunks,
+            max_inflight=args.max_inflight,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     gateway, contract_text, kb = _generation_inputs(args, parser)
     template = Template.load(args.template)
-    cfg = PopulationConfig(
-        depth_threshold=_setting(
-            args.depth, ENV_DEPTH, None, populator.DEFAULT_DEPTH_THRESHOLD, int
-        ),
-        use_rag=bool(args.rag),
-        retry_limit=args.retries,
-        k_chunks=args.k_chunks,
-        max_inflight=args.max_inflight,
-    )
     try:
         doc = populate(template, contract_text, kb, gateway, cfg)
     except ProviderOutage as exc:
@@ -216,8 +216,11 @@ def cmd_populate(args, parser) -> int:
 
 
 def cmd_baseline(args, parser) -> int:
+    try:
+        cfg = PopulationConfig(use_rag=bool(args.rag), k_chunks=args.k_chunks)
+    except ValueError as exc:
+        parser.error(str(exc))
     gateway, contract_text, kb = _generation_inputs(args, parser)
-    cfg = PopulationConfig(use_rag=bool(args.rag), k_chunks=args.k_chunks)
     result = populator.baseline_generate(contract_text, kb, gateway, cfg)
     write_json(args.out, result)
     return 0
@@ -225,7 +228,7 @@ def cmd_baseline(args, parser) -> int:
 
 def cmd_synthesize(args, parser) -> int:
     gateway = _make_gateway(args, parser)
-    example = json.loads(Path(args.example).read_text(encoding="utf-8"))
+    example = read_json_object(args.example)
     references = [Path(p).read_text(encoding="utf-8") for p in args.reference]
     text = synthesize_description(gateway, example, references)
     atomic_write_text(args.out, text if text.endswith("\n") else text + "\n")
@@ -233,17 +236,21 @@ def cmd_synthesize(args, parser) -> int:
 
 
 def cmd_evaluate(args, parser) -> int:
+    if args.coverage:
+        try:
+            weights = evaluator.CoverageWeights(
+                mu=_setting(args.mu, ENV_MU, None, evaluator.DEFAULT_MU, float),
+                epsilon=_setting(args.epsilon, ENV_EPSILON, None, evaluator.DEFAULT_EPSILON, float),
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     index = load_schema_dir(args.schema_dir, args.root)
-    doc = json.loads(Path(args.cdm).read_text(encoding="utf-8"))
+    doc = read_json_object(args.cdm)
     report = evaluator.evaluate_document(doc, index)
     if args.coverage:
         gateway = _make_gateway(args, parser)
         contract_text = Path(args.contract).read_text(encoding="utf-8")
         lists = evaluator.coverage_lists(contract_text, doc, gateway)
-        weights = evaluator.CoverageWeights(
-            mu=_setting(args.mu, ENV_MU, None, evaluator.DEFAULT_MU, float),
-            epsilon=_setting(args.epsilon, ENV_EPSILON, None, evaluator.DEFAULT_EPSILON, float),
-        )
         report.lists = lists
         report.coverage_score = evaluator.coverage_score(lists, weights)
     envelope = {"contract_type": args.contract_type, **report.to_dict()}
@@ -334,7 +341,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         config_path = Path(path)
-        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload = read_json_object(config_path)
         base = config_path.parent
 
         def resolve(value) -> Path:
@@ -371,6 +378,8 @@ class RunConfig:
     def validate(self, parser: argparse.ArgumentParser) -> None:
         if not self.contracts:
             parser.error("pipeline config lists no contracts")
+        if self.mock_script and not self.mock_script.is_file():
+            parser.error(f"mock script does not exist: {self.mock_script}")
         if not self.schema_dir.is_dir():
             parser.error(f"schema_dir does not exist: {self.schema_dir}")
         if not (self.schema_dir / self.root_file).is_file():
@@ -382,10 +391,15 @@ class RunConfig:
                 parser.error(f"examples dir does not exist: {job.examples_dir}")
             if job.kb_path and not job.kb_path.is_file():
                 parser.error(f"knowledge base does not exist: {job.kb_path}")
+            if self.use_rag and not job.kb_path:
+                parser.error(f"use_rag needs a kb_path for contract {job.name}")
 
 
 def cmd_pipeline(args, parser) -> int:
-    run = RunConfig.from_file(args.config)
+    try:
+        run = RunConfig.from_file(args.config)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        parser.error(f"run config {args.config} is not usable: {exc!r}")
     if args.out_dir:
         run.out_dir = Path(args.out_dir)
     if args.mock_script:
@@ -395,21 +409,24 @@ def cmd_pipeline(args, parser) -> int:
     if run.mock_script:
         gateway = MockProvider.from_file(run.mock_script)
     elif run.provider.get("endpoint"):
-        gateway = HttpProvider(_provider_config(**run.provider))
+        gateway = HttpProvider(_provider_config(parser, **run.provider))
     else:
         parser.error("pipeline needs a provider endpoint or a mock script")
 
-    depth = _setting(args.depth, ENV_DEPTH, run.depth_threshold, populator.DEFAULT_DEPTH_THRESHOLD, int)
-    mu = _setting(args.mu, ENV_MU, run.mu, evaluator.DEFAULT_MU, float)
-    eps = _setting(args.epsilon, ENV_EPSILON, run.epsilon, evaluator.DEFAULT_EPSILON, float)
-    weights = evaluator.CoverageWeights(mu=mu, epsilon=eps)
-    cfg = PopulationConfig(
-        depth_threshold=depth,
-        use_rag=run.use_rag,
-        retry_limit=run.retry_limit,
-        k_chunks=run.k_chunks,
-        max_inflight=run.max_inflight,
-    )
+    try:
+        depth = _setting(args.depth, ENV_DEPTH, run.depth_threshold, populator.DEFAULT_DEPTH_THRESHOLD, int)
+        mu = _setting(args.mu, ENV_MU, run.mu, evaluator.DEFAULT_MU, float)
+        eps = _setting(args.epsilon, ENV_EPSILON, run.epsilon, evaluator.DEFAULT_EPSILON, float)
+        weights = evaluator.CoverageWeights(mu=mu, epsilon=eps)
+        cfg = PopulationConfig(
+            depth_threshold=depth,
+            use_rag=run.use_rag,
+            retry_limit=run.retry_limit,
+            k_chunks=run.k_chunks,
+            max_inflight=run.max_inflight,
+        )
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
 
     index = load_schema_dir(run.schema_dir, run.root_file)
     out_dir = run.out_dir
@@ -495,15 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contract-type", required=True)
     p.add_argument("--budget", type=int, required=True, help="chunk token budget")
     p.add_argument("--out", required=True)
-    p.add_argument("--embed", action="store_true", help="attach embedding vectors")
-    p.add_argument("--mock-embedder", action="store_true", help="deterministic offline embedder")
-    _add_provider_flags(p)
     p.set_defaults(func=cmd_ingest_kb)
 
     p = sub.add_parser("populate", help="fill a template from contract text")
-    p.add_argument("--template", required=True)
-    p.add_argument("--contract", required=True)
-    p.add_argument("--kb")
+    p.add_argument("--template", required=True, type=_input_file)
+    p.add_argument("--contract", required=True, type=_input_file)
+    p.add_argument("--kb", type=_input_file)
     p.add_argument("--rag", action="store_true", default=None)
     p.add_argument("--depth", type=int)
     p.add_argument("--retries", type=int, default=PopulationConfig.retry_limit)
@@ -515,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_populate)
 
     p = sub.add_parser("baseline", help="direct single-prompt generation, no template")
-    p.add_argument("--contract", required=True)
-    p.add_argument("--kb")
+    p.add_argument("--contract", required=True, type=_input_file)
+    p.add_argument("--kb", type=_input_file)
     p.add_argument("--rag", action="store_true", default=None)
     p.add_argument("--k-chunks", type=int, default=PopulationConfig.k_chunks)
     p.add_argument("--out", required=True)
@@ -524,15 +538,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("synthesize", help="write a contract description for a CDM instance")
-    p.add_argument("--example", required=True, help="structured instance (JSON)")
-    p.add_argument("--reference", action="append", default=[], help="reference term sheet (repeatable)")
+    p.add_argument("--example", required=True, type=_input_file, help="structured instance (JSON)")
+    p.add_argument(
+        "--reference", action="append", default=[], type=_input_file, help="reference term sheet (repeatable)"
+    )
     p.add_argument("--out", required=True)
     _add_provider_flags(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("evaluate", help="score a generated document against the schema")
-    p.add_argument("--contract", required=True)
-    p.add_argument("--cdm", required=True)
+    p.add_argument("--contract", required=True, type=_input_file)
+    p.add_argument("--cdm", required=True, type=_input_file)
     p.add_argument("--schema-dir", required=True)
     p.add_argument("--root", required=True)
     p.add_argument("--contract-type", default="")
@@ -550,12 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("pipeline", help="template + populate + evaluate for a batch")
-    p.add_argument("--config", required=True, help="run configuration JSON")
+    p.add_argument("--config", required=True, type=_input_file, help="run configuration JSON")
     p.add_argument("--out-dir")
     p.add_argument("--depth", type=int)
     p.add_argument("--mu", type=float)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--mock-script")
+    p.add_argument("--mock-script", type=_input_file)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -36,7 +36,7 @@ class UnresolvedRef(CdmgenError):
 
 
 class MalformedDocument(CdmgenError):
-    """A schema or example file failed to parse."""
+    """A JSON input file failed to parse or is not the object expected."""
 
     def __init__(self, file: str, offset: int, detail: str):
         self.file = file
@@ -56,10 +56,6 @@ class EmptyExampleDir(CdmgenError):
     """An example directory contains no example files."""
 
 
-class DimensionMismatch(CdmgenError):
-    """An embedding provider returned vectors of inconsistent length."""
-
-
 # ---------------------------------------------------------------------------
 # providers
 
@@ -77,8 +73,9 @@ class ProviderOutage(CdmgenError):
 
 
 class ProviderUnavailable(ProviderOutage):
-    """The completion or embedding provider could not be reached, or sent
-    a reply that is not the expected JSON."""
+    """The completion provider could not be reached, kept failing or
+    rate-limiting past its retries, or sent a reply that is not the
+    expected JSON."""
 
 
 class AuthFailure(ProviderOutage):

@@ -1,10 +1,10 @@
-"""Uniform access to chat-completion and embedding providers.
+"""Uniform access to chat-completion providers.
 
 Two completion providers are included: an HTTP client speaking the
 OpenAI-compatible chat wire shape (covering both hosted and locally served
 models) and a fully deterministic mock that replays scripted responses
 keyed by a stable hash of the prompt, so every downstream module is
-testable offline. Embedding access follows the same pattern.
+testable offline.
 """
 
 from __future__ import annotations
@@ -15,31 +15,27 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import requests
 
 from . import prompts
 from .errors import AuthFailure, NoStructuredPayload, ProviderUnavailable, Timeout
+from .treeops import read_json_object
 
 logger = logging.getLogger(__name__)
 
 ENDPOINT_OVERRIDE_VAR = "CDMGEN_ENDPOINT"
 
-DEFAULT_MAX_OUTPUT_TOKENS = 2048
+# Sent with every chat request; the prompt hash covers only the text.
+MAX_OUTPUT_TOKENS = 2048
+TEMPERATURE = 0.0
 
 
 @dataclass(frozen=True)
 class PromptBundle:
     system_text: str
     user_text: str
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be within [0, 2]")
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ class MockProvider:
 
     @classmethod
     def from_file(cls, path) -> "MockProvider":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls(read_json_object(path))
 
     def complete(self, prompt: PromptBundle) -> CompletionResult:
         key = prompt_hash(prompt)
@@ -103,13 +99,27 @@ class MockProvider:
         )
 
 
-class _HttpClient:
-    """Session, credential header, auth check and JSON body decoding shared
-    by the HTTP providers."""
+class HttpProvider:
+    """OpenAI-compatible chat-completion client with retry and backoff.
+
+    Transient failures (connection errors, timeouts, 429 and 5xx replies)
+    retry up to ``cfg.retry_limit`` times with exponential backoff, or after
+    the reply's ``Retry-After`` seconds when it sends them, either capped at
+    8 s. Authentication failures never retry, nor does a 200 reply that is
+    not JSON or carries no message (both raise :class:`ProviderUnavailable`).
+    The endpoint can be overridden through the ``CDMGEN_ENDPOINT``
+    environment variable.
+    """
+
+    _sleep = staticmethod(time.sleep)
 
     def __init__(self, cfg: ProviderConfig, session: Optional[requests.Session] = None):
         self.cfg = cfg
         self.session = session or requests.Session()
+
+    @property
+    def endpoint(self) -> str:
+        return os.environ.get(ENDPOINT_OVERRIDE_VAR) or self.cfg.endpoint
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -122,35 +132,6 @@ class _HttpClient:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    @staticmethod
-    def _reject_auth(response) -> None:
-        if response.status_code in (401, 403):
-            raise AuthFailure(f"provider rejected credentials ({response.status_code})")
-
-    @staticmethod
-    def _json_body(response):
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise ProviderUnavailable(f"provider sent a non-JSON body: {exc}") from exc
-
-
-class HttpProvider(_HttpClient):
-    """OpenAI-compatible chat-completion client with retry and backoff.
-
-    Transient transport failures (connection errors, timeouts, 5xx) retry up
-    to ``cfg.retry_limit`` times with exponential backoff; authentication
-    failures never retry, nor does a 200 reply that is not JSON or carries
-    no message (both raise :class:`ProviderUnavailable`). The endpoint can
-    be overridden through the ``CDMGEN_ENDPOINT`` environment variable.
-    """
-
-    _sleep = staticmethod(time.sleep)
-
-    @property
-    def endpoint(self) -> str:
-        return os.environ.get(ENDPOINT_OVERRIDE_VAR) or self.cfg.endpoint
-
     def complete(self, prompt: PromptBundle) -> CompletionResult:
         payload = {
             "model": self.cfg.model_name,
@@ -158,14 +139,18 @@ class HttpProvider(_HttpClient):
                 {"role": "system", "content": prompt.system_text},
                 {"role": "user", "content": prompt.user_text},
             ],
-            "max_tokens": prompt.max_output_tokens,
-            "temperature": prompt.temperature,
+            "max_tokens": MAX_OUTPUT_TOKENS,
+            "temperature": TEMPERATURE,
         }
         headers = self._headers()
         last_error: Exception | None = None
+        retry_after = ""
         for attempt in range(self.cfg.retry_limit + 1):
             if attempt:
-                self._sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
+                # Retry-After also allows an HTTP date, which backs off as usual.
+                delay = float(retry_after) if retry_after.isdecimal() else 0.5 * 2 ** (attempt - 1)
+                self._sleep(min(delay, 8.0))
+            retry_after = ""
             try:
                 response = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.cfg.timeout
@@ -178,17 +163,23 @@ class HttpProvider(_HttpClient):
                 last_error = ProviderUnavailable(f"provider unreachable: {exc}")
                 logger.warning("provider unreachable attempt=%d", attempt + 1)
                 continue
-            self._reject_auth(response)
-            if response.status_code >= 500:
+            if response.status_code in (401, 403):
+                raise AuthFailure(f"provider rejected credentials ({response.status_code})")
+            if response.status_code == 429 or response.status_code >= 500:
                 last_error = ProviderUnavailable(
                     f"provider error {response.status_code}: {response.text[:200]}"
                 )
+                retry_after = response.headers.get("Retry-After", "").strip()
                 continue
             if response.status_code != 200:
                 raise ProviderUnavailable(
                     f"provider error {response.status_code}: {response.text[:200]}"
                 )
-            return self._parse(self._json_body(response))
+            try:
+                body = response.json()
+            except ValueError as exc:
+                raise ProviderUnavailable(f"provider sent a non-JSON body: {exc}") from exc
+            return self._parse(body)
         raise last_error if last_error else ProviderUnavailable("provider call failed")
 
     @staticmethod
@@ -204,54 +195,6 @@ class HttpProvider(_HttpClient):
         return CompletionResult(
             text=text, finish_reason=finish, usage=dict(body.get("usage", {}))
         )
-
-
-# ---------------------------------------------------------------------------
-# embedding providers
-
-
-class MockEmbeddingProvider:
-    """Deterministic embeddings: explicit per-text vectors or hash-derived."""
-
-    def __init__(self, vectors: Optional[Mapping[str, Sequence[float]]] = None, dim: int = 8):
-        self.vectors = dict(vectors or {})
-        self.dim = dim
-
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        out = []
-        for text in texts:
-            if text in self.vectors:
-                out.append([float(v) for v in self.vectors[text]])
-                continue
-            digest = hashlib.sha256(text.encode("utf-8")).digest()
-            out.append([digest[i % len(digest)] / 255.0 for i in range(self.dim)])
-        return out
-
-
-class HttpEmbeddingProvider(_HttpClient):
-    """OpenAI-compatible embeddings client (``input`` batch in, vectors out)."""
-
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        headers = self._headers()
-        try:
-            response = self.session.post(
-                self.cfg.endpoint,
-                json={"model": self.cfg.model_name, "input": list(texts)},
-                headers=headers,
-                timeout=self.cfg.timeout,
-            )
-        except requests.RequestException as exc:
-            raise ProviderUnavailable(f"embedding provider unreachable: {exc}") from exc
-        self._reject_auth(response)
-        if response.status_code != 200:
-            raise ProviderUnavailable(
-                f"embedding provider error {response.status_code}: {response.text[:200]}"
-            )
-        body = self._json_body(response)
-        try:
-            return [row["embedding"] for row in body["data"]]
-        except (KeyError, TypeError) as exc:
-            raise ProviderUnavailable(f"malformed embedding response: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

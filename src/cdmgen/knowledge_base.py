@@ -1,12 +1,11 @@
-"""Chunked example corpus with lexical or embedding-based retrieval.
+"""Chunked example corpus with lexical retrieval.
 
 Example instances are split along subtree boundaries into chunks that fit a
 token budget, preserving well-formed JSON in every chunk body. Retrieval is
 exhaustive scoring: corpora here are at most hundreds of chunks, so no
-nearest-neighbor index is needed. The default scorer is a deterministic
-lexical overlap so the whole pipeline runs offline; an embedding provider
-can be attached for cosine scoring. Each chunk tokenizes its body once, on
-the first lexical query that reaches it, and keeps the result, so a query
+nearest-neighbor index is needed. The scorer is a deterministic lexical
+overlap, so the whole pipeline runs offline. Each chunk tokenizes its body
+once, on the first query that reaches it, and keeps the result, so a query
 costs one tokenization of its own text plus one set intersection per chunk.
 """
 
@@ -14,15 +13,14 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import DimensionMismatch
 from .template_builder import load_examples
+from .treeops import read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +49,6 @@ class Chunk:
     body: str
     token_estimate: int
     oversized: bool = False
-    vector: Optional[tuple[float, ...]] = None
 
     @cached_property
     def _lexical_terms(self) -> tuple[frozenset[str], int]:
@@ -67,34 +64,19 @@ class Chunk:
 @dataclass
 class KnowledgeBase:
     chunks: list[Chunk]
-    scorer: str = "lexical"
-    embedding_dim: Optional[int] = None
-    _embedder: object = field(default=None, repr=False, compare=False)
+
+    def to_text(self) -> str:
+        payload = {"chunks": [asdict(chunk) for chunk in self.chunks]}
+        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
     def save(self, path) -> None:
-        payload = {
-            "scorer": self.scorer,
-            "embedding_dim": self.embedding_dim,
-            "chunks": [
-                {
-                    "chunk_id": c.chunk_id,
-                    "contract_type": c.contract_type,
-                    "source_path": c.source_path,
-                    "body": c.body,
-                    "token_estimate": c.token_estimate,
-                    "oversized": c.oversized,
-                    "vector": list(c.vector) if c.vector is not None else None,
-                }
-                for c in self.chunks
-            ],
-        }
-        Path(path).write_text(
-            json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a saved base. Only the chunk fields that ``to_text`` writes
+        are read; any other key, at the top or in a chunk, is ignored."""
+        payload = read_json_object(path, "chunks")
         chunks = [
             Chunk(
                 chunk_id=c["chunk_id"],
@@ -103,15 +85,10 @@ class KnowledgeBase:
                 body=c["body"],
                 token_estimate=c["token_estimate"],
                 oversized=c.get("oversized", False),
-                vector=tuple(c["vector"]) if c.get("vector") is not None else None,
             )
             for c in payload["chunks"]
         ]
-        return cls(
-            chunks=chunks,
-            scorer=payload.get("scorer", "lexical"),
-            embedding_dim=payload.get("embedding_dim"),
-        )
+        return cls(chunks=chunks)
 
 
 def ingest_examples(example_dir, contract_type: str, chunk_budget: int) -> KnowledgeBase:
@@ -184,21 +161,16 @@ def _chunk_body(value, name: Optional[str], in_array: bool) -> str:
 def retrieve(kb: KnowledgeBase, query: str, k: int = DEFAULT_K) -> list[Chunk]:
     """Top-``k`` chunks for a query, ties broken by chunk id ascending.
 
-    The lexical scorer counts distinct query tokens present in the chunk
-    body, normalized by the chunk's token count. Body tokens are computed
+    A chunk's score is the number of distinct query tokens present in its
+    body, normalized by the body's token count. Body tokens are computed
     once per chunk and reused by every query, so a query costs one
     tokenization of its own text plus one set intersection per chunk.
-    Embedding-scored knowledge bases rank by cosine against the attached
-    embedder's query vector.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not kb.chunks:
         raise ValueError("knowledge base is empty")
-    if kb.scorer == "embedding":
-        scored = _embedding_scores(kb, query)
-    else:
-        scored = _lexical_scores(kb, query)
+    scored = _lexical_scores(kb, query)
     ranked = sorted(scored, key=lambda pair: (-pair[0], pair[1].chunk_id))
     return [chunk for _, chunk in ranked[:k]]
 
@@ -208,52 +180,3 @@ def _lexical_scores(kb: KnowledgeBase, query: str):
     for chunk in kb.chunks:
         terms, token_count = chunk._lexical_terms
         yield len(query_tokens & terms) / max(1, token_count), chunk
-
-
-def _embedding_scores(kb: KnowledgeBase, query: str):
-    embedder = kb._embedder
-    if embedder is None:
-        raise ValueError("embedding-scored knowledge base has no attached provider")
-    query_vec = _unit(embedder.embed([query])[0])
-    if kb.embedding_dim is not None and len(query_vec) != kb.embedding_dim:
-        raise DimensionMismatch(
-            f"query vector has {len(query_vec)} components, corpus uses {kb.embedding_dim}"
-        )
-    for chunk in kb.chunks:
-        score = sum(a * b for a, b in zip(query_vec, chunk.vector or ()))
-        yield score, chunk
-
-
-def embed_corpus(kb: KnowledgeBase, provider) -> KnowledgeBase:
-    """Attach unit-normalized vectors to every chunk and switch scorers.
-
-    ``provider`` must expose ``embed(texts) -> list of equal-length vectors``.
-    Re-embedding an embedded corpus is idempotent for deterministic
-    providers.
-    """
-    vectors = provider.embed([chunk.body for chunk in kb.chunks])
-    if len(vectors) != len(kb.chunks):
-        raise DimensionMismatch(
-            f"provider returned {len(vectors)} vectors for {len(kb.chunks)} chunks"
-        )
-    dim = len(vectors[0]) if vectors else 0
-    normalized = []
-    for chunk, vector in zip(kb.chunks, vectors):
-        if len(vector) != dim:
-            raise DimensionMismatch(
-                f"chunk {chunk.chunk_id}: vector has {len(vector)} components, expected {dim}"
-            )
-        normalized.append(replace(chunk, vector=_unit(vector)))
-    return KnowledgeBase(
-        chunks=normalized,
-        scorer="embedding",
-        embedding_dim=dim,
-        _embedder=provider,
-    )
-
-
-def _unit(vector: Sequence[float]) -> tuple[float, ...]:
-    norm = math.sqrt(sum(v * v for v in vector))
-    if norm == 0:
-        return tuple(float(v) for v in vector)
-    return tuple(float(v) / norm for v in vector)

@@ -46,6 +46,8 @@ class PopulationConfig:
             raise ValueError("depth_threshold must be >= 1")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        if self.k_chunks < 1:
+            raise ValueError("k_chunks must be >= 1")
 
 
 @dataclass

@@ -79,7 +79,7 @@ class Template:
 
     @classmethod
     def load(cls, path) -> "Template":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = treeops.read_json_object(path, "tree")
         return cls(
             tree=payload["tree"],
             contract_type=payload.get("contract_type", ""),

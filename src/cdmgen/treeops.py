@@ -8,14 +8,34 @@ so depth, leaf and key enumeration agree across modules.
 
 from __future__ import annotations
 
+import json
 import re
+from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
+
+from .errors import MalformedDocument
 
 DESCRIPTION_KEY = "description"
 FALLBACK_DESCRIPTION_KEY = "_template_description"
 
 DATE_TOKEN = "YYYY-MM-DD"
 DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+
+
+def read_json_object(path, *required: str) -> dict:
+    """Parse a JSON file whose top-level value is an object holding every
+    ``required`` key; raise :class:`MalformedDocument` naming the file
+    otherwise."""
+    try:
+        parsed = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(str(path), exc.pos, exc.msg) from exc
+    if not isinstance(parsed, dict):
+        raise MalformedDocument(str(path), 0, "top-level value is not an object")
+    for key in required:
+        if key not in parsed:
+            raise MalformedDocument(str(path), 0, f"no {key!r} key")
+    return parsed
 
 
 def is_annotation(key: str, value: Any) -> bool:
@@ -139,8 +159,3 @@ def iter_key_paths(value: Any, prefix: str = "") -> Iterator[tuple[str, Any]]:
     elif isinstance(value, list):
         for element in value:
             yield from iter_key_paths(element, prefix)
-
-
-def normalize_path(path: str) -> str:
-    """Strip numeric array-index segments from a dot-path."""
-    return ".".join(seg for seg in path.split(".") if not seg.isdigit())

@@ -281,26 +281,6 @@ def test_ingest_kb_cli(tmp_path, examples_root):
     assert code == 0
     kb = KnowledgeBase.load(out)
     assert kb.chunks
-    assert kb.scorer == "lexical"
-
-
-def test_ingest_kb_cli_with_mock_embedder(tmp_path, examples_root):
-    out = tmp_path / "kb.json"
-    code = run(
-        [
-            "ingest-kb",
-            "--examples", examples_root / "credit_default_swap",
-            "--contract-type", "CreditDefaultSwap",
-            "--budget", 40,
-            "--embed",
-            "--mock-embedder",
-            "--out", out,
-        ]
-    )
-    assert code == 0
-    kb = KnowledgeBase.load(out)
-    assert kb.scorer == "embedding"
-    assert all(chunk.vector for chunk in kb.chunks)
 
 
 def test_synthesize_cli(tmp_path, examples_root):
@@ -541,6 +521,90 @@ def test_pipeline_empty_batch_is_usage_error(tmp_path, cdm_schema_dir):
         encoding="utf-8",
     )
     run_expecting_usage_error(["pipeline", "--config", config_path])
+
+
+# Each case is the expected exit code and a command line, with {placeholders}
+# for the files written by test_bad_input_is_typed_not_a_traceback; commands
+# other than pipeline also get --out.
+POPULATE = "populate --contract {contract}"
+EVALUATE = "evaluate --contract {contract} --schema-dir {schema_dir} --root contract.schema.json"
+BAD_INPUTS = {
+    "mock_script_not_json": (1, POPULATE + " --template {template} --mock-script {not_json}"),
+    "mock_script_not_object": (1, POPULATE + " --template {template} --mock-script {not_object}"),
+    "template_not_json": (1, POPULATE + " --template {not_json} --mock-script {script}"),
+    "template_without_tree": (1, POPULATE + " --template {empty_object} --mock-script {script}"),
+    "kb_not_object": (1, POPULATE + " --template {template} --kb {not_object} --mock-script {script}"),
+    "cdm_not_json": (1, EVALUATE + " --cdm {not_json}"),
+    "cdm_not_object": (1, EVALUATE + " --cdm {not_object}"),
+    "config_not_json": (1, "pipeline --config {not_json}"),
+    "config_not_object": (1, "pipeline --config {not_object}"),
+    "config_without_schema_dir": (2, "pipeline --config {config_without_schema_dir}"),
+    "config_rag_without_kb_path": (2, "pipeline --config {config_rag_without_kb}"),
+    "pipeline_depth_0": (2, "pipeline --config {config} --depth 0"),
+    "populate_depth_0": (2, POPULATE + " --template {template} --mock-script {script} --depth 0"),
+    "populate_k_chunks_0": (2, POPULATE + " --template {template} --mock-script {script} --k-chunks 0"),
+    "baseline_k_chunks_0": (2, "baseline --contract {contract} --mock-script {script} --k-chunks 0"),
+    "evaluate_mu_2": (2, EVALUATE + " --cdm {empty_object} --coverage --mu 2 --mock-script {script}"),
+    "pipeline_mu_2": (2, "pipeline --config {config} --mu 2"),
+    "provider_timeout_0": (2, "baseline --contract {contract} --provider http://127.0.0.1:9 --timeout 0"),
+    "ingest_budget_0": (2, "ingest-kb --examples {examples} --contract-type CommodityOption --budget 0"),
+    "missing_contract": (2, "populate --template {template} --contract {missing} --mock-script {script}"),
+    "missing_config": (2, "pipeline --config {missing}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_typed_not_a_traceback(
+    case, tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir, capsys
+):
+    template, contract, script = _write_template_and_script(
+        tmp_path, cdm_index, examples_root, contracts_dir, "commodity_option"
+    )
+    job = {
+        "name": "c1",
+        "contract_type": "CommodityOption",
+        "contract_path": str(contract),
+        "examples_dir": str(examples_root / "commodity_option"),
+    }
+    config = {
+        "schema_dir": str(cdm_schema_dir),
+        "root_file": "contract.schema.json",
+        "out_dir": str(tmp_path / "pipeline-out"),
+        "mock_script": str(script),
+        "contracts": [job],
+    }
+    files = {
+        "not_json": "{not json",
+        "not_object": "[1, 2]",
+        "empty_object": "{}",
+        "config": json.dumps(config),
+        "config_without_schema_dir": json.dumps({k: v for k, v in config.items() if k != "schema_dir"}),
+        "config_rag_without_kb": json.dumps({**config, "use_rag": True}),
+    }
+    paths = {
+        "template": template,
+        "contract": contract,
+        "script": script,
+        "schema_dir": cdm_schema_dir,
+        "examples": examples_root / "commodity_option",
+        "missing": tmp_path / "missing.txt",
+    }
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text, encoding="utf-8")
+    expected_code, flags = BAD_INPUTS[case]
+    argv = [part.format(**paths) for part in flags.split()]
+    if argv[0] != "pipeline":
+        argv += ["--out", tmp_path / "out.json"]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert "Traceback" not in err
+    if expected_code == 1:
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "MalformedDocument"
 
 
 def test_pipeline_failed_contract_gets_failure_row(

@@ -14,8 +14,6 @@ from cdmgen.errors import AuthFailure, NoStructuredPayload, ProviderUnavailable,
 from cdmgen.gateway import (
     CompletionResult,
     HttpProvider,
-    MockEmbeddingProvider,
-    HttpEmbeddingProvider,
     MockProvider,
     PromptBundle,
     ProviderConfig,
@@ -75,6 +73,7 @@ class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
     fail_times = 0
     raw_body = b""
+    retry_after = None
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -91,6 +90,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(502)
             self.end_headers()
             self.wfile.write(b"bad gateway")
+            return
+        if _Handler.behavior == "throttled" and _Handler.fail_times > 0:
+            _Handler.fail_times -= 1
+            self.send_response(429)
+            if _Handler.retry_after is not None:
+                self.send_header("Retry-After", _Handler.retry_after)
+            self.end_headers()
+            self.wfile.write(b"slow down")
             return
         if _Handler.behavior == "raw":
             self.send_response(200)
@@ -122,6 +129,7 @@ def local_server():
     _Handler.behavior = "ok"
     _Handler.fail_times = 0
     _Handler.raw_body = b""
+    _Handler.retry_after = None
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
 
@@ -131,9 +139,7 @@ def test_http_provider_transmits_prompt_bit_exactly(local_server, monkeypatch):
     cfg = ProviderConfig(
         endpoint=local_server, model_name="test-model", credential_ref="TEST_TOKEN"
     )
-    bundle = PromptBundle(
-        system_text="sys åtext", user_text="user\ntext", max_output_tokens=77, temperature=0.0
-    )
+    bundle = PromptBundle(system_text="sys åtext", user_text="user\ntext")
     result = HttpProvider(cfg).complete(bundle)
     assert result.text == '{"echo": true}'
     assert result.finish_reason == "stop"
@@ -142,7 +148,7 @@ def test_http_provider_transmits_prompt_bit_exactly(local_server, monkeypatch):
     assert sent["payload"]["model"] == "test-model"
     assert sent["payload"]["messages"][0] == {"role": "system", "content": "sys åtext"}
     assert sent["payload"]["messages"][1] == {"role": "user", "content": "user\ntext"}
-    assert sent["payload"]["max_tokens"] == 77
+    assert sent["payload"]["max_tokens"] == 2048
     assert sent["payload"]["temperature"] == 0.0
 
 
@@ -153,6 +159,45 @@ def test_http_provider_recovers_from_transient_5xx(local_server):
     provider = HttpProvider(cfg)
     provider._sleep = lambda _: None
     assert provider.complete(BUNDLE).text == '{"echo": true}'
+
+
+@pytest.mark.parametrize(
+    "retry_after, expected_sleep",
+    [
+        (None, 0.5),
+        ("3", 3.0),
+        ("0", 0.0),
+        ("120", 8.0),
+        ("-1", 0.5),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5),
+    ],
+    ids=["no_header", "seconds", "zero", "capped", "negative", "http_date"],
+)
+def test_http_provider_retries_429_after_retry_after(local_server, retry_after, expected_sleep):
+    _Handler.behavior = "throttled"
+    _Handler.fail_times = 1
+    _Handler.retry_after = retry_after
+    cfg = ProviderConfig(endpoint=local_server, model_name="m", retry_limit=2)
+    provider = HttpProvider(cfg)
+    sleeps = []
+    provider._sleep = sleeps.append
+    assert provider.complete(BUNDLE).text == '{"echo": true}'
+    assert len(_Handler.captured) == 2
+    assert sleeps == [expected_sleep]
+
+
+def test_http_provider_429_past_retries_is_provider_unavailable(local_server):
+    _Handler.behavior = "throttled"
+    _Handler.fail_times = 5
+    _Handler.retry_after = "1"
+    cfg = ProviderConfig(endpoint=local_server, model_name="m", retry_limit=2)
+    provider = HttpProvider(cfg)
+    sleeps = []
+    provider._sleep = sleeps.append
+    with pytest.raises(ProviderUnavailable, match="429"):
+        provider.complete(BUNDLE)
+    assert len(_Handler.captured) == 3
+    assert sleeps == [1.0, 1.0]
 
 
 def test_http_provider_auth_failure_no_retry(local_server):
@@ -184,24 +229,6 @@ def test_http_provider_non_json_body_is_provider_unavailable(local_server):
         HttpProvider(cfg).complete(BUNDLE)
 
 
-@pytest.mark.parametrize(
-    "raw_body, message",
-    [
-        (b"not json at all", "non-JSON"),
-        (b'{"object": "list", "model": "m"}', "malformed embedding response"),
-    ],
-    ids=["non_json_body", "body_without_data"],
-)
-def test_http_embedding_provider_malformed_body_is_provider_unavailable(
-    local_server, raw_body, message
-):
-    _Handler.behavior = "raw"
-    _Handler.raw_body = raw_body
-    cfg = ProviderConfig(endpoint=local_server, model_name="m")
-    with pytest.raises(ProviderUnavailable, match=message):
-        HttpEmbeddingProvider(cfg).embed(["a", "b"])
-
-
 def test_unreachable_endpoint_zero_retries():
     cfg = ProviderConfig(
         endpoint="http://127.0.0.1:9/v1/chat/completions", model_name="m", retry_limit=0, timeout=1.0
@@ -226,45 +253,6 @@ def test_provider_config_validation():
         ProviderConfig(endpoint="http://x", model_name="m", retry_limit=-1)
     with pytest.raises(ValueError):
         ProviderConfig(endpoint="http://x", model_name="m", timeout=0)
-
-
-# ---------------------------------------------------------------------------
-# embeddings over HTTP
-
-
-class _EmbedHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        body = {"data": [{"embedding": [float(len(t)), 1.0]} for t in payload["input"]]}
-        raw = json.dumps(body).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def log_message(self, *args):
-        pass
-
-
-def test_http_embedding_provider():
-    server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        cfg = ProviderConfig(
-            endpoint=f"http://127.0.0.1:{server.server_port}/v1/embeddings", model_name="m"
-        )
-        vectors = HttpEmbeddingProvider(cfg).embed(["ab", "abcd"])
-        assert vectors == [[2.0, 1.0], [4.0, 1.0]]
-    finally:
-        server.shutdown()
-
-
-def test_mock_embedder_deterministic():
-    provider = MockEmbeddingProvider(dim=6)
-    assert provider.embed(["x"]) == provider.embed(["x"])
-    assert provider.embed(["x"]) != provider.embed(["y"])
 
 
 # ---------------------------------------------------------------------------

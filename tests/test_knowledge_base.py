@@ -7,16 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cdmgen.errors import DimensionMismatch, EmptyExampleDir
-from cdmgen.gateway import MockEmbeddingProvider
-from cdmgen.knowledge_base import (
-    Chunk,
-    KnowledgeBase,
-    embed_corpus,
-    ingest_examples,
-    lexical_tokens,
-    retrieve,
-)
+from cdmgen.errors import EmptyExampleDir
+from cdmgen.knowledge_base import Chunk, KnowledgeBase, ingest_examples, lexical_tokens, retrieve
 
 TWO_SUBTREE_EXAMPLE = {
     "alpha": {"first": "one two three", "second": "four five"},
@@ -226,67 +218,51 @@ def test_retrieve_rejects_bad_arguments(five_chunks):
 
 
 # ---------------------------------------------------------------------------
-# embeddings
-
-
-def test_embedding_retrieval_with_orthonormal_vectors():
-    kb = KnowledgeBase(
-        chunks=[make_chunk("c1", "body one"), make_chunk("c2", "body two"), make_chunk("c3", "body three")]
-    )
-    provider = MockEmbeddingProvider(
-        vectors={
-            "body one": [1.0, 0.0, 0.0],
-            "body two": [0.0, 1.0, 0.0],
-            "body three": [0.0, 0.0, 1.0],
-            "query like two": [0.0, 1.0, 0.0],
-        }
-    )
-    embedded = embed_corpus(kb, provider)
-    assert embedded.scorer == "embedding"
-    assert embedded.embedding_dim == 3
-    [top] = retrieve(embedded, "query like two", k=1)
-    assert top.chunk_id == "c2"
-
-
-def test_wrong_length_vector_raises():
-    kb = KnowledgeBase(chunks=[make_chunk("c1", "one"), make_chunk("c2", "two")])
-    provider = MockEmbeddingProvider(vectors={"one": [1.0, 0.0], "two": [1.0, 0.0, 0.0]})
-    with pytest.raises(DimensionMismatch):
-        embed_corpus(kb, provider)
-
-
-def test_reembedding_is_idempotent():
-    kb = KnowledgeBase(chunks=[make_chunk("c1", "one"), make_chunk("c2", "two")])
-    provider = MockEmbeddingProvider(dim=4)
-    once = embed_corpus(kb, provider)
-    twice = embed_corpus(once, provider)
-    assert [c.vector for c in once.chunks] == [c.vector for c in twice.chunks]
-
-
-def test_vectors_are_unit_normalized():
-    kb = KnowledgeBase(chunks=[make_chunk("c1", "one")])
-    provider = MockEmbeddingProvider(vectors={"one": [3.0, 4.0]})
-    embedded = embed_corpus(kb, provider)
-    assert embedded.chunks[0].vector == (0.6, 0.8)
-
-
-# ---------------------------------------------------------------------------
 # persistence
 
 
 def test_save_load_roundtrip(tmp_path, five_chunks):
     target = tmp_path / "kb.json"
     five_chunks.save(target)
+    assert target.read_text(encoding="utf-8") == five_chunks.to_text()
+    assert set(json.loads(five_chunks.to_text())) == {"chunks"}
     loaded = KnowledgeBase.load(target)
     assert loaded.chunks == five_chunks.chunks
-    assert loaded.scorer == "lexical"
 
 
-def test_save_load_preserves_vectors(tmp_path):
-    kb = KnowledgeBase(chunks=[make_chunk("c1", "one")])
-    embedded = embed_corpus(kb, MockEmbeddingProvider(dim=3))
-    target = tmp_path / "kb.json"
-    embedded.save(target)
-    loaded = KnowledgeBase.load(target)
-    assert loaded.embedding_dim == 3
-    assert loaded.chunks[0].vector == embedded.chunks[0].vector
+def test_files_in_the_earlier_format_load_and_rank_lexically(tmp_path, five_chunks):
+    # Earlier versions wrote a "scorer" and "embedding_dim" key and a
+    # "vector" per chunk; loading ignores them, embedded files included.
+    def chunk_entry(chunk, vector):
+        return {
+            "chunk_id": chunk.chunk_id,
+            "contract_type": chunk.contract_type,
+            "source_path": chunk.source_path,
+            "body": chunk.body,
+            "token_estimate": chunk.token_estimate,
+            "oversized": chunk.oversized,
+            "vector": vector,
+        }
+
+    chunks = five_chunks.chunks
+    lexical = {
+        "scorer": "lexical",
+        "embedding_dim": None,
+        "chunks": [chunk_entry(c, None) for c in chunks],
+    }
+    embedded = {
+        "scorer": "embedding",
+        "embedding_dim": 2,
+        "chunks": [chunk_entry(c, [float(i == 0), float(i != 0)]) for i, c in enumerate(chunks)],
+    }
+    queries = ["notional currency", "alpha two", "zzz", "usd 500 beta"]
+    for name, payload in (("lexical.json", lexical), ("embedded.json", embedded)):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        loaded = KnowledgeBase.load(path)
+        assert loaded.chunks == chunks
+        for query in queries:
+            for k in (1, 3, 5):
+                got = [c.chunk_id for c in retrieve(loaded, query, k)]
+                assert got == [c.chunk_id for c in retrieve(five_chunks, query, k)]
+
