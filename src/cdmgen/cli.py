@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import evaluator, populator, template_builder
-from .errors import CdmgenError, ProviderOutage
+from .errors import CdmgenError, MalformedDocument, ProviderOutage
 from .gateway import HttpProvider, MockProvider, ProviderConfig, synthesize_description
 from .knowledge_base import KnowledgeBase, ingest_examples
 from .populator import PopulationConfig, clean, populate
@@ -229,6 +229,8 @@ def cmd_baseline(args, parser) -> int:
 def cmd_synthesize(args, parser) -> int:
     gateway = _make_gateway(args, parser)
     example = read_json_object(args.example)
+    if not example:
+        raise MalformedDocument(args.example, 0, "the example is an empty object")
     references = [Path(p).read_text(encoding="utf-8") for p in args.reference]
     text = synthesize_description(gateway, example, references)
     atomic_write_text(args.out, text if text.endswith("\n") else text + "\n")
@@ -395,6 +397,18 @@ class RunConfig:
                 parser.error(f"use_rag needs a kb_path for contract {job.name}")
 
 
+@dataclass
+class _StartedContract:
+    """A pipeline contract whose tasks are queued, or the domain error
+    that stopped it before."""
+
+    job: ContractJob
+    template: Optional[Template] = None
+    text: str = ""
+    population: Optional[populator.PendingPopulation] = None
+    error: Optional[CdmgenError] = None
+
+
 def cmd_pipeline(args, parser) -> int:
     try:
         run = RunConfig.from_file(args.config)
@@ -428,59 +442,108 @@ def cmd_pipeline(args, parser) -> int:
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
 
+    # Contracts naming the same knowledge base share it, and contracts of
+    # one type built from the same examples share a template; neither is
+    # mutated by a run. A base that does not load stops the batch before
+    # any file is written.
+    kb_paths = dict.fromkeys(job.kb_path for job in run.contracts if job.kb_path)
+    bases = {path: KnowledgeBase.load(path) for path in kb_paths}
+    templates: dict[tuple[Path, str], Template] = {}
     index = load_schema_dir(run.schema_dir, run.root_file)
     out_dir = run.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    # Contracts of one type built from the same examples share a template,
-    # and contracts naming the same knowledge base share it; neither is
-    # mutated by a run.
-    templates: dict[tuple[Path, str], Template] = {}
-    bases: dict[Path, KnowledgeBase] = {}
     groups: dict[str, list] = {}
     failures: list[tuple[str, str]] = []
-    for job in run.contracts:
+
+    def start(job: ContractJob) -> _StartedContract:
+        """Plan one contract and queue its tasks; a domain error is kept
+        for the contract's turn."""
         logger.info("pipeline contract=%s type=%s", job.name, job.contract_type)
+        started = _StartedContract(job)
         try:
             template_key = (job.examples_dir, job.contract_type)
             if template_key not in templates:
                 keys = flatten_examples(job.examples_dir)
                 templates[template_key] = build_template(index, keys, job.contract_type)
-            template = templates[template_key]
-            atomic_write_text(out_dir / f"{job.name}.template.json", template.to_text())
-            contract_text = job.contract_path.read_text(encoding="utf-8")
-            kb = None
-            if job.kb_path:
-                if job.kb_path not in bases:
-                    bases[job.kb_path] = KnowledgeBase.load(job.kb_path)
-                kb = bases[job.kb_path]
-            doc = populate(template, contract_text, kb, gateway, cfg)
-        except ProviderOutage as exc:
-            write_json(out_dir / f"{job.name}.provenance.json", exc.provenance)
+            started.template = templates[template_key]
+            started.text = job.contract_path.read_text(encoding="utf-8")
+            started.population = populator.submit_population(
+                pool, started.template, started.text, bases.get(job.kb_path), gateway, cfg
+            )
+        except CdmgenError as exc:
+            started.error = exc
+        return started
+
+    def finish(started: _StartedContract):
+        """Write one contract's template, provenance and document, and
+        queue its coverage call; returns what :func:`report` needs, or None
+        when the contract failed."""
+        job = started.job
+        if started.template is not None:
+            atomic_write_text(out_dir / f"{job.name}.template.json", started.template.to_text())
+        if started.error is not None:
+            failures.append((job.name, type(started.error).__name__))
+            return None
+        try:
+            doc = started.population.collect()
+        except ProviderOutage:
             raise
         except CdmgenError as exc:
             failures.append((job.name, type(exc).__name__))
-            continue
+            return None
         write_json(out_dir / f"{job.name}.provenance.json", doc.provenance)
         cleaned = clean(doc)
         write_json(out_dir / f"{job.name}.cdm.json", cleaned)
         if any(record.get("failed") for record in doc.provenance.values()):
             failures.append((job.name, "PopulationIncomplete"))
-            continue
+            return None
         try:
-            report = evaluator.evaluate_document(cleaned, index)
-            if run.coverage:
-                lists = evaluator.coverage_lists(contract_text, cleaned, gateway)
-                report.lists = lists
-                report.coverage_score = evaluator.coverage_score(lists, weights)
-        except ProviderOutage:
-            raise
+            scores = evaluator.evaluate_document(cleaned, index)
         except CdmgenError as exc:
             failures.append((job.name, type(exc).__name__))
-            continue
-        envelope = {"contract_type": job.contract_type, **report.to_dict()}
+            return None
+        coverage = None
+        if run.coverage:
+            coverage = pool.submit(evaluator.coverage_lists, started.text, cleaned, gateway)
+        return job, scores, coverage
+
+    def report(job: ContractJob, scores: evaluator.EvaluationReport, coverage) -> None:
+        """Add the collected coverage, then write and group the report."""
+        if coverage is not None:
+            try:
+                scores.lists = pool.result(coverage)
+                scores.coverage_score = evaluator.coverage_score(scores.lists, weights)
+            except ProviderOutage:
+                raise
+            except CdmgenError as exc:
+                failures.append((job.name, type(exc).__name__))
+                return
+        envelope = {"contract_type": job.contract_type, **scores.to_dict()}
         write_json(out_dir / f"{job.name}.report.json", envelope)
-        groups.setdefault(job.contract_type, []).append(report)
+        groups.setdefault(job.contract_type, []).append(scores)
+
+    # Contract i+1's tasks queue behind contract i's before i is collected,
+    # and i's coverage call is collected one step later, so the pool's
+    # slots stay busy across contracts. Files are still written, and
+    # reports grouped, in contract order.
+    with populator.CallPool(cfg.max_inflight) as pool:
+        ahead = start(run.contracts[0])
+        scored = None
+        for following in [*run.contracts[1:], None]:
+            current, ahead = ahead, (start(following) if following else None)
+            try:
+                if scored is not None:
+                    report(*scored)
+                scored = finish(current)
+            except ProviderOutage:
+                for started in (current, ahead):
+                    population = started and started.population
+                    records = population and population.finished_records()
+                    if records is not None:
+                        write_json(out_dir / f"{started.job.name}.provenance.json", records)
+                raise
+        if scored is not None:
+            report(*scored)
 
     _write_summary(out_dir / "summary.csv", _summary_rows(groups, failures))
     return 0

@@ -20,7 +20,13 @@ from typing import Mapping, Optional, Sequence
 import requests
 
 from . import prompts
-from .errors import AuthFailure, NoStructuredPayload, ProviderUnavailable, Timeout
+from .errors import (
+    AuthFailure,
+    MalformedDocument,
+    NoStructuredPayload,
+    ProviderUnavailable,
+    Timeout,
+)
 from .treeops import read_json_object
 
 logger = logging.getLogger(__name__)
@@ -83,7 +89,17 @@ class MockProvider:
 
     @classmethod
     def from_file(cls, path) -> "MockProvider":
-        return cls(read_json_object(path))
+        """Read a script file; an entry that is neither a string nor an
+        object with a string ``text`` raises :class:`MalformedDocument`."""
+        script = read_json_object(path)
+        for key, entry in script.items():
+            if not isinstance(entry, str) and not (
+                isinstance(entry, dict) and isinstance(entry.get("text"), str)
+            ):
+                raise MalformedDocument(
+                    str(path), 0, f"entry {key} is neither a string nor an object with a string 'text'"
+                )
+        return cls(script)
 
     def complete(self, prompt: PromptBundle) -> CompletionResult:
         key = prompt_hash(prompt)

@@ -19,6 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
+from .errors import MalformedDocument
 from .template_builder import load_examples
 from .treeops import read_json_object
 
@@ -61,6 +62,10 @@ class Chunk:
         return frozenset(tokens), len(tokens)
 
 
+# The fields every saved chunk must hold; ``oversized`` defaults to False.
+_CHUNK_FIELDS = ("chunk_id", "contract_type", "source_path", "body", "token_estimate")
+
+
 @dataclass
 class KnowledgeBase:
     chunks: list[Chunk]
@@ -75,19 +80,21 @@ class KnowledgeBase:
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
         """Read a saved base. Only the chunk fields that ``to_text`` writes
-        are read; any other key, at the top or in a chunk, is ignored."""
+        are read; any other key, at the top or in a chunk, is ignored. A
+        base without chunks, or a chunk that is not an object holding every
+        field but ``oversized``, raises :class:`MalformedDocument`."""
         payload = read_json_object(path, "chunks")
-        chunks = [
-            Chunk(
-                chunk_id=c["chunk_id"],
-                contract_type=c["contract_type"],
-                source_path=c["source_path"],
-                body=c["body"],
-                token_estimate=c["token_estimate"],
-                oversized=c.get("oversized", False),
-            )
-            for c in payload["chunks"]
-        ]
+        entries = payload["chunks"]
+        if not isinstance(entries, list) or not entries:
+            raise MalformedDocument(str(path), 0, "'chunks' is not a non-empty list")
+        chunks = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not all(name in entry for name in _CHUNK_FIELDS):
+                raise MalformedDocument(
+                    str(path), 0, f"chunk {i} is not an object holding {', '.join(_CHUNK_FIELDS)}"
+                )
+            fields = {name: entry[name] for name in _CHUNK_FIELDS}
+            chunks.append(Chunk(**fields, oversized=entry.get("oversized", False)))
         return cls(chunks=chunks)
 
 

@@ -18,12 +18,12 @@ import copy
 import json
 import logging
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from . import prompts, treeops
-from .errors import GenerationIncomplete, NoStructuredPayload, ProviderOutage
+from .errors import CdmgenError, GenerationIncomplete, NoStructuredPayload, ProviderOutage
 from .gateway import PromptBundle, extract_structured, prompt_hash
 from .knowledge_base import Chunk, KnowledgeBase, retrieve
 from .template_builder import Template
@@ -48,6 +48,8 @@ class PopulationConfig:
             raise ValueError("retry_limit must be >= 0")
         if self.k_chunks < 1:
             raise ValueError("k_chunks must be >= 1")
+        if self.max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
 
 
 @dataclass
@@ -392,62 +394,146 @@ def populate(
     up to ``cfg.retry_limit`` re-prompts. Exhausted tasks keep their
     placeholders and are recorded as failures. A provider outage
     (:class:`ProviderOutage`) aborts the run, attaching the partial
-    provenance to the raised error.
+    provenance to the raised error. This is the one-contract case of
+    :func:`submit_population` on its own :class:`CallPool`.
     """
-    tasks = plan_tasks(template, cfg, kb)
-    if not tasks:
-        return PopulatedDocument(tree={}, provenance={}, contract_type=template.contract_type)
-    keys = _provenance_keys(tasks)
-    outcomes = _run_tasks(tasks, keys, contract_text, gateway, cfg)
-
-    # Annotations are removed from the template copy up front: validated
-    # replies never carry them, and stripping afterwards would also delete
-    # genuine data fields named "description" that a reply filled with text.
-    doc = treeops.strip_annotations(template.tree)
-    for task, (tree, _) in zip(tasks, outcomes):
-        if tree is not None:
-            doc = _graft(doc, task.segments, tree)
-    return PopulatedDocument(
-        tree=doc,
-        provenance={key: record for key, (_, record) in zip(keys, outcomes)},
-        contract_type=template.contract_type,
-    )
+    with CallPool(cfg.max_inflight) as pool:
+        return submit_population(pool, template, contract_text, kb, gateway, cfg).collect()
 
 
-def _run_tasks(tasks, keys, contract_text, gateway, cfg) -> list[tuple[Optional[Any], dict]]:
-    """(grafted tree or None, provenance record) per task, in task order.
+class _Skipped(Exception):
+    """Raised in place of a call that started after its pool stopped: the
+    call never reached the provider."""
 
-    Tasks run on ``max(1, cfg.max_inflight)`` threads. The first exception
-    stops the run: queued tasks are cancelled and never call the provider,
-    and a provider outage (unreachable, auth failure or timeout) is re-raised
-    carrying the records of the tasks that finished, under the keys a
-    completed run would give them.
+
+class CallPool:
+    """One executor of ``max_inflight`` workers that carries every provider
+    call of a run, so calls of different contracts share the same slots.
+
+    The first provider outage, or any exception that is not a domain error
+    (a bug), stops the pool and is kept as ``failure``: calls still queued
+    raise :class:`_Skipped` without calling the provider, so only the calls
+    already in flight, at most ``max_inflight - 1``, run on. A domain error,
+    such as a coverage reply that never parses, fails only its own call.
+    Leaving the ``with`` block cancels what is still queued and waits for
+    the calls in flight.
     """
-    stopped = threading.Event()
 
-    def run(task):
-        if stopped.is_set():
-            return None
+    def __init__(self, max_inflight: int):
+        self._executor = ThreadPoolExecutor(max_workers=max_inflight)
+        self._lock = threading.Lock()
+        self.failure: Optional[BaseException] = None
+
+    def __enter__(self) -> "CallPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._executor.shutdown(wait=True, cancel_futures=True)
+
+    def submit(self, fn, *args) -> Future:
+        """Queue ``fn(*args)``; read its outcome with :meth:`result`."""
+        return self._executor.submit(self._call, fn, args)
+
+    def result(self, future: Future):
+        """Wait for a queued call; one skipped because the pool stopped
+        raises the pool's ``failure``."""
         try:
-            return _run_one(task, contract_text, gateway, cfg)
-        except BaseException:
-            stopped.set()
+            return future.result()
+        except _Skipped:
+            raise self.failure from None
+
+    def _call(self, fn, args):
+        if self.failure is not None:
+            raise _Skipped
+        try:
+            return fn(*args)
+        except BaseException as exc:
+            if isinstance(exc, ProviderOutage) or not isinstance(exc, CdmgenError):
+                with self._lock:
+                    if self.failure is None:
+                        self.failure = exc
             raise
 
-    with ThreadPoolExecutor(max_workers=max(1, cfg.max_inflight)) as pool:
-        futures = [pool.submit(run, task) for task in tasks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            future.cancel()
-    failure = next((f.exception() for f in futures if not f.cancelled() and f.exception()), None)
-    results = [None if f.cancelled() or f.exception() else f.result() for f in futures]
-    if isinstance(failure, ProviderOutage):
-        failure.provenance = {
-            key: result[1] for key, result in zip(keys, results) if result is not None
-        }
-    if failure is not None:
-        raise failure
-    return results
+
+def submit_population(
+    pool: CallPool,
+    template: Template,
+    contract_text: str,
+    kb: Optional[KnowledgeBase],
+    gateway,
+    cfg: PopulationConfig,
+) -> "PendingPopulation":
+    """Plan a population run and queue every task on ``pool``.
+
+    Nothing waits here, so a caller can queue the next contract's tasks
+    behind this one's before collecting it.
+    """
+    tasks = plan_tasks(template, cfg, kb)
+    futures = [pool.submit(_run_one, task, contract_text, gateway, cfg) for task in tasks]
+    return PendingPopulation(pool, template, tasks, futures)
+
+
+class PendingPopulation:
+    """The queued tasks of one population run, collected in task order.
+
+    Its methods wait for the tasks, so they are called while the pool is
+    open.
+    """
+
+    def __init__(self, pool: CallPool, template: Template, tasks: list[PopulationTask], futures):
+        self.pool = pool
+        self.template = template
+        self.tasks = tasks
+        self.futures: list[Future] = futures
+        self.keys = _provenance_keys(tasks)
+
+    def collect(self) -> PopulatedDocument:
+        """Wait for every task, then graft the validated fragments.
+
+        Only this run's own tasks decide the outcome: the first of them to
+        fail, in task order, re-raises its error (a skipped task the pool's
+        ``failure``), and a provider outage carries :meth:`finished_records`
+        as its ``provenance``. A pool stopped by another run's call does not
+        fail a run whose tasks all finished.
+        """
+        wait(self.futures)
+        errors = (future.exception() for future in self.futures)
+        failure = next((error for error in errors if error is not None), None)
+        if isinstance(failure, _Skipped):
+            failure = self.pool.failure
+        if isinstance(failure, ProviderOutage):
+            failure.provenance = self.finished_records()
+        if failure is not None:
+            raise failure
+        if not self.tasks:
+            return PopulatedDocument(tree={}, provenance={}, contract_type=self.template.contract_type)
+        outcomes = [future.result() for future in self.futures]
+        # Annotations are removed from the template copy up front: validated
+        # replies never carry them, and stripping afterwards would also delete
+        # genuine data fields named "description" that a reply filled with text.
+        doc = treeops.strip_annotations(self.template.tree)
+        for task, (tree, _) in zip(self.tasks, outcomes):
+            if tree is not None:
+                doc = _graft(doc, task.segments, tree)
+        return PopulatedDocument(
+            tree=doc,
+            provenance={key: record for key, (_, record) in zip(self.keys, outcomes)},
+            contract_type=self.template.contract_type,
+        )
+
+    def finished_records(self) -> Optional[dict[str, dict]]:
+        """Provenance records of the tasks that finished, under the keys a
+        completed run gives them, or None when no task reached the
+        provider."""
+        wait(self.futures)
+        records: dict[str, dict] = {}
+        called = False
+        for key, future in zip(self.keys, self.futures):
+            error = future.exception()
+            called = called or not isinstance(error, _Skipped)
+            if error is None:
+                records[key] = future.result()[1]
+        return records if called else None
 
 
 def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> tuple[Optional[Any], dict]:

@@ -4,6 +4,7 @@ import csv
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,8 @@ import helpers
 from cdmgen import prompts
 from cdmgen.cli import main
 from cdmgen.dryrun import build_population_script
-from cdmgen.gateway import PromptBundle, prompt_hash
+from cdmgen.errors import AuthFailure
+from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, prompt_hash
 from cdmgen.knowledge_base import KnowledgeBase
 from cdmgen.populator import PopulationConfig
 from cdmgen.template_builder import build_template, flatten_examples
@@ -550,6 +552,15 @@ BAD_INPUTS = {
     "ingest_budget_0": (2, "ingest-kb --examples {examples} --contract-type CommodityOption --budget 0"),
     "missing_contract": (2, "populate --template {template} --contract {missing} --mock-script {script}"),
     "missing_config": (2, "pipeline --config {missing}"),
+    "mock_script_entry_not_text": (1, POPULATE + " --template {template} --mock-script {script_entry_42}"),
+    "kb_chunk_without_fields": (
+        1, POPULATE + " --template {template} --rag --kb {kb_chunk_without_fields} --mock-script {script}"
+    ),
+    "kb_chunk_not_object": (1, "baseline --contract {contract} --rag --kb {kb_chunk_not_object} --mock-script {script}"),
+    "kb_without_chunks": (1, "pipeline --config {config_kb_without_chunks}"),
+    "synthesize_empty_example": (1, "synthesize --example {empty_object} --mock-script {script}"),
+    "populate_max_inflight_0": (2, POPULATE + " --template {template} --mock-script {script} --max-inflight 0"),
+    "pipeline_max_inflight_0": (2, "pipeline --config {config_max_inflight_0}"),
 }
 
 
@@ -580,7 +591,19 @@ def test_bad_input_is_typed_not_a_traceback(
         "config": json.dumps(config),
         "config_without_schema_dir": json.dumps({k: v for k, v in config.items() if k != "schema_dir"}),
         "config_rag_without_kb": json.dumps({**config, "use_rag": True}),
+        "config_max_inflight_0": json.dumps({**config, "max_inflight": 0}),
+        "script_entry_42": json.dumps({"0" * 64: 42}),
+        "kb_chunk_without_fields": json.dumps({"chunks": [{"chunk_id": "a"}]}),
+        "kb_chunk_not_object": json.dumps({"chunks": [1]}),
+        "kb_without_chunks": json.dumps({"chunks": []}),
     }
+    files["config_kb_without_chunks"] = json.dumps(
+        {
+            **config,
+            "use_rag": True,
+            "contracts": [{**job, "kb_path": str(tmp_path / "kb_without_chunks.json")}],
+        }
+    )
     paths = {
         "template": template,
         "contract": contract,
@@ -695,3 +718,243 @@ def test_pipeline_stops_at_first_auth_failure(
     for name in names[1:]:
         assert not list(out_dir.glob(f"{name}.*"))
     assert not (out_dir / "summary.csv").exists()
+
+
+class _ProbeGateway:
+    """In-process provider for pipeline runs: answers populate prompts from
+    a mock script and coverage prompts with lists derived from the prompt,
+    and records every call's prompt hash and the peak number of calls in
+    flight.
+
+    ``hold`` names a prompt hash whose call waits, at most ``HOLD_S``
+    seconds, until a call of a prompt in ``release`` arrives; ``held_ok``
+    says whether one did. The call of prompt hash ``fail`` waits, as long at
+    most, until the calls of every hash in ``fail_after`` have returned,
+    then raises ``AuthFailure``. ``coverage_error`` is raised by coverage
+    calls instead of a reply, and coverage prompts whose text contains
+    ``unparseable`` get a reply without lists.
+    """
+
+    HOLD_S = 5.0
+
+    def __init__(
+        self,
+        script,
+        hold=None,
+        release=(),
+        fail=None,
+        fail_after=(),
+        coverage_error=None,
+        unparseable=None,
+    ):
+        self.mock = MockProvider(script)
+        self.hold = hold
+        self.release = set(release)
+        self.fail = fail
+        self.fail_after = set(fail_after)
+        self.coverage_error = coverage_error
+        self.unparseable = unparseable
+        self.calls: list[str] = []
+        self.returned: set[str] = set()
+        self.inflight = 0
+        self.peak = 0
+        self.held_ok = None
+        self._changed = threading.Condition()
+
+    def _wait_until(self, ready) -> bool:
+        with self._changed:
+            return self._changed.wait_for(ready, self.HOLD_S)
+
+    def complete(self, prompt):
+        key = prompt_hash(prompt)
+        with self._changed:
+            self.calls.append(key)
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+            self._changed.notify_all()
+        try:
+            if key == self.hold:
+                self.held_ok = self._wait_until(lambda: not self.release.isdisjoint(self.calls))
+            if key == self.fail:
+                self._wait_until(lambda: self.fail_after <= self.returned)
+                raise AuthFailure("credential rejected")
+            if prompt.system_text != prompts.load("coverage_system.txt"):
+                return self.mock.complete(prompt)
+            if self.coverage_error is not None:
+                raise self.coverage_error("coverage call refused")
+            if self.unparseable and self.unparseable in prompt.user_text:
+                return CompletionResult(text=json.dumps({"captured": ["c"]}), finish_reason="stop")
+            lists = {"captured": [f"c{len(prompt.user_text)}"], "uncaptured": ["u"], "extraneous": []}
+            return CompletionResult(text=json.dumps(lists), finish_reason="stop")
+        finally:
+            with self._changed:
+                self.inflight -= 1
+                self.returned.add(key)
+                self._changed.notify_all()
+
+
+def _pipeline_with_probe(monkeypatch, config_path, gateway, **settings):
+    """Run ``cdmgen pipeline`` on ``gateway`` with ``settings`` put into the
+    run config; returns the exit code."""
+    monkeypatch.setattr("cdmgen.cli.MockProvider", SimpleNamespace(from_file=lambda path: gateway))
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(settings)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    try:
+        return run(["pipeline", "--config", config_path])
+    except SystemExit as exc:
+        return exc.code
+
+
+def _task_hashes(cdm_index, examples_root, contracts_dir, type_key) -> list[str]:
+    """Populate prompt hashes of one fixture contract, in task order."""
+    template = build_template(
+        cdm_index, flatten_examples(examples_root / type_key), helpers.CONTRACT_TYPES[type_key]
+    )
+    text = (contracts_dir / f"{type_key}.txt").read_text(encoding="utf-8")
+    return list(build_population_script(cdm_index, template, text, PopulationConfig()))
+
+
+def test_pipeline_queues_the_next_contract_behind_the_current_one(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir, monkeypatch
+):
+    names = ["interest_rate_swap", "equity_swap"]
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=names
+    )
+    first, second = (_task_hashes(cdm_index, examples_root, contracts_dir, name) for name in names)
+    # Contract 1's last call is held until a call of contract 2 arrives,
+    # which happens only if contract 2's tasks were queued before contract
+    # 1 was collected.
+    gateway = _ProbeGateway(
+        json.loads(script_path.read_text(encoding="utf-8")), hold=first[-1], release=second
+    )
+    assert _pipeline_with_probe(monkeypatch, config_path, gateway, max_inflight=2) == 0
+    assert gateway.held_ok is True
+    assert gateway.peak <= 2
+    assert sorted(gateway.calls) == sorted(first + second)
+    for name in names:
+        assert (out_dir / f"{name}.report.json").is_file()
+
+
+def test_pipeline_with_coverage_writes_the_same_bytes_at_any_max_inflight(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
+):
+    config_path, _, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir
+    )
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    # One contract's coverage replies never parse: a domain error fails
+    # that contract's report only.
+    unparseable = (contracts_dir / "foreign_exchange.txt").read_text(encoding="utf-8")
+    outputs = {}
+    for max_inflight in (1, 2, 4):
+        gateway = _ProbeGateway(script, unparseable=unparseable)
+        out_dir = tmp_path / f"out-{max_inflight}"
+        code = _pipeline_with_probe(
+            monkeypatch,
+            config_path,
+            gateway,
+            coverage=True,
+            max_inflight=max_inflight,
+            out_dir=str(out_dir),
+        )
+        assert code == 0
+        assert gateway.peak <= max_inflight
+        outputs[max_inflight] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    assert outputs[1] == outputs[2] == outputs[4]
+    with (tmp_path / "out-1" / "summary.csv").open(newline="", encoding="utf-8") as handle:
+        status = {row["group"]: row["status"] for row in csv.DictReader(handle)}
+    assert status.pop("foreign_exchange") == "failed: ListParseFailure"
+    assert set(status.values()) == {"ok"}
+    reports = [name for name in outputs[1] if name.endswith(".report.json")]
+    assert len(reports) == len(helpers.CONTRACT_TYPES) - 1
+    for name in reports:
+        assert json.loads(outputs[1][name])["coverage_score"] is not None
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2, 4])
+def test_coverage_outage_stops_the_batch_leaving_files_that_parse(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch, capsys, max_inflight
+):
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir
+    )
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    full = _ProbeGateway(script)
+    assert _pipeline_with_probe(monkeypatch, config_path, full, out_dir=str(tmp_path / "full")) == 0
+    capsys.readouterr()
+
+    gateway = _ProbeGateway(script, coverage_error=AuthFailure)
+    code = _pipeline_with_probe(
+        monkeypatch, config_path, gateway, coverage=True, max_inflight=max_inflight, out_dir=str(out_dir)
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "AuthFailure"
+    [failing] = [i for i, key in enumerate(gateway.calls) if key not in script]
+    assert len(gateway.calls) - failing - 1 <= max_inflight
+    assert not (out_dir / "summary.csv").exists()
+    assert not list(out_dir.glob("*.report.json"))
+    names = list(helpers.CONTRACT_TYPES)
+    # The first contract is complete; the outage came from its coverage call.
+    for suffix in (".template.json", ".provenance.json", ".cdm.json"):
+        assert (out_dir / f"{names[0]}{suffix}").is_file()
+    _assert_outage_files(out_dir, tmp_path / "full", gateway.calls)
+
+
+def _assert_outage_files(out_dir, full_dir, calls) -> None:
+    """Every file a stopped batch left in ``out_dir`` parses and belongs to
+    a contract that made one of ``calls``, and every provenance record
+    equals the one of the full run in ``full_dir``."""
+    called = set()
+    for path in full_dir.glob("*.provenance.json"):
+        complete = json.loads(path.read_text(encoding="utf-8"))
+        if {record["prompt_hash"] for record in complete.values()} & set(calls):
+            called.add(path.name.split(".")[0])
+    for path in out_dir.iterdir():
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert path.name.split(".")[0] in called
+        if path.name.endswith(".provenance.json"):
+            complete = json.loads((full_dir / path.name).read_text(encoding="utf-8"))
+            assert all(complete[key] == record for key, record in payload.items())
+
+
+@pytest.mark.parametrize("failing_task", [0, -1])
+@pytest.mark.parametrize("coverage", [False, True])
+@pytest.mark.parametrize("max_inflight", [1, 2, 4])
+def test_task_outage_in_a_later_contract_keeps_the_finished_one(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir, monkeypatch, capsys,
+    max_inflight, coverage, failing_task,
+):
+    names = ["interest_rate_swap", "equity_swap", "foreign_exchange"]
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=names
+    )
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    full_dir = tmp_path / "full"
+    assert _pipeline_with_probe(monkeypatch, config_path, _ProbeGateway(script), out_dir=str(full_dir)) == 0
+    capsys.readouterr()
+
+    first, second = (_task_hashes(cdm_index, examples_root, contracts_dir, name) for name in names[:2])
+    # Contract 2's first or last call fails once every call of contract 1
+    # has returned, so contract 1's tasks all finished before the outage.
+    gateway = _ProbeGateway(script, fail=second[failing_task], fail_after=first)
+    code = _pipeline_with_probe(
+        monkeypatch, config_path, gateway, coverage=coverage, max_inflight=max_inflight, out_dir=str(out_dir)
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "AuthFailure"
+    assert not (out_dir / "summary.csv").exists()
+    _assert_outage_files(out_dir, full_dir, gateway.calls)
+    # Contract 1 is written in full; with coverage on, its coverage call
+    # was queued behind contract 2's tasks and may have been cancelled.
+    suffixes = [".template.json", ".provenance.json", ".cdm.json"]
+    if not coverage:
+        suffixes.append(".report.json")
+    for suffix in suffixes:
+        name = f"{names[0]}{suffix}"
+        assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
+    assert (out_dir / f"{names[1]}.provenance.json").is_file()
+    assert not (out_dir / f"{names[1]}.cdm.json").exists()
