@@ -46,7 +46,6 @@ from .schema_index import (
     SchemaDocument,
     SchemaIndex,
     load_schema_dir,
-    resolve_ref,
 )
 from .template_builder import (
     KeyPathSet,
@@ -54,7 +53,6 @@ from .template_builder import (
     build_template,
     flatten_examples,
     prune_empty,
-    template_stats,
 )
 
 __version__ = "0.1.0"
@@ -95,12 +93,10 @@ __all__ = [
     "populate",
     "prompt_hash",
     "prune_empty",
-    "resolve_ref",
     "retrieve",
     "schema_adherence",
     "select_tasks",
     "syntactical_correctness",
     "synthesize_description",
-    "template_stats",
     "validate_shape",
 ]

@@ -16,18 +16,18 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from . import evaluator, populator, template_builder
+from . import evaluator, populator
 from .errors import CdmgenError, MalformedDocument, ProviderOutage
 from .gateway import HttpProvider, MockProvider, ProviderConfig, synthesize_description
 from .knowledge_base import KnowledgeBase, ingest_examples
 from .populator import PopulationConfig, clean, populate
 from .schema_index import load_schema_dir
 from .template_builder import Template, build_template, flatten_examples
-from .treeops import read_json_object
+from .treeops import iter_leaf_paths, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -67,16 +67,26 @@ def write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
-def _setting(flag_value, env_var: str, config_value, default, cast):
-    """Configuration precedence: flag > environment > config file > default."""
+def _setting(flag_value, env_var: str, config_value, cast):
+    """Configuration precedence: flag > environment > config file (or the
+    default, passed as ``config_value`` when the file has none).
+
+    Only environment text is converted, by ``cast``: a flag is typed by its
+    parser, and a config value is checked by the class it configures.
+    """
     if flag_value is not None:
-        return cast(flag_value)
+        return flag_value
     env = os.environ.get(env_var)
-    if env is not None and env != "":
-        return cast(env)
-    if config_value is not None:
-        return cast(config_value)
-    return default
+    return cast(env) if env else config_value
+
+
+def _read_contract(path) -> str:
+    """A contract file's text; an empty or blank file raises
+    :class:`MalformedDocument`."""
+    text = Path(path).read_text(encoding="utf-8")
+    if not text.strip():
+        raise MalformedDocument(str(path), 0, "the contract text is empty")
+    return text
 
 
 def _input_file(value: str) -> str:
@@ -91,17 +101,20 @@ def _input_file(value: str) -> str:
 
 
 def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
+    """Provider flags whose destinations are a run config's ``provider``
+    keys, so ``vars(args)`` reads as one for :func:`_make_gateway`."""
     group = sub.add_argument_group("provider")
-    group.add_argument("--provider", help="chat-completion endpoint URL")
+    group.add_argument("--provider", dest="endpoint", metavar="URL", help="chat-completion endpoint URL")
     group.add_argument("--model", default="default", help="model name sent to the provider")
     group.add_argument(
         "--credential-env",
         default="",
         help="environment variable holding the provider credential",
     )
-    group.add_argument("--timeout", type=float, default=30.0)
+    group.add_argument("--timeout", type=float, default=ProviderConfig.timeout)
     group.add_argument(
-        "--provider-retries", type=int, default=2, help="transport retry limit"
+        "--provider-retries", dest="retries", type=int, default=ProviderConfig.retry_limit,
+        help="transport retry limit",
     )
     group.add_argument(
         "--mock-script",
@@ -110,33 +123,31 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _provider_config(
-    parser, endpoint, model="default", credential_env="", timeout=30.0, retries=2, **_ignored
-) -> ProviderConfig:
-    """The provider flags, or a run config's ``provider`` object, as a
-    ProviderConfig. Keyword names follow the run config; unknown keys there
-    are ignored, and a value ProviderConfig rejects is a usage error."""
+def _make_gateway(
+    parser, mock_script, /, endpoint=None, model="default", credential_env="",
+    timeout=ProviderConfig.timeout, retries=ProviderConfig.retry_limit, **_ignored,
+):
+    """A command's provider: the mock script when one is named, else an
+    HTTP client for ``endpoint``.
+
+    The keywords are a run config's ``provider`` keys, which the provider
+    flags' destinations match; unknown keys are ignored, and a value
+    ProviderConfig rejects is a usage error.
+    """
+    if mock_script:
+        return MockProvider.from_file(mock_script)
+    if not endpoint:
+        parser.error(
+            "a provider is required: --provider URL or --mock-script FILE "
+            "(in a run config, provider.endpoint or mock_script)"
+        )
     try:
-        return ProviderConfig(
-            endpoint=endpoint,
-            model_name=model,
-            credential_ref=credential_env,
-            timeout=float(timeout),
-            retry_limit=int(retries),
+        cfg = ProviderConfig(
+            endpoint, model_name=model, credential_ref=credential_env, timeout=timeout, retry_limit=retries
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(f"provider setting: {exc}")
-
-
-def _make_gateway(args, parser: argparse.ArgumentParser):
-    if args.mock_script:
-        return MockProvider.from_file(args.mock_script)
-    if args.provider:
-        cfg = _provider_config(
-            parser, args.provider, args.model, args.credential_env, args.timeout, args.provider_retries
-        )
-        return HttpProvider(cfg)
-    parser.error("a provider is required: pass --provider URL or --mock-script FILE")
+    return HttpProvider(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +159,11 @@ def cmd_make_template(args, parser) -> int:
     keys = flatten_examples(args.examples)
     template = build_template(index, keys, args.contract_type)
     atomic_write_text(args.out, template.to_text())
-    stats = template_builder.template_stats(template)
     logger.info(
         "template written out=%s leaves=%d depth=%d",
         args.out,
-        stats["leaf_count"],
-        stats["max_depth"],
+        sum(1 for _ in iter_leaf_paths(template.tree)),
+        populator.compute_depths(template).depth - 1,
     )
     return 0
 
@@ -172,19 +182,16 @@ def _generation_inputs(args, parser):
     """Gateway, contract text and knowledge base of ``populate`` and ``baseline``."""
     if args.rag and not args.kb:
         parser.error("--rag requires --kb FILE")
-    gateway = _make_gateway(args, parser)
-    contract_text = Path(args.contract).read_text(encoding="utf-8")
-    return gateway, contract_text, KnowledgeBase.load(args.kb) if args.kb else None
+    gateway = _make_gateway(parser, args.mock_script, **vars(args))
+    return gateway, _read_contract(args.contract), KnowledgeBase.load(args.kb) if args.kb else None
 
 
 def cmd_populate(args, parser) -> int:
     try:
         cfg = PopulationConfig(
-            depth_threshold=_setting(
-                args.depth, ENV_DEPTH, None, populator.DEFAULT_DEPTH_THRESHOLD, int
-            ),
+            depth_threshold=_setting(args.depth, ENV_DEPTH, populator.DEFAULT_DEPTH_THRESHOLD, int),
             use_rag=bool(args.rag),
-            retry_limit=args.retries,
+            retry_limit=args.retry_limit,
             k_chunks=args.k_chunks,
             max_inflight=args.max_inflight,
         )
@@ -227,7 +234,7 @@ def cmd_baseline(args, parser) -> int:
 
 
 def cmd_synthesize(args, parser) -> int:
-    gateway = _make_gateway(args, parser)
+    gateway = _make_gateway(parser, args.mock_script, **vars(args))
     example = read_json_object(args.example)
     if not example:
         raise MalformedDocument(args.example, 0, "the example is an empty object")
@@ -241,8 +248,8 @@ def cmd_evaluate(args, parser) -> int:
     if args.coverage:
         try:
             weights = evaluator.CoverageWeights(
-                mu=_setting(args.mu, ENV_MU, None, evaluator.DEFAULT_MU, float),
-                epsilon=_setting(args.epsilon, ENV_EPSILON, None, evaluator.DEFAULT_EPSILON, float),
+                mu=_setting(args.mu, ENV_MU, evaluator.DEFAULT_MU, float),
+                epsilon=_setting(args.epsilon, ENV_EPSILON, evaluator.DEFAULT_EPSILON, float),
             )
         except ValueError as exc:
             parser.error(str(exc))
@@ -250,9 +257,8 @@ def cmd_evaluate(args, parser) -> int:
     doc = read_json_object(args.cdm)
     report = evaluator.evaluate_document(doc, index)
     if args.coverage:
-        gateway = _make_gateway(args, parser)
-        contract_text = Path(args.contract).read_text(encoding="utf-8")
-        lists = evaluator.coverage_lists(contract_text, doc, gateway)
+        gateway = _make_gateway(parser, args.mock_script, **vars(args))
+        lists = evaluator.coverage_lists(_read_contract(args.contract), doc, gateway)
         report.lists = lists
         report.coverage_score = evaluator.coverage_score(lists, weights)
     envelope = {"contract_type": args.contract_type, **report.to_dict()}
@@ -322,23 +328,24 @@ class RunConfig:
     """Batch run configuration, read from a JSON file.
 
     Paths are resolved relative to the config file's directory; every
-    referenced input must exist when the command starts.
+    referenced input must exist when the command starts. ``population`` and
+    ``weights`` hold the file's PopulationConfig and CoverageWeights keys
+    as written, for those classes to check.
     """
 
     schema_dir: Path
     root_file: str
     out_dir: Path
     contracts: list[ContractJob]
-    depth_threshold: Optional[int] = None
-    mu: Optional[float] = None
-    epsilon: Optional[float] = None
-    use_rag: bool = False
-    retry_limit: int = 2
-    k_chunks: int = 3
-    max_inflight: int = 4
+    population: dict = field(default_factory=dict)
+    weights: dict = field(default_factory=dict)
     coverage: bool = False
     mock_script: Optional[Path] = None
     provider: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.coverage, bool):
+            raise ValueError("coverage must be true or false")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -349,6 +356,9 @@ class RunConfig:
         def resolve(value) -> Path:
             p = Path(value)
             return p if p.is_absolute() else base / p
+
+        def settings_of(config_class) -> dict:
+            return {f.name: payload[f.name] for f in fields(config_class) if f.name in payload}
 
         contracts = [
             ContractJob(
@@ -365,19 +375,14 @@ class RunConfig:
             root_file=payload["root_file"],
             out_dir=resolve(payload.get("out_dir", "pipeline-out")),
             contracts=contracts,
-            depth_threshold=payload.get("depth_threshold"),
-            mu=payload.get("mu"),
-            epsilon=payload.get("epsilon"),
-            use_rag=bool(payload.get("use_rag", False)),
-            retry_limit=int(payload.get("retry_limit", 2)),
-            k_chunks=int(payload.get("k_chunks", 3)),
-            max_inflight=int(payload.get("max_inflight", 4)),
-            coverage=bool(payload.get("coverage", False)),
+            population=settings_of(PopulationConfig),
+            weights=settings_of(evaluator.CoverageWeights),
+            coverage=payload.get("coverage", False),
             mock_script=resolve(payload["mock_script"]) if payload.get("mock_script") else None,
             provider=dict(payload.get("provider", {})),
         )
 
-    def validate(self, parser: argparse.ArgumentParser) -> None:
+    def validate(self, parser: argparse.ArgumentParser, use_rag: bool) -> None:
         if not self.contracts:
             parser.error("pipeline config lists no contracts")
         if self.mock_script and not self.mock_script.is_file():
@@ -393,7 +398,7 @@ class RunConfig:
                 parser.error(f"examples dir does not exist: {job.examples_dir}")
             if job.kb_path and not job.kb_path.is_file():
                 parser.error(f"knowledge base does not exist: {job.kb_path}")
-            if self.use_rag and not job.kb_path:
+            if use_rag and not job.kb_path:
                 parser.error(f"use_rag needs a kb_path for contract {job.name}")
 
 
@@ -418,29 +423,19 @@ def cmd_pipeline(args, parser) -> int:
         run.out_dir = Path(args.out_dir)
     if args.mock_script:
         run.mock_script = Path(args.mock_script)
-    run.validate(parser)
-
-    if run.mock_script:
-        gateway = MockProvider.from_file(run.mock_script)
-    elif run.provider.get("endpoint"):
-        gateway = HttpProvider(_provider_config(parser, **run.provider))
-    else:
-        parser.error("pipeline needs a provider endpoint or a mock script")
-
     try:
-        depth = _setting(args.depth, ENV_DEPTH, run.depth_threshold, populator.DEFAULT_DEPTH_THRESHOLD, int)
-        mu = _setting(args.mu, ENV_MU, run.mu, evaluator.DEFAULT_MU, float)
-        eps = _setting(args.epsilon, ENV_EPSILON, run.epsilon, evaluator.DEFAULT_EPSILON, float)
-        weights = evaluator.CoverageWeights(mu=mu, epsilon=eps)
-        cfg = PopulationConfig(
-            depth_threshold=depth,
-            use_rag=run.use_rag,
-            retry_limit=run.retry_limit,
-            k_chunks=run.k_chunks,
-            max_inflight=run.max_inflight,
+        depth = run.population.get("depth_threshold", populator.DEFAULT_DEPTH_THRESHOLD)
+        depth = _setting(args.depth, ENV_DEPTH, depth, int)
+        cfg = PopulationConfig(**{**run.population, "depth_threshold": depth})
+        mu = run.weights.get("mu", evaluator.DEFAULT_MU)
+        eps = run.weights.get("epsilon", evaluator.DEFAULT_EPSILON)
+        weights = evaluator.CoverageWeights(
+            mu=_setting(args.mu, ENV_MU, mu, float), epsilon=_setting(args.epsilon, ENV_EPSILON, eps, float)
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
+    run.validate(parser, cfg.use_rag)
+    gateway = _make_gateway(parser, run.mock_script, **run.provider)
 
     # Contracts naming the same knowledge base share it, and contracts of
     # one type built from the same examples share a template; neither is
@@ -466,7 +461,7 @@ def cmd_pipeline(args, parser) -> int:
                 keys = flatten_examples(job.examples_dir)
                 templates[template_key] = build_template(index, keys, job.contract_type)
             started.template = templates[template_key]
-            started.text = job.contract_path.read_text(encoding="utf-8")
+            started.text = _read_contract(job.contract_path)
             started.population = populator.submit_population(
                 pool, started.template, started.text, bases.get(job.kb_path), gateway, cfg
             )
@@ -583,7 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", type=_input_file)
     p.add_argument("--rag", action="store_true", default=None)
     p.add_argument("--depth", type=int)
-    p.add_argument("--retries", type=int, default=PopulationConfig.retry_limit)
+    p.add_argument(
+        "--retries", dest="retry_limit", metavar="RETRIES", type=int, default=PopulationConfig.retry_limit
+    )
     p.add_argument("--k-chunks", type=int, default=PopulationConfig.k_chunks)
     p.add_argument("--max-inflight", type=int, default=PopulationConfig.max_inflight)
     p.add_argument("--out", required=True)

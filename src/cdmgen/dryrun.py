@@ -35,7 +35,7 @@ def sample_leaf_value(index: SchemaIndex, path: str, placeholder):
             prop = None
     except (ValueError, CycleDetected):
         prop = None
-    scalar = prop.scalar_type if prop else _placeholder_kind(placeholder)
+    scalar = prop.scalar_type if prop else treeops.placeholder_kind(placeholder)
     if scalar == "enum" and prop and prop.enum_values:
         return prop.enum_values[0]
     if scalar == "date":
@@ -48,16 +48,6 @@ def sample_leaf_value(index: SchemaIndex, path: str, placeholder):
         return True
     segment = path.split(".")[-1] if path else "value"
     return f"{segment}-001"
-
-
-def _placeholder_kind(placeholder) -> str:
-    if isinstance(placeholder, bool):
-        return "boolean"
-    if isinstance(placeholder, (int, float)):
-        return "number"
-    if placeholder == treeops.DATE_TOKEN:
-        return "date"
-    return "string"
 
 
 def fill_fragment(index: SchemaIndex, fragment, base_path: str):

@@ -54,7 +54,7 @@ class CoverageWeights:
 
     def __post_init__(self):
         for name, value in (("mu", self.mu), ("epsilon", self.epsilon)):
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+            if not (treeops.conforms("number", value) and math.isfinite(value) and 0 <= value <= 1):
                 raise ValueError(f"{name} must be a finite number in [0, 1]")
 
 
@@ -150,26 +150,9 @@ def _value_conforms(prop: PropertyDef, value) -> bool:
         return isinstance(value, list) and all(isinstance(v, dict) for v in value)
     if prop.kind == "array-of-scalar":
         return isinstance(value, list) and all(
-            _scalar_conforms(prop, v) for v in value
+            treeops.conforms(prop.scalar_type, v, prop.enum_values) for v in value
         )
-    return _scalar_conforms(prop, value)
-
-
-def _scalar_conforms(prop: PropertyDef, value) -> bool:
-    scalar = prop.scalar_type
-    if scalar == "boolean":
-        return isinstance(value, bool)
-    if scalar in ("number", "integer"):
-        if isinstance(value, bool):
-            return False
-        return isinstance(value, (int, float)) if scalar == "number" else isinstance(value, int)
-    if not isinstance(value, str):
-        return False
-    if scalar == "date":
-        return bool(treeops.DATE_RE.match(value))
-    if scalar == "enum":
-        return value in (prop.enum_values or ())
-    return True
+    return treeops.conforms(prop.scalar_type, value, prop.enum_values)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (
     ProviderUnavailable,
     Timeout,
 )
-from .treeops import read_json_object
+from .treeops import conforms, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +53,10 @@ class ProviderConfig:
     retry_limit: int = 2
 
     def __post_init__(self):
+        if not conforms("integer", self.retry_limit):
+            raise ValueError("retry_limit must be an integer")
+        if not conforms("number", self.timeout):
+            raise ValueError("timeout must be a number")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
         if self.timeout <= 0:
@@ -90,7 +94,8 @@ class MockProvider:
     @classmethod
     def from_file(cls, path) -> "MockProvider":
         """Read a script file; an entry that is neither a string nor an
-        object with a string ``text`` raises :class:`MalformedDocument`."""
+        object with a string ``text``, or whose ``usage`` is not an object,
+        raises :class:`MalformedDocument`."""
         script = read_json_object(path)
         for key, entry in script.items():
             if not isinstance(entry, str) and not (
@@ -99,6 +104,8 @@ class MockProvider:
                 raise MalformedDocument(
                     str(path), 0, f"entry {key} is neither a string nor an object with a string 'text'"
                 )
+            if isinstance(entry, dict) and not isinstance(entry.get("usage", {}), dict):
+                raise MalformedDocument(str(path), 0, f"entry {key} has a 'usage' that is not an object")
         return cls(script)
 
     def complete(self, prompt: PromptBundle) -> CompletionResult:
@@ -217,31 +224,31 @@ class HttpProvider:
 # structured output extraction
 
 
-def extract_structured(text: str) -> dict:
-    """First balanced JSON object found in model output.
+_DECODER = json.JSONDecoder()
 
-    Fenced code blocks are tried first, then a brace scan over the raw text
-    that respects string literals and escapes. Raises
-    :class:`NoStructuredPayload` when nothing parses.
+
+def extract_structured(text: str) -> dict:
+    """First JSON object found in model output.
+
+    Fenced code blocks are tried first and must decode whole; then the raw
+    text is decoded from each ``{`` in turn, ignoring what follows the
+    object. Raises :class:`NoStructuredPayload` when nothing decodes.
     """
     if text:
-        for candidate in _fenced_blocks(text):
-            parsed = _try_parse(candidate)
-            if parsed is not None:
+        for block in _fenced_blocks(text):
+            try:
+                parsed = json.loads(block)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(parsed, dict):
                 return parsed
-        for candidate in _balanced_objects(text):
-            parsed = _try_parse(candidate)
-            if parsed is not None:
-                return parsed
+        start = text.find("{")
+        while start != -1:
+            try:
+                return _DECODER.raw_decode(text, start)[0]
+            except json.JSONDecodeError:
+                start = text.find("{", start + 1)
     raise NoStructuredPayload("no balanced JSON object found in model output")
-
-
-def _try_parse(candidate: str) -> Optional[dict]:
-    try:
-        parsed = json.loads(candidate)
-    except json.JSONDecodeError:
-        return None
-    return parsed if isinstance(parsed, dict) else None
 
 
 def _fenced_blocks(text: str):
@@ -253,40 +260,6 @@ def _fenced_blocks(text: str):
         if first_newline != -1 and block[:first_newline].strip().isalpha():
             block = block[first_newline + 1 :]
         yield block.strip()
-
-
-def _balanced_objects(text: str):
-    start = text.find("{")
-    while start != -1:
-        end = _scan_balanced(text, start)
-        if end is not None:
-            yield text[start : end + 1]
-        start = text.find("{", start + 1)
-
-
-def _scan_balanced(text: str, start: int) -> Optional[int]:
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        char = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif char == "\\":
-                escaped = True
-            elif char == '"':
-                in_string = False
-            continue
-        if char == '"':
-            in_string = True
-        elif char == "{":
-            depth += 1
-        elif char == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
 
 
 # ---------------------------------------------------------------------------

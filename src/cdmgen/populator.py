@@ -42,14 +42,15 @@ class PopulationConfig:
     max_inflight: int = 4
 
     def __post_init__(self):
-        if self.depth_threshold < 1:
-            raise ValueError("depth_threshold must be >= 1")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
-        if self.k_chunks < 1:
-            raise ValueError("k_chunks must be >= 1")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
+        if not isinstance(self.use_rag, bool):
+            raise ValueError("use_rag must be true or false")
+        counts = (("depth_threshold", 1), ("retry_limit", 0), ("k_chunks", 1), ("max_inflight", 1))
+        for name, least in counts:
+            value = getattr(self, name)
+            if not treeops.conforms("integer", value):
+                raise ValueError(f"{name} must be an integer")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -340,22 +341,15 @@ def _check_shape(inp, out, path, issues: list[Mismatch]) -> None:
 
 
 def _check_leaf(placeholder, out, label, issues: list[Mismatch]) -> None:
-    if isinstance(placeholder, bool):
-        if not isinstance(out, bool):
-            issues.append(Mismatch(label, "type_clash", f"expected a boolean, got {_kind(out)}"))
-    elif isinstance(placeholder, (int, float)):
-        if isinstance(out, bool) or not isinstance(out, (int, float)):
-            issues.append(Mismatch(label, "type_clash", f"expected a number, got {_kind(out)}"))
-    elif placeholder == treeops.DATE_TOKEN:
-        if not isinstance(out, str) or (
-            out != treeops.DATE_TOKEN and not treeops.DATE_RE.match(out)
-        ):
+    kind = treeops.placeholder_kind(placeholder)
+    if kind == "date":
+        # A date the contract does not give may stay unfilled.
+        if out != treeops.DATE_TOKEN and not treeops.conforms(kind, out):
             issues.append(
                 Mismatch(label, "type_clash", "expected a YYYY-MM-DD date or the placeholder")
             )
-    else:
-        if not isinstance(out, str):
-            issues.append(Mismatch(label, "type_clash", f"expected a string, got {_kind(out)}"))
+    elif not treeops.conforms(kind, out):
+        issues.append(Mismatch(label, "type_clash", f"expected a {kind}, got {_kind(out)}"))
 
 
 def _kind(value) -> str:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from . import treeops
 from .errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
 
-SCALAR_TYPES = ("string", "number", "integer", "boolean", "date", "enum")
 _JSON_SCALARS = {"string", "number", "integer", "boolean"}
 _DATE_WORD = re.compile(r"\bdate\b", re.IGNORECASE)
 
@@ -52,7 +52,7 @@ class PropertyDef:
     def __post_init__(self):
         if self.kind in ("object-ref", "array-of-ref") and not self.ref_target:
             raise ValueError(f"{self.name}: {self.kind} requires a ref_target")
-        if self.kind in ("scalar", "array-of-scalar") and self.scalar_type not in SCALAR_TYPES:
+        if self.kind in ("scalar", "array-of-scalar") and self.scalar_type not in treeops.PLACEHOLDERS:
             raise ValueError(f"{self.name}: {self.kind} requires a scalar_type")
 
 
@@ -131,20 +131,13 @@ class SchemaIndex:
         return True, prop
 
 
-def resolve_ref(index: SchemaIndex, from_doc: str, ref_text: str) -> str:
+def _normalize_ref(from_doc: str, ref_text: str) -> str:
     """Canonical document id for a ``$ref`` written inside ``from_doc``.
 
     Relative paths are normalized against the referencing document's
     directory; a ``#fragment`` suffix is discarded and a pure-fragment ref
     resolves to the referencing document itself.
     """
-    target = _normalize_ref(from_doc, ref_text)
-    if target not in index.documents:
-        raise UnresolvedRef(ref_text, from_doc)
-    return target
-
-
-def _normalize_ref(from_doc: str, ref_text: str) -> str:
     file_part = ref_text.split("#", 1)[0].strip()
     if not file_part:
         return from_doc

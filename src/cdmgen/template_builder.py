@@ -22,17 +22,6 @@ from . import treeops
 from .errors import CycleDetected, EmptyExampleDir, MalformedDocument
 from .schema_index import PropertyDef, SchemaIndex
 
-# Placeholder values by scalar type. Strings and enums use the empty string,
-# dates a fixed lexical token, numbers zero, booleans false.
-SCALAR_PLACEHOLDERS = {
-    "string": "",
-    "enum": "",
-    "date": treeops.DATE_TOKEN,
-    "number": 0,
-    "integer": 0,
-    "boolean": False,
-}
-
 
 @dataclass(frozen=True)
 class KeyPathSet:
@@ -151,7 +140,7 @@ def _traverse(index: SchemaIndex, doc_id: str, prefix: str, keys: KeyPathSet, de
 
 
 def _placeholder(prop: PropertyDef):
-    value = SCALAR_PLACEHOLDERS[prop.scalar_type]
+    value = treeops.PLACEHOLDERS[prop.scalar_type]
     if prop.kind == "array-of-scalar":
         # One prototype element, mirroring referenced arrays; a bare [] would
         # be pruned and the example-covered key lost.
@@ -190,30 +179,3 @@ def _is_empty_container(value) -> bool:
         return not treeops.data_items(value)
     return isinstance(value, list) and not value
 
-
-def template_stats(template: Template) -> dict[str, int]:
-    """Leaf count, maximum depth, and object count of a template.
-
-    Depth follows the population convention (leaf = 1, container = 1 + max
-    child depth); the anonymous root container is not itself counted, so an
-    empty template reports zeros and a single root-level leaf reports depth 1.
-    """
-    tree = template.tree
-    leaf_count = sum(1 for _ in treeops.iter_leaf_paths(tree))
-    if not treeops.data_items(tree):
-        return {"leaf_count": 0, "max_depth": 0, "object_count": 0}
-    max_depth = treeops.subtree_depth(tree) - 1
-    return {
-        "leaf_count": leaf_count,
-        "max_depth": max_depth,
-        "object_count": _count_objects(tree, is_root=True),
-    }
-
-
-def _count_objects(value, is_root: bool = False) -> int:
-    if isinstance(value, dict):
-        own = 0 if is_root else 1
-        return own + sum(_count_objects(v) for _, v in treeops.data_items(value))
-    if isinstance(value, list):
-        return sum(_count_objects(v) for v in value)
-    return 0

@@ -3,7 +3,9 @@
 Templates and populated documents are plain JSON-style trees. Object nodes
 may carry one annotation entry (``description`` or ``_template_description``)
 that is metadata, not data; every helper here skips annotations consistently
-so depth, leaf and key enumeration agree across modules.
+so depth, leaf and key enumeration agree across modules. The scalar kinds
+of template leaves, their placeholders and the rule for what each kind may
+hold live here too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,50 @@ FALLBACK_DESCRIPTION_KEY = "_template_description"
 
 DATE_TOKEN = "YYYY-MM-DD"
 DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+
+# The scalar kinds a schema leaf can have, each with the placeholder a
+# template gives it: the empty string for strings and enums, a fixed lexical
+# token for dates, zero for numbers, false for booleans.
+PLACEHOLDERS = {
+    "string": "",
+    "enum": "",
+    "date": DATE_TOKEN,
+    "number": 0,
+    "integer": 0,
+    "boolean": False,
+}
+
+
+def placeholder_kind(placeholder) -> str:
+    """The kind a placeholder stands for, as far as it tells:
+    ``boolean``, ``number``, ``date`` or ``string``."""
+    if isinstance(placeholder, bool):
+        return "boolean"
+    if isinstance(placeholder, (int, float)):
+        return "number"
+    if placeholder == DATE_TOKEN:
+        return "date"
+    return "string"
+
+
+def conforms(kind: str, value, enum_values=()) -> bool:
+    """Whether ``value`` is a leaf value of scalar ``kind``; an enum value
+    must be one of ``enum_values``."""
+    if kind == "boolean":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind == "number":
+        return isinstance(value, (int, float))
+    if kind == "integer":
+        return isinstance(value, int)
+    if not isinstance(value, str):
+        return False
+    if kind == "date":
+        return bool(DATE_RE.match(value))
+    if kind == "enum":
+        return value in (enum_values or ())
+    return True
 
 
 def read_json_object(path, *required: str) -> dict:
@@ -80,18 +126,6 @@ def strip_annotations(value: Any) -> Any:
 def depth_over(child_depths: Iterable[int]) -> int:
     """The depth rule: leaf = 1, container = 1 + max(children), empty = 1."""
     return 1 + max(child_depths, default=0)
-
-
-def subtree_depth(value: Any) -> int:
-    """Depth of a template fragment under :func:`depth_over`.
-
-    Annotation entries are invisible.
-    """
-    if isinstance(value, dict):
-        return depth_over(subtree_depth(v) for _, v in data_items(value))
-    if isinstance(value, list):
-        return depth_over(subtree_depth(v) for v in value)
-    return 1
 
 
 def prune(value: Any, removable: Callable[[Any], bool]) -> Any:

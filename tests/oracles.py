@@ -215,8 +215,21 @@ def two_point_population_stddev(a: float, b: float) -> float:
     return (((a - mean) ** 2 + (b - mean) ** 2) / 2) ** 0.5
 
 
-def first_balanced_object(text: str) -> str | None:
-    """Naive balanced-brace scanner for deriving expected extractions."""
+def scan_structured(text: str) -> dict | None:
+    """Character-scanning JSON object extraction: fenced blocks first, each
+    decoded whole, then every ``{`` whose brace-balanced span (string
+    literals and escapes respected) decodes. None when nothing does."""
+    if not text:
+        return None
+    pieces = text.split("```")
+    for i in range(1, len(pieces), 2):
+        block = pieces[i]
+        first_newline = block.find("\n")
+        if first_newline != -1 and block[:first_newline].strip().isalpha():
+            block = block[first_newline + 1 :]
+        parsed = _loads_object(block.strip())
+        if parsed is not None:
+            return parsed
     for start, char in enumerate(text):
         if char != "{":
             continue
@@ -240,13 +253,19 @@ def first_balanced_object(text: str) -> str | None:
             elif c == "}":
                 depth -= 1
                 if depth == 0:
-                    candidate = text[start : i + 1]
-                    try:
-                        json.loads(candidate)
-                        return candidate
-                    except json.JSONDecodeError:
-                        break
+                    parsed = _loads_object(text[start : i + 1])
+                    if parsed is not None:
+                        return parsed
+                    break
     return None
+
+
+def _loads_object(candidate: str) -> dict | None:
+    try:
+        parsed = json.loads(candidate)
+    except json.JSONDecodeError:
+        return None
+    return parsed if isinstance(parsed, dict) else None
 
 
 def shape_matches(prototype, value) -> bool:

@@ -561,6 +561,19 @@ BAD_INPUTS = {
     "synthesize_empty_example": (1, "synthesize --example {empty_object} --mock-script {script}"),
     "populate_max_inflight_0": (2, POPULATE + " --template {template} --mock-script {script} --max-inflight 0"),
     "pipeline_max_inflight_0": (2, "pipeline --config {config_max_inflight_0}"),
+    "config_coverage_text": (2, "pipeline --config {config_coverage_text}"),
+    "config_max_inflight_float": (2, "pipeline --config {config_max_inflight_float}"),
+    "config_retry_limit_bool": (2, "pipeline --config {config_retry_limit_bool}"),
+    "config_depth_threshold_float": (2, "pipeline --config {config_depth_threshold_float}"),
+    "config_use_rag_number": (2, "pipeline --config {config_use_rag_number}"),
+    "config_mu_text": (2, "pipeline --config {config_mu_text}"),
+    "config_provider_retries_float": (2, "pipeline --config {config_provider_retries_float}"),
+    "config_provider_timeout_text": (2, "pipeline --config {config_provider_timeout_text}"),
+    "mock_script_usage_not_object": (1, POPULATE + " --template {template} --mock-script {script_usage_5}"),
+    "evaluate_blank_contract": (
+        1, "evaluate --contract {blank} --schema-dir {schema_dir} --root contract.schema.json"
+        " --cdm {cdm_one_key} --coverage --mock-script {script}"
+    ),
 }
 
 
@@ -584,6 +597,8 @@ def test_bad_input_is_typed_not_a_traceback(
         "mock_script": str(script),
         "contracts": [job],
     }
+    http_config = {k: v for k, v in config.items() if k != "mock_script"}
+    provider = {"endpoint": "http://127.0.0.1:9/v1/chat/completions", "timeout": 60}
     files = {
         "not_json": "{not json",
         "not_object": "[1, 2]",
@@ -592,6 +607,17 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_without_schema_dir": json.dumps({k: v for k, v in config.items() if k != "schema_dir"}),
         "config_rag_without_kb": json.dumps({**config, "use_rag": True}),
         "config_max_inflight_0": json.dumps({**config, "max_inflight": 0}),
+        "config_coverage_text": json.dumps({**config, "coverage": "false"}),
+        "config_max_inflight_float": json.dumps({**config, "max_inflight": 2.9}),
+        "config_retry_limit_bool": json.dumps({**config, "retry_limit": True}),
+        "config_depth_threshold_float": json.dumps({**config, "depth_threshold": 2.5}),
+        "config_use_rag_number": json.dumps({**config, "use_rag": 0}),
+        "config_mu_text": json.dumps({**config, "mu": "0.3"}),
+        "config_provider_retries_float": json.dumps({**http_config, "provider": {**provider, "retries": 2.5}}),
+        "config_provider_timeout_text": json.dumps({**http_config, "provider": {**provider, "timeout": "60"}}),
+        "script_usage_5": json.dumps({"0" * 64: {"text": "{}", "usage": 5}}),
+        "blank": " \n\t\n",
+        "cdm_one_key": json.dumps({"trade": {}}),
         "script_entry_42": json.dumps({"0" * 64: 42}),
         "kb_chunk_without_fields": json.dumps({"chunks": [{"chunk_id": "a"}]}),
         "kb_chunk_not_object": json.dumps({"chunks": [1]}),
@@ -871,6 +897,31 @@ def test_pipeline_with_coverage_writes_the_same_bytes_at_any_max_inflight(
     assert len(reports) == len(helpers.CONTRACT_TYPES) - 1
     for name in reports:
         assert json.loads(outputs[1][name])["coverage_score"] is not None
+
+
+def test_pipeline_blank_contract_gets_failure_row(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
+):
+    names = ["interest_rate_swap", "equity_swap"]
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=names
+    )
+    blank = tmp_path / "blank.txt"
+    blank.write_text(" \n\t\n", encoding="utf-8")
+    contracts = json.loads(config_path.read_text(encoding="utf-8"))["contracts"]
+    contracts[0]["contract_path"] = str(blank)
+    gateway = _ProbeGateway(json.loads(script_path.read_text(encoding="utf-8")))
+    code = _pipeline_with_probe(monkeypatch, config_path, gateway, coverage=True, contracts=contracts)
+    assert code == 0
+    with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as handle:
+        status = {row["group"]: row["status"] for row in csv.DictReader(handle)}
+    assert status == {
+        "EquitySwap": "ok",
+        "combined": "ok",
+        "interest_rate_swap": "failed: MalformedDocument",
+    }
+    assert json.loads((out_dir / "equity_swap.report.json").read_text(encoding="utf-8"))["coverage_score"]
+    assert not (out_dir / "interest_rate_swap.cdm.json").exists()
 
 
 @pytest.mark.parametrize("max_inflight", [1, 2, 4])

@@ -265,8 +265,7 @@ def test_extract_from_code_fence():
 
 def test_extract_from_prose():
     text = 'Here is the result: {"a": {"b": "x"}} hope this helps'
-    expected = json.loads(oracles.first_balanced_object(text))
-    assert extract_structured(text) == expected == {"a": {"b": "x"}}
+    assert extract_structured(text) == oracles.scan_structured(text) == {"a": {"b": "x"}}
 
 
 def test_extract_no_payload():
@@ -300,6 +299,26 @@ FIXTURE_VALUES = [
 def test_extract_roundtrip_under_wrapping(value, prefix, suffix):
     text = prefix + json.dumps(value) + suffix
     assert extract_structured(text) == value
+
+
+EXTRACTION_PIECES = [
+    "{", "}", '"', "\\", '\\"', "```", "```json\n", "\n", " ", ":", ",", "[", "]",
+    "NaN", "-Infinity", "x", '"k"', '"k": ', "1", "true", "null", "{}", '{"a": 1}',
+    '{"a": NaN}', '{"b": [1, {"c": "}"}]}', '"{"', '["x"]',
+]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(pieces=st.lists(st.sampled_from(EXTRACTION_PIECES), max_size=24))
+def test_extract_matches_the_scanning_oracle(pieces):
+    text = "".join(pieces)
+    expected = oracles.scan_structured(text)
+    if expected is None:
+        with pytest.raises(NoStructuredPayload):
+            extract_structured(text)
+    else:
+        # Compared as text, so NaN matches NaN.
+        assert json.dumps(extract_structured(text)) == json.dumps(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from cdmgen.populator import (
     select_tasks,
     validate_shape,
 )
+from cdmgen.evaluator import evaluate_document
+from cdmgen.schema_index import load_schema_dir
 from cdmgen.template_builder import Template, build_template, flatten_examples
 from cdmgen import treeops
 
@@ -347,9 +349,62 @@ def test_shape_annotations_are_not_required():
         (False, True, "true"),
     ],
 )
-def test_shape_leaf_kinds(placeholder, good, bad):
+def test_shape_leaf_kinds(placeholder, good, bad, tmp_path):
     assert validate_shape({"x": placeholder}, {"x": good}).ok
     assert not validate_shape({"x": placeholder}, {"x": bad}).ok
+    # One leaf rule: validation accepts what treeops.conforms accepts for
+    # the placeholder's kind, plus an unfilled date, and the score agrees
+    # with treeops.conforms for every schema kind with this placeholder.
+    kind = treeops.placeholder_kind(placeholder)
+    for value in LEAF_SAMPLES:
+        report = validate_shape({"x": placeholder}, {"x": value})
+        assert report.ok == (
+            treeops.conforms(kind, value) or (kind == "date" and value == "YYYY-MM-DD")
+        ), value
+        if not report.ok:
+            detail = CLASH_DETAILS[kind].format(got=_value_kind(value))
+            assert report.to_payload() == [{"path": "x", "kind": "type_clash", "detail": detail}]
+    (tmp_path / "root.schema.json").write_text(json.dumps(LEAF_SCHEMA), encoding="utf-8")
+    index = load_schema_dir(tmp_path, "root.schema.json")
+    for name, prop in index.doc("root.schema.json").properties.items():
+        if treeops.placeholder_kind(treeops.PLACEHOLDERS[prop.scalar_type]) != kind:
+            continue
+        for value in LEAF_SAMPLES:
+            adheres = evaluate_document({name: value}, index).per_path_detail[0]["adheres"]
+            assert adheres == treeops.conforms(prop.scalar_type, value, prop.enum_values), (name, value)
+
+
+LEAF_SAMPLES = [
+    "", "text", "gold", "YYYY-MM-DD", "2024-03-13", "13/03/2024",
+    0, 7, -2, 12.5, 20240313, True, False, None, [], ["x"], {}, {"a": 1},
+]
+
+# Schema leaves of every scalar kind.
+LEAF_SCHEMA = {
+    "properties": {
+        "s": {"type": "string"},
+        "e": {"enum": ["gold", "silver"]},
+        "d": {"type": "string", "format": "date"},
+        "n": {"type": "number"},
+        "i": {"type": "integer"},
+        "b": {"type": "boolean"},
+    }
+}
+
+# The type_clash details, which repair prompts quote.
+CLASH_DETAILS = {
+    "string": "expected a string, got {got}",
+    "number": "expected a number, got {got}",
+    "boolean": "expected a boolean, got {got}",
+    "date": "expected a YYYY-MM-DD date or the placeholder",
+}
+
+
+def _value_kind(value) -> str:
+    if isinstance(value, bool):
+        return "a boolean"
+    names = {dict: "an object", list: "an array", int: "a number", float: "a number", str: "a string"}
+    return names.get(type(value), "null")
 
 
 def test_shape_object_vs_list_clash():

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from cdmgen.errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
-from cdmgen.schema_index import load_schema_dir, resolve_ref
+from cdmgen.schema_index import load_schema_dir
 
 
 def write(path, payload) -> None:
@@ -240,32 +240,6 @@ def nested_dir_index(tmp_path):
         {"properties": {"partyId": {"type": "string"}}},
     )
     return load_schema_dir(tmp_path, "root.schema.json")
-
-
-def test_resolve_ref_normalizes_relative_paths(nested_dir_index):
-    assert (
-        resolve_ref(nested_dir_index, "product/swap.schema.json", "../base/party.schema.json")
-        == "base/party.schema.json"
-    )
-    assert (
-        resolve_ref(nested_dir_index, "root.schema.json", "product/swap.schema.json")
-        == "product/swap.schema.json"
-    )
-
-
-def test_resolve_ref_missing_target(nested_dir_index):
-    with pytest.raises(UnresolvedRef):
-        resolve_ref(nested_dir_index, "root.schema.json", "missing.schema.json")
-
-
-def test_resolution_is_idempotent(nested_dir_index):
-    first = resolve_ref(
-        nested_dir_index, "product/swap.schema.json", "../base/party.schema.json"
-    )
-    second = resolve_ref(
-        nested_dir_index, "product/swap.schema.json", "../base/party.schema.json"
-    )
-    assert first == second
 
 
 def test_nested_lookup_through_directories(nested_dir_index):

@@ -15,7 +15,6 @@ from cdmgen.template_builder import (
     build_template,
     flatten_examples,
     prune_empty,
-    template_stats,
 )
 
 
@@ -224,43 +223,3 @@ def test_prune_is_idempotent_and_matches_oracle(tree):
     assert prune_empty(once) == once
     assert once == oracles.prune_fixpoint(tree)
 
-
-# ---------------------------------------------------------------------------
-# template_stats
-
-
-def make_template(tree):
-    from cdmgen.template_builder import Template
-
-    return Template(tree=tree, contract_type="sample-record", schema_root="root.schema.json")
-
-
-def test_stats_single_chain_of_four_objects():
-    tree = {"o1": {"o2": {"o3": {"o4": {"leaf": ""}}}}}
-    stats = template_stats(make_template(tree))
-    assert stats == {"leaf_count": 1, "max_depth": 5, "object_count": 4}
-
-
-def test_stats_empty_template():
-    assert template_stats(make_template({})) == {
-        "leaf_count": 0,
-        "max_depth": 0,
-        "object_count": 0,
-    }
-
-
-def test_stats_single_leaf_at_root():
-    assert template_stats(make_template({"x": ""})) == {
-        "leaf_count": 1,
-        "max_depth": 1,
-        "object_count": 0,
-    }
-
-
-def test_stats_ignore_annotations():
-    tree = {"description": "Ann.", "a": {"description": "Ann.", "b": ""}}
-    assert template_stats(make_template(tree)) == {
-        "leaf_count": 1,
-        "max_depth": 2,
-        "object_count": 1,
-    }
