@@ -303,7 +303,7 @@ def cmd_report(args, parser) -> int:
         parser.error(f"no report files found in {report_dir}")
     groups: dict[str, list] = {}
     for file in files:
-        envelope = json.loads(file.read_text(encoding="utf-8"))
+        envelope = read_json_object(file, "syntactical_correctness", "schema_adherence")
         group = envelope.get("contract_type") or "unknown"
         groups.setdefault(group, []).append(evaluator.EvaluationReport.from_dict(envelope))
     _write_summary(args.out, _summary_rows(groups, []))
@@ -405,10 +405,11 @@ class RunConfig:
 @dataclass
 class _StartedContract:
     """A pipeline contract whose tasks are queued, or the domain error
-    that stopped it before."""
+    that stopped it before. ``template_text`` is its template's file
+    text, once the template is built."""
 
     job: ContractJob
-    template: Optional[Template] = None
+    template_text: Optional[str] = None
     text: str = ""
     population: Optional[populator.PendingPopulation] = None
     error: Optional[CdmgenError] = None
@@ -438,12 +439,14 @@ def cmd_pipeline(args, parser) -> int:
     gateway = _make_gateway(parser, run.mock_script, **run.provider)
 
     # Contracts naming the same knowledge base share it, and contracts of
-    # one type built from the same examples share a template; neither is
-    # mutated by a run. A base that does not load stops the batch before
-    # any file is written.
+    # one type built from the same examples share a template and its file
+    # text; those that also share a base share one task plan. None of them
+    # is mutated by a run. A base that does not load stops the batch
+    # before any file is written.
     kb_paths = dict.fromkeys(job.kb_path for job in run.contracts if job.kb_path)
     bases = {path: KnowledgeBase.load(path) for path in kb_paths}
-    templates: dict[tuple[Path, str], Template] = {}
+    templates: dict[tuple[Path, str], tuple[Template, str]] = {}
+    plans: dict[tuple[Path, str, Optional[Path]], list[populator.PopulationTask]] = {}
     index = load_schema_dir(run.schema_dir, run.root_file)
     out_dir = run.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -459,11 +462,15 @@ def cmd_pipeline(args, parser) -> int:
             template_key = (job.examples_dir, job.contract_type)
             if template_key not in templates:
                 keys = flatten_examples(job.examples_dir)
-                templates[template_key] = build_template(index, keys, job.contract_type)
-            started.template = templates[template_key]
+                template = build_template(index, keys, job.contract_type)
+                templates[template_key] = template, template.to_text()
+            template, started.template_text = templates[template_key]
             started.text = _read_contract(job.contract_path)
+            plan_key = (*template_key, job.kb_path)
+            if plan_key not in plans:
+                plans[plan_key] = populator.plan_tasks(template, cfg, bases.get(job.kb_path))
             started.population = populator.submit_population(
-                pool, started.template, started.text, bases.get(job.kb_path), gateway, cfg
+                pool, template, plans[plan_key], started.text, gateway, cfg
             )
         except CdmgenError as exc:
             started.error = exc
@@ -474,8 +481,8 @@ def cmd_pipeline(args, parser) -> int:
         queue its coverage call; returns what :func:`report` needs, or None
         when the contract failed."""
         job = started.job
-        if started.template is not None:
-            atomic_write_text(out_dir / f"{job.name}.template.json", started.template.to_text())
+        if started.template_text is not None:
+            atomic_write_text(out_dir / f"{job.name}.template.json", started.template_text)
         if started.error is not None:
             failures.append((job.name, type(started.error).__name__))
             return None

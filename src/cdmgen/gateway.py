@@ -15,9 +15,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import prompts
 from .errors import (
@@ -28,6 +26,9 @@ from .errors import (
     Timeout,
 )
 from .treeops import conforms, read_json_object
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -131,12 +132,15 @@ class HttpProvider:
     8 s. Authentication failures never retry, nor does a 200 reply that is
     not JSON or carries no message (both raise :class:`ProviderUnavailable`).
     The endpoint can be overridden through the ``CDMGEN_ENDPOINT``
-    environment variable.
+    environment variable. ``requests`` is imported here, not with the
+    module, so runs without an HTTP provider never load it.
     """
 
     _sleep = staticmethod(time.sleep)
 
     def __init__(self, cfg: ProviderConfig, session: Optional[requests.Session] = None):
+        import requests
+
         self.cfg = cfg
         self.session = session or requests.Session()
 
@@ -156,6 +160,8 @@ class HttpProvider:
         return headers
 
     def complete(self, prompt: PromptBundle) -> CompletionResult:
+        import requests
+
         payload = {
             "model": self.cfg.model_name,
             "messages": [

@@ -73,7 +73,12 @@ class DepthAnnotatedNode:
 
 @dataclass
 class PopulationTask:
-    """A maximal substructure of bounded depth plus its prompt context."""
+    """A maximal substructure of bounded depth plus its prompt context.
+
+    ``structure_text`` is the placeholder structure as the prompt shows it,
+    encoded once when the task is made. A batch shares one planned task
+    among its contracts, so nothing changes a task after it is planned.
+    """
 
     target_path: str
     segments: tuple
@@ -83,6 +88,10 @@ class PopulationTask:
     depth: int
     retrieved_chunks: list[Chunk] = field(default_factory=list)
     unwrap_key: Optional[str] = None
+    structure_text: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.structure_text = json.dumps(self.target_subtree, indent=2, ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -200,7 +209,10 @@ def plan_tasks(
     template: Template, cfg: PopulationConfig, kb: Optional[KnowledgeBase]
 ) -> list[PopulationTask]:
     """The tasks a run issues, in order: selected, then given their
-    retrieved chunks when RAG is on. An empty template has no tasks."""
+    retrieved chunks when RAG is on. An empty template has no tasks.
+
+    The plan depends only on its arguments, not on the contract text, so
+    contracts that share a template and knowledge base can share it."""
     if cfg.use_rag and kb is None:
         raise ValueError("use_rag requires a knowledge base")
     if not treeops.data_items(template.tree):
@@ -239,10 +251,7 @@ def build_prompt(
     sections.append(f"Location in the document: {context if context else 'document root'}")
     if task.object_definition:
         sections.append(f"Object definition: {task.object_definition}")
-    sections.append(
-        "Structure to populate:\n"
-        + json.dumps(task.target_subtree, indent=2, ensure_ascii=False)
-    )
+    sections.append("Structure to populate:\n" + task.structure_text)
     if cfg.use_rag and task.retrieved_chunks:
         bodies = "\n\n".join(chunk.body for chunk in task.retrieved_chunks)
         sections.append(f"Reference examples from similar contracts:\n{bodies}")
@@ -391,8 +400,9 @@ def populate(
     provenance to the raised error. This is the one-contract case of
     :func:`submit_population` on its own :class:`CallPool`.
     """
+    tasks = plan_tasks(template, cfg, kb)
     with CallPool(cfg.max_inflight) as pool:
-        return submit_population(pool, template, contract_text, kb, gateway, cfg).collect()
+        return submit_population(pool, template, tasks, contract_text, gateway, cfg).collect()
 
 
 class _Skipped(Exception):
@@ -452,17 +462,18 @@ class CallPool:
 def submit_population(
     pool: CallPool,
     template: Template,
+    tasks: list[PopulationTask],
     contract_text: str,
-    kb: Optional[KnowledgeBase],
     gateway,
     cfg: PopulationConfig,
 ) -> "PendingPopulation":
-    """Plan a population run and queue every task on ``pool``.
+    """Queue every task of ``template``'s plan (:func:`plan_tasks`) for one
+    contract on ``pool``. The tasks are only read, so one plan serves any
+    number of contracts.
 
     Nothing waits here, so a caller can queue the next contract's tasks
     behind this one's before collecting it.
     """
-    tasks = plan_tasks(template, cfg, kb)
     futures = [pool.submit(_run_one, task, contract_text, gateway, cfg) for task in tasks]
     return PendingPopulation(pool, template, tasks, futures)
 

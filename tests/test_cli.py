@@ -2,19 +2,24 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import helpers
-from cdmgen import prompts
+import cdmgen
+from cdmgen import populator, prompts
 from cdmgen.cli import main
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure
 from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, prompt_hash
-from cdmgen.knowledge_base import KnowledgeBase
+from cdmgen.knowledge_base import KnowledgeBase, ingest_examples
 from cdmgen.populator import PopulationConfig
 from cdmgen.template_builder import build_template, flatten_examples
 
@@ -574,6 +579,8 @@ BAD_INPUTS = {
         1, "evaluate --contract {blank} --schema-dir {schema_dir} --root contract.schema.json"
         " --cdm {cdm_one_key} --coverage --mock-script {script}"
     ),
+    "report_not_json": (1, "report --in {reports_not_json}"),
+    "report_without_scores": (1, "report --in {reports_contract_type_only}"),
 }
 
 
@@ -622,6 +629,7 @@ def test_bad_input_is_typed_not_a_traceback(
         "kb_chunk_without_fields": json.dumps({"chunks": [{"chunk_id": "a"}]}),
         "kb_chunk_not_object": json.dumps({"chunks": [1]}),
         "kb_without_chunks": json.dumps({"chunks": []}),
+        "contract_type_only": json.dumps({"contract_type": "x"}),
     }
     files["config_kb_without_chunks"] = json.dumps(
         {
@@ -641,6 +649,10 @@ def test_bad_input_is_typed_not_a_traceback(
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text, encoding="utf-8")
+    for name in ("not_json", "contract_type_only"):
+        paths[f"reports_{name}"] = tmp_path / f"reports_{name}"
+        paths[f"reports_{name}"].mkdir()
+        (paths[f"reports_{name}"] / "r1.report.json").write_text(files[name], encoding="utf-8")
     expected_code, flags = BAD_INPUTS[case]
     argv = [part.format(**paths) for part in flags.split()]
     if argv[0] != "pipeline":
@@ -1009,3 +1021,159 @@ def test_task_outage_in_a_later_contract_keeps_the_finished_one(
         assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
     assert (out_dir / f"{names[1]}.provenance.json").is_file()
     assert not (out_dir / f"{names[1]}.cdm.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# one task plan per template and knowledge base in a batch
+
+
+def _write_batch(tmp_path, cdm_schema_dir, jobs, script, **settings) -> Path:
+    """Write a mock script and a pipeline config for ``jobs``; returns the
+    config path. The batch writes to ``tmp_path / "out"``."""
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    config_path = tmp_path / "run.json"
+    config = {
+        "schema_dir": str(cdm_schema_dir),
+        "root_file": "contract.schema.json",
+        "out_dir": str(tmp_path / "out"),
+        "contracts": jobs,
+        "mock_script": str(script_path),
+        **settings,
+    }
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return config_path
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_pipeline_plans_a_template_once_and_writes_what_single_runs_write(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir, monkeypatch, max_inflight
+):
+    key = "interest_rate_swap"
+    contract_type = helpers.CONTRACT_TYPES[key]
+    template = build_template(cdm_index, flatten_examples(examples_root / key), contract_type)
+    text = (contracts_dir / f"{key}.txt").read_text(encoding="utf-8")
+    cfg = PopulationConfig()
+    script, jobs = {}, []
+    for i in range(3):
+        contract = tmp_path / f"c{i}.txt"
+        contract.write_text(f"{text}\nVariant {i}.\n", encoding="utf-8")
+        script.update(build_population_script(cdm_index, template, contract.read_text(encoding="utf-8"), cfg))
+        jobs.append(
+            {
+                "name": f"c{i}",
+                "contract_type": contract_type,
+                "contract_path": str(contract),
+                "examples_dir": str(examples_root / key),
+            }
+        )
+    config_path = _write_batch(tmp_path, cdm_schema_dir, jobs, script, max_inflight=max_inflight)
+    plans = []
+    select_tasks = populator.select_tasks
+
+    def recording_select(*args):
+        plans.append(select_tasks(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(populator, "select_tasks", recording_select)
+    assert run(["pipeline", "--config", config_path]) == 0
+    assert len(plans) == 1
+    # The three contracts shared the plan, and none of their runs changed it.
+    fresh = select_tasks(populator.compute_depths(template), cfg.depth_threshold)
+    assert [task.target_subtree for task in plans[0]] == [task.target_subtree for task in fresh]
+    assert [task.structure_text for task in plans[0]] == [task.structure_text for task in fresh]
+
+    out_dir, single = tmp_path / "out", tmp_path / "single"
+    template_path = single / "template.json"
+    examples = examples_root / key
+    schema = ["--schema-dir", cdm_schema_dir, "--root", "contract.schema.json"]
+    assert run(["make-template", *schema, "--examples", examples, "--contract-type", contract_type, "--out", template_path]) == 0
+    for job in jobs:
+        name, contract = job["name"], job["contract_path"]
+        assert run(
+            [
+                "populate", "--template", template_path, "--contract", contract,
+                "--mock-script", tmp_path / "script.json", "--max-inflight", max_inflight,
+                "--out", single / f"{name}.cdm.json", "--provenance", single / f"{name}.provenance.json",
+            ]
+        ) == 0
+        assert run(
+            [
+                "evaluate", "--contract", contract, "--cdm", single / f"{name}.cdm.json", *schema,
+                "--contract-type", contract_type, "--out", single / f"{name}.report.json",
+            ]
+        ) == 0
+        assert (out_dir / f"{name}.template.json").read_bytes() == template_path.read_bytes()
+        for suffix in (".cdm.json", ".provenance.json", ".report.json"):
+            assert (out_dir / f"{name}{suffix}").read_bytes() == (single / f"{name}{suffix}").read_bytes()
+
+
+def test_pipeline_plans_a_template_once_per_knowledge_base(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir
+):
+    key = "interest_rate_swap"
+    contract_type = helpers.CONTRACT_TYPES[key]
+    template = build_template(cdm_index, flatten_examples(examples_root / key), contract_type)
+    template_path = tmp_path / "template.json"
+    template_path.write_text(template.to_text(), encoding="utf-8")
+    contract = contracts_dir / f"{key}.txt"
+    text = contract.read_text(encoding="utf-8")
+    cfg = PopulationConfig(use_rag=True, k_chunks=2)
+    script, jobs = {}, []
+    # Two bases for one type, from different examples: the contracts share
+    # a template and a text, so only their retrieved chunks differ.
+    for i, source in enumerate([key, "equity_swap"]):
+        kb_path = tmp_path / f"kb{i}.json"
+        ingest_examples(examples_root / source, contract_type, 60).save(kb_path)
+        script.update(build_population_script(cdm_index, template, text, cfg, KnowledgeBase.load(kb_path)))
+        jobs.append(
+            {
+                "name": f"c{i}",
+                "contract_type": contract_type,
+                "contract_path": str(contract),
+                "examples_dir": str(examples_root / key),
+                "kb_path": str(kb_path),
+            }
+        )
+    config_path = _write_batch(tmp_path, cdm_schema_dir, jobs, script, use_rag=True, k_chunks=2)
+    assert run(["pipeline", "--config", config_path]) == 0
+
+    hashes = []
+    for job in jobs:
+        name = job["name"]
+        single = tmp_path / f"{name}.single.provenance.json"
+        assert run(
+            [
+                "populate", "--template", template_path, "--contract", contract,
+                "--rag", "--kb", job["kb_path"], "--k-chunks", 2, "--mock-script", tmp_path / "script.json",
+                "--out", tmp_path / f"{name}.single.cdm.json", "--provenance", single,
+            ]
+        ) == 0
+        assert (tmp_path / "out" / f"{name}.provenance.json").read_bytes() == single.read_bytes()
+        hashes.append({record["prompt_hash"] for record in json.loads(single.read_text(encoding="utf-8")).values()})
+    assert hashes[0].isdisjoint(hashes[1])
+
+
+def test_mock_script_runs_never_import_requests(tmp_path, cdm_schema_dir, examples_root, contracts_dir):
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+    )
+    code = "\n".join(
+        [
+            "import sys",
+            "import cdmgen.cli",
+            "assert 'requests' not in sys.modules, 'importing cdmgen.cli loaded requests'",
+            f"assert cdmgen.cli.main(['pipeline', '--config', {str(config_path)!r}]) == 0",
+            "assert 'requests' not in sys.modules, 'a mock-script pipeline loaded requests'",
+        ]
+    )
+    src = Path(cdmgen.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (out_dir / "summary.csv").is_file()
