@@ -27,7 +27,7 @@ from .knowledge_base import KnowledgeBase, ingest_examples
 from .populator import PopulationConfig, clean, populate
 from .schema_index import load_schema_dir
 from .template_builder import Template, build_template, flatten_examples
-from .treeops import iter_leaf_paths, read_json_object
+from .treeops import iter_leaf_paths, read_json_object, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -81,9 +81,9 @@ def _setting(flag_value, env_var: str, config_value, cast):
 
 
 def _read_contract(path) -> str:
-    """A contract file's text; an empty or blank file raises
-    :class:`MalformedDocument`."""
-    text = Path(path).read_text(encoding="utf-8")
+    """A contract file's text; an empty or blank file, or one that is not
+    UTF-8, raises :class:`MalformedDocument`."""
+    text = read_text(path)
     if not text.strip():
         raise MalformedDocument(str(path), 0, "the contract text is empty")
     return text
@@ -238,7 +238,7 @@ def cmd_synthesize(args, parser) -> int:
     example = read_json_object(args.example)
     if not example:
         raise MalformedDocument(args.example, 0, "the example is an empty object")
-    references = [Path(p).read_text(encoding="utf-8") for p in args.reference]
+    references = [read_text(p) for p in args.reference]
     text = synthesize_description(gateway, example, references)
     atomic_write_text(args.out, text if text.endswith("\n") else text + "\n")
     return 0
@@ -298,14 +298,20 @@ def _write_summary(path, rows: list[list]) -> None:
 
 def cmd_report(args, parser) -> int:
     report_dir = Path(args.input)
-    files = sorted(report_dir.glob("*.json"))
+    files = sorted(file for file in report_dir.glob("*.json") if not file.is_dir())
     if not files:
         parser.error(f"no report files found in {report_dir}")
     groups: dict[str, list] = {}
     for file in files:
         envelope = read_json_object(file, "syntactical_correctness", "schema_adherence")
+        try:
+            report = evaluator.EvaluationReport.from_dict(envelope)
+        except ValueError as exc:
+            raise MalformedDocument(str(file), 0, str(exc)) from exc
         group = envelope.get("contract_type") or "unknown"
-        groups.setdefault(group, []).append(evaluator.EvaluationReport.from_dict(envelope))
+        if not isinstance(group, str):
+            raise MalformedDocument(str(file), 0, "'contract_type' is not a string")
+        groups.setdefault(group, []).append(report)
     _write_summary(args.out, _summary_rows(groups, []))
     return 0
 

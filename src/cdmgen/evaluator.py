@@ -83,9 +83,22 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "EvaluationReport":
+        """The report :meth:`to_dict` wrote; raises ``ValueError`` when a
+        score is neither a number nor null, or ``lists`` or
+        ``per_path_detail`` has another shape."""
+        for metric in METRICS:
+            value = payload.get(metric)
+            if value is not None and not treeops.conforms("number", value):
+                raise ValueError(f"{metric!r} is neither a number nor null")
+        if not isinstance(payload.get("per_path_detail", []), list):
+            raise ValueError("'per_path_detail' is not a list")
         lists = None
         if payload.get("lists") is not None:
             raw = payload["lists"]
+            if not isinstance(raw, dict) or not all(
+                isinstance(raw.get(name, []), list) for name in ("captured", "uncaptured", "extraneous")
+            ):
+                raise ValueError("'lists' is not an object of lists")
             lists = CoverageLists(
                 captured=tuple(raw.get("captured", ())),
                 uncaptured=tuple(raw.get("uncaptured", ())),

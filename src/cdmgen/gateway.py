@@ -44,6 +44,24 @@ class PromptBundle:
     system_text: str
     user_text: str
 
+    @property
+    def digest(self) -> str:
+        """sha256 over system text, a NUL byte and user text, computed once
+        per bundle: the populator and the mock provider both ask for it.
+
+        Kept in the instance dict by hand, as ``functools.cached_property``
+        would, but without its class-wide lock, so worker threads hash
+        their own prompts at once; a race only computes the same value twice.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            digest = hashlib.sha256()
+            digest.update(self.system_text.encode("utf-8"))
+            digest.update(b"\x00")
+            digest.update(self.user_text.encode("utf-8"))
+            cached = self.__dict__["_digest"] = digest.hexdigest()
+        return cached
+
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -73,11 +91,7 @@ class CompletionResult:
 
 def prompt_hash(prompt: PromptBundle) -> str:
     """Stable identity of a prompt: sha256 over system and user text."""
-    digest = hashlib.sha256()
-    digest.update(prompt.system_text.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(prompt.user_text.encode("utf-8"))
-    return digest.hexdigest()
+    return prompt.digest
 
 
 class MockProvider:

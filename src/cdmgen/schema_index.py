@@ -14,7 +14,7 @@ Anything else is ignored.
 
 from __future__ import annotations
 
-import json
+import os
 import posixpath
 import re
 from dataclasses import dataclass, field
@@ -28,6 +28,8 @@ _JSON_SCALARS = {"string", "number", "integer", "boolean"}
 _DATE_WORD = re.compile(r"\bdate\b", re.IGNORECASE)
 
 DEFAULT_MAX_PATH_DEPTH = 64
+
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,12 @@ class SchemaIndex:
         would exceed ``max_path_depth`` segments and ``ValueError`` on an
         empty path.
         """
+        # A memo key is a normalized path, which normalizes to itself, so a
+        # raw path equal to a key needs no normalizing. Empty, over-deep and
+        # indexed paths are never keys: they take the checks below.
+        hit = self._path_table.get(path, _MISS)
+        if hit is not _MISS:
+            return hit is not None, hit
         if not path or not path.strip("."):
             raise ValueError("path must be a non-empty dot-separated string")
         segments = [seg for seg in path.split(".") if seg and not seg.isdigit()]
@@ -158,13 +166,8 @@ def load_schema_dir(schema_dir, root_file) -> SchemaIndex:
     root_id = _root_id_for(base, Path(root_file))
 
     raw_docs: dict[str, dict] = {}
-    for file in sorted(base.rglob("*.json")):
-        doc_id = file.relative_to(base).as_posix()
-        text = file.read_text(encoding="utf-8")
-        try:
-            parsed = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(doc_id, exc.pos, exc.msg) from exc
+    for doc_id in treeops.json_files(base):
+        parsed = treeops.read_json(os.path.join(base, doc_id), doc_id)
         if not isinstance(parsed, dict):
             raise MalformedDocument(doc_id, 0, "top-level value is not an object")
         raw_docs[doc_id] = parsed
@@ -235,7 +238,7 @@ class _IndexBuilder:
                     continue
                 group = f"{keyword}[{i}]" if keyword in ("anyOf", "oneOf") else None
                 if "$ref" in member:
-                    target = self._resolve(doc_id, member["$ref"], f"{doc_id}#{keyword}[{i}]")
+                    target = self._resolve(doc_id, member["$ref"], f"{keyword}[{i}]")
                     for name, raw_prop, inner in self._raw_properties(target, visiting):
                         yield name, raw_prop, group or inner
                 else:
@@ -245,13 +248,12 @@ class _IndexBuilder:
     # -- classification -----------------------------------------------------
 
     def _classify(self, doc_id: str, name: str, raw_prop, group) -> PropertyDef:
-        where = f"{doc_id}#{name}"
         if not isinstance(raw_prop, dict):
             raw_prop = {}
         description = self._description(raw_prop)
 
         if "$ref" in raw_prop:
-            target = self._chase_alias(self._resolve(doc_id, raw_prop["$ref"], where))
+            target = self._chase_alias(self._resolve(doc_id, raw_prop["$ref"], name))
             if self._is_scalar_doc(target, frozenset()):
                 raw_target = self.raw[target]
                 description = description or self._description(raw_target)
@@ -260,7 +262,7 @@ class _IndexBuilder:
 
         items = raw_prop.get("items")
         if raw_prop.get("type") == "array" or isinstance(items, dict):
-            return self._array_property(doc_id, name, raw_prop, description, group, where)
+            return self._array_property(doc_id, name, raw_prop, description, group)
 
         if "properties" in raw_prop or raw_prop.get("type") == "object":
             target = self._register_inline(doc_id, name, raw_prop)
@@ -268,12 +270,12 @@ class _IndexBuilder:
 
         return self._scalar("scalar", name, raw_prop, description, group)
 
-    def _array_property(self, doc_id, name, raw_prop, description, group, where) -> PropertyDef:
+    def _array_property(self, doc_id, name, raw_prop, description, group) -> PropertyDef:
         items = raw_prop.get("items")
         items = items if isinstance(items, dict) else {}
         target = None
         if "$ref" in items:
-            target = self._chase_alias(self._resolve(doc_id, items["$ref"], where))
+            target = self._chase_alias(self._resolve(doc_id, items["$ref"], name))
             if self._is_scalar_doc(target, frozenset()):
                 items, target = self.raw[target], None
         elif "properties" in items or items.get("type") == "object":
@@ -318,19 +320,21 @@ class _IndexBuilder:
 
     # -- small helpers ------------------------------------------------------
 
-    def _resolve(self, from_doc: str, ref_text, where: str) -> str:
-        if not isinstance(ref_text, str) or not ref_text:
-            raise UnresolvedRef(str(ref_text), where)
-        target = _normalize_ref(from_doc, ref_text)
-        if target not in self.raw:
-            raise UnresolvedRef(ref_text, where)
-        return target
+    def _resolve(self, from_doc: str, ref_text, label: Optional[str] = None) -> str:
+        """The document a ref written inside ``from_doc`` names. An
+        :class:`UnresolvedRef` says where the ref is written: at ``label``
+        in ``from_doc``, or in the document as a whole."""
+        if isinstance(ref_text, str) and ref_text:
+            target = _normalize_ref(from_doc, ref_text)
+            if target in self.raw:
+                return target
+        raise UnresolvedRef(str(ref_text), from_doc if label is None else f"{from_doc}#{label}")
 
     def _chase_alias(self, doc_id: str) -> str:
         """Follow documents whose whole body is a single ``$ref``."""
         seen = [doc_id]
         while set(self.raw[doc_id].keys()) == {"$ref"}:
-            doc_id = self._resolve(doc_id, self.raw[doc_id]["$ref"], doc_id)
+            doc_id = self._resolve(doc_id, self.raw[doc_id]["$ref"])
             if doc_id in seen:
                 raise CycleDetected(f"$ref alias cycle through {' -> '.join(seen)}")
             seen.append(doc_id)
@@ -347,7 +351,7 @@ class _IndexBuilder:
             for member in raw.get(keyword, []) or []:
                 if isinstance(member, dict) and "properties" in member:
                     return False
-                if isinstance(member, dict) and "$ref" in member:
+                if isinstance(member, dict) and isinstance(member.get("$ref"), str):
                     target = _normalize_ref(doc_id, member["$ref"])
                     if target in self.raw and not self._is_scalar_doc(
                         target, visiting | {doc_id}

@@ -13,13 +13,15 @@ is the smallest schema-conformant skeleton that covers the examples.
 from __future__ import annotations
 
 import json
+import os
+import posixpath
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any
 
 from . import treeops
-from .errors import CycleDetected, EmptyExampleDir, MalformedDocument
+from .errors import CycleDetected, EmptyExampleDir
 from .schema_index import PropertyDef, SchemaIndex
 
 
@@ -80,18 +82,15 @@ def load_examples(example_dir) -> list[tuple[str, Any]]:
     """(file name, parsed instance) for every ``.json`` file under a directory.
 
     Raises :class:`EmptyExampleDir` when there is none and
-    :class:`MalformedDocument` naming the first file that fails to parse.
+    :class:`MalformedDocument` naming the first file that is not UTF-8 JSON.
     """
-    base = Path(example_dir)
-    files = sorted(base.rglob("*.json")) if base.is_dir() else []
+    files = treeops.json_files(example_dir) if os.path.isdir(example_dir) else []
     if not files:
         raise EmptyExampleDir(f"no example files found in {example_dir}")
     examples = []
-    for file in files:
-        try:
-            examples.append((file.name, json.loads(file.read_text(encoding="utf-8"))))
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(file.name, exc.pos, exc.msg) from exc
+    for rel in files:
+        name = posixpath.basename(rel)
+        examples.append((name, treeops.read_json(os.path.join(example_dir, rel), name)))
     return examples
 
 

@@ -5,15 +5,16 @@ may carry one annotation entry (``description`` or ``_template_description``)
 that is metadata, not data; every helper here skips annotations consistently
 so depth, leaf and key enumeration agree across modules. The scalar kinds
 of template leaves, their placeholders and the rule for what each kind may
-hold live here too.
+hold live here too, and so do the listing and reading of JSON input files,
+with one rule for what a file that is not UTF-8 JSON raises.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
-from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import MalformedDocument
 
@@ -68,14 +69,64 @@ def conforms(kind: str, value, enum_values=()) -> bool:
     return True
 
 
+def json_files(directory) -> list[str]:
+    """Relative POSIX paths of the ``.json`` files under ``directory``.
+
+    The order is that of the paths' segments, as ``sorted(Path.rglob(...))``
+    gives it: ``a/b.json`` sorts before ``a-b.json``. Directories are never
+    listed, even when their names end in ``.json``; symbolic links to
+    directories are not followed.
+    """
+    found = []
+    for parent, _, names in os.walk(directory):
+        rel = os.path.relpath(parent, directory)
+        prefix = [] if rel == os.curdir else rel.split(os.sep)
+        found.extend(prefix + [name] for name in names if name.endswith(".json"))
+    found.sort()
+    return ["/".join(segments) for segments in found]
+
+
+def read_text(path, name: Optional[str] = None) -> str:
+    """A UTF-8 text file's contents, with CRLF and CR line ends read as LF
+    as text-mode :func:`open` reads them; bytes that are not UTF-8 raise
+    :class:`MalformedDocument` naming the file as ``name`` (by default, as
+    ``path``).
+
+    The file is read with :func:`os.read`: a schema corpus is thousands of
+    small files, and a text-mode file object costs more than the read.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    try:
+        text = b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(name or str(path), exc.start, f"not UTF-8 ({exc.reason})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_json(path, name: Optional[str] = None):
+    """The JSON value in a UTF-8 file; text that is not UTF-8 or not JSON
+    raises :class:`MalformedDocument` naming the file as ``name`` (by
+    default, as ``path``)."""
+    text = read_text(path, name)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(name or str(path), exc.pos, exc.msg) from exc
+
+
 def read_json_object(path, *required: str) -> dict:
     """Parse a JSON file whose top-level value is an object holding every
     ``required`` key; raise :class:`MalformedDocument` naming the file
     otherwise."""
-    try:
-        parsed = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(str(path), exc.pos, exc.msg) from exc
+    parsed = read_json(path)
     if not isinstance(parsed, dict):
         raise MalformedDocument(str(path), 0, "top-level value is not an object")
     for key in required:

@@ -17,11 +17,22 @@ from pathlib import Path
 # brute-force schema path enumeration (walks the raw JSON files directly)
 
 
+def json_files(directory) -> list[str]:
+    """Relative POSIX paths of the ``.json`` files under ``directory``, as a
+    sorted pathlib listing gives them, directories left out."""
+    base = Path(directory)
+    return [
+        file.relative_to(base).as_posix()
+        for file in sorted(base.rglob("*.json"))
+        if not file.is_dir()
+    ]
+
+
 def load_raw_schemas(schema_dir) -> dict[str, dict]:
     base = Path(schema_dir)
     return {
-        file.relative_to(base).as_posix(): json.loads(file.read_text(encoding="utf-8"))
-        for file in sorted(base.rglob("*.json"))
+        doc_id: json.loads((base / doc_id).read_text(encoding="utf-8"))
+        for doc_id in json_files(base)
     }
 
 

@@ -478,6 +478,7 @@ def test_report_aggregates_by_contract_type(tmp_path):
             ),
             encoding="utf-8",
         )
+    (reports_dir / "archive.json").mkdir()  # a directory, not a report
     out = tmp_path / "summary.csv"
     code = run(["report", "--in", reports_dir, "--group-by", "contract-type", "--out", out])
     assert code == 0
@@ -581,6 +582,19 @@ BAD_INPUTS = {
     ),
     "report_not_json": (1, "report --in {reports_not_json}"),
     "report_without_scores": (1, "report --in {reports_contract_type_only}"),
+    "report_lists_not_object": (1, "report --in {reports_lists_5}"),
+    "report_lists_item_not_list": (1, "report --in {reports_captured_5}"),
+    "report_score_text": (1, "report --in {reports_score_text}"),
+    "report_detail_not_list": (1, "report --in {reports_detail_5}"),
+    "report_contract_type_list": (1, "report --in {reports_contract_type_list}"),
+    "schema_not_utf8": (
+        1, "make-template --schema-dir {schema_not_utf8} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "template_not_utf8": (1, POPULATE + " --template {not_utf8} --mock-script {script}"),
+    "contract_not_utf8": (1, "populate --contract {not_utf8} --template {template} --mock-script {script}"),
+    "mock_script_not_utf8": (1, POPULATE + " --template {template} --mock-script {not_utf8}"),
+    "examples_not_utf8": (1, "ingest-kb --examples {examples_not_utf8} --contract-type CommodityOption --budget 200"),
 }
 
 
@@ -630,6 +644,17 @@ def test_bad_input_is_typed_not_a_traceback(
         "kb_chunk_not_object": json.dumps({"chunks": [1]}),
         "kb_without_chunks": json.dumps({"chunks": []}),
         "contract_type_only": json.dumps({"contract_type": "x"}),
+        "not_utf8": b'{"text": "caf\xe9"}',
+    }
+    scores = {"syntactical_correctness": 100.0, "schema_adherence": 100.0}
+    reports = {
+        "not_json": files["not_json"],
+        "contract_type_only": files["contract_type_only"],
+        "lists_5": json.dumps({**scores, "lists": 5}),
+        "captured_5": json.dumps({**scores, "lists": {"captured": 5}}),
+        "score_text": json.dumps({**scores, "syntactical_correctness": "x"}),
+        "detail_5": json.dumps({**scores, "per_path_detail": 5}),
+        "contract_type_list": json.dumps({**scores, "contract_type": ["x"]}),
     }
     files["config_kb_without_chunks"] = json.dumps(
         {
@@ -646,13 +671,22 @@ def test_bad_input_is_typed_not_a_traceback(
         "examples": examples_root / "commodity_option",
         "missing": tmp_path / "missing.txt",
     }
+    def put(path, text):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(text, encoding="utf-8")
-    for name in ("not_json", "contract_type_only"):
-        paths[f"reports_{name}"] = tmp_path / f"reports_{name}"
-        paths[f"reports_{name}"].mkdir()
-        (paths[f"reports_{name}"] / "r1.report.json").write_text(files[name], encoding="utf-8")
+        put(paths[name], text)
+    # Directories of one file each: (directory, file name, content).
+    dirs = [(f"reports_{name}", "r1.report.json", text) for name, text in reports.items()]
+    dirs += [
+        ("schema_not_utf8", "contract.schema.json", files["not_utf8"]),
+        ("examples_not_utf8", "e1.json", files["not_utf8"]),
+    ]
+    for name, file_name, text in dirs:
+        paths[name] = tmp_path / name
+        paths[name].mkdir()
+        put(paths[name] / file_name, text)
     expected_code, flags = BAD_INPUTS[case]
     argv = [part.format(**paths) for part in flags.split()]
     if argv[0] != "pipeline":

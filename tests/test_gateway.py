@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cdmgen import gateway
 from cdmgen.errors import AuthFailure, NoStructuredPayload, ProviderUnavailable, Timeout
 from cdmgen.gateway import (
     CompletionResult,
@@ -62,6 +64,23 @@ def test_prompt_hash_distinguishes_system_and_user():
     b = PromptBundle(system_text="a", user_text="bc")
     assert prompt_hash(a) != prompt_hash(b)
     assert prompt_hash(a) == prompt_hash(PromptBundle(system_text="ab", user_text="c"))
+
+
+def test_prompt_is_hashed_once_as_sha256_of_system_nul_user(monkeypatch):
+    bundle = PromptBundle(system_text="système", user_text="user words")
+    expected = hashlib.sha256("système".encode() + b"\x00" + b"user words").hexdigest()
+    passes = []
+    real_sha256 = hashlib.sha256
+
+    def counting_sha256(*args):
+        passes.append(args)
+        return real_sha256(*args)
+
+    monkeypatch.setattr(gateway.hashlib, "sha256", counting_sha256)
+    assert prompt_hash(bundle) == expected
+    assert MockProvider({expected: "reply"}).complete(bundle).text == "reply"
+    assert prompt_hash(bundle) == expected
+    assert len(passes) == 1
 
 
 # ---------------------------------------------------------------------------

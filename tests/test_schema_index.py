@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from cdmgen import treeops
 from cdmgen.errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
 from cdmgen.schema_index import load_schema_dir
 
@@ -47,6 +53,16 @@ def test_missing_reference_is_reported(tmp_path):
     assert "root.schema.json#g" in str(exc_info.value)
 
 
+def test_non_string_composite_ref_is_unresolved(tmp_path):
+    # The referencing document loads first, so the scalar test of z.json
+    # meets the bad ref before z.json's own properties are collected.
+    write(tmp_path / "0.schema.json", {"properties": {"z": {"$ref": "z.schema.json"}}})
+    write(tmp_path / "z.schema.json", {"allOf": [{"$ref": 5}]})
+    with pytest.raises(UnresolvedRef) as exc_info:
+        load_schema_dir(tmp_path, "0.schema.json")
+    assert "z.schema.json#allOf[0]" in str(exc_info.value)
+
+
 def test_missing_root(tmp_path):
     write(tmp_path / "other.schema.json", {"properties": {}})
     with pytest.raises(MissingRoot):
@@ -62,6 +78,73 @@ def test_malformed_document_names_file_and_offset(tmp_path):
         load_schema_dir(tmp_path, "root.schema.json")
     assert exc_info.value.file == "broken.schema.json"
     assert exc_info.value.offset == 16
+
+
+def test_non_utf8_document_names_file_and_byte_offset(tmp_path):
+    write(tmp_path / "root.schema.json", {"properties": {}})
+    data = b'{"description": "caf\xe9"}'
+    (tmp_path / "base").mkdir()
+    (tmp_path / "base" / "latin1.schema.json").write_bytes(data)
+    with pytest.raises(MalformedDocument) as exc_info:
+        load_schema_dir(tmp_path, "root.schema.json")
+    assert exc_info.value.file == "base/latin1.schema.json"
+    assert exc_info.value.offset == data.index(b"\xe9")
+
+
+def test_line_ends_read_as_text_mode_reads_them(tmp_path):
+    write(tmp_path / "root.schema.json", {"properties": {}})
+    bad = tmp_path / "broken.schema.json"
+    bad.write_bytes(b'{\r\n  "properties": {},\r  "x": 1,\n\r\n\r\r\n  oops\r\n}')
+    assert treeops.read_text(bad) == bad.read_text(encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(bad.read_text(encoding="utf-8"))
+    with pytest.raises(MalformedDocument) as exc_info:
+        load_schema_dir(tmp_path, "root.schema.json")
+    assert exc_info.value.offset == expected.value.pos
+
+
+def test_directory_named_json_is_walked_not_opened(tmp_path):
+    write(tmp_path / "root.schema.json", {"properties": {"odd": {"$ref": "odd.json/inner.schema.json"}}})
+    write(tmp_path / "odd.json" / "inner.schema.json", {"properties": {"x": {"type": "string"}}})
+    index = load_schema_dir(tmp_path, "root.schema.json")
+    assert list(index.documents) == ["odd.json/inner.schema.json", "root.schema.json"]
+    assert index.lookup("odd.x")[0] is True
+
+
+# Names whose string order differs from their order as path segments
+# ("a-b.json" < "a/b.json" as strings, but "a" sorts first as a segment),
+# names that are not .json, and .json names the tree may give a directory.
+TREE_NAMES = ("a", "a-b", "a0", "b", "a.json", "a-b.json", "b.json", "x.json", "x.txt", "odd.json", ".json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.sampled_from(TREE_NAMES), min_size=1, max_size=3), st.booleans()),
+        max_size=12,
+    )
+)
+@example(
+    [(["a-b.json"], False), (["a.json"], False), (["a", "b.json"], False),
+     (["a0", "x.json"], False), (["odd.json"], True), (["x.txt"], False)]
+)
+def test_json_files_lists_what_a_sorted_rglob_lists(entries):
+    """Each entry is a path and whether it is a directory; an entry that
+    clashes with an earlier one is left out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for segments, is_dir in entries:
+            target = base.joinpath(*segments)
+            try:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                if is_dir:
+                    target.mkdir(exist_ok=True)
+                elif not target.exists():
+                    target.write_text("{}", encoding="utf-8")
+            except (FileExistsError, NotADirectoryError):
+                pass
+        assert treeops.json_files(base) == oracles.json_files(base)
+        assert treeops.json_files(str(base)) == oracles.json_files(base)
 
 
 def test_unreachable_documents_retained_and_flagged(tmp_path, tiny_schema_dir):
@@ -219,6 +302,31 @@ def test_self_reference_resolves_but_depth_guard_trips(cdm_index):
 
 def test_scalar_cannot_be_traversed_through(cdm_index):
     assert cdm_index.lookup("trade.tradeDate.year")[0] is False
+
+
+def _lookup_outcome(index, path):
+    try:
+        return index.lookup(path)
+    except (ValueError, CycleDetected) as exc:
+        return type(exc), str(exc)
+
+
+LOOKUP_SEGMENTS = (
+    "trade", "party", "relatedParty", "partyId", "tradeIdentifier", "assignedIdentifier",
+    "identifier", "value", "tradeDate", "year", "nonsense", "", "0", "12", "\u00b2",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(LOOKUP_SEGMENTS), max_size=8).map(".".join), max_size=10),
+    st.sampled_from([3, 64]),
+)
+def test_lookup_answers_alike_with_a_cold_or_warm_memo(cdm_index, paths, depth):
+    warm = replace(cdm_index, max_path_depth=depth, _path_table={})
+    for path in paths + paths:
+        cold = replace(warm, _path_table={})
+        assert _lookup_outcome(warm, path) == _lookup_outcome(cold, path), path
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,23 @@ def test_flatten_malformed_example_names_file(tmp_path):
     assert exc_info.value.file == "bad.json"
 
 
+def test_flatten_non_utf8_example_names_file(tmp_path):
+    data = b'{"name": "caf\xe9"}'
+    (tmp_path / "latin1.json").write_bytes(data)
+    with pytest.raises(MalformedDocument) as exc_info:
+        flatten_examples(tmp_path)
+    assert exc_info.value.file == "latin1.json"
+    assert exc_info.value.offset == data.index(b"\xe9")
+
+
+def test_examples_dir_walks_directory_named_json(tmp_path):
+    write_example(tmp_path, "a.json", {"name": "A"})
+    write_example(tmp_path / "odd.json", "b.json", {"nested": {"x": 1}})
+    keys = flatten_examples(tmp_path)
+    assert keys.paths == frozenset({"name", "nested.x"})
+    assert keys.source_count == 2
+
+
 # ---------------------------------------------------------------------------
 # build_template golden files (hand-traced over the 3-file fixture)
 
