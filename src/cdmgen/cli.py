@@ -64,7 +64,9 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    """Write an output artifact as one line of JSON. Without ``indent``,
+    ``json`` encodes in C; ``python -m json.tool FILE`` pretty-prints it."""
+    atomic_write_text(path, json.dumps(payload, ensure_ascii=False) + "\n")
 
 
 def _setting(flag_value, env_var: str, config_value, cast):
@@ -125,14 +127,14 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
 
 def _make_gateway(
     parser, mock_script, /, endpoint=None, model="default", credential_env="",
-    timeout=ProviderConfig.timeout, retries=ProviderConfig.retry_limit, **_ignored,
+    timeout=ProviderConfig.timeout, retries=ProviderConfig.retry_limit, max_inflight=1, **_ignored,
 ):
     """A command's provider: the mock script when one is named, else an
-    HTTP client for ``endpoint``.
+    HTTP client for ``endpoint`` that keeps a connection per call in flight.
 
-    The keywords are a run config's ``provider`` keys, which the provider
-    flags' destinations match; unknown keys are ignored, and a value
-    ProviderConfig rejects is a usage error.
+    The other keywords are a run config's ``provider`` keys, which the
+    provider flags' destinations match; unknown keys are ignored, and a
+    value ProviderConfig rejects is a usage error.
     """
     if mock_script:
         return MockProvider.from_file(mock_script)
@@ -147,7 +149,7 @@ def _make_gateway(
         )
     except ValueError as exc:
         parser.error(f"provider setting: {exc}")
-    return HttpProvider(cfg)
+    return HttpProvider(cfg, max_inflight=max_inflight)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +161,14 @@ def cmd_make_template(args, parser) -> int:
     keys = flatten_examples(args.examples)
     template = build_template(index, keys, args.contract_type)
     atomic_write_text(args.out, template.to_text())
-    logger.info(
-        "template written out=%s leaves=%d depth=%d",
-        args.out,
-        sum(1 for _ in iter_leaf_paths(template.tree)),
-        populator.compute_depths(template).depth - 1,
-    )
+    # Both counts walk the whole template: only for a log line that is on.
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "template written out=%s leaves=%d depth=%d",
+            args.out,
+            sum(1 for _ in iter_leaf_paths(template.tree)),
+            populator.compute_depths(template).depth - 1,
+        )
     return 0
 
 
@@ -179,7 +183,8 @@ def cmd_ingest_kb(args, parser) -> int:
 
 
 def _generation_inputs(args, parser):
-    """Gateway, contract text and knowledge base of ``populate`` and ``baseline``."""
+    """Gateway, contract text and knowledge base of ``populate`` and
+    ``baseline``; populate's ``--max-inflight`` reaches the gateway too."""
     if args.rag and not args.kb:
         parser.error("--rag requires --kb FILE")
     gateway = _make_gateway(parser, args.mock_script, **vars(args))
@@ -442,7 +447,8 @@ def cmd_pipeline(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     run.validate(parser, cfg.use_rag)
-    gateway = _make_gateway(parser, run.mock_script, **run.provider)
+    provider = {**run.provider, "max_inflight": cfg.max_inflight}
+    gateway = _make_gateway(parser, run.mock_script, **provider)
 
     # Contracts naming the same knowledge base share it, and contracts of
     # one type built from the same examples share a template and its file

@@ -148,15 +148,26 @@ class HttpProvider:
     The endpoint can be overridden through the ``CDMGEN_ENDPOINT``
     environment variable. ``requests`` is imported here, not with the
     module, so runs without an HTTP provider never load it.
+
+    A session built here keeps up to ``max_inflight`` connections per host
+    (at least the 10 ``requests`` keeps), so that many concurrent calls
+    reuse theirs; an injected ``session`` is used as it is.
     """
 
     _sleep = staticmethod(time.sleep)
 
-    def __init__(self, cfg: ProviderConfig, session: Optional[requests.Session] = None):
+    def __init__(
+        self, cfg: ProviderConfig, session: Optional[requests.Session] = None, max_inflight: int = 1
+    ):
         import requests
 
         self.cfg = cfg
-        self.session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=max(10, max_inflight))
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self.session = session
 
     @property
     def endpoint(self) -> str:

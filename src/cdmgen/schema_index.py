@@ -180,7 +180,10 @@ def load_schema_dir(schema_dir, root_file) -> SchemaIndex:
 
 def _root_id_for(base: Path, root: Path) -> str:
     if root.is_absolute():
-        return root.resolve().relative_to(base.resolve()).as_posix()
+        resolved, resolved_base = root.resolve(), base.resolve()
+        if not resolved.is_relative_to(resolved_base):
+            raise MissingRoot(f"root schema file {str(root)!r} is not inside {base}")
+        return resolved.relative_to(resolved_base).as_posix()
     candidate = base / root
     if candidate.exists():
         return root.as_posix()

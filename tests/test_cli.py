@@ -11,11 +11,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import cdmgen
 from cdmgen import populator, prompts
-from cdmgen.cli import main
+from cdmgen.cli import main, write_json
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure
 from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, prompt_hash
@@ -72,6 +74,49 @@ def test_make_template_missing_examples_is_domain_error(tmp_path, cdm_schema_dir
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "EmptyExampleDir"
+
+
+def test_make_template_counts_for_its_log_line_only_when_verbose(tmp_path, cdm_schema_dir, examples_root):
+    # A fresh process, so that -v configures logging as it does for a user.
+    code = "\n".join(
+        [
+            "import sys",
+            "from cdmgen import cli, populator",
+            "calls = []",
+            "depths = populator.compute_depths",
+            "populator.compute_depths = lambda template: calls.append(1) or depths(template)",
+            "code = cli.main(sys.argv[1:])",
+            "print(len(calls))",
+            "sys.exit(code)",
+        ]
+    )
+    src = Path(cdmgen.__file__).resolve().parents[1]
+    argv = [
+        "make-template",
+        "--schema-dir", str(cdm_schema_dir),
+        "--root", "contract.schema.json",
+        "--examples", str(examples_root / "interest_rate_swap"),
+        "--contract-type", "InterestRateSwap",
+        "--out", str(tmp_path / "template.json"),
+    ]
+
+    def make_template(*flags):
+        result = subprocess.run(
+            [sys.executable, "-c", code, *flags, *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout), result.stderr
+
+    calls, err = make_template()
+    assert calls == 0
+    assert "template written" not in err
+    calls, err = make_template("-v")
+    assert calls == 1
+    assert "template written out=" in err
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +537,60 @@ def test_report_aggregates_by_contract_type(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# artifact format
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON_VALUES)
+def test_write_json_writes_one_line_that_parses_back(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("write_json") / "artifact.json"
+    write_json(path, payload)
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n")
+    assert text.count("\n") == 1 and "\r" not in text
+    assert json.loads(text) == payload
+    for string in _strings(payload):
+        for char in string:
+            if ord(char) > 0x7F:
+                assert char in text  # non-ASCII stays literal, not \u-escaped
+
+
+def test_pipeline_writes_one_line_artifacts_and_indented_templates(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir
+):
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir
+    )
+    assert run(["pipeline", "--config", config_path]) == 0
+    for key, contract_type in helpers.CONTRACT_TYPES.items():
+        for suffix in (".cdm.json", ".provenance.json", ".report.json"):
+            data = (out_dir / f"{key}{suffix}").read_bytes()
+            compact = json.dumps(json.loads(data), ensure_ascii=False) + "\n"
+            assert data == compact.encode("utf-8"), f"{key}{suffix}"
+        template = build_template(cdm_index, flatten_examples(examples_root / key), contract_type)
+        assert (out_dir / f"{key}.template.json").read_text(encoding="utf-8") == template.to_text()
+
+
+# ---------------------------------------------------------------------------
 # pipeline
 
 
@@ -595,6 +694,19 @@ BAD_INPUTS = {
     "contract_not_utf8": (1, "populate --contract {not_utf8} --template {template} --mock-script {script}"),
     "mock_script_not_utf8": (1, POPULATE + " --template {template} --mock-script {not_utf8}"),
     "examples_not_utf8": (1, "ingest-kb --examples {examples_not_utf8} --contract-type CommodityOption --budget 200"),
+    "root_outside_schema_dir_missing": (
+        1, "make-template --schema-dir {schema_dir} --root {missing_root}"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "root_outside_schema_dir_existing": (
+        1, "make-template --schema-dir {schema_dir} --root {template}"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+}
+# The error a case with exit code 1 names, when it is not MalformedDocument.
+BAD_INPUT_ERRORS = {
+    "root_outside_schema_dir_missing": "MissingRoot",
+    "root_outside_schema_dir_existing": "MissingRoot",
 }
 
 
@@ -670,6 +782,7 @@ def test_bad_input_is_typed_not_a_traceback(
         "schema_dir": cdm_schema_dir,
         "examples": examples_root / "commodity_option",
         "missing": tmp_path / "missing.txt",
+        "missing_root": tmp_path / "nonexistent" / "x.json",
     }
     def put(path, text):
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -699,7 +812,8 @@ def test_bad_input_is_typed_not_a_traceback(
     assert code == expected_code
     assert "Traceback" not in err
     if expected_code == 1:
-        assert json.loads(err.strip().splitlines()[-1])["error"] == "MalformedDocument"
+        expected_error = BAD_INPUT_ERRORS.get(case, "MalformedDocument")
+        assert json.loads(err.strip().splitlines()[-1])["error"] == expected_error
 
 
 def test_pipeline_failed_contract_gets_failure_row(
@@ -1186,6 +1300,44 @@ def test_pipeline_plans_a_template_once_per_knowledge_base(
         assert (tmp_path / "out" / f"{name}.provenance.json").read_bytes() == single.read_bytes()
         hashes.append({record["prompt_hash"] for record in json.loads(single.read_text(encoding="utf-8")).values()})
     assert hashes[0].isdisjoint(hashes[1])
+
+
+def test_populate_and_pipeline_size_the_http_pool_to_max_inflight(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
+):
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+    )
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    del config["mock_script"]
+    config["max_inflight"] = 12
+    config["provider"] = {"endpoint": "http://127.0.0.1:9/v1/chat/completions"}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    sizes = []
+
+    def scripted_http_provider(cfg, max_inflight):
+        sizes.append(max_inflight)
+        return MockProvider.from_file(script_path)
+
+    monkeypatch.setattr("cdmgen.cli.HttpProvider", scripted_http_provider)
+    assert run(["pipeline", "--config", config_path]) == 0
+    template = tmp_path / "template.json"
+    assert run(
+        [
+            "make-template", "--schema-dir", cdm_schema_dir, "--root", "contract.schema.json",
+            "--examples", examples_root / "equity_option", "--contract-type", "EquityOption",
+            "--out", template,
+        ]
+    ) == 0
+    provider = ["--provider", "http://127.0.0.1:9/v1/chat/completions"]
+    contract = contracts_dir / "equity_option.txt"
+    assert run(
+        [
+            "populate", "--template", template, "--contract", contract, *provider,
+            "--max-inflight", 16, "--out", tmp_path / "single.cdm.json",
+        ]
+    ) == 0
+    assert sizes == [12, 16]
 
 
 def test_mock_script_runs_never_import_requests(tmp_path, cdm_schema_dir, examples_root, contracts_dir):

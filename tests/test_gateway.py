@@ -4,7 +4,8 @@ import hashlib
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,55 @@ def test_unreachable_endpoint_zero_retries():
     )
     with pytest.raises(ProviderUnavailable):
         HttpProvider(cfg).complete(BUNDLE)
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """Keep-alive chat endpoint that holds each request at a barrier until
+    ``barrier.parties`` requests are in flight, and records client ports."""
+
+    protocol_version = "HTTP/1.1"
+    barrier: threading.Barrier
+    ports: set = set()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        _KeepAliveHandler.ports.add(self.client_address[1])
+        _KeepAliveHandler.barrier.wait()
+        raw = json.dumps({"choices": [{"message": {"content": "{}"}, "finish_reason": "stop"}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_provider_reuses_a_connection_per_call_in_flight():
+    inflight = 16  # above the 10 connections per host requests keeps by default
+    _KeepAliveHandler.barrier = threading.Barrier(inflight, timeout=30)
+    _KeepAliveHandler.ports = set()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    cfg = ProviderConfig(
+        endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions", model_name="m", retry_limit=0
+    )
+    provider = HttpProvider(cfg, max_inflight=inflight)
+    try:
+        with ThreadPoolExecutor(inflight) as calls:
+            for _ in range(3):
+                replies = list(calls.map(lambda _: provider.complete(BUNDLE).text, range(inflight)))
+                assert replies == ["{}"] * inflight
+    finally:
+        provider.session.close()
+        server.shutdown()
+        server.server_close()
+    # Every round had 16 calls in flight at once; later rounds reuse the
+    # first round's connections instead of opening new ones.
+    assert len(_KeepAliveHandler.ports) <= inflight
 
 
 def test_complete_accepts_config_or_provider():
