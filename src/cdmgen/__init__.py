@@ -15,8 +15,6 @@ from .evaluator import (
     coverage_lists,
     coverage_score,
     evaluate_document,
-    schema_adherence,
-    syntactical_correctness,
 )
 from .gateway import (
     CompletionResult,
@@ -94,9 +92,7 @@ __all__ = [
     "prompt_hash",
     "prune_empty",
     "retrieve",
-    "schema_adherence",
     "select_tasks",
-    "syntactical_correctness",
     "synthesize_description",
     "validate_shape",
 ]

@@ -15,19 +15,18 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 from . import evaluator, populator
-from .errors import CdmgenError, MalformedDocument, ProviderOutage
+from .errors import CdmgenError, MalformedDocument, PopulationIncomplete, ProviderOutage
 from .gateway import HttpProvider, MockProvider, ProviderConfig, synthesize_description
 from .knowledge_base import KnowledgeBase, ingest_examples
 from .populator import PopulationConfig, clean, populate
 from .schema_index import load_schema_dir
 from .template_builder import Template, build_template, flatten_examples
-from .treeops import iter_leaf_paths, read_json_object, read_text
+from .treeops import iter_leaf_paths, read_json_object, read_text, write_text as atomic_write_text
 
 logger = logging.getLogger(__name__)
 
@@ -46,21 +45,6 @@ SUMMARY_COLUMNS = (
     "coverage_stddev",
     "status",
 )
-
-
-def atomic_write_text(path, text: str) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=target.parent, prefix=f".{target.name}.", delete=False
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, target)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
 
 
 def write_json(path, payload) -> None:
@@ -160,7 +144,7 @@ def cmd_make_template(args, parser) -> int:
     index = load_schema_dir(args.schema_dir, args.root)
     keys = flatten_examples(args.examples)
     template = build_template(index, keys, args.contract_type)
-    atomic_write_text(args.out, template.to_text())
+    template.save(args.out)
     # Both counts walk the whole template: only for a log line that is on.
     if logger.isEnabledFor(logging.INFO):
         logger.info(
@@ -177,7 +161,7 @@ def cmd_ingest_kb(args, parser) -> int:
         kb = ingest_examples(args.examples, args.contract_type, args.budget)
     except ValueError as exc:
         parser.error(str(exc))
-    atomic_write_text(args.out, kb.to_text())
+    kb.save(args.out)
     logger.info("knowledge base written out=%s chunks=%d", args.out, len(kb.chunks))
     return 0
 
@@ -213,17 +197,9 @@ def cmd_populate(args, parser) -> int:
     write_json(args.out, clean(doc))
     if args.provenance:
         write_json(args.provenance, doc.provenance)
-    failed = sorted(
-        path for path, record in doc.provenance.items() if record.get("failed")
-    )
+    failed = sorted(path for path, record in doc.provenance.items() if record.get("failed"))
     if failed:
-        print(
-            json.dumps(
-                {"error": "PopulationIncomplete", "detail": f"tasks failed: {', '.join(failed)}"}
-            ),
-            file=sys.stderr,
-        )
-        return 1
+        raise PopulationIncomplete(f"tasks failed: {', '.join(failed)}")
     return 0
 
 
@@ -334,6 +310,24 @@ class ContractJob:
     kb_path: Optional[Path] = None
 
 
+def _field_names(*classes) -> set[str]:
+    return {f.name for config_class in classes for f in fields(config_class)}
+
+
+def _provider_keys() -> set[str]:
+    """A run config's ``provider`` keys: the provider flags' destinations
+    other than ``mock_script``, which is a top-level key."""
+    probe = argparse.ArgumentParser(add_help=False)
+    _add_provider_flags(probe)
+    return set(vars(probe.parse_args([]))) - {"mock_script"}
+
+
+def _check_keys(mapping, known: set[str], where: str) -> None:
+    unknown = sorted(set(mapping) - known) if isinstance(mapping, dict) else []
+    if unknown:
+        raise ValueError(f"unknown {where}key {unknown[0]!r}")
+
+
 @dataclass
 class RunConfig:
     """Batch run configuration, read from a JSON file.
@@ -341,7 +335,9 @@ class RunConfig:
     Paths are resolved relative to the config file's directory; every
     referenced input must exist when the command starts. ``population`` and
     ``weights`` hold the file's PopulationConfig and CoverageWeights keys
-    as written, for those classes to check.
+    as written, for those classes to check. A key that nothing reads, at
+    the top level, in a contract entry or in ``provider``, raises
+    ``ValueError``.
     """
 
     schema_dir: Path
@@ -371,6 +367,11 @@ class RunConfig:
         def settings_of(config_class) -> dict:
             return {f.name: payload[f.name] for f in fields(config_class) if f.name in payload}
 
+        top_level = _field_names(cls, PopulationConfig, evaluator.CoverageWeights) - {"population", "weights"}
+        _check_keys(payload, top_level, "")
+        for entry in payload.get("contracts", []):
+            _check_keys(entry, _field_names(ContractJob), "contract ")
+        _check_keys(payload.get("provider", {}), _provider_keys(), "provider ")
         contracts = [
             ContractJob(
                 name=str(entry.get("name") or Path(entry["contract_path"]).stem),
@@ -509,7 +510,7 @@ def cmd_pipeline(args, parser) -> int:
         cleaned = clean(doc)
         write_json(out_dir / f"{job.name}.cdm.json", cleaned)
         if any(record.get("failed") for record in doc.provenance.values()):
-            failures.append((job.name, "PopulationIncomplete"))
+            failures.append((job.name, PopulationIncomplete.__name__))
             return None
         try:
             scores = evaluator.evaluate_document(cleaned, index)

@@ -15,7 +15,6 @@ import json
 from typing import Optional
 
 from . import treeops
-from .errors import CycleDetected
 from .gateway import prompt_hash
 from .knowledge_base import KnowledgeBase
 from .populator import PopulationConfig, build_prompt, plan_tasks
@@ -29,12 +28,7 @@ SAMPLE_INTEGER = 1
 
 def sample_leaf_value(index: SchemaIndex, path: str, placeholder):
     """A schema-conformant sample value for the leaf at ``path``."""
-    try:
-        exists, prop = index.lookup(path)
-        if not exists:
-            prop = None
-    except (ValueError, CycleDetected):
-        prop = None
+    prop = index.property_at(path)
     scalar = prop.scalar_type if prop else treeops.placeholder_kind(placeholder)
     if scalar == "enum" and prop and prop.enum_values:
         return prop.enum_values[0]

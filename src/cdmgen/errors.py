@@ -94,6 +94,11 @@ class GenerationIncomplete(CdmgenError):
     """Direct generation was truncated before producing a complete document."""
 
 
+class PopulationIncomplete(CdmgenError):
+    """Some population tasks never validated; the document was still
+    written, with those tasks' placeholders cleaned away."""
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -20,7 +20,6 @@ from typing import Mapping, Optional, Sequence
 
 from . import prompts, treeops
 from .errors import (
-    CycleDetected,
     DegenerateDenominator,
     EmptyDocument,
     EmptyGroup,
@@ -124,7 +123,7 @@ def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
         raise EmptyDocument("document contains no keys")
     detail = []
     for path, value in treeops.iter_key_paths(doc):
-        prop = _property_at(index, path)
+        prop = index.property_at(path)
         adheres = prop is not None and _value_conforms(prop, value)
         detail.append({"path": path, "exists": prop is not None, "adheres": adheres})
     return EvaluationReport(
@@ -132,28 +131,6 @@ def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
         schema_adherence=100.0 * sum(d["adheres"] for d in detail) / len(detail),
         per_path_detail=detail,
     )
-
-
-def syntactical_correctness(doc: dict, index: SchemaIndex) -> tuple[float, list[dict]]:
-    """Percentage of generated key occurrences whose paths exist in the schema."""
-    report = evaluate_document(doc, index)
-    detail = [{"path": d["path"], "exists": d["exists"]} for d in report.per_path_detail]
-    return report.syntactical_correctness, detail
-
-
-def schema_adherence(doc: dict, index: SchemaIndex) -> tuple[float, list[dict]]:
-    """Percentage of key occurrences whose path exists and value kind conforms."""
-    report = evaluate_document(doc, index)
-    detail = [{"path": d["path"], "adheres": d["adheres"]} for d in report.per_path_detail]
-    return report.schema_adherence, detail
-
-
-def _property_at(index: SchemaIndex, path: str) -> Optional[PropertyDef]:
-    try:
-        exists, prop = index.lookup(path)
-    except CycleDetected:
-        return None
-    return prop if exists else None
 
 
 def _value_conforms(prop: PropertyDef, value) -> bool:

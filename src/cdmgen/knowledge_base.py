@@ -16,12 +16,11 @@ import logging
 import re
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Optional
 
 from .errors import MalformedDocument
 from .template_builder import load_examples
-from .treeops import read_json_object
+from .treeops import read_json_object, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +74,7 @@ class KnowledgeBase:
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        write_text(path, self.to_text())
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":

@@ -85,7 +85,6 @@ class PopulationTask:
     target_subtree: Any
     object_definition: str
     traversal_context: list[str]
-    depth: int
     retrieved_chunks: list[Chunk] = field(default_factory=list)
     unwrap_key: Optional[str] = None
     structure_text: str = field(init=False, repr=False)
@@ -120,7 +119,6 @@ class ShapeReport:
 class PopulatedDocument:
     tree: dict
     provenance: dict[str, dict]
-    contract_type: str
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +190,6 @@ def _task_from_node(node: DepthAnnotatedNode) -> PopulationTask:
         target_subtree=subtree,
         object_definition=_definition_of(node.fragment),
         traversal_context=node.path.split(".")[:-1] if node.path else [],
-        depth=node.depth,
         unwrap_key=unwrap_key,
     )
 
@@ -493,26 +490,20 @@ class PendingPopulation:
         self.keys = _provenance_keys(tasks)
 
     def collect(self) -> PopulatedDocument:
-        """Wait for every task, then graft the validated fragments.
+        """Wait for each task's outcome through :meth:`CallPool.result`, in
+        task order, then graft the validated fragments.
 
         Only this run's own tasks decide the outcome: the first of them to
-        fail, in task order, re-raises its error (a skipped task the pool's
-        ``failure``), and a provider outage carries :meth:`finished_records`
-        as its ``provenance``. A pool stopped by another run's call does not
+        fail re-raises its error (a skipped task the pool's ``failure``),
+        and a provider outage carries :meth:`finished_records` as its
+        ``provenance``. A pool stopped by another run's call does not
         fail a run whose tasks all finished.
         """
-        wait(self.futures)
-        errors = (future.exception() for future in self.futures)
-        failure = next((error for error in errors if error is not None), None)
-        if isinstance(failure, _Skipped):
-            failure = self.pool.failure
-        if isinstance(failure, ProviderOutage):
-            failure.provenance = self.finished_records()
-        if failure is not None:
-            raise failure
-        if not self.tasks:
-            return PopulatedDocument(tree={}, provenance={}, contract_type=self.template.contract_type)
-        outcomes = [future.result() for future in self.futures]
+        try:
+            outcomes = [self.pool.result(future) for future in self.futures]
+        except ProviderOutage as outage:
+            outage.provenance = self.finished_records()
+            raise
         # Annotations are removed from the template copy up front: validated
         # replies never carry them, and stripping afterwards would also delete
         # genuine data fields named "description" that a reply filled with text.
@@ -521,9 +512,7 @@ class PendingPopulation:
             if tree is not None:
                 doc = _graft(doc, task.segments, tree)
         return PopulatedDocument(
-            tree=doc,
-            provenance={key: record for key, (_, record) in zip(self.keys, outcomes)},
-            contract_type=self.template.contract_type,
+            tree=doc, provenance={key: record for key, (_, record) in zip(self.keys, outcomes)}
         )
 
     def finished_records(self) -> Optional[dict[str, dict]]:
@@ -544,22 +533,17 @@ class PendingPopulation:
 def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> tuple[Optional[Any], dict]:
     original = build_prompt(task, contract_text, cfg)
     base_hash = prompt_hash(original)
-    current = original
-    last_report: Optional[ShapeReport] = None
-    attempts = 0
-    while attempts <= cfg.retry_limit:
-        attempts += 1
-        completion = gateway.complete(current)
-        report, parsed = _assess(task, completion)
+    prompt = original
+    for attempts in range(1, cfg.retry_limit + 2):
+        report, parsed = _assess(task, gateway.complete(prompt))
         if report.ok:
             result = parsed[task.unwrap_key] if task.unwrap_key else parsed
             logger.info(
                 "task=%s attempts=%d status=ok", task.target_path or "(root)", attempts
             )
             return result, {"prompt_hash": base_hash, "attempts": attempts, "failed": False}
-        last_report = report
         if attempts <= cfg.retry_limit:
-            current = repair_prompt(original, report)
+            prompt = repair_prompt(original, report)
     logger.info(
         "task=%s attempts=%d status=failed", task.target_path or "(root)", attempts
     )
@@ -567,7 +551,7 @@ def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> tuple[Optiona
         "prompt_hash": base_hash,
         "attempts": attempts,
         "failed": True,
-        "mismatches": last_report.to_payload() if last_report else [],
+        "mismatches": report.to_payload(),
     }
 
 

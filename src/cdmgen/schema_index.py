@@ -138,6 +138,14 @@ class SchemaIndex:
         self._path_table[normalized] = prop
         return True, prop
 
+    def property_at(self, path: str) -> Optional[PropertyDef]:
+        """The property ``path`` names, or None when it names nothing, is
+        empty, or is deeper than the depth guard."""
+        try:
+            return self.lookup(path)[1]
+        except (ValueError, CycleDetected):
+            return None
+
 
 def _normalize_ref(from_doc: str, ref_text: str) -> str:
     """Canonical document id for a ``$ref`` written inside ``from_doc``.

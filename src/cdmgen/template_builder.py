@@ -17,7 +17,6 @@ import os
 import posixpath
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Any
 
 from . import treeops
@@ -30,7 +29,6 @@ class KeyPathSet:
     """Normalized leaf paths flattened out of example instances."""
 
     paths: frozenset[str]
-    source_count: int
 
     @cached_property
     def _prefixes(self) -> frozenset[str]:
@@ -44,9 +42,6 @@ class KeyPathSet:
     def covers(self, path: str) -> bool:
         """True when ``path`` equals a key or is a proper prefix of one."""
         return path in self._prefixes
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 @dataclass
@@ -66,7 +61,7 @@ class Template:
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        treeops.write_text(path, self.to_text())
 
     @classmethod
     def load(cls, path) -> "Template":
@@ -102,7 +97,7 @@ def flatten_examples(example_dir) -> KeyPathSet:
     """
     examples = load_examples(example_dir)
     paths = {path for _, parsed in examples for path, _ in treeops.iter_leaf_paths(parsed)}
-    return KeyPathSet(paths=frozenset(paths), source_count=len(examples))
+    return KeyPathSet(frozenset(paths))
 
 
 def build_template(index: SchemaIndex, keys: KeyPathSet, contract_type: str) -> Template:

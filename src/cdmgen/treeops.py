@@ -6,7 +6,8 @@ that is metadata, not data; every helper here skips annotations consistently
 so depth, leaf and key enumeration agree across modules. The scalar kinds
 of template leaves, their placeholders and the rule for what each kind may
 hold live here too, and so do the listing and reading of JSON input files,
-with one rule for what a file that is not UTF-8 JSON raises.
+with one rule for what a file that is not UTF-8 JSON raises, and the one
+atomic writer of every output file.
 """
 
 from __future__ import annotations
@@ -109,6 +110,28 @@ def read_text(path, name: Optional[str] = None) -> str:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, atomically: the text goes to a
+    temporary file beside the target, which then replaces the target, so a
+    reader sees the old file or the new one, never part of either. Missing
+    parent directories are made; the temporary file is removed on failure.
+
+    The file gets the mode :func:`open` gives a new file, 0666 less the
+    umask. Nothing is synced to disk.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    os.makedirs(directory or os.curdir, exist_ok=True)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}")
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def read_json(path, name: Optional[str] = None):

@@ -20,8 +20,6 @@ from cdmgen.evaluator import (
     CoverageWeights,
     coverage_score,
     evaluate_document,
-    schema_adherence,
-    syntactical_correctness,
 )
 from cdmgen.gateway import MockProvider, PromptBundle, prompt_hash
 from cdmgen import prompts
@@ -100,12 +98,14 @@ def test_criterion_2_baseline_contrast(cdm_index, contracts_dir):
     gateway = MockProvider({prompt_hash(bundle): json.dumps(flawed)})
     doc = baseline_generate(contract_text, None, gateway, PopulationConfig(max_inflight=1))
     assert doc == flawed
-    syntactical, _ = syntactical_correctness(doc, cdm_index)
-    adherence, _ = schema_adherence(doc, cdm_index)
-    assert syntactical < 100.0
-    assert adherence < 100.0
+    result = evaluate_document(doc, cdm_index)
+    assert result.syntactical_correctness < 100.0
+    assert result.schema_adherence < 100.0
     # the invented key hurts existence; the type clash hurts adherence more
-    assert adherence < syntactical
+    assert result.schema_adherence < result.syntactical_correctness
+    rows = {row["path"]: row for row in result.per_path_detail}
+    assert rows["bogusKey"] == {"path": "bogusKey", "exists": False, "adheres": False}
+    assert rows["trade.tradeDate"] == {"path": "trade.tradeDate", "exists": True, "adheres": False}
 
 
 @criterion(3, "coverage formula reproduction and monotonicity over 1000 tuples")
@@ -150,7 +150,7 @@ def test_criterion_3_coverage_formula():
 def test_criterion_4_template_goldens(tiny_index, tiny_schema_dir, golden_dir, tmp_path):
     # golden set 1: single chain
     single = build_template(
-        tiny_index, KeyPathSet(frozenset({"party.address.city"}), 1), "sample-record"
+        tiny_index, KeyPathSet(frozenset({"party.address.city"})), "sample-record"
     )
     assert single.to_text() == (golden_dir / "template_single_chain.json").read_text(
         encoding="utf-8"
@@ -174,7 +174,7 @@ def test_criterion_4_template_goldens(tiny_index, tiny_schema_dir, golden_dir, t
     )
     # golden set 3: a key the schema does not know
     absent = build_template(
-        tiny_index, KeyPathSet(frozenset({"party.partyId", "ghost.spooky"}), 1), "sample-record"
+        tiny_index, KeyPathSet(frozenset({"party.partyId", "ghost.spooky"})), "sample-record"
     )
     assert absent.to_text() == (golden_dir / "template_absent_key.json").read_text(
         encoding="utf-8"
@@ -189,7 +189,7 @@ def test_criterion_4_template_goldens(tiny_index, tiny_schema_dir, golden_dir, t
     for _ in range(200):
         chosen = rng.sample(schema_leaves, rng.randint(1, len(schema_leaves)))
         bogus = [f"ghost.k{rng.randrange(5)}", "party.phantom"][: rng.randint(0, 2)]
-        keys = KeyPathSet(frozenset(chosen + bogus), 1)
+        keys = KeyPathSet(frozenset(chosen + bogus))
         template = build_template(tiny_index, keys, "sample-record")
         leaf_paths = {path for path, _ in treeops.iter_leaf_paths(template.tree)}
         for path in leaf_paths:

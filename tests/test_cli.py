@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 import threading
@@ -23,7 +25,7 @@ from cdmgen.errors import AuthFailure
 from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, prompt_hash
 from cdmgen.knowledge_base import KnowledgeBase, ingest_examples
 from cdmgen.populator import PopulationConfig
-from cdmgen.template_builder import build_template, flatten_examples
+from cdmgen.template_builder import Template, build_template, flatten_examples
 
 
 def run(argv) -> int:
@@ -407,6 +409,27 @@ def test_evaluate_fixture_pipeline_output(tmp_path, cdm_schema_dir, cdm_index, e
     assert report["contract_type"] == "CommodityOption"
 
 
+def test_evaluate_scores_an_empty_top_level_key_as_missing(tmp_path, cdm_schema_dir, contracts_dir, capsys):
+    cdm = tmp_path / "cdm.json"
+    cdm.write_text(json.dumps({"": 1, "trade": {}}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = run(
+        [
+            "evaluate",
+            "--contract", contracts_dir / "interest_rate_swap.txt",
+            "--cdm", cdm,
+            "--schema-dir", cdm_schema_dir,
+            "--root", "contract.schema.json",
+            "--out", out,
+        ]
+    )
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert (report["syntactical_correctness"], report["schema_adherence"]) == (50.0, 50.0)
+    assert report["per_path_detail"][0] == {"path": "", "exists": False, "adheres": False}
+
+
 def test_evaluate_with_coverage_via_mock(tmp_path, cdm_schema_dir, contracts_dir):
     from cdmgen.evaluator import coverage_prompt
 
@@ -590,6 +613,54 @@ def test_pipeline_writes_one_line_artifacts_and_indented_templates(
         assert (out_dir / f"{key}.template.json").read_text(encoding="utf-8") == template.to_text()
 
 
+def test_written_files_get_the_mode_open_gives(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir
+):
+    key, contract_type = "interest_rate_swap", helpers.CONTRACT_TYPES["interest_rate_swap"]
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=[key]
+    )
+    template = build_template(cdm_index, flatten_examples(examples_root / key), contract_type)
+    kb = ingest_examples(examples_root / key, contract_type, 60)
+    saved = tmp_path / "saved"
+    saved.mkdir()
+    previous = os.umask(0o022)
+    try:
+        assert run(["pipeline", "--config", config_path]) == 0
+        template.save(saved / "template.json")
+        kb.save(saved / "kb.json")
+    finally:
+        os.umask(previous)
+    written = [*out_dir.iterdir(), *saved.iterdir()]
+    assert {path.name for path in out_dir.iterdir()} == {
+        f"{key}{suffix}" for suffix in (".template.json", ".provenance.json", ".cdm.json", ".report.json")
+    } | {"summary.csv"}
+    modes = {path.name: oct(stat.S_IMODE(path.stat().st_mode)) for path in written}
+    assert modes == {path.name: oct(0o644) for path in written}
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_json(path, {"new": 1}),
+        lambda path: Template(tree={"a": ""}, contract_type="t", schema_root="r.json").save(path),
+    ],
+    ids=["write_json", "Template.save"],
+)
+def test_a_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch, write):
+    target = tmp_path / "artifact.json"
+    target.write_text("old bytes\n", encoding="utf-8")
+
+    def refuse(source, destination):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write(target)
+    assert target.read_text(encoding="utf-8") == "old bytes\n"
+    assert list(tmp_path.glob(".artifact.json.*")) == []
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -674,6 +745,9 @@ BAD_INPUTS = {
     "config_mu_text": (2, "pipeline --config {config_mu_text}"),
     "config_provider_retries_float": (2, "pipeline --config {config_provider_retries_float}"),
     "config_provider_timeout_text": (2, "pipeline --config {config_provider_timeout_text}"),
+    "config_unknown_key": (2, "pipeline --config {config_unknown_key}"),
+    "config_contract_unknown_key": (2, "pipeline --config {config_contract_unknown_key}"),
+    "config_provider_unknown_key": (2, "pipeline --config {config_provider_unknown_key}"),
     "mock_script_usage_not_object": (1, POPULATE + " --template {template} --mock-script {script_usage_5}"),
     "evaluate_blank_contract": (
         1, "evaluate --contract {blank} --schema-dir {schema_dir} --root contract.schema.json"
@@ -707,6 +781,12 @@ BAD_INPUTS = {
 BAD_INPUT_ERRORS = {
     "root_outside_schema_dir_missing": "MissingRoot",
     "root_outside_schema_dir_existing": "MissingRoot",
+}
+# Text the usage message of a case with exit code 2 must hold.
+BAD_INPUT_USAGE = {
+    "config_unknown_key": "'max_inflght'",
+    "config_contract_unknown_key": "'kb_pth'",
+    "config_provider_unknown_key": "'modle'",
 }
 
 
@@ -748,6 +828,9 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_mu_text": json.dumps({**config, "mu": "0.3"}),
         "config_provider_retries_float": json.dumps({**http_config, "provider": {**provider, "retries": 2.5}}),
         "config_provider_timeout_text": json.dumps({**http_config, "provider": {**provider, "timeout": "60"}}),
+        "config_unknown_key": json.dumps({**config, "max_inflght": 8}),
+        "config_contract_unknown_key": json.dumps({**config, "contracts": [{**job, "kb_pth": "kb.json"}]}),
+        "config_provider_unknown_key": json.dumps({**http_config, "provider": {**provider, "modle": "m"}}),
         "script_usage_5": json.dumps({"0" * 64: {"text": "{}", "usage": 5}}),
         "blank": " \n\t\n",
         "cdm_one_key": json.dumps({"trade": {}}),
@@ -811,6 +894,7 @@ def test_bad_input_is_typed_not_a_traceback(
     err = capsys.readouterr().err
     assert code == expected_code
     assert "Traceback" not in err
+    assert BAD_INPUT_USAGE.get(case, "") in err
     if expected_code == 1:
         expected_error = BAD_INPUT_ERRORS.get(case, "MalformedDocument")
         assert json.loads(err.strip().splitlines()[-1])["error"] == expected_error
@@ -1363,3 +1447,13 @@ def test_mock_script_runs_never_import_requests(tmp_path, cdm_schema_dir, exampl
     )
     assert result.returncode == 0, result.stderr
     assert (out_dir / "summary.csv").is_file()
+
+
+def test_public_names_resolve_and_cover_the_readme_imports():
+    for name in cdmgen.__all__:
+        assert hasattr(cdmgen, name), name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^from cdmgen import (?:\(([^)]*)\)|(.+))$", readme, re.MULTILINE)
+    imported = {item.split()[0] for block in blocks for item in "".join(block).split(",") if item.strip()}
+    assert imported, "README imports nothing from cdmgen"
+    assert imported <= set(cdmgen.__all__)

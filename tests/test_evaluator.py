@@ -24,8 +24,6 @@ from cdmgen.evaluator import (
     coverage_retry_prompt,
     coverage_score,
     evaluate_document,
-    schema_adherence,
-    syntactical_correctness,
 )
 from cdmgen.gateway import MockProvider, prompt_hash
 
@@ -83,15 +81,15 @@ def report(syntactical=100.0, adherence=100.0, coverage=None) -> EvaluationRepor
 
 
 def test_fully_valid_document_scores_100(cdm_index):
-    score, detail = syntactical_correctness(VALID_DOC, cdm_index)
-    assert score == 100.0
-    assert all(row["exists"] for row in detail)
+    result = evaluate_document(VALID_DOC, cdm_index)
+    assert result.syntactical_correctness == 100.0
+    assert all(row["exists"] for row in result.per_path_detail)
 
 
 def test_single_bogus_key_scores_0(cdm_index):
-    score, detail = syntactical_correctness({"bogusKey": "x"}, cdm_index)
-    assert score == 0.0
-    assert detail == [{"path": "bogusKey", "exists": False}]
+    result = evaluate_document({"bogusKey": "x"}, cdm_index)
+    assert result.syntactical_correctness == 0.0
+    assert result.per_path_detail == [{"path": "bogusKey", "exists": False, "adheres": False}]
 
 
 def test_three_valid_one_invalid_scores_75(cdm_index):
@@ -101,29 +99,37 @@ def test_three_valid_one_invalid_scores_75(cdm_index):
         "contractType": "EquitySwap",
         "trade": {"tradeDate": "2024-01-05", "bogus": 1},
     }
-    score, detail = syntactical_correctness(doc, cdm_index)
-    assert [row["path"] for row in detail] == [
+    result = evaluate_document(doc, cdm_index)
+    assert [row["path"] for row in result.per_path_detail] == [
         "contractType",
         "trade",
         "trade.tradeDate",
         "trade.bogus",
     ]
-    assert score == 75.0
+    assert result.syntactical_correctness == 75.0
 
 
 def test_empty_document_rejected(cdm_index):
     with pytest.raises(EmptyDocument):
-        syntactical_correctness({}, cdm_index)
+        evaluate_document({}, cdm_index)
     with pytest.raises(EmptyDocument):
-        schema_adherence({}, cdm_index)
+        evaluate_document([], cdm_index)
+
+
+@pytest.mark.parametrize("key", ["", "."])
+def test_a_top_level_key_naming_no_path_scores_as_missing(cdm_index, key):
+    result = evaluate_document({key: 1, "trade": {}}, cdm_index)
+    assert result.syntactical_correctness == 50.0
+    assert result.schema_adherence == 50.0
+    assert result.per_path_detail[0] == {"path": key, "exists": False, "adheres": False}
 
 
 def test_array_occurrences_count_repeatedly(cdm_index):
     doc = {"trade": {"party": [{"partyId": "a"}, {"partyId": "b"}, {"nope": 1}]}}
-    score, detail = syntactical_correctness(doc, cdm_index)
+    result = evaluate_document(doc, cdm_index)
     # occurrences: trade, trade.party, partyId x2, nope -> 4/5
-    assert len(detail) == 5
-    assert score == 80.0
+    assert len(result.per_path_detail) == 5
+    assert result.syntactical_correctness == 80.0
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +137,18 @@ def test_array_occurrences_count_repeatedly(cdm_index):
 
 
 def test_adherent_document_scores_100(cdm_index):
-    score, detail = schema_adherence(VALID_DOC, cdm_index)
-    assert score == 100.0
-    assert all(row["adheres"] for row in detail)
+    result = evaluate_document(VALID_DOC, cdm_index)
+    assert result.schema_adherence == 100.0
+    assert all(row["adheres"] for row in result.per_path_detail)
+
+
+def adherence_by_path(doc, index) -> dict[str, bool]:
+    return {row["path"]: row["adheres"] for row in evaluate_document(doc, index).per_path_detail}
 
 
 def test_list_where_object_expected_is_non_adherent(cdm_index):
     doc = {"trade": {"product": [{"interestRateLeg": {}}]}}
-    score, detail = schema_adherence(doc, cdm_index)
-    rows = {row["path"]: row["adheres"] for row in detail}
-    assert rows["trade.product"] is False
+    assert adherence_by_path(doc, cdm_index)["trade.product"] is False
 
 
 def test_enum_violation_with_nine_adherent_nodes_scores_90(cdm_index):
@@ -161,11 +169,11 @@ def test_enum_violation_with_nine_adherent_nodes_scores_90(cdm_index):
             },
         },
     }
-    score, detail = schema_adherence(doc, cdm_index)
-    assert len(detail) == 10
-    rows = {row["path"]: row["adheres"] for row in detail}
+    result = evaluate_document(doc, cdm_index)
+    assert len(result.per_path_detail) == 10
+    rows = {row["path"]: row["adheres"] for row in result.per_path_detail}
     assert rows["trade.product.interestRateLeg.dayCount"] is False
-    assert score == 90.0
+    assert result.schema_adherence == 90.0
 
 
 @pytest.mark.parametrize(
@@ -179,25 +187,20 @@ def test_enum_violation_with_nine_adherent_nodes_scores_90(cdm_index):
 )
 def test_date_adherence_requires_lexical_date(cdm_index, value, adheres):
     doc = {"trade": {"tradeDate": value}}
-    _, detail = schema_adherence(doc, cdm_index)
-    rows = {row["path"]: row["adheres"] for row in detail}
-    assert rows["trade.tradeDate"] is adheres
+    assert adherence_by_path(doc, cdm_index)["trade.tradeDate"] is adheres
 
 
 def test_boolean_and_number_distinction(cdm_index):
     doc = {"trade": {"product": {"fxTerms": {"deliverable": True, "rate": True}}}}
-    _, detail = schema_adherence(doc, cdm_index)
-    rows = {row["path"]: row["adheres"] for row in detail}
+    rows = adherence_by_path(doc, cdm_index)
     assert rows["trade.product.fxTerms.deliverable"] is True
     assert rows["trade.product.fxTerms.rate"] is False
 
 
 def test_adherence_diverges_from_syntactical_only_on_types(cdm_index):
-    doc = {"trade": {"tradeDate": 123}}
-    syntactical, _ = syntactical_correctness(doc, cdm_index)
-    adherence, _ = schema_adherence(doc, cdm_index)
-    assert syntactical == 100.0
-    assert adherence == 50.0
+    result = evaluate_document({"trade": {"tradeDate": 123}}, cdm_index)
+    assert result.syntactical_correctness == 100.0
+    assert result.schema_adherence == 50.0
 
 
 def test_evaluate_document_merges_detail(cdm_index):
@@ -392,12 +395,11 @@ def test_structural_scores_bounded_and_consistent(cdm_index):
     ]
     for _ in range(50):
         doc = rng.choice(pool)
-        syntactical, s_detail = syntactical_correctness(doc, cdm_index)
-        adherence, a_detail = schema_adherence(doc, cdm_index)
-        assert 0.0 <= syntactical <= 100.0
-        assert 0.0 <= adherence <= 100.0
-        assert len(s_detail) == len(a_detail)
+        result = evaluate_document(doc, cdm_index)
+        assert 0.0 <= result.syntactical_correctness <= 100.0
+        assert 0.0 <= result.schema_adherence <= 100.0
+        assert result.schema_adherence <= result.syntactical_correctness
         # a node can only adhere if its path exists
-        for s_row, a_row in zip(s_detail, a_detail):
-            if a_row["adheres"]:
-                assert s_row["exists"]
+        for row in result.per_path_detail:
+            if row["adheres"]:
+                assert row["exists"]

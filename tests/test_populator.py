@@ -108,7 +108,7 @@ def test_chain_depth_six_emits_single_depth_four_task():
     tasks = select_tasks(annotated, 4)
     assert len(tasks) == 1
     assert tasks[0].target_path == "a.b"
-    assert tasks[0].depth == 4
+    assert tasks[0].target_subtree == {"c": {"d": {"e": ""}}}
     assert tasks[0].traversal_context == ["a"]
 
 

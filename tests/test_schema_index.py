@@ -304,6 +304,22 @@ def test_scalar_cannot_be_traversed_through(cdm_index):
     assert cdm_index.lookup("trade.tradeDate.year")[0] is False
 
 
+@pytest.mark.parametrize(
+    "path",
+    ["trade.nonsenseField", "", ".", "trade.party" + ".relatedParty" * 70 + ".partyId"],
+    ids=["missing", "empty", "dot", "past_depth_guard"],
+)
+def test_property_at_is_none_where_a_path_names_nothing(cdm_index, path):
+    assert cdm_index.property_at(path) is None
+
+
+def test_property_at_is_the_property_a_path_names(cdm_index):
+    path = "trade.tradeIdentifier.assignedIdentifier.identifier.value"
+    prop = cdm_index.property_at(path)
+    assert prop is not None and prop == cdm_index.lookup(path)[1]
+    assert prop.name == "value" and prop.scalar_type == "string"
+
+
 def _lookup_outcome(index, path):
     try:
         return index.lookup(path)

@@ -23,8 +23,8 @@ def write_example(directory, name, payload) -> None:
     (directory / name).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def keyset(*paths: str, source_count: int = 1) -> KeyPathSet:
-    return KeyPathSet(paths=frozenset(paths), source_count=source_count)
+def keyset(*paths: str) -> KeyPathSet:
+    return KeyPathSet(frozenset(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,6 @@ def test_flatten_nested_arrays_to_dot_paths(tmp_path):
     )
     keys = flatten_examples(tmp_path)
     assert keys.paths == frozenset({"trade.tradeIdentifier.assignedIdentifier.identifier.value"})
-    assert keys.source_count == 1
 
 
 def test_flatten_empty_object_yields_empty_set(tmp_path):
@@ -54,7 +53,6 @@ def test_flatten_shared_paths_collapse(tmp_path):
     write_example(tmp_path, "b.json", {"name": "B"})
     keys = flatten_examples(tmp_path)
     assert keys.paths == frozenset({"name"})
-    assert keys.source_count == 2
 
 
 def test_flatten_empty_dir_raises(tmp_path):
@@ -83,7 +81,6 @@ def test_examples_dir_walks_directory_named_json(tmp_path):
     write_example(tmp_path / "odd.json", "b.json", {"nested": {"x": 1}})
     keys = flatten_examples(tmp_path)
     assert keys.paths == frozenset({"name", "nested.x"})
-    assert keys.source_count == 2
 
 
 # ---------------------------------------------------------------------------
