@@ -20,19 +20,20 @@ from pathlib import Path
 from typing import Optional
 
 from . import evaluator, populator
-from .errors import CdmgenError, MalformedDocument, PopulationIncomplete, ProviderOutage
+from .errors import CdmgenError, MalformedDocument, OutputUnwritable, PopulationIncomplete, ProviderOutage
 from .gateway import HttpProvider, MockProvider, ProviderConfig, synthesize_description
 from .knowledge_base import KnowledgeBase, ingest_examples
 from .populator import PopulationConfig, clean, populate
 from .schema_index import load_schema_dir
 from .template_builder import Template, build_template, flatten_examples
-from .treeops import iter_leaf_paths, read_json_object, read_text, write_text as atomic_write_text
+from .treeops import iter_leaf_paths, make_dirs, read_json_object, read_text, write_text as atomic_write_text
 
 logger = logging.getLogger(__name__)
 
 ENV_DEPTH = "CDMGEN_DEPTH"
 ENV_MU = "CDMGEN_MU"
 ENV_EPSILON = "CDMGEN_EPSILON"
+ENV_ENDPOINT = "CDMGEN_ENDPOINT"
 
 SUMMARY_COLUMNS = (
     "group",
@@ -110,11 +111,12 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _make_gateway(
-    parser, mock_script, /, endpoint=None, model="default", credential_env="",
+    parser, mock_script, flag_endpoint=None, /, endpoint=None, model="default", credential_env="",
     timeout=ProviderConfig.timeout, retries=ProviderConfig.retry_limit, max_inflight=1, **_ignored,
 ):
     """A command's provider: the mock script when one is named, else an
-    HTTP client for ``endpoint`` that keeps a connection per call in flight.
+    HTTP client that keeps a connection per call in flight. Its URL is
+    ``flag_endpoint`` (``--provider``), else CDMGEN_ENDPOINT, else ``endpoint``.
 
     The other keywords are a run config's ``provider`` keys, which the
     provider flags' destinations match; unknown keys are ignored, and a
@@ -122,6 +124,7 @@ def _make_gateway(
     """
     if mock_script:
         return MockProvider.from_file(mock_script)
+    endpoint = _setting(flag_endpoint, ENV_ENDPOINT, endpoint, str)
     if not endpoint:
         parser.error(
             "a provider is required: --provider URL or --mock-script FILE "
@@ -171,8 +174,21 @@ def _generation_inputs(args, parser):
     ``baseline``; populate's ``--max-inflight`` reaches the gateway too."""
     if args.rag and not args.kb:
         parser.error("--rag requires --kb FILE")
-    gateway = _make_gateway(parser, args.mock_script, **vars(args))
+    gateway = _make_gateway(parser, args.mock_script, args.endpoint, **vars(args))
     return gateway, _read_contract(args.contract), KnowledgeBase.load(args.kb) if args.kb else None
+
+
+def _write_population(doc: populator.PopulatedDocument, cdm_path, provenance_path) -> dict:
+    """Write a population's provenance (when a path is given) and its cleaned
+    document; return the latter, or raise PopulationIncomplete naming failed tasks."""
+    if provenance_path:
+        write_json(provenance_path, doc.provenance)
+    cleaned = clean(doc)
+    write_json(cdm_path, cleaned)
+    failed = sorted(path for path, record in doc.provenance.items() if record.get("failed"))
+    if failed:
+        raise PopulationIncomplete(f"tasks failed: {', '.join(failed)}")
+    return cleaned
 
 
 def cmd_populate(args, parser) -> int:
@@ -194,12 +210,7 @@ def cmd_populate(args, parser) -> int:
         if args.provenance:
             write_json(args.provenance, exc.provenance)
         raise
-    write_json(args.out, clean(doc))
-    if args.provenance:
-        write_json(args.provenance, doc.provenance)
-    failed = sorted(path for path, record in doc.provenance.items() if record.get("failed"))
-    if failed:
-        raise PopulationIncomplete(f"tasks failed: {', '.join(failed)}")
+    _write_population(doc, args.out, args.provenance)
     return 0
 
 
@@ -215,7 +226,7 @@ def cmd_baseline(args, parser) -> int:
 
 
 def cmd_synthesize(args, parser) -> int:
-    gateway = _make_gateway(parser, args.mock_script, **vars(args))
+    gateway = _make_gateway(parser, args.mock_script, args.endpoint, **vars(args))
     example = read_json_object(args.example)
     if not example:
         raise MalformedDocument(args.example, 0, "the example is an empty object")
@@ -225,7 +236,17 @@ def cmd_synthesize(args, parser) -> int:
     return 0
 
 
+def _write_report(path, contract_type: str, report: evaluator.EvaluationReport, lists, weights) -> None:
+    """Put the coverage ``lists``, when there are any, and their score into
+    ``report``, then write it in its envelope."""
+    if lists is not None:
+        report.lists = lists
+        report.coverage_score = evaluator.coverage_score(lists, weights)
+    write_json(path, {"contract_type": contract_type, **report.to_dict()})
+
+
 def cmd_evaluate(args, parser) -> int:
+    lists = weights = None
     if args.coverage:
         try:
             weights = evaluator.CoverageWeights(
@@ -238,12 +259,9 @@ def cmd_evaluate(args, parser) -> int:
     doc = read_json_object(args.cdm)
     report = evaluator.evaluate_document(doc, index)
     if args.coverage:
-        gateway = _make_gateway(parser, args.mock_script, **vars(args))
+        gateway = _make_gateway(parser, args.mock_script, args.endpoint, **vars(args))
         lists = evaluator.coverage_lists(_read_contract(args.contract), doc, gateway)
-        report.lists = lists
-        report.coverage_score = evaluator.coverage_score(lists, weights)
-    envelope = {"contract_type": args.contract_type, **report.to_dict()}
-    write_json(args.out, envelope)
+    _write_report(args.out, args.contract_type, report, lists, weights)
     return 0
 
 
@@ -309,6 +327,10 @@ class ContractJob:
     examples_dir: Path
     kb_path: Optional[Path] = None
 
+    def __post_init__(self):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"contract name {self.name!r} is not a plain file name")
+
 
 def _field_names(*classes) -> set[str]:
     return {f.name for config_class in classes for f in fields(config_class)}
@@ -337,7 +359,8 @@ class RunConfig:
     ``weights`` hold the file's PopulationConfig and CoverageWeights keys
     as written, for those classes to check. A key that nothing reads, at
     the top level, in a contract entry or in ``provider``, raises
-    ``ValueError``.
+    ``ValueError``, and so does a contract name that is used twice or is
+    not a plain file name (it names the contract's files in ``out_dir``).
     """
 
     schema_dir: Path
@@ -353,6 +376,11 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.coverage, bool):
             raise ValueError("coverage must be true or false")
+        names = set()
+        for job in self.contracts:
+            if job.name in names:
+                raise ValueError(f"contract name {job.name!r} is used twice")
+            names.add(job.name)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -449,7 +477,7 @@ def cmd_pipeline(args, parser) -> int:
         parser.error(str(exc))
     run.validate(parser, cfg.use_rag)
     provider = {**run.provider, "max_inflight": cfg.max_inflight}
-    gateway = _make_gateway(parser, run.mock_script, **provider)
+    gateway = _make_gateway(parser, run.mock_script, None, **provider)
 
     # Contracts naming the same knowledge base share it, and contracts of
     # one type built from the same examples share a template and its file
@@ -461,10 +489,12 @@ def cmd_pipeline(args, parser) -> int:
     templates: dict[tuple[Path, str], tuple[Template, str]] = {}
     plans: dict[tuple[Path, str, Optional[Path]], list[populator.PopulationTask]] = {}
     index = load_schema_dir(run.schema_dir, run.root_file)
-    out_dir = run.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(run.out_dir)
     groups: dict[str, list] = {}
     failures: list[tuple[str, str]] = []
+
+    def artifact(job: ContractJob, kind: str) -> Path:
+        return run.out_dir / f"{job.name}.{kind}.json"
 
     def start(job: ContractJob) -> _StartedContract:
         """Plan one contract and queue its tasks; a domain error is kept
@@ -495,25 +525,15 @@ def cmd_pipeline(args, parser) -> int:
         when the contract failed."""
         job = started.job
         if started.template_text is not None:
-            atomic_write_text(out_dir / f"{job.name}.template.json", started.template_text)
-        if started.error is not None:
-            failures.append((job.name, type(started.error).__name__))
-            return None
+            atomic_write_text(artifact(job, "template"), started.template_text)
         try:
+            if started.error is not None:
+                raise started.error
             doc = started.population.collect()
-        except ProviderOutage:
-            raise
-        except CdmgenError as exc:
-            failures.append((job.name, type(exc).__name__))
-            return None
-        write_json(out_dir / f"{job.name}.provenance.json", doc.provenance)
-        cleaned = clean(doc)
-        write_json(out_dir / f"{job.name}.cdm.json", cleaned)
-        if any(record.get("failed") for record in doc.provenance.values()):
-            failures.append((job.name, PopulationIncomplete.__name__))
-            return None
-        try:
+            cleaned = _write_population(doc, artifact(job, "cdm"), artifact(job, "provenance"))
             scores = evaluator.evaluate_document(cleaned, index)
+        except (ProviderOutage, OutputUnwritable):
+            raise
         except CdmgenError as exc:
             failures.append((job.name, type(exc).__name__))
             return None
@@ -524,18 +544,15 @@ def cmd_pipeline(args, parser) -> int:
 
     def report(job: ContractJob, scores: evaluator.EvaluationReport, coverage) -> None:
         """Add the collected coverage, then write and group the report."""
-        if coverage is not None:
-            try:
-                scores.lists = pool.result(coverage)
-                scores.coverage_score = evaluator.coverage_score(scores.lists, weights)
-            except ProviderOutage:
-                raise
-            except CdmgenError as exc:
-                failures.append((job.name, type(exc).__name__))
-                return
-        envelope = {"contract_type": job.contract_type, **scores.to_dict()}
-        write_json(out_dir / f"{job.name}.report.json", envelope)
-        groups.setdefault(job.contract_type, []).append(scores)
+        try:
+            lists = None if coverage is None else pool.result(coverage)
+            _write_report(artifact(job, "report"), job.contract_type, scores, lists, weights)
+        except (ProviderOutage, OutputUnwritable):
+            raise
+        except CdmgenError as exc:
+            failures.append((job.name, type(exc).__name__))
+        else:
+            groups.setdefault(job.contract_type, []).append(scores)
 
     # Contract i+1's tasks queue behind contract i's before i is collected,
     # and i's coverage call is collected one step later, so the pool's
@@ -555,12 +572,12 @@ def cmd_pipeline(args, parser) -> int:
                     population = started and started.population
                     records = population and population.finished_records()
                     if records is not None:
-                        write_json(out_dir / f"{started.job.name}.provenance.json", records)
+                        write_json(artifact(started.job, "provenance"), records)
                 raise
         if scored is not None:
             report(*scored)
 
-    _write_summary(out_dir / "summary.csv", _summary_rows(groups, failures))
+    _write_summary(run.out_dir / "summary.csv", _summary_rows(groups, failures))
     return 0
 
 
@@ -668,10 +685,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args, parser)
     except CdmgenError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 1
 
 

@@ -117,3 +117,12 @@ class DegenerateDenominator(CdmgenError):
 
 class EmptyGroup(CdmgenError):
     """An aggregation group contains no reports."""
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+class OutputUnwritable(CdmgenError):
+    """An output file, or a directory to hold it, could not be made or
+    written."""

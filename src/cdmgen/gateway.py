@@ -32,8 +32,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-ENDPOINT_OVERRIDE_VAR = "CDMGEN_ENDPOINT"
-
 # Sent with every chat request; the prompt hash covers only the text.
 MAX_OUTPUT_TOKENS = 2048
 TEMPERATURE = 0.0
@@ -145,9 +143,9 @@ class HttpProvider:
     the reply's ``Retry-After`` seconds when it sends them, either capped at
     8 s. Authentication failures never retry, nor does a 200 reply that is
     not JSON or carries no message (both raise :class:`ProviderUnavailable`).
-    The endpoint can be overridden through the ``CDMGEN_ENDPOINT``
-    environment variable. ``requests`` is imported here, not with the
-    module, so runs without an HTTP provider never load it.
+    Every call posts to ``cfg.endpoint``, as the caller resolved it.
+    ``requests`` is imported here, not with the module, so runs without an
+    HTTP provider never load it.
 
     A session built here keeps up to ``max_inflight`` connections per host
     (at least the 10 ``requests`` keeps), so that many concurrent calls
@@ -168,10 +166,6 @@ class HttpProvider:
             session.mount("http://", adapter)
             session.mount("https://", adapter)
         self.session = session
-
-    @property
-    def endpoint(self) -> str:
-        return os.environ.get(ENDPOINT_OVERRIDE_VAR) or self.cfg.endpoint
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -207,7 +201,7 @@ class HttpProvider:
             retry_after = ""
             try:
                 response = self.session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.cfg.timeout
+                    self.cfg.endpoint, json=payload, headers=headers, timeout=self.cfg.timeout
                 )
             except requests.Timeout:
                 last_error = Timeout(f"provider call timed out after {self.cfg.timeout}s")

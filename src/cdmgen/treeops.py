@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .errors import MalformedDocument
+from .errors import MalformedDocument, OutputUnwritable
 
 DESCRIPTION_KEY = "description"
 FALLBACK_DESCRIPTION_KEY = "_template_description"
@@ -112,26 +113,44 @@ def read_text(path, name: Optional[str] = None) -> str:
     return text
 
 
+@contextmanager
+def _writing(path):
+    """An OSError in the block raises :class:`OutputUnwritable` naming
+    ``path``, with the system's reason but not its (random) file names."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def make_dirs(directory) -> None:
+    """Make ``directory`` and its missing parents."""
+    with _writing(directory):
+        os.makedirs(directory, exist_ok=True)
+
+
 def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, atomically: the text goes to a
     temporary file beside the target, which then replaces the target, so a
     reader sees the old file or the new one, never part of either. Missing
-    parent directories are made; the temporary file is removed on failure.
+    parent directories are made; the temporary file is removed on failure,
+    and an OSError raises :class:`OutputUnwritable`.
 
     The file gets the mode :func:`open` gives a new file, 0666 less the
     umask. Nothing is synced to disk.
     """
     directory, name = os.path.split(os.fspath(path))
-    os.makedirs(directory or os.curdir, exist_ok=True)
+    make_dirs(directory or os.curdir)
     temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}")
-    handle = open(temp, "x", encoding="utf-8")
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(temp, path)
-    except BaseException:
-        os.unlink(temp)
-        raise
+    with _writing(path):
+        handle = open(temp, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
 
 
 def read_json(path, name: Optional[str] = None):

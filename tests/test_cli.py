@@ -21,7 +21,7 @@ import cdmgen
 from cdmgen import populator, prompts
 from cdmgen.cli import main, write_json
 from cdmgen.dryrun import build_population_script
-from cdmgen.errors import AuthFailure
+from cdmgen.errors import AuthFailure, OutputUnwritable
 from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, prompt_hash
 from cdmgen.knowledge_base import KnowledgeBase, ingest_examples
 from cdmgen.populator import PopulationConfig
@@ -265,17 +265,19 @@ def test_populate_rerun_is_byte_identical(tmp_path, cdm_index, examples_root, co
 # baseline
 
 
-def test_baseline_cli_with_mock(tmp_path, contracts_dir):
-    contract_path = contracts_dir / "foreign_exchange.txt"
-    contract_text = contract_path.read_text(encoding="utf-8")
+def _baseline_hash(contract_path) -> str:
+    """Prompt hash of ``baseline`` without retrieval for a contract file."""
     sections = [
         prompts.load("baseline_instructions.txt"),
-        f"Contract description:\n{contract_text}",
+        f"Contract description:\n{contract_path.read_text(encoding='utf-8')}",
     ]
-    bundle = PromptBundle(
-        system_text=prompts.load("baseline_system.txt"), user_text="\n\n".join(sections)
-    )
-    script = {prompt_hash(bundle): json.dumps({"trade": {"tradeDate": "2024-07-01"}})}
+    bundle = PromptBundle(system_text=prompts.load("baseline_system.txt"), user_text="\n\n".join(sections))
+    return prompt_hash(bundle)
+
+
+def test_baseline_cli_with_mock(tmp_path, contracts_dir):
+    contract_path = contracts_dir / "foreign_exchange.txt"
+    script = {_baseline_hash(contract_path): json.dumps({"trade": {"tradeDate": "2024-07-01"}})}
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps(script), encoding="utf-8")
     out = tmp_path / "baseline.json"
@@ -293,15 +295,7 @@ def test_baseline_cli_with_mock(tmp_path, contracts_dir):
 
 def test_baseline_truncation_maps_to_exit_1(tmp_path, contracts_dir, capsys):
     contract_path = contracts_dir / "foreign_exchange.txt"
-    contract_text = contract_path.read_text(encoding="utf-8")
-    sections = [
-        prompts.load("baseline_instructions.txt"),
-        f"Contract description:\n{contract_text}",
-    ]
-    bundle = PromptBundle(
-        system_text=prompts.load("baseline_system.txt"), user_text="\n\n".join(sections)
-    )
-    script = {prompt_hash(bundle): {"text": '{"partial', "finish_reason": "length"}}
+    script = {_baseline_hash(contract_path): {"text": '{"partial', "finish_reason": "length"}}
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps(script), encoding="utf-8")
     code = run(
@@ -655,10 +649,36 @@ def test_a_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatc
         raise OSError("replace refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="replace refused"):
+    with pytest.raises(OutputUnwritable, match="replace refused"):
         write(target)
     assert target.read_text(encoding="utf-8") == "old bytes\n"
     assert list(tmp_path.glob(".artifact.json.*")) == []
+
+
+@pytest.mark.parametrize("blocked", ["out_is_a_directory", "out_under_a_file"])
+def test_an_unwritable_out_is_a_domain_error(tmp_path, cdm_schema_dir, examples_root, capsys, blocked):
+    blocker = tmp_path / "blocker"
+    if blocked == "out_is_a_directory":
+        blocker.mkdir()
+        out, reason = blocker, "Is a directory"
+    else:
+        blocker.write_text("a file\n", encoding="utf-8")
+        out, reason = blocker / "template.json", "File exists"
+    code = run(
+        [
+            "make-template", "--schema-dir", cdm_schema_dir, "--root", "contract.schema.json",
+            "--examples", examples_root / "equity_option", "--contract-type", "EquityOption", "--out", out,
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "OutputUnwritable", "detail": f"cannot write {blocker}: {reason}"
+    }
+    # The temporary file is gone too.
+    assert [path.name for path in tmp_path.iterdir()] == ["blocker"]
+    assert blocker.is_file() or not list(blocker.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +719,26 @@ def test_pipeline_empty_batch_is_usage_error(tmp_path, cdm_schema_dir):
         encoding="utf-8",
     )
     run_expecting_usage_error(["pipeline", "--config", config_path])
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/c1", "sub\\c1", ".", "..", "nul\0", ""])
+def test_pipeline_rejects_a_contract_name_that_is_not_a_file_name(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, capsys, name
+):
+    work = tmp_path / "work"
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        work, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+    )
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["contracts"][0]["name"] = name
+    if not name:
+        # An empty name falls back to the file stem, which is empty for "/".
+        config["contracts"][0]["contract_path"] = "/"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    run_expecting_usage_error(["pipeline", "--config", config_path])
+    assert "is not a plain file name" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert sorted(path.name for path in work.iterdir()) == ["mock_script.json", "run.json"]
 
 
 # Each case is the expected exit code and a command line, with {placeholders}
@@ -748,6 +788,8 @@ BAD_INPUTS = {
     "config_unknown_key": (2, "pipeline --config {config_unknown_key}"),
     "config_contract_unknown_key": (2, "pipeline --config {config_contract_unknown_key}"),
     "config_provider_unknown_key": (2, "pipeline --config {config_provider_unknown_key}"),
+    "config_duplicate_name": (2, "pipeline --config {config_duplicate_name}"),
+    "config_duplicate_stem": (2, "pipeline --config {config_duplicate_stem}"),
     "mock_script_usage_not_object": (1, POPULATE + " --template {template} --mock-script {script_usage_5}"),
     "evaluate_blank_contract": (
         1, "evaluate --contract {blank} --schema-dir {schema_dir} --root contract.schema.json"
@@ -787,6 +829,8 @@ BAD_INPUT_USAGE = {
     "config_unknown_key": "'max_inflght'",
     "config_contract_unknown_key": "'kb_pth'",
     "config_provider_unknown_key": "'modle'",
+    "config_duplicate_name": "contract name 'c1' is used twice",
+    "config_duplicate_stem": "contract name 'commodity_option' is used twice",
 }
 
 
@@ -831,6 +875,8 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_unknown_key": json.dumps({**config, "max_inflght": 8}),
         "config_contract_unknown_key": json.dumps({**config, "contracts": [{**job, "kb_pth": "kb.json"}]}),
         "config_provider_unknown_key": json.dumps({**http_config, "provider": {**provider, "modle": "m"}}),
+        "config_duplicate_name": json.dumps({**config, "contracts": [job, job]}),
+        "config_duplicate_stem": json.dumps({**config, "contracts": [{**job, "name": ""}, {**job, "name": None}]}),
         "script_usage_5": json.dumps({"0" * 64: {"text": "{}", "usage": 5}}),
         "blank": " \n\t\n",
         "cdm_one_key": json.dumps({"trade": {}}),
@@ -988,6 +1034,105 @@ def test_pipeline_stops_at_first_auth_failure(
     for name in names[1:]:
         assert not list(out_dir.glob(f"{name}.*"))
     assert not (out_dir / "summary.csv").exists()
+
+
+def test_pipeline_out_dir_that_cannot_be_made_fails_before_any_call(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch, capsys
+):
+    config_path, _, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+    )
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n", encoding="utf-8")
+    gateway = _ProbeGateway(json.loads(script_path.read_text(encoding="utf-8")))
+    monkeypatch.setattr("cdmgen.cli.MockProvider", SimpleNamespace(from_file=lambda path: gateway))
+    assert run(["pipeline", "--config", config_path, "--out-dir", blocker]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "OutputUnwritable"
+    assert gateway.calls == []
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_an_unwritable_artifact_stops_the_batch(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, capsys, max_inflight
+):
+    names = ["interest_rate_swap", "equity_swap", "foreign_exchange"]
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=names
+    )
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["max_inflight"] = max_inflight
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    (out_dir / f"{names[1]}.cdm.json").mkdir(parents=True)
+    assert run(["pipeline", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "OutputUnwritable"
+    # Not a failure row: the batch stopped, and no later contract was written.
+    assert not (out_dir / "summary.csv").exists()
+    assert (out_dir / f"{names[0]}.report.json").is_file()
+    assert not list(out_dir.glob(f"{names[2]}.*"))
+    assert not list(out_dir.glob(".*"))
+
+
+# ---------------------------------------------------------------------------
+# endpoint precedence: --provider, then CDMGEN_ENDPOINT, then the run config
+
+UNREACHABLE = "http://127.0.0.1:9/v1/chat/completions"
+
+
+@pytest.fixture()
+def script_server(monkeypatch):
+    """A chat endpoint answering from ``_ScriptThenRejectHandler.script``
+    and never rejecting; yields its URL. CDMGEN_ENDPOINT starts unset."""
+    monkeypatch.delenv("CDMGEN_ENDPOINT", raising=False)
+    handler = _ScriptThenRejectHandler
+    handler.script, handler.reject_from, handler.calls = {}, float("inf"), 0
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.mark.parametrize("where", ["flag", "environment"])
+def test_baseline_reaches_the_flag_before_the_endpoint_variable(
+    tmp_path, contracts_dir, script_server, monkeypatch, where
+):
+    contract = contracts_dir / "foreign_exchange.txt"
+    reply = {"trade": {"tradeDate": "2024-07-01"}}
+    _ScriptThenRejectHandler.script = {_baseline_hash(contract): json.dumps(reply)}
+    out = tmp_path / "baseline.json"
+    argv = ["baseline", "--contract", contract, "--provider-retries", 0, "--out", out]
+    if where == "flag":
+        # The variable names a dead endpoint, which the flag overrides.
+        monkeypatch.setenv("CDMGEN_ENDPOINT", UNREACHABLE)
+        argv += ["--provider", script_server]
+    else:
+        # The variable alone is enough: no --provider, no usage error.
+        monkeypatch.setenv("CDMGEN_ENDPOINT", script_server)
+    assert run(argv) == 0
+    assert _ScriptThenRejectHandler.calls == 1
+    assert json.loads(out.read_text(encoding="utf-8")) == reply
+
+
+def test_endpoint_variable_beats_the_run_config_endpoint(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, script_server, monkeypatch
+):
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+    )
+    _ScriptThenRejectHandler.script = json.loads(script_path.read_text(encoding="utf-8"))
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    del config["mock_script"]
+    config["provider"] = {"endpoint": UNREACHABLE, "retries": 0}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.setenv("CDMGEN_ENDPOINT", script_server)
+    assert run(["pipeline", "--config", config_path]) == 0
+    assert _ScriptThenRejectHandler.calls == len(_ScriptThenRejectHandler.script)
+    with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as handle:
+        assert {row["status"] for row in csv.DictReader(handle)} == {"ok"}
 
 
 class _ProbeGateway:
@@ -1338,6 +1483,60 @@ def test_pipeline_plans_a_template_once_and_writes_what_single_runs_write(
         assert (out_dir / f"{name}.template.json").read_bytes() == template_path.read_bytes()
         for suffix in (".cdm.json", ".provenance.json", ".report.json"):
             assert (out_dir / f"{name}{suffix}").read_bytes() == (single / f"{name}{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_pipeline_with_coverage_writes_the_reports_evaluate_writes(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch, max_inflight
+):
+    monkeypatch.delenv("CDMGEN_MU", raising=False)
+    monkeypatch.delenv("CDMGEN_EPSILON", raising=False)
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir
+    )
+    gateway = _ProbeGateway(json.loads(script_path.read_text(encoding="utf-8")))
+    settings = {"coverage": True, "max_inflight": max_inflight, "mu": 0.2, "epsilon": 0.05}
+    assert _pipeline_with_probe(monkeypatch, config_path, gateway, **settings) == 0
+    schema = ["--schema-dir", cdm_schema_dir, "--root", "contract.schema.json"]
+    for key, contract_type in helpers.CONTRACT_TYPES.items():
+        single = tmp_path / f"{key}.single.report.json"
+        assert run(
+            [
+                "evaluate", "--contract", contracts_dir / f"{key}.txt", "--cdm", out_dir / f"{key}.cdm.json",
+                *schema, "--contract-type", contract_type, "--coverage", "--mu", 0.2, "--epsilon", 0.05,
+                "--mock-script", script_path, "--out", single,
+            ]
+        ) == 0
+        assert single.read_bytes() == (out_dir / f"{key}.report.json").read_bytes()
+        assert json.loads(single.read_text(encoding="utf-8"))["coverage_score"] is not None
+
+
+def test_populate_writes_the_incomplete_population_the_pipeline_writes(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, capsys
+):
+    key = "foreign_exchange"
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir,
+        type_keys=["interest_rate_swap", key], retry_limit=0, sabotage={key},
+    )
+    assert run(["pipeline", "--config", config_path]) == 0
+    with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as handle:
+        status = {row["group"]: row["status"] for row in csv.DictReader(handle)}
+    assert status[key] == "failed: PopulationIncomplete"
+    capsys.readouterr()
+    code = run(
+        [
+            "populate", "--template", out_dir / f"{key}.template.json", "--contract", contracts_dir / f"{key}.txt",
+            "--mock-script", script_path, "--retries", 0,
+            "--out", tmp_path / f"{key}.cdm.json", "--provenance", tmp_path / f"{key}.provenance.json",
+        ]
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "PopulationIncomplete"
+    assert err["detail"].startswith("tasks failed: ")
+    for suffix in (".cdm.json", ".provenance.json"):
+        assert (tmp_path / f"{key}{suffix}").read_bytes() == (out_dir / f"{key}{suffix}").read_bytes()
 
 
 def test_pipeline_plans_a_template_once_per_knowledge_base(

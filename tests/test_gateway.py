@@ -311,12 +311,6 @@ def test_complete_accepts_config_or_provider():
     assert mock.complete(BUNDLE).text == "via provider"
 
 
-def test_endpoint_override_env(local_server, monkeypatch):
-    monkeypatch.setenv("CDMGEN_ENDPOINT", local_server)
-    cfg = ProviderConfig(endpoint="http://127.0.0.1:9/unused", model_name="m")
-    assert HttpProvider(cfg).complete(BUNDLE).text == '{"echo": true}'
-
-
 def test_provider_config_validation():
     with pytest.raises(ValueError):
         ProviderConfig(endpoint="http://x", model_name="m", retry_limit=-1)
