@@ -91,7 +91,9 @@ class NoStructuredPayload(CdmgenError):
 
 
 class GenerationIncomplete(CdmgenError):
-    """Direct generation was truncated before producing a complete document."""
+    """Generation ended without a complete result: direct generation was
+    truncated before the document closed, or a synthesized description is
+    empty."""
 
 
 class PopulationIncomplete(CdmgenError):

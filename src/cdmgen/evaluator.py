@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from . import prompts, treeops
+from . import treeops
 from .errors import (
     DegenerateDenominator,
     EmptyDocument,
@@ -26,7 +26,7 @@ from .errors import (
     ListParseFailure,
     NoStructuredPayload,
 )
-from .gateway import PromptBundle, extract_structured
+from .gateway import PromptBundle, chat_prompt, extract_structured, follow_up
 from .schema_index import PropertyDef, SchemaIndex
 
 DEFAULT_MU = 0.3
@@ -150,18 +150,12 @@ def _value_conforms(prop: PropertyDef, value) -> bool:
 
 
 def coverage_prompt(contract_text: str, doc: dict) -> PromptBundle:
-    user_text = "\n\n".join(
-        [
-            prompts.load("coverage_instructions.txt"),
-            f"Contract description:\n{contract_text}",
-            "Structured representation:\n" + json.dumps(doc, indent=2, ensure_ascii=False),
-        ]
-    )
-    return PromptBundle(system_text=prompts.load("coverage_system.txt"), user_text=user_text)
+    structured = "Structured representation:\n" + json.dumps(doc, indent=2, ensure_ascii=False)
+    return chat_prompt("coverage", contract_text, [structured])
 
 
 def coverage_retry_prompt(first: PromptBundle) -> PromptBundle:
-    return replace(first, user_text=first.user_text + "\n\n" + prompts.load("coverage_retry.txt"))
+    return follow_up(first, "coverage_retry.txt")
 
 
 def coverage_lists(contract_text: str, doc: dict, gateway) -> CoverageLists:

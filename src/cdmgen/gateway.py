@@ -16,10 +16,12 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from urllib.parse import urlsplit
 
 from . import prompts
 from .errors import (
     AuthFailure,
+    GenerationIncomplete,
     MalformedDocument,
     NoStructuredPayload,
     ProviderUnavailable,
@@ -70,6 +72,10 @@ class ProviderConfig:
     retry_limit: int = 2
 
     def __post_init__(self):
+        url = urlsplit(self.endpoint) if isinstance(self.endpoint, str) else None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {self.endpoint!r} is not an http or https URL with a host")
+        url.port  # raises ValueError for a port that is not a number from 0 to 65535
         if not conforms("integer", self.retry_limit):
             raise ValueError("retry_limit must be an integer")
         if not conforms("number", self.timeout):
@@ -90,6 +96,33 @@ class CompletionResult:
 def prompt_hash(prompt: PromptBundle) -> str:
     """Stable identity of a prompt: sha256 over system and user text."""
     return prompt.digest
+
+
+def chat_prompt(
+    kind: str, contract_text: Optional[str] = None, sections: Sequence[str] = (), references=()
+) -> PromptBundle:
+    """The one request layout: ``{kind}_system.txt`` as the system text; as
+    the user text, ``{kind}_instructions.txt``, the contract description when
+    given, the caller's ``sections`` and the bodies of the retrieved chunks
+    in ``references`` under one heading when any, joined by blank lines."""
+    parts = [prompts.load(f"{kind}_instructions.txt")]
+    if contract_text is not None:
+        parts.append(f"Contract description:\n{contract_text}")
+    parts += sections
+    if references:
+        bodies = "\n\n".join(chunk.body for chunk in references)
+        parts.append(f"Reference examples from similar contracts:\n{bodies}")
+    return PromptBundle(prompts.load(f"{kind}_system.txt"), "\n\n".join(parts))
+
+
+def follow_up(prompt: PromptBundle, resource: str, report=None) -> PromptBundle:
+    """A re-ask: ``prompt`` with the ``resource`` text after a blank line,
+    then the JSON ``report``, when there is one, from the next line. Built
+    from the original request, so identical failures give identical prompts."""
+    user_text = prompt.user_text + "\n\n" + prompts.load(resource)
+    if report is not None:
+        user_text += "\n" + json.dumps(report, indent=2, ensure_ascii=False)
+    return PromptBundle(prompt.system_text, user_text)
 
 
 class MockProvider:
@@ -240,8 +273,12 @@ class HttpProvider:
         finish = choice.get("finish_reason") or "stop"
         if finish not in ("stop", "length"):
             finish = "stop"
+        # A null or non-text content, or a usage that is not an object, reads as empty.
+        usage = body.get("usage")
         return CompletionResult(
-            text=text, finish_reason=finish, usage=dict(body.get("usage", {}))
+            text=text if isinstance(text, str) else "",
+            finish_reason=finish,
+            usage=dict(usage) if isinstance(usage, dict) else {},
         )
 
 
@@ -296,17 +333,15 @@ def synthesize_description(provider, cdm_example: dict, reference_texts: Sequenc
 
     The prompt embeds the structured example plus any reference term sheets
     as style guides. ``provider`` is any object with ``complete(prompt)``.
+    An empty or blank reply raises :class:`GenerationIncomplete`.
     """
     if not cdm_example:
         raise ValueError("cdm_example must be a non-empty structured value")
-    sections = [prompts.load("synthesize_instructions.txt")]
-    for i, reference in enumerate(reference_texts, start=1):
-        sections.append(f"Reference term sheet {i}:\n{reference}")
+    sections = [f"Reference term sheet {i}:\n{sheet}" for i, sheet in enumerate(reference_texts, start=1)]
     sections.append(
         "Structured contract data:\n" + json.dumps(cdm_example, indent=2, ensure_ascii=False)
     )
-    bundle = PromptBundle(
-        system_text=prompts.load("synthesize_system.txt"),
-        user_text="\n\n".join(sections),
-    )
-    return provider.complete(bundle).text
+    text = provider.complete(chat_prompt("synthesize", sections=sections)).text
+    if not text.strip():
+        raise GenerationIncomplete("the model's reply holds no description")
+    return text

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import MalformedDocument
 from .template_builder import load_examples
-from .treeops import read_json_object, write_text
+from .treeops import conforms, read_json_object, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -61,8 +61,15 @@ class Chunk:
         return frozenset(tokens), len(tokens)
 
 
-# The fields every saved chunk must hold; ``oversized`` defaults to False.
-_CHUNK_FIELDS = ("chunk_id", "contract_type", "source_path", "body", "token_estimate")
+# The kind of each field a saved chunk holds, as ``to_text`` writes it.
+_CHUNK_FIELDS = {
+    "chunk_id": "string",
+    "contract_type": "string",
+    "source_path": "string",
+    "body": "string",
+    "token_estimate": "integer",
+    "oversized": "boolean",
+}
 
 
 @dataclass
@@ -80,20 +87,22 @@ class KnowledgeBase:
     def load(cls, path) -> "KnowledgeBase":
         """Read a saved base. Only the chunk fields that ``to_text`` writes
         are read; any other key, at the top or in a chunk, is ignored. A
-        base without chunks, or a chunk that is not an object holding every
-        field but ``oversized``, raises :class:`MalformedDocument`."""
+        base without chunks, a chunk that is not an object, or a chunk field
+        that is missing (``oversized`` may be, meaning false) or not of the
+        kind ``to_text`` writes raises :class:`MalformedDocument`."""
         payload = read_json_object(path, "chunks")
         entries = payload["chunks"]
         if not isinstance(entries, list) or not entries:
             raise MalformedDocument(str(path), 0, "'chunks' is not a non-empty list")
         chunks = []
         for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or not all(name in entry for name in _CHUNK_FIELDS):
-                raise MalformedDocument(
-                    str(path), 0, f"chunk {i} is not an object holding {', '.join(_CHUNK_FIELDS)}"
-                )
-            fields = {name: entry[name] for name in _CHUNK_FIELDS}
-            chunks.append(Chunk(**fields, oversized=entry.get("oversized", False)))
+            if not isinstance(entry, dict):
+                raise MalformedDocument(str(path), 0, f"chunk {i} is not an object")
+            entry = {"oversized": False, **entry}
+            for name, kind in _CHUNK_FIELDS.items():
+                if not conforms(kind, entry.get(name)):
+                    raise MalformedDocument(str(path), 0, f"chunk {i} has no {kind} {name!r}")
+            chunks.append(Chunk(**{name: entry[name] for name in _CHUNK_FIELDS}))
         return cls(chunks=chunks)
 
 

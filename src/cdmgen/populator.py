@@ -19,12 +19,12 @@ import json
 import logging
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from . import prompts, treeops
+from . import treeops
 from .errors import CdmgenError, GenerationIncomplete, NoStructuredPayload, ProviderOutage
-from .gateway import PromptBundle, extract_structured, prompt_hash
+from .gateway import PromptBundle, chat_prompt, extract_structured, follow_up, prompt_hash
 from .knowledge_base import Chunk, KnowledgeBase, retrieve
 from .template_builder import Template
 
@@ -242,35 +242,17 @@ def build_prompt(
 ) -> PromptBundle:
     """Deterministic prompt: instructions, contract, path, definition,
     placeholder structure, then retrieved reference chunks when RAG is on."""
-    sections = [prompts.load("populate_instructions.txt")]
-    sections.append(f"Contract description:\n{contract_text}")
     context = ".".join(task.traversal_context)
-    sections.append(f"Location in the document: {context if context else 'document root'}")
+    sections = [f"Location in the document: {context if context else 'document root'}"]
     if task.object_definition:
         sections.append(f"Object definition: {task.object_definition}")
     sections.append("Structure to populate:\n" + task.structure_text)
-    if cfg.use_rag and task.retrieved_chunks:
-        bodies = "\n\n".join(chunk.body for chunk in task.retrieved_chunks)
-        sections.append(f"Reference examples from similar contracts:\n{bodies}")
-    return PromptBundle(
-        system_text=prompts.load("populate_system.txt"),
-        user_text="\n\n".join(sections),
-    )
+    return chat_prompt("populate", contract_text, sections, task.retrieved_chunks if cfg.use_rag else ())
 
 
 def repair_prompt(original: PromptBundle, report: ShapeReport) -> PromptBundle:
-    """Follow-up prompt: the original request plus the mismatch report.
-
-    Built from the original (not the previous follow-up) so repeated
-    identical failures produce identical prompts.
-    """
-    addendum = (
-        "\n\n"
-        + prompts.load("repair_followup.txt")
-        + "\n"
-        + json.dumps(report.to_payload(), indent=2, ensure_ascii=False)
-    )
-    return replace(original, user_text=original.user_text + addendum)
+    """Follow-up prompt: the original request plus the mismatch report."""
+    return follow_up(original, "repair_followup.txt", report.to_payload())
 
 
 def task_query(task: PopulationTask) -> str:
@@ -618,17 +600,8 @@ def baseline_generate(
     """
     if cfg.use_rag and kb is None:
         raise ValueError("use_rag requires a knowledge base")
-    sections = [prompts.load("baseline_instructions.txt")]
-    sections.append(f"Contract description:\n{contract_text}")
-    if cfg.use_rag:
-        chunks = retrieve(kb, contract_text, cfg.k_chunks)
-        bodies = "\n\n".join(chunk.body for chunk in chunks)
-        sections.append(f"Reference examples from similar contracts:\n{bodies}")
-    bundle = PromptBundle(
-        system_text=prompts.load("baseline_system.txt"),
-        user_text="\n\n".join(sections),
-    )
-    completion = gateway.complete(bundle)
+    chunks = retrieve(kb, contract_text, cfg.k_chunks) if cfg.use_rag else ()
+    completion = gateway.complete(chat_prompt("baseline", contract_text, references=chunks))
     if completion.finish_reason == "length":
         raise GenerationIncomplete("model output was truncated before the document closed")
     return extract_structured(completion.text)

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Any
 
 from . import treeops
-from .errors import CycleDetected, EmptyExampleDir
+from .errors import CycleDetected, EmptyExampleDir, MalformedDocument
 from .schema_index import PropertyDef, SchemaIndex
 
 
@@ -65,7 +65,11 @@ class Template:
 
     @classmethod
     def load(cls, path) -> "Template":
+        """Read a saved template; one whose ``tree`` is not an object raises
+        :class:`MalformedDocument`."""
         payload = treeops.read_json_object(path, "tree")
+        if not isinstance(payload["tree"], dict):
+            raise MalformedDocument(str(path), 0, "'tree' is not an object")
         return cls(
             tree=payload["tree"],
             contract_type=payload.get("contract_type", ""),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import csv
 import json
 import os
@@ -774,6 +775,10 @@ BAD_INPUTS = {
     ),
     "kb_chunk_not_object": (1, "baseline --contract {contract} --rag --kb {kb_chunk_not_object} --mock-script {script}"),
     "kb_without_chunks": (1, "pipeline --config {config_kb_without_chunks}"),
+    "kb_body_number": (1, "baseline --contract {contract} --rag --kb {kb_body_5} --mock-script {script}"),
+    "kb_chunk_id_number": (1, "baseline --contract {contract} --rag --kb {kb_chunk_id_7} --mock-script {script}"),
+    "template_tree_list": (1, POPULATE + " --template {tree_list} --mock-script {script}"),
+    "template_tree_text": (1, POPULATE + " --template {tree_text} --mock-script {script}"),
     "synthesize_empty_example": (1, "synthesize --example {empty_object} --mock-script {script}"),
     "populate_max_inflight_0": (2, POPULATE + " --template {template} --mock-script {script} --max-inflight 0"),
     "pipeline_max_inflight_0": (2, "pipeline --config {config_max_inflight_0}"),
@@ -856,6 +861,7 @@ def test_bad_input_is_typed_not_a_traceback(
     }
     http_config = {k: v for k, v in config.items() if k != "mock_script"}
     provider = {"endpoint": "http://127.0.0.1:9/v1/chat/completions", "timeout": 60}
+    chunk = {"chunk_id": "a", "contract_type": "C", "source_path": "", "body": "{}", "token_estimate": 0}
     files = {
         "not_json": "{not json",
         "not_object": "[1, 2]",
@@ -884,6 +890,10 @@ def test_bad_input_is_typed_not_a_traceback(
         "kb_chunk_without_fields": json.dumps({"chunks": [{"chunk_id": "a"}]}),
         "kb_chunk_not_object": json.dumps({"chunks": [1]}),
         "kb_without_chunks": json.dumps({"chunks": []}),
+        "kb_body_5": json.dumps({"chunks": [{**chunk, "body": 5}]}),
+        "kb_chunk_id_7": json.dumps({"chunks": [chunk, {**chunk, "chunk_id": 7}]}),
+        "tree_list": json.dumps({"tree": [1]}),
+        "tree_text": json.dumps({"tree": "x"}),
         "contract_type_only": json.dumps({"contract_type": "x"}),
         "not_utf8": b'{"text": "caf\xe9"}',
     }
@@ -1133,6 +1143,38 @@ def test_endpoint_variable_beats_the_run_config_endpoint(
     assert _ScriptThenRejectHandler.calls == len(_ScriptThenRejectHandler.script)
     with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as handle:
         assert {row["status"] for row in csv.DictReader(handle)} == {"ok"}
+
+
+@pytest.mark.parametrize("where", ["flag", "environment", "run_config"])
+def test_an_endpoint_that_is_not_an_http_url_is_a_usage_error(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch, capsys, where
+):
+    monkeypatch.delenv("CDMGEN_ENDPOINT", raising=False)
+    argv = ["baseline", "--contract", contracts_dir / "foreign_exchange.txt", "--out", tmp_path / "b.json"]
+    if where == "flag":
+        argv += ["--provider", "notaurl"]
+    elif where == "environment":
+        monkeypatch.setenv("CDMGEN_ENDPOINT", " ")
+    else:
+        config_path, _, _ = helpers.prepare_pipeline(
+            tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+        )
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        del config["mock_script"]
+        config["provider"] = {"endpoint": "ftp://127.0.0.1/v1/chat/completions"}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["pipeline", "--config", config_path]
+    run_expecting_usage_error(argv)
+    assert "is not an http or https URL with a host" in capsys.readouterr().err
+
+
+def test_synthesize_empty_reply_is_generation_incomplete(tmp_path, examples_root, script_server, capsys):
+    _ScriptThenRejectHandler.script = collections.defaultdict(lambda: None)  # "content": null
+    out = tmp_path / "description.txt"
+    argv = ["synthesize", "--example", examples_root / "equity_swap" / "eqs-001.json", "--out", out]
+    assert run(argv + ["--provider", script_server]) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "GenerationIncomplete"
+    assert not out.exists()
 
 
 class _ProbeGateway:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cdmgen import gateway
-from cdmgen.errors import AuthFailure, NoStructuredPayload, ProviderUnavailable, Timeout
+from cdmgen.errors import AuthFailure, GenerationIncomplete, NoStructuredPayload, ProviderUnavailable, Timeout
 from cdmgen.gateway import (
     CompletionResult,
     HttpProvider,
@@ -249,6 +249,24 @@ def test_http_provider_non_json_body_is_provider_unavailable(local_server):
         HttpProvider(cfg).complete(BUNDLE)
 
 
+@pytest.mark.parametrize(
+    "reply, usage, text",
+    [
+        ({"content": "{}"}, None, "{}"),
+        ({"content": "{}"}, [1], "{}"),
+        ({"content": None}, {"prompt_tokens": 2}, ""),
+        ({"content": 5}, None, ""),
+    ],
+    ids=["usage_null", "usage_list", "content_null", "content_number"],
+)
+def test_http_provider_reads_a_null_or_odd_content_or_usage_as_empty(local_server, reply, usage, text):
+    _Handler.behavior = "raw"
+    _Handler.raw_body = json.dumps({"choices": [{"message": reply}], "usage": usage}).encode()
+    result = HttpProvider(ProviderConfig(endpoint=local_server, model_name="m")).complete(BUNDLE)
+    assert result.text == text
+    assert result.usage == (usage if isinstance(usage, dict) else {})
+
+
 def test_unreachable_endpoint_zero_retries():
     cfg = ProviderConfig(
         endpoint="http://127.0.0.1:9/v1/chat/completions", model_name="m", retry_limit=0, timeout=1.0
@@ -316,6 +334,16 @@ def test_provider_config_validation():
         ProviderConfig(endpoint="http://x", model_name="m", retry_limit=-1)
     with pytest.raises(ValueError):
         ProviderConfig(endpoint="http://x", model_name="m", timeout=0)
+    assert ProviderConfig(endpoint="HTTPS://host:8443/v1", model_name="m").endpoint == "HTTPS://host:8443/v1"
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["notaurl", " ", "", "ftp://host/x", "http://", "http:///path", "http://[::1", "http://host:port/x", 5, None],
+)
+def test_provider_config_rejects_an_endpoint_that_is_not_an_http_url_with_a_host(endpoint):
+    with pytest.raises(ValueError):
+        ProviderConfig(endpoint=endpoint, model_name="m")
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +432,16 @@ def test_synthesize_with_mock():
     )
     mock = MockProvider({prompt_hash(bundle): "A contract description."})
     assert synthesize_description(mock, example, references) == "A contract description."
+
+
+@pytest.mark.parametrize("reply", ["", " \n"])
+def test_synthesize_rejects_an_empty_reply(reply):
+    class Blank:
+        def complete(self, prompt):
+            return CompletionResult(text=reply, finish_reason="stop")
+
+    with pytest.raises(GenerationIncomplete):
+        synthesize_description(Blank(), {"trade": {}}, [])
 
 
 def test_synthesize_rejects_empty_example():
