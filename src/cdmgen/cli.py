@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -30,10 +30,20 @@ from .treeops import iter_leaf_paths, make_dirs, read_json_object, read_text, wr
 
 logger = logging.getLogger(__name__)
 
-ENV_DEPTH = "CDMGEN_DEPTH"
-ENV_MU = "CDMGEN_MU"
-ENV_EPSILON = "CDMGEN_EPSILON"
-ENV_ENDPOINT = "CDMGEN_ENDPOINT"
+# The settings an environment variable can give: field -> (variable, cast).
+# Only a variable's text is converted: a flag is typed by its parser, and a
+# run config's value is checked by the class it configures.
+VARIABLES = {
+    "depth_threshold": ("CDMGEN_DEPTH", int),
+    "mu": ("CDMGEN_MU", float),
+    "epsilon": ("CDMGEN_EPSILON", float),
+    "endpoint": ("CDMGEN_ENDPOINT", str),
+}
+# The usage message of a field without a default that no source fills.
+UNSET = {
+    "endpoint": "a provider is required: --provider URL or --mock-script FILE "
+    "(in a run config, provider.endpoint or mock_script)",
+}
 
 SUMMARY_COLUMNS = (
     "group",
@@ -54,17 +64,32 @@ def write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, ensure_ascii=False) + "\n")
 
 
-def _setting(flag_value, env_var: str, config_value, cast):
-    """Configuration precedence: flag > environment > config file (or the
-    default, passed as ``config_value`` when the file has none).
+def _configure(parser, config_class, args, file_values: dict):
+    """The ``config_class`` dataclass with each field set by the one
+    settings rule: the flag whose destination is the field's name, else
+    the field's variable in VARIABLES when it is set and not empty, else
+    the run config's key of that name in ``file_values``, else the default.
 
-    Only environment text is converted, by ``cast``: a flag is typed by its
-    parser, and a config value is checked by the class it configures.
+    A ValueError from the class or from converting a variable is a usage
+    error, and so is a field without a default left empty.
     """
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(env_var)
-    return cast(env) if env else config_value
+    values = {}
+    try:
+        for f in fields(config_class):
+            flag = getattr(args, f.name, None)
+            variable, cast = VARIABLES.get(f.name, (None, None))
+            text = os.environ.get(variable) if variable else None
+            if flag is not None:
+                values[f.name] = flag
+            elif text:
+                values[f.name] = cast(text)
+            elif f.name in file_values:
+                values[f.name] = file_values[f.name]
+            if f.default is MISSING and not values.get(f.name):
+                parser.error(UNSET[f.name])
+        return config_class(**values)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _read_contract(path) -> str:
@@ -72,7 +97,7 @@ def _read_contract(path) -> str:
     UTF-8, raises :class:`MalformedDocument`."""
     text = read_text(path)
     if not text.strip():
-        raise MalformedDocument(str(path), 0, "the contract text is empty")
+        raise MalformedDocument(str(path), "the contract text is empty")
     return text
 
 
@@ -88,21 +113,13 @@ def _input_file(value: str) -> str:
 
 
 def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
-    """Provider flags whose destinations are a run config's ``provider``
-    keys, so ``vars(args)`` reads as one for :func:`_make_gateway`."""
+    """Provider flags, whose destinations are ProviderConfig's fields."""
     group = sub.add_argument_group("provider")
     group.add_argument("--provider", dest="endpoint", metavar="URL", help="chat-completion endpoint URL")
-    group.add_argument("--model", default="default", help="model name sent to the provider")
-    group.add_argument(
-        "--credential-env",
-        default="",
-        help="environment variable holding the provider credential",
-    )
-    group.add_argument("--timeout", type=float, default=ProviderConfig.timeout)
-    group.add_argument(
-        "--provider-retries", dest="retries", type=int, default=ProviderConfig.retry_limit,
-        help="transport retry limit",
-    )
+    group.add_argument("--model", help="model name sent to the provider")
+    group.add_argument("--credential-env", help="environment variable holding the provider credential")
+    group.add_argument("--timeout", type=float)
+    group.add_argument("--provider-retries", dest="retries", type=int, help="transport retry limit")
     group.add_argument(
         "--mock-script",
         type=_input_file,
@@ -110,33 +127,13 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_gateway(
-    parser, mock_script, flag_endpoint=None, /, endpoint=None, model="default", credential_env="",
-    timeout=ProviderConfig.timeout, retries=ProviderConfig.retry_limit, max_inflight=1, **_ignored,
-):
+def _make_gateway(parser, args, mock_script, file_values: dict, max_inflight: int = 1):
     """A command's provider: the mock script when one is named, else an
-    HTTP client that keeps a connection per call in flight. Its URL is
-    ``flag_endpoint`` (``--provider``), else CDMGEN_ENDPOINT, else ``endpoint``.
-
-    The other keywords are a run config's ``provider`` keys, which the
-    provider flags' destinations match; unknown keys are ignored, and a
-    value ProviderConfig rejects is a usage error.
-    """
+    HTTP client, configured from the provider flags and a run config's
+    ``provider`` keys, that keeps a connection per call in flight."""
     if mock_script:
         return MockProvider.from_file(mock_script)
-    endpoint = _setting(flag_endpoint, ENV_ENDPOINT, endpoint, str)
-    if not endpoint:
-        parser.error(
-            "a provider is required: --provider URL or --mock-script FILE "
-            "(in a run config, provider.endpoint or mock_script)"
-        )
-    try:
-        cfg = ProviderConfig(
-            endpoint, model_name=model, credential_ref=credential_env, timeout=timeout, retry_limit=retries
-        )
-    except ValueError as exc:
-        parser.error(f"provider setting: {exc}")
-    return HttpProvider(cfg, max_inflight=max_inflight)
+    return HttpProvider(_configure(parser, ProviderConfig, args, file_values), max_inflight=max_inflight)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +166,12 @@ def cmd_ingest_kb(args, parser) -> int:
     return 0
 
 
-def _generation_inputs(args, parser):
+def _generation_inputs(args, parser, max_inflight: int = 1):
     """Gateway, contract text and knowledge base of ``populate`` and
-    ``baseline``; populate's ``--max-inflight`` reaches the gateway too."""
-    if args.rag and not args.kb:
+    ``baseline``."""
+    if args.use_rag and not args.kb:
         parser.error("--rag requires --kb FILE")
-    gateway = _make_gateway(parser, args.mock_script, args.endpoint, **vars(args))
+    gateway = _make_gateway(parser, args, args.mock_script, {}, max_inflight)
     return gateway, _read_contract(args.contract), KnowledgeBase.load(args.kb) if args.kb else None
 
 
@@ -192,17 +189,8 @@ def _write_population(doc: populator.PopulatedDocument, cdm_path, provenance_pat
 
 
 def cmd_populate(args, parser) -> int:
-    try:
-        cfg = PopulationConfig(
-            depth_threshold=_setting(args.depth, ENV_DEPTH, populator.DEFAULT_DEPTH_THRESHOLD, int),
-            use_rag=bool(args.rag),
-            retry_limit=args.retry_limit,
-            k_chunks=args.k_chunks,
-            max_inflight=args.max_inflight,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    gateway, contract_text, kb = _generation_inputs(args, parser)
+    cfg = _configure(parser, PopulationConfig, args, {})
+    gateway, contract_text, kb = _generation_inputs(args, parser, cfg.max_inflight)
     template = Template.load(args.template)
     try:
         doc = populate(template, contract_text, kb, gateway, cfg)
@@ -215,10 +203,7 @@ def cmd_populate(args, parser) -> int:
 
 
 def cmd_baseline(args, parser) -> int:
-    try:
-        cfg = PopulationConfig(use_rag=bool(args.rag), k_chunks=args.k_chunks)
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = _configure(parser, PopulationConfig, args, {})
     gateway, contract_text, kb = _generation_inputs(args, parser)
     result = populator.baseline_generate(contract_text, kb, gateway, cfg)
     write_json(args.out, result)
@@ -226,10 +211,10 @@ def cmd_baseline(args, parser) -> int:
 
 
 def cmd_synthesize(args, parser) -> int:
-    gateway = _make_gateway(parser, args.mock_script, args.endpoint, **vars(args))
+    gateway = _make_gateway(parser, args, args.mock_script, {})
     example = read_json_object(args.example)
     if not example:
-        raise MalformedDocument(args.example, 0, "the example is an empty object")
+        raise MalformedDocument(args.example, "the example is an empty object")
     references = [read_text(p) for p in args.reference]
     text = synthesize_description(gateway, example, references)
     atomic_write_text(args.out, text if text.endswith("\n") else text + "\n")
@@ -246,20 +231,13 @@ def _write_report(path, contract_type: str, report: evaluator.EvaluationReport, 
 
 
 def cmd_evaluate(args, parser) -> int:
-    lists = weights = None
-    if args.coverage:
-        try:
-            weights = evaluator.CoverageWeights(
-                mu=_setting(args.mu, ENV_MU, evaluator.DEFAULT_MU, float),
-                epsilon=_setting(args.epsilon, ENV_EPSILON, evaluator.DEFAULT_EPSILON, float),
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
+    lists = None
+    weights = _configure(parser, evaluator.CoverageWeights, args, {}) if args.coverage else None
     index = load_schema_dir(args.schema_dir, args.root)
     doc = read_json_object(args.cdm)
     report = evaluator.evaluate_document(doc, index)
     if args.coverage:
-        gateway = _make_gateway(parser, args.mock_script, args.endpoint, **vars(args))
+        gateway = _make_gateway(parser, args, args.mock_script, {})
         lists = evaluator.coverage_lists(_read_contract(args.contract), doc, gateway)
     _write_report(args.out, args.contract_type, report, lists, weights)
     return 0
@@ -306,10 +284,10 @@ def cmd_report(args, parser) -> int:
         try:
             report = evaluator.EvaluationReport.from_dict(envelope)
         except ValueError as exc:
-            raise MalformedDocument(str(file), 0, str(exc)) from exc
+            raise MalformedDocument(str(file), str(exc)) from exc
         group = envelope.get("contract_type") or "unknown"
         if not isinstance(group, str):
-            raise MalformedDocument(str(file), 0, "'contract_type' is not a string")
+            raise MalformedDocument(str(file), "'contract_type' is not a string")
         groups.setdefault(group, []).append(report)
     _write_summary(args.out, _summary_rows(groups, []))
     return 0
@@ -336,14 +314,6 @@ def _field_names(*classes) -> set[str]:
     return {f.name for config_class in classes for f in fields(config_class)}
 
 
-def _provider_keys() -> set[str]:
-    """A run config's ``provider`` keys: the provider flags' destinations
-    other than ``mock_script``, which is a top-level key."""
-    probe = argparse.ArgumentParser(add_help=False)
-    _add_provider_flags(probe)
-    return set(vars(probe.parse_args([]))) - {"mock_script"}
-
-
 def _check_keys(mapping, known: set[str], where: str) -> None:
     unknown = sorted(set(mapping) - known) if isinstance(mapping, dict) else []
     if unknown:
@@ -355,20 +325,19 @@ class RunConfig:
     """Batch run configuration, read from a JSON file.
 
     Paths are resolved relative to the config file's directory; every
-    referenced input must exist when the command starts. ``population`` and
-    ``weights`` hold the file's PopulationConfig and CoverageWeights keys
-    as written, for those classes to check. A key that nothing reads, at
-    the top level, in a contract entry or in ``provider``, raises
-    ``ValueError``, and so does a contract name that is used twice or is
-    not a plain file name (it names the contract's files in ``out_dir``).
+    referenced input must exist when the command starts. ``settings`` holds
+    the file's PopulationConfig and CoverageWeights keys, and ``provider``
+    its ProviderConfig keys, as written, for :func:`_configure`. A key that
+    nothing reads, at the top level, in a contract entry or in ``provider``,
+    raises ``ValueError``, and so does a contract name that is used twice or
+    is not a plain file name (it names the contract's files in ``out_dir``).
     """
 
     schema_dir: Path
     root_file: str
     out_dir: Path
     contracts: list[ContractJob]
-    population: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
+    settings: dict = field(default_factory=dict)
     coverage: bool = False
     mock_script: Optional[Path] = None
     provider: dict = field(default_factory=dict)
@@ -392,14 +361,11 @@ class RunConfig:
             p = Path(value)
             return p if p.is_absolute() else base / p
 
-        def settings_of(config_class) -> dict:
-            return {f.name: payload[f.name] for f in fields(config_class) if f.name in payload}
-
-        top_level = _field_names(cls, PopulationConfig, evaluator.CoverageWeights) - {"population", "weights"}
-        _check_keys(payload, top_level, "")
+        settings = _field_names(PopulationConfig, evaluator.CoverageWeights)
+        _check_keys(payload, (_field_names(cls) - {"settings"}) | settings, "")
         for entry in payload.get("contracts", []):
             _check_keys(entry, _field_names(ContractJob), "contract ")
-        _check_keys(payload.get("provider", {}), _provider_keys(), "provider ")
+        _check_keys(payload.get("provider", {}), _field_names(ProviderConfig), "provider ")
         contracts = [
             ContractJob(
                 name=str(entry.get("name") or Path(entry["contract_path"]).stem),
@@ -415,8 +381,7 @@ class RunConfig:
             root_file=payload["root_file"],
             out_dir=resolve(payload.get("out_dir", "pipeline-out")),
             contracts=contracts,
-            population=settings_of(PopulationConfig),
-            weights=settings_of(evaluator.CoverageWeights),
+            settings={name: payload[name] for name in settings if name in payload},
             coverage=payload.get("coverage", False),
             mock_script=resolve(payload["mock_script"]) if payload.get("mock_script") else None,
             provider=dict(payload.get("provider", {})),
@@ -464,20 +429,10 @@ def cmd_pipeline(args, parser) -> int:
         run.out_dir = Path(args.out_dir)
     if args.mock_script:
         run.mock_script = Path(args.mock_script)
-    try:
-        depth = run.population.get("depth_threshold", populator.DEFAULT_DEPTH_THRESHOLD)
-        depth = _setting(args.depth, ENV_DEPTH, depth, int)
-        cfg = PopulationConfig(**{**run.population, "depth_threshold": depth})
-        mu = run.weights.get("mu", evaluator.DEFAULT_MU)
-        eps = run.weights.get("epsilon", evaluator.DEFAULT_EPSILON)
-        weights = evaluator.CoverageWeights(
-            mu=_setting(args.mu, ENV_MU, mu, float), epsilon=_setting(args.epsilon, ENV_EPSILON, eps, float)
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = _configure(parser, PopulationConfig, args, run.settings)
+    weights = _configure(parser, evaluator.CoverageWeights, args, run.settings)
     run.validate(parser, cfg.use_rag)
-    provider = {**run.provider, "max_inflight": cfg.max_inflight}
-    gateway = _make_gateway(parser, run.mock_script, None, **provider)
+    gateway = _make_gateway(parser, args, run.mock_script, run.provider, cfg.max_inflight)
 
     # Contracts naming the same knowledge base share it, and contracts of
     # one type built from the same examples share a template and its file
@@ -613,13 +568,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", required=True, type=_input_file)
     p.add_argument("--contract", required=True, type=_input_file)
     p.add_argument("--kb", type=_input_file)
-    p.add_argument("--rag", action="store_true", default=None)
-    p.add_argument("--depth", type=int)
-    p.add_argument(
-        "--retries", dest="retry_limit", metavar="RETRIES", type=int, default=PopulationConfig.retry_limit
-    )
-    p.add_argument("--k-chunks", type=int, default=PopulationConfig.k_chunks)
-    p.add_argument("--max-inflight", type=int, default=PopulationConfig.max_inflight)
+    p.add_argument("--rag", dest="use_rag", action="store_true", default=None)
+    p.add_argument("--depth", dest="depth_threshold", metavar="DEPTH", type=int)
+    p.add_argument("--retries", dest="retry_limit", metavar="RETRIES", type=int)
+    p.add_argument("--k-chunks", type=int)
+    p.add_argument("--max-inflight", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance")
     _add_provider_flags(p)
@@ -628,8 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="direct single-prompt generation, no template")
     p.add_argument("--contract", required=True, type=_input_file)
     p.add_argument("--kb", type=_input_file)
-    p.add_argument("--rag", action="store_true", default=None)
-    p.add_argument("--k-chunks", type=int, default=PopulationConfig.k_chunks)
+    p.add_argument("--rag", dest="use_rag", action="store_true", default=None)
+    p.add_argument("--k-chunks", type=int)
     p.add_argument("--out", required=True)
     _add_provider_flags(p)
     p.set_defaults(func=cmd_baseline)
@@ -665,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="template + populate + evaluate for a batch")
     p.add_argument("--config", required=True, type=_input_file, help="run configuration JSON")
     p.add_argument("--out-dir")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", dest="depth_threshold", metavar="DEPTH", type=int)
     p.add_argument("--mu", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--mock-script", type=_input_file)

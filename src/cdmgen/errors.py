@@ -36,12 +36,14 @@ class UnresolvedRef(CdmgenError):
 
 
 class MalformedDocument(CdmgenError):
-    """A JSON input file failed to parse or is not the object expected."""
+    """A JSON input file failed to parse, at byte ``offset``, or parsed but
+    is not the object expected (``offset`` is None)."""
 
-    def __init__(self, file: str, offset: int, detail: str):
+    def __init__(self, file: str, detail: str, offset: int | None = None):
         self.file = file
         self.offset = offset
-        super().__init__(f"{file}: parse failure at byte offset {offset}: {detail}")
+        where = "" if offset is None else f" parse failure at byte offset {offset}:"
+        super().__init__(f"{file}:{where} {detail}")
 
 
 class CycleDetected(CdmgenError):
@@ -53,7 +55,7 @@ class CycleDetected(CdmgenError):
 
 
 class EmptyExampleDir(CdmgenError):
-    """An example directory contains no example files."""
+    """An example directory contains no example files, or none with a leaf."""
 
 
 # ---------------------------------------------------------------------------

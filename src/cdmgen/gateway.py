@@ -65,23 +65,30 @@ class PromptBundle:
 
 @dataclass(frozen=True)
 class ProviderConfig:
+    """Where and how to call the provider: ``model`` is sent with every
+    request, and ``credential_env`` names the environment variable holding
+    the bearer token (none is sent when it is empty)."""
+
     endpoint: str
-    model_name: str
-    credential_ref: str = ""
+    model: str = "default"
+    credential_env: str = ""
     timeout: float = 30.0
-    retry_limit: int = 2
+    retries: int = 2
 
     def __post_init__(self):
         url = urlsplit(self.endpoint) if isinstance(self.endpoint, str) else None
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint {self.endpoint!r} is not an http or https URL with a host")
         url.port  # raises ValueError for a port that is not a number from 0 to 65535
-        if not conforms("integer", self.retry_limit):
-            raise ValueError("retry_limit must be an integer")
+        for name in ("model", "credential_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        if not conforms("integer", self.retries):
+            raise ValueError("retries must be an integer")
         if not conforms("number", self.timeout):
             raise ValueError("timeout must be a number")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
@@ -148,10 +155,10 @@ class MockProvider:
                 isinstance(entry, dict) and isinstance(entry.get("text"), str)
             ):
                 raise MalformedDocument(
-                    str(path), 0, f"entry {key} is neither a string nor an object with a string 'text'"
+                    str(path), f"entry {key} is neither a string nor an object with a string 'text'"
                 )
             if isinstance(entry, dict) and not isinstance(entry.get("usage", {}), dict):
-                raise MalformedDocument(str(path), 0, f"entry {key} has a 'usage' that is not an object")
+                raise MalformedDocument(str(path), f"entry {key} has a 'usage' that is not an object")
         return cls(script)
 
     def complete(self, prompt: PromptBundle) -> CompletionResult:
@@ -172,7 +179,7 @@ class HttpProvider:
     """OpenAI-compatible chat-completion client with retry and backoff.
 
     Transient failures (connection errors, timeouts, 429 and 5xx replies)
-    retry up to ``cfg.retry_limit`` times with exponential backoff, or after
+    retry up to ``cfg.retries`` times with exponential backoff, or after
     the reply's ``Retry-After`` seconds when it sends them, either capped at
     8 s. Authentication failures never retry, nor does a 200 reply that is
     not JSON or carries no message (both raise :class:`ProviderUnavailable`).
@@ -202,12 +209,10 @@ class HttpProvider:
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
-        if self.cfg.credential_ref:
-            token = os.environ.get(self.cfg.credential_ref)
+        if self.cfg.credential_env:
+            token = os.environ.get(self.cfg.credential_env)
             if not token:
-                raise AuthFailure(
-                    f"credential variable {self.cfg.credential_ref} is not set"
-                )
+                raise AuthFailure(f"credential variable {self.cfg.credential_env} is not set")
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
@@ -215,7 +220,7 @@ class HttpProvider:
         import requests
 
         payload = {
-            "model": self.cfg.model_name,
+            "model": self.cfg.model,
             "messages": [
                 {"role": "system", "content": prompt.system_text},
                 {"role": "user", "content": prompt.user_text},
@@ -226,7 +231,7 @@ class HttpProvider:
         headers = self._headers()
         last_error: Exception | None = None
         retry_after = ""
-        for attempt in range(self.cfg.retry_limit + 1):
+        for attempt in range(self.cfg.retries + 1):
             if attempt:
                 # Retry-After also allows an HTTP date, which backs off as usual.
                 delay = float(retry_after) if retry_after.isdecimal() else 0.5 * 2 ** (attempt - 1)

@@ -93,15 +93,15 @@ class KnowledgeBase:
         payload = read_json_object(path, "chunks")
         entries = payload["chunks"]
         if not isinstance(entries, list) or not entries:
-            raise MalformedDocument(str(path), 0, "'chunks' is not a non-empty list")
+            raise MalformedDocument(str(path), "'chunks' is not a non-empty list")
         chunks = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
-                raise MalformedDocument(str(path), 0, f"chunk {i} is not an object")
+                raise MalformedDocument(str(path), f"chunk {i} is not an object")
             entry = {"oversized": False, **entry}
             for name, kind in _CHUNK_FIELDS.items():
                 if not conforms(kind, entry.get(name)):
-                    raise MalformedDocument(str(path), 0, f"chunk {i} has no {kind} {name!r}")
+                    raise MalformedDocument(str(path), f"chunk {i} has no {kind} {name!r}")
             chunks.append(Chunk(**{name: entry[name] for name in _CHUNK_FIELDS}))
         return cls(chunks=chunks)
 

@@ -177,7 +177,7 @@ def load_schema_dir(schema_dir, root_file) -> SchemaIndex:
     for doc_id in treeops.json_files(base):
         parsed = treeops.read_json(os.path.join(base, doc_id), doc_id)
         if not isinstance(parsed, dict):
-            raise MalformedDocument(doc_id, 0, "top-level value is not an object")
+            raise MalformedDocument(doc_id, "top-level value is not an object")
         raw_docs[doc_id] = parsed
 
     if root_id not in raw_docs:

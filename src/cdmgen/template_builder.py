@@ -69,7 +69,7 @@ class Template:
         :class:`MalformedDocument`."""
         payload = treeops.read_json_object(path, "tree")
         if not isinstance(payload["tree"], dict):
-            raise MalformedDocument(str(path), 0, "'tree' is not an object")
+            raise MalformedDocument(str(path), "'tree' is not an object")
         return cls(
             tree=payload["tree"],
             contract_type=payload.get("contract_type", ""),
@@ -97,10 +97,13 @@ def flatten_examples(example_dir) -> KeyPathSet:
     """Union of dot-separated leaf paths over every example in a directory.
 
     Array indices contribute no segment, so ``a[0].b`` and ``a[3].b`` both
-    flatten to ``a.b``. Errors are those of :func:`load_examples`.
+    flatten to ``a.b``. Errors are those of :func:`load_examples`, and
+    :class:`EmptyExampleDir` when no example has a leaf.
     """
     examples = load_examples(example_dir)
     paths = {path for _, parsed in examples for path, _ in treeops.iter_leaf_paths(parsed)}
+    if not paths:
+        raise EmptyExampleDir(f"no example in {example_dir} has a leaf value")
     return KeyPathSet(frozenset(paths))
 
 

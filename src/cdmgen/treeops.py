@@ -107,7 +107,7 @@ def read_text(path, name: Optional[str] = None) -> str:
     try:
         text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedDocument(name or str(path), exc.start, f"not UTF-8 ({exc.reason})") from exc
+        raise MalformedDocument(name or str(path), f"not UTF-8 ({exc.reason})", exc.start) from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -161,7 +161,7 @@ def read_json(path, name: Optional[str] = None):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedDocument(name or str(path), exc.pos, exc.msg) from exc
+        raise MalformedDocument(name or str(path), exc.msg, exc.pos) from exc
 
 
 def read_json_object(path, *required: str) -> dict:
@@ -170,10 +170,10 @@ def read_json_object(path, *required: str) -> dict:
     otherwise."""
     parsed = read_json(path)
     if not isinstance(parsed, dict):
-        raise MalformedDocument(str(path), 0, "top-level value is not an object")
+        raise MalformedDocument(str(path), "top-level value is not an object")
     for key in required:
         if key not in parsed:
-            raise MalformedDocument(str(path), 0, f"no {key!r} key")
+            raise MalformedDocument(str(path), f"no {key!r} key")
     return parsed
 
 

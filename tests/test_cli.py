@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import collections
 import csv
 import json
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 import helpers
 import cdmgen
 from cdmgen import populator, prompts
-from cdmgen.cli import main, write_json
+from cdmgen.cli import build_parser, main, write_json
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure, OutputUnwritable
+from cdmgen.evaluator import CoverageWeights
 from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, prompt_hash
 from cdmgen.knowledge_base import KnowledgeBase, ingest_examples
 from cdmgen.populator import PopulationConfig
@@ -790,6 +792,8 @@ BAD_INPUTS = {
     "config_mu_text": (2, "pipeline --config {config_mu_text}"),
     "config_provider_retries_float": (2, "pipeline --config {config_provider_retries_float}"),
     "config_provider_timeout_text": (2, "pipeline --config {config_provider_timeout_text}"),
+    "config_provider_model_number": (2, "pipeline --config {config_provider_model_number}"),
+    "config_provider_credential_env_number": (2, "pipeline --config {config_provider_credential_env_number}"),
     "config_unknown_key": (2, "pipeline --config {config_unknown_key}"),
     "config_contract_unknown_key": (2, "pipeline --config {config_contract_unknown_key}"),
     "config_provider_unknown_key": (2, "pipeline --config {config_provider_unknown_key}"),
@@ -823,11 +827,23 @@ BAD_INPUTS = {
         1, "make-template --schema-dir {schema_dir} --root {template}"
         " --examples {examples} --contract-type CommodityOption"
     ),
+    "examples_without_leaves": (
+        1, "make-template --schema-dir {schema_dir} --root contract.schema.json"
+        " --examples {examples_without_leaves} --contract-type CommodityOption"
+    ),
 }
 # The error a case with exit code 1 names, when it is not MalformedDocument.
 BAD_INPUT_ERRORS = {
     "root_outside_schema_dir_missing": "MissingRoot",
     "root_outside_schema_dir_existing": "MissingRoot",
+    "examples_without_leaves": "EmptyExampleDir",
+}
+# A pattern the error detail of a case with exit code 1 must match: only a
+# file that does not parse names a byte offset.
+BAD_INPUT_DETAILS = {
+    "template_not_json": r"not_json\.json: parse failure at byte offset 1: ",
+    "template_tree_list": r"tree_list\.json: 'tree' is not an object$",
+    "examples_without_leaves": r"no example in .*examples_without_leaves has a leaf value$",
 }
 # Text the usage message of a case with exit code 2 must hold.
 BAD_INPUT_USAGE = {
@@ -836,6 +852,8 @@ BAD_INPUT_USAGE = {
     "config_provider_unknown_key": "'modle'",
     "config_duplicate_name": "contract name 'c1' is used twice",
     "config_duplicate_stem": "contract name 'commodity_option' is used twice",
+    "config_provider_model_number": "error: model must be a string",
+    "config_provider_credential_env_number": "error: credential_env must be a string",
 }
 
 
@@ -878,6 +896,10 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_mu_text": json.dumps({**config, "mu": "0.3"}),
         "config_provider_retries_float": json.dumps({**http_config, "provider": {**provider, "retries": 2.5}}),
         "config_provider_timeout_text": json.dumps({**http_config, "provider": {**provider, "timeout": "60"}}),
+        "config_provider_model_number": json.dumps({**http_config, "provider": {**provider, "model": 5}}),
+        "config_provider_credential_env_number": json.dumps(
+            {**http_config, "provider": {**provider, "credential_env": 5}}
+        ),
         "config_unknown_key": json.dumps({**config, "max_inflght": 8}),
         "config_contract_unknown_key": json.dumps({**config, "contracts": [{**job, "kb_pth": "kb.json"}]}),
         "config_provider_unknown_key": json.dumps({**http_config, "provider": {**provider, "modle": "m"}}),
@@ -929,15 +951,17 @@ def test_bad_input_is_typed_not_a_traceback(
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.json"
         put(paths[name], text)
-    # Directories of one file each: (directory, file name, content).
+    # Directories and their files: (directory, file name, content).
     dirs = [(f"reports_{name}", "r1.report.json", text) for name, text in reports.items()]
     dirs += [
         ("schema_not_utf8", "contract.schema.json", files["not_utf8"]),
         ("examples_not_utf8", "e1.json", files["not_utf8"]),
+        ("examples_without_leaves", "e1.json", "{}"),
+        ("examples_without_leaves", "e2.json", "[]"),
     ]
     for name, file_name, text in dirs:
         paths[name] = tmp_path / name
-        paths[name].mkdir()
+        paths[name].mkdir(exist_ok=True)
         put(paths[name] / file_name, text)
     expected_code, flags = BAD_INPUTS[case]
     argv = [part.format(**paths) for part in flags.split()]
@@ -952,8 +976,9 @@ def test_bad_input_is_typed_not_a_traceback(
     assert "Traceback" not in err
     assert BAD_INPUT_USAGE.get(case, "") in err
     if expected_code == 1:
-        expected_error = BAD_INPUT_ERRORS.get(case, "MalformedDocument")
-        assert json.loads(err.strip().splitlines()[-1])["error"] == expected_error
+        error = json.loads(err.strip().splitlines()[-1])
+        assert error["error"] == BAD_INPUT_ERRORS.get(case, "MalformedDocument")
+        assert re.search(BAD_INPUT_DETAILS.get(case, ""), error["detail"])
 
 
 def test_pipeline_failed_contract_gets_failure_row(
@@ -975,6 +1000,26 @@ def test_pipeline_failed_contract_gets_failure_row(
     assert by_group["InterestRateSwap"]["status"] == "ok"
     assert by_group["foreign_exchange"]["status"].startswith("failed:")
     assert "combined" in by_group
+
+
+def test_pipeline_contract_whose_examples_have_no_leaf_gets_failure_row(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir
+):
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option", "foreign_exchange"]
+    )
+    leafless = tmp_path / "leafless"
+    leafless.mkdir()
+    (leafless / "e1.json").write_text("{}", encoding="utf-8")
+    (leafless / "e2.json").write_text("[]", encoding="utf-8")
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["contracts"][1]["examples_dir"] = str(leafless)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["pipeline", "--config", config_path]) == 0
+    with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as handle:
+        status = {row["group"]: row["status"] for row in csv.DictReader(handle)}
+    assert status == {"EquityOption": "ok", "combined": "ok", "foreign_exchange": "failed: EmptyExampleDir"}
+    assert not list(out_dir.glob("foreign_exchange.*"))
 
 
 class _ScriptThenRejectHandler(BaseHTTPRequestHandler):
@@ -1166,6 +1211,108 @@ def test_an_endpoint_that_is_not_an_http_url_is_a_usage_error(
         argv = ["pipeline", "--config", config_path]
     run_expecting_usage_error(argv)
     assert "is not an http or https URL with a host" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the settings rule: flag, then environment variable, then run config, then default
+
+# Per variable: its flag, its run-config key, the values the flag, the
+# variable and the run config give it below, and its default.
+SETTING_SOURCES = {
+    "CDMGEN_DEPTH": ("--depth", "depth_threshold", 1, 2, 3, PopulationConfig().depth_threshold),
+    "CDMGEN_MU": ("--mu", "mu", 0.9, 0.7, 0.5, CoverageWeights().mu),
+    "CDMGEN_EPSILON": ("--epsilon", "epsilon", 0.8, 0.6, 0.4, CoverageWeights().epsilon),
+}
+ONE_OF_EACH = json.dumps({"captured": ["c"], "uncaptured": ["u"], "extraneous": ["e"]})
+
+
+class _ScriptOrOneOfEach(MockProvider):
+    """Answers scripted prompts from the script and every other prompt, the
+    coverage prompts, with one captured, one uncaptured and one extraneous
+    item, so a report's coverage score is 100 / (1 + mu + epsilon)."""
+
+    def complete(self, prompt):
+        if prompt_hash(prompt) in self.script:
+            return super().complete(prompt)
+        return CompletionResult(text=ONE_OF_EACH, finish_reason="stop")
+
+
+@pytest.mark.parametrize(
+    "variable, command",
+    [
+        ("CDMGEN_DEPTH", "populate"),
+        ("CDMGEN_DEPTH", "pipeline"),
+        ("CDMGEN_MU", "evaluate"),
+        ("CDMGEN_MU", "pipeline"),
+        ("CDMGEN_EPSILON", "evaluate"),
+        ("CDMGEN_EPSILON", "pipeline"),
+    ],
+)
+def test_a_setting_takes_the_flag_then_the_variable_then_the_run_config_then_the_default(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir, monkeypatch, variable, command
+):
+    flag, key, *values = SETTING_SOURCES[variable]
+    value_of = dict(zip(("flag", "variable", "run_config", "default"), values))
+    for name in SETTING_SOURCES:
+        monkeypatch.delenv(name, raising=False)
+    type_key = "interest_rate_swap"
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=[type_key]
+    )
+    examples = examples_root / type_key
+    template = build_template(cdm_index, flatten_examples(examples), helpers.CONTRACT_TYPES[type_key])
+    template_path = tmp_path / "template.json"
+    template.save(template_path)
+    contract = contracts_dir / f"{type_key}.txt"
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    if key == "depth_threshold":
+        for depth in values[:3]:
+            cfg = PopulationConfig(depth_threshold=depth, max_inflight=1)
+            script.update(build_population_script(cdm_index, template, contract.read_text(encoding="utf-8"), cfg))
+    monkeypatch.setattr("cdmgen.cli.MockProvider", SimpleNamespace(from_file=lambda path: _ScriptOrOneOfEach(script)))
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["coverage"] = key != "depth_threshold"
+    cdm = tmp_path / "cdm.json"
+    cdm.write_text(json.dumps({"contractType": "InterestRateSwap"}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = {
+        "populate": [
+            "populate", "--template", template_path, "--contract", contract, "--mock-script", script_path,
+            "--max-inflight", 1, "--out", cdm, "--provenance", out,
+        ],
+        "evaluate": [
+            "evaluate", "--contract", contract, "--cdm", cdm, "--schema-dir", cdm_schema_dir,
+            "--root", "contract.schema.json", "--coverage", "--mock-script", script_path, "--out", out,
+        ],
+        "pipeline": ["pipeline", "--config", config_path],
+    }[command]
+    if command == "pipeline":
+        out = out_dir / f"{type_key}.{'provenance' if key == 'depth_threshold' else 'report'}.json"
+
+    def expected(value):
+        if key == "depth_threshold":
+            return {task.target_path for task in populator.select_tasks(populator.compute_depths(template), value)}
+        weights = CoverageWeights(**{key: value})
+        return pytest.approx(100 / (1 + weights.mu + weights.epsilon))
+
+    cases = [("flag", "variable", "run_config"), ("variable", "run_config"), ("run_config",), ()]
+    if command != "pipeline":  # a single command reads no run config
+        cases = [("flag", "variable"), ("variable",), ()]
+    if key == "depth_threshold":  # each source's depth plans its own tasks
+        assert len({frozenset(expected(value)) for value in values}) == 4
+    for sources in cases:
+        if "variable" in sources:
+            monkeypatch.setenv(variable, str(value_of["variable"]))
+        else:
+            monkeypatch.delenv(variable, raising=False)
+        config.pop(key, None)
+        if "run_config" in sources:
+            config[key] = value_of["run_config"]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run(argv + ([flag, value_of["flag"]] if "flag" in sources else [])) == 0
+        written = json.loads(out.read_text(encoding="utf-8"))
+        observed = set(written) if key == "depth_threshold" else written["coverage_score"]
+        assert observed == expected(value_of[sources[0] if sources else "default"]), sources
 
 
 def test_synthesize_empty_reply_is_generation_incomplete(tmp_path, examples_root, script_server, capsys):
@@ -1698,3 +1845,126 @@ def test_public_names_resolve_and_cover_the_readme_imports():
     imported = {item.split()[0] for block in blocks for item in "".join(block).split(",") if item.strip()}
     assert imported, "README imports nothing from cdmgen"
     assert imported <= set(cdmgen.__all__)
+
+
+# ---------------------------------------------------------------------------
+# the command-line surface
+
+# Every option of each subcommand as --help shows it: option strings, then
+# the shown metavar, "required", the choices and nargs when there are any.
+CLI_SURFACE = {
+    "make-template": [
+        "-h --help nargs=0",
+        "--schema-dir SCHEMA_DIR required",
+        "--root ROOT required",
+        "--examples EXAMPLES required",
+        "--contract-type CONTRACT_TYPE required",
+        "--out OUT required",
+    ],
+    "ingest-kb": [
+        "-h --help nargs=0",
+        "--examples EXAMPLES required",
+        "--contract-type CONTRACT_TYPE required",
+        "--budget BUDGET required",
+        "--out OUT required",
+    ],
+    "populate": [
+        "-h --help nargs=0",
+        "--template TEMPLATE required",
+        "--contract CONTRACT required",
+        "--kb KB",
+        "--rag nargs=0",
+        "--depth DEPTH",
+        "--retries RETRIES",
+        "--k-chunks K_CHUNKS",
+        "--max-inflight MAX_INFLIGHT",
+        "--out OUT required",
+        "--provenance PROVENANCE",
+        "--provider URL",
+        "--model MODEL",
+        "--credential-env CREDENTIAL_ENV",
+        "--timeout TIMEOUT",
+        "--provider-retries RETRIES",
+        "--mock-script MOCK_SCRIPT",
+    ],
+    "baseline": [
+        "-h --help nargs=0",
+        "--contract CONTRACT required",
+        "--kb KB",
+        "--rag nargs=0",
+        "--k-chunks K_CHUNKS",
+        "--out OUT required",
+        "--provider URL",
+        "--model MODEL",
+        "--credential-env CREDENTIAL_ENV",
+        "--timeout TIMEOUT",
+        "--provider-retries RETRIES",
+        "--mock-script MOCK_SCRIPT",
+    ],
+    "synthesize": [
+        "-h --help nargs=0",
+        "--example EXAMPLE required",
+        "--reference REFERENCE",
+        "--out OUT required",
+        "--provider URL",
+        "--model MODEL",
+        "--credential-env CREDENTIAL_ENV",
+        "--timeout TIMEOUT",
+        "--provider-retries RETRIES",
+        "--mock-script MOCK_SCRIPT",
+    ],
+    "evaluate": [
+        "-h --help nargs=0",
+        "--contract CONTRACT required",
+        "--cdm CDM required",
+        "--schema-dir SCHEMA_DIR required",
+        "--root ROOT required",
+        "--contract-type CONTRACT_TYPE",
+        "--mu MU",
+        "--epsilon EPSILON",
+        "--coverage nargs=0",
+        "--out OUT required",
+        "--provider URL",
+        "--model MODEL",
+        "--credential-env CREDENTIAL_ENV",
+        "--timeout TIMEOUT",
+        "--provider-retries RETRIES",
+        "--mock-script MOCK_SCRIPT",
+    ],
+    "report": [
+        "-h --help nargs=0",
+        "--in INPUT required",
+        "--group-by {contract-type} choices=contract-type",
+        "--out OUT required",
+    ],
+    "pipeline": [
+        "-h --help nargs=0",
+        "--config CONFIG required",
+        "--out-dir OUT_DIR",
+        "--depth DEPTH",
+        "--mu MU",
+        "--epsilon EPSILON",
+        "--mock-script MOCK_SCRIPT",
+    ],
+}
+
+
+def test_the_command_line_surface_is_pinned():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    surface = {}
+    for name, sub in subcommands.items():
+        formatter = sub._get_formatter()
+        surface[name] = []
+        for action in sub._actions:
+            parts = list(action.option_strings)
+            if action.nargs != 0:
+                parts.append(formatter._format_args(action, formatter._get_default_metavar_for_optional(action)))
+            if action.required:
+                parts.append("required")
+            if action.choices:
+                parts.append(f"choices={','.join(action.choices)}")
+            if action.nargs is not None:
+                parts.append(f"nargs={action.nargs}")
+            surface[name].append(" ".join(parts))
+    assert surface == CLI_SURFACE

@@ -157,7 +157,7 @@ def local_server():
 def test_http_provider_transmits_prompt_bit_exactly(local_server, monkeypatch):
     monkeypatch.setenv("TEST_TOKEN", "secret-token")
     cfg = ProviderConfig(
-        endpoint=local_server, model_name="test-model", credential_ref="TEST_TOKEN"
+        endpoint=local_server, model="test-model", credential_env="TEST_TOKEN"
     )
     bundle = PromptBundle(system_text="sys åtext", user_text="user\ntext")
     result = HttpProvider(cfg).complete(bundle)
@@ -175,7 +175,7 @@ def test_http_provider_transmits_prompt_bit_exactly(local_server, monkeypatch):
 def test_http_provider_recovers_from_transient_5xx(local_server):
     _Handler.behavior = "flaky"
     _Handler.fail_times = 2
-    cfg = ProviderConfig(endpoint=local_server, model_name="m", retry_limit=3)
+    cfg = ProviderConfig(endpoint=local_server, model="m", retries=3)
     provider = HttpProvider(cfg)
     provider._sleep = lambda _: None
     assert provider.complete(BUNDLE).text == '{"echo": true}'
@@ -197,7 +197,7 @@ def test_http_provider_retries_429_after_retry_after(local_server, retry_after, 
     _Handler.behavior = "throttled"
     _Handler.fail_times = 1
     _Handler.retry_after = retry_after
-    cfg = ProviderConfig(endpoint=local_server, model_name="m", retry_limit=2)
+    cfg = ProviderConfig(endpoint=local_server, model="m", retries=2)
     provider = HttpProvider(cfg)
     sleeps = []
     provider._sleep = sleeps.append
@@ -210,7 +210,7 @@ def test_http_provider_429_past_retries_is_provider_unavailable(local_server):
     _Handler.behavior = "throttled"
     _Handler.fail_times = 5
     _Handler.retry_after = "1"
-    cfg = ProviderConfig(endpoint=local_server, model_name="m", retry_limit=2)
+    cfg = ProviderConfig(endpoint=local_server, model="m", retries=2)
     provider = HttpProvider(cfg)
     sleeps = []
     provider._sleep = sleeps.append
@@ -222,21 +222,21 @@ def test_http_provider_429_past_retries_is_provider_unavailable(local_server):
 
 def test_http_provider_auth_failure_no_retry(local_server):
     _Handler.behavior = "unauthorized"
-    cfg = ProviderConfig(endpoint=local_server, model_name="m", retry_limit=3)
+    cfg = ProviderConfig(endpoint=local_server, model="m", retries=3)
     with pytest.raises(AuthFailure):
         HttpProvider(cfg).complete(BUNDLE)
     assert len(_Handler.captured) == 1
 
 
 def test_http_provider_missing_credential(local_server):
-    cfg = ProviderConfig(endpoint=local_server, model_name="m", credential_ref="NO_SUCH_VAR")
+    cfg = ProviderConfig(endpoint=local_server, model="m", credential_env="NO_SUCH_VAR")
     with pytest.raises(AuthFailure):
         HttpProvider(cfg).complete(BUNDLE)
 
 
 def test_http_provider_timeout(local_server):
     _Handler.behavior = "slow"
-    cfg = ProviderConfig(endpoint=local_server, model_name="m", timeout=0.1, retry_limit=0)
+    cfg = ProviderConfig(endpoint=local_server, model="m", timeout=0.1, retries=0)
     with pytest.raises(Timeout):
         HttpProvider(cfg).complete(BUNDLE)
 
@@ -244,7 +244,7 @@ def test_http_provider_timeout(local_server):
 def test_http_provider_non_json_body_is_provider_unavailable(local_server):
     _Handler.behavior = "raw"
     _Handler.raw_body = b"<html>upstream proxy error</html>"
-    cfg = ProviderConfig(endpoint=local_server, model_name="m", retry_limit=3)
+    cfg = ProviderConfig(endpoint=local_server, model="m", retries=3)
     with pytest.raises(ProviderUnavailable, match="non-JSON"):
         HttpProvider(cfg).complete(BUNDLE)
 
@@ -262,14 +262,14 @@ def test_http_provider_non_json_body_is_provider_unavailable(local_server):
 def test_http_provider_reads_a_null_or_odd_content_or_usage_as_empty(local_server, reply, usage, text):
     _Handler.behavior = "raw"
     _Handler.raw_body = json.dumps({"choices": [{"message": reply}], "usage": usage}).encode()
-    result = HttpProvider(ProviderConfig(endpoint=local_server, model_name="m")).complete(BUNDLE)
+    result = HttpProvider(ProviderConfig(endpoint=local_server, model="m")).complete(BUNDLE)
     assert result.text == text
     assert result.usage == (usage if isinstance(usage, dict) else {})
 
 
 def test_unreachable_endpoint_zero_retries():
     cfg = ProviderConfig(
-        endpoint="http://127.0.0.1:9/v1/chat/completions", model_name="m", retry_limit=0, timeout=1.0
+        endpoint="http://127.0.0.1:9/v1/chat/completions", model="m", retries=0, timeout=1.0
     )
     with pytest.raises(ProviderUnavailable):
         HttpProvider(cfg).complete(BUNDLE)
@@ -307,7 +307,7 @@ def test_http_provider_reuses_a_connection_per_call_in_flight():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     cfg = ProviderConfig(
-        endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions", model_name="m", retry_limit=0
+        endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions", model="m", retries=0
     )
     provider = HttpProvider(cfg, max_inflight=inflight)
     try:
@@ -331,10 +331,10 @@ def test_complete_accepts_config_or_provider():
 
 def test_provider_config_validation():
     with pytest.raises(ValueError):
-        ProviderConfig(endpoint="http://x", model_name="m", retry_limit=-1)
+        ProviderConfig(endpoint="http://x", model="m", retries=-1)
     with pytest.raises(ValueError):
-        ProviderConfig(endpoint="http://x", model_name="m", timeout=0)
-    assert ProviderConfig(endpoint="HTTPS://host:8443/v1", model_name="m").endpoint == "HTTPS://host:8443/v1"
+        ProviderConfig(endpoint="http://x", model="m", timeout=0)
+    assert ProviderConfig(endpoint="HTTPS://host:8443/v1", model="m").endpoint == "HTTPS://host:8443/v1"
 
 
 @pytest.mark.parametrize(
@@ -343,7 +343,7 @@ def test_provider_config_validation():
 )
 def test_provider_config_rejects_an_endpoint_that_is_not_an_http_url_with_a_host(endpoint):
     with pytest.raises(ValueError):
-        ProviderConfig(endpoint=endpoint, model_name="m")
+        ProviderConfig(endpoint=endpoint, model="m")
 
 
 # ---------------------------------------------------------------------------

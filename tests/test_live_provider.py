@@ -27,8 +27,8 @@ pytestmark = pytest.mark.skipif(
 def live_provider():
     cfg = ProviderConfig(
         endpoint=LIVE_ENDPOINT,
-        model_name=os.environ.get("CDMGEN_LIVE_MODEL", "default"),
-        credential_ref="CDMGEN_LIVE_TOKEN" if os.environ.get("CDMGEN_LIVE_TOKEN") else "",
+        model=os.environ.get("CDMGEN_LIVE_MODEL", "default"),
+        credential_env="CDMGEN_LIVE_TOKEN" if os.environ.get("CDMGEN_LIVE_TOKEN") else "",
         timeout=120.0,
     )
     return HttpProvider(cfg)

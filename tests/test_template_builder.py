@@ -42,10 +42,11 @@ def test_flatten_nested_arrays_to_dot_paths(tmp_path):
     assert keys.paths == frozenset({"trade.tradeIdentifier.assignedIdentifier.identifier.value"})
 
 
-def test_flatten_empty_object_yields_empty_set(tmp_path):
+def test_flatten_examples_without_a_leaf_raise_empty_example_dir(tmp_path):
     write_example(tmp_path, "empty.json", {})
-    keys = flatten_examples(tmp_path)
-    assert keys.paths == frozenset()
+    write_example(tmp_path, "empty_list.json", [])
+    with pytest.raises(EmptyExampleDir, match="has a leaf value"):
+        flatten_examples(tmp_path)
 
 
 def test_flatten_shared_paths_collapse(tmp_path):
