@@ -246,9 +246,7 @@ def cmd_evaluate(args, parser) -> int:
 def _summary_rows(groups: dict[str, list], failures: list[tuple[str, str]]) -> list[list]:
     rows = []
     stats = evaluator.aggregate(groups) if groups else {}
-    ordered = sorted(key for key in stats if key != "combined")
-    if "combined" in stats:
-        ordered.append("combined")
+    ordered = [*sorted(groups), evaluator.COMBINED] if groups else []
     for group in ordered:
         row = stats[group]
 
@@ -288,6 +286,8 @@ def cmd_report(args, parser) -> int:
         group = envelope.get("contract_type") or "unknown"
         if not isinstance(group, str):
             raise MalformedDocument(str(file), "'contract_type' is not a string")
+        if group == evaluator.COMBINED:
+            raise MalformedDocument(str(file), f"'contract_type' {group!r} names the union row")
         groups.setdefault(group, []).append(report)
     _write_summary(args.out, _summary_rows(groups, []))
     return 0
@@ -308,6 +308,11 @@ class ContractJob:
     def __post_init__(self):
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"contract name {self.name!r} is not a plain file name")
+        if not isinstance(self.contract_type, str) or self.contract_type == evaluator.COMBINED:
+            raise ValueError(
+                f"contract {self.name!r}: contract_type must be a string other than "
+                f"{evaluator.COMBINED!r}, which names the union row"
+            )
 
 
 def _field_names(*classes) -> set[str]:

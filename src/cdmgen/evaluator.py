@@ -33,6 +33,8 @@ DEFAULT_MU = 0.3
 DEFAULT_EPSILON = 0.1
 
 METRICS = ("syntactical_correctness", "schema_adherence", "coverage_score")
+# The name of the row that :func:`aggregate` computes over all groups.
+COMBINED = "combined"
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,16 @@ def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
 
 
 def _value_conforms(prop: PropertyDef, value) -> bool:
-    if prop.kind in ("object-ref", "inline-object"):
+    """An array property needs a list of which every element holds."""
+    if prop.array:
+        return isinstance(value, list) and all(_holds(prop, v) for v in value)
+    return _holds(prop, value)
+
+
+def _holds(prop: PropertyDef, value) -> bool:
+    """Whether ``value`` is one object or one scalar of ``prop``."""
+    if prop.ref_target is not None:
         return isinstance(value, dict)
-    if prop.kind == "array-of-ref":
-        return isinstance(value, list) and all(isinstance(v, dict) for v in value)
-    if prop.kind == "array-of-scalar":
-        return isinstance(value, list) and all(
-            treeops.conforms(prop.scalar_type, v, prop.enum_values) for v in value
-        )
     return treeops.conforms(prop.scalar_type, value, prop.enum_values)
 
 
@@ -207,7 +211,7 @@ def aggregate(
 ) -> dict[str, dict[str, Optional[dict]]]:
     """Mean and population standard deviation per metric, per group.
 
-    Adds a ``combined`` row computed over the union of all groups. Raises
+    Adds a :data:`COMBINED` row computed over the union of all groups. Raises
     :class:`EmptyGroup` when the mapping is empty or any group has no
     reports.
     """
@@ -219,7 +223,7 @@ def aggregate(
             raise EmptyGroup(f"group {group!r} has no reports")
         rows[group] = _stats_row(reports)
     everything = [report for reports in groups.values() for report in reports]
-    rows["combined"] = _stats_row(everything)
+    rows[COMBINED] = _stats_row(everything)
     return rows
 
 

@@ -25,6 +25,7 @@ from . import treeops
 from .errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
 
 _JSON_SCALARS = {"string", "number", "integer", "boolean"}
+_COMPOSITES = ("allOf", "anyOf", "oneOf")
 _DATE_WORD = re.compile(r"\bdate\b", re.IGNORECASE)
 
 DEFAULT_MAX_PATH_DEPTH = 64
@@ -36,33 +37,29 @@ _MISS = object()
 class PropertyDef:
     """One normalized property of a schema document.
 
-    ``kind`` is one of ``scalar``, ``object-ref``, ``array-of-ref``,
-    ``array-of-scalar``, ``inline-object``. Reference kinds always carry a
-    ``ref_target`` (inline objects point at a synthesized internal document);
-    scalar kinds always carry a ``scalar_type``. ``choice_group`` records
-    which ``oneOf``/``anyOf`` alternative contributed the property, when any.
+    A property holds one object when it has a ``ref_target`` (inline objects
+    point at a synthesized internal document), else one scalar of
+    ``scalar_type``, with ``enum_values`` for an enum. ``array`` marks a
+    property that holds a list of these. ``choice_group`` records which
+    ``oneOf``/``anyOf`` alternative contributed the property, when any.
     """
 
     name: str
-    kind: str
     ref_target: Optional[str] = None
     scalar_type: Optional[str] = None
-    description: Optional[str] = None
     enum_values: Optional[tuple[str, ...]] = None
+    array: bool = False
     choice_group: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind in ("object-ref", "array-of-ref") and not self.ref_target:
-            raise ValueError(f"{self.name}: {self.kind} requires a ref_target")
-        if self.kind in ("scalar", "array-of-scalar") and self.scalar_type not in treeops.PLACEHOLDERS:
-            raise ValueError(f"{self.name}: {self.kind} requires a scalar_type")
+        if self.ref_target is None and self.scalar_type not in treeops.PLACEHOLDERS:
+            raise ValueError(f"{self.name}: a property without a ref_target requires a scalar_type")
 
 
 @dataclass(frozen=True)
 class SchemaDocument:
     """A parsed schema file (or synthesized inline object) and its properties."""
 
-    id: str
     properties: dict[str, PropertyDef]
     description: Optional[str] = None
 
@@ -147,6 +144,18 @@ class SchemaIndex:
             return None
 
 
+def _keyword(where: str, raw: dict, keyword: str):
+    """``raw``'s ``properties`` object or its ``allOf``/``anyOf``/``oneOf``
+    list, empty when absent. Another type raises :class:`MalformedDocument`
+    naming ``where`` and the keyword."""
+    expected = dict if keyword == "properties" else list
+    value = raw.get(keyword, expected())
+    if not isinstance(value, expected):
+        article = "an object" if expected is dict else "a list"
+        raise MalformedDocument(where, f"{keyword!r} is not {article}")
+    return value
+
+
 def _normalize_ref(from_doc: str, ref_text: str) -> str:
     """Canonical document id for a ``$ref`` written inside ``from_doc``.
 
@@ -209,11 +218,8 @@ class _IndexBuilder:
 
     def build(self) -> SchemaIndex:
         for doc_id in self.raw:
-            properties = self._build_properties(doc_id)
             self.documents[doc_id] = SchemaDocument(
-                id=doc_id,
-                properties=properties,
-                description=self._description(self.raw[doc_id]),
+                self._build_properties(doc_id), self._description(self.raw[doc_id])
             )
         return SchemaIndex(root_id=self.root_id, documents=self.documents, _inline=self.inline)
 
@@ -238,78 +244,48 @@ class _IndexBuilder:
             return
         visiting = visiting | {doc_id}
         raw = self.raw[doc_id]
-        for name, raw_prop in raw.get("properties", {}).items():
+        for name, raw_prop in _keyword(doc_id, raw, "properties").items():
             yield name, raw_prop, None
-        for keyword in ("allOf", "anyOf", "oneOf"):
-            members = raw.get(keyword)
-            if not isinstance(members, list):
-                continue
-            for i, member in enumerate(members):
+        for keyword in _COMPOSITES:
+            for i, member in enumerate(_keyword(doc_id, raw, keyword)):
                 if not isinstance(member, dict):
                     continue
-                group = f"{keyword}[{i}]" if keyword in ("anyOf", "oneOf") else None
+                label = f"{keyword}[{i}]"
+                group = label if keyword in ("anyOf", "oneOf") else None
                 if "$ref" in member:
-                    target = self._resolve(doc_id, member["$ref"], f"{keyword}[{i}]")
+                    target = self._resolve(doc_id, member["$ref"], label)
                     for name, raw_prop, inner in self._raw_properties(target, visiting):
                         yield name, raw_prop, group or inner
                 else:
-                    for name, raw_prop in member.get("properties", {}).items():
+                    for name, raw_prop in _keyword(f"{doc_id}#{label}", member, "properties").items():
                         yield name, raw_prop, group
 
     # -- classification -----------------------------------------------------
 
     def _classify(self, doc_id: str, name: str, raw_prop, group) -> PropertyDef:
+        """One property: an array continues with its items schema, then a
+        ``$ref`` is an object or a scalar document, an inline object gets an
+        internal document, and anything else is a scalar."""
         if not isinstance(raw_prop, dict):
             raw_prop = {}
-        description = self._description(raw_prop)
-
+        array = "$ref" not in raw_prop and (
+            raw_prop.get("type") == "array" or isinstance(raw_prop.get("items"), dict)
+        )
+        if array:
+            items = raw_prop.get("items")
+            raw_prop = items if isinstance(items, dict) else {}
+        target = None
         if "$ref" in raw_prop:
             target = self._chase_alias(self._resolve(doc_id, raw_prop["$ref"], name))
             if self._is_scalar_doc(target, frozenset()):
-                raw_target = self.raw[target]
-                description = description or self._description(raw_target)
-                return self._scalar("scalar", name, raw_target, description, group)
-            return self._ref("object-ref", name, target, description, group)
-
-        items = raw_prop.get("items")
-        if raw_prop.get("type") == "array" or isinstance(items, dict):
-            return self._array_property(doc_id, name, raw_prop, description, group)
-
-        if "properties" in raw_prop or raw_prop.get("type") == "object":
-            target = self._register_inline(doc_id, name, raw_prop)
-            return self._ref("inline-object", name, target, description, group)
-
-        return self._scalar("scalar", name, raw_prop, description, group)
-
-    def _array_property(self, doc_id, name, raw_prop, description, group) -> PropertyDef:
-        items = raw_prop.get("items")
-        items = items if isinstance(items, dict) else {}
-        target = None
-        if "$ref" in items:
-            target = self._chase_alias(self._resolve(doc_id, items["$ref"], name))
-            if self._is_scalar_doc(target, frozenset()):
-                items, target = self.raw[target], None
-        elif "properties" in items or items.get("type") == "object":
-            target = self._register_inline(doc_id, f"{name}[]", items)
+                raw_prop, target = self.raw[target], None
+        elif "properties" in raw_prop or raw_prop.get("type") == "object":
+            target = self._register_inline(doc_id, f"{name}[]" if array else name, raw_prop)
         if target is not None:
-            return self._ref("array-of-ref", name, target, description, group)
-        return self._scalar("array-of-scalar", name, items, description, group)
-
-    @staticmethod
-    def _ref(kind, name, target, description, group) -> PropertyDef:
+            return PropertyDef(name, ref_target=target, array=array, choice_group=group)
+        scalar_type, enum_values = self._scalar_type(raw_prop)
         return PropertyDef(
-            name=name, kind=kind, ref_target=target, description=description, choice_group=group
-        )
-
-    def _scalar(self, kind, name, raw, description, group) -> PropertyDef:
-        scalar_type, enum_values = self._scalar_type(raw)
-        return PropertyDef(
-            name=name,
-            kind=kind,
-            scalar_type=scalar_type,
-            description=description,
-            enum_values=enum_values,
-            choice_group=group,
+            name, scalar_type=scalar_type, enum_values=enum_values, array=array, choice_group=group
         )
 
     def _register_inline(self, doc_id: str, name: str, raw_prop: dict) -> str:
@@ -317,16 +293,12 @@ class _IndexBuilder:
         if inline_id not in self.inline:
             # Reserve the slot first: a self-referential inline object would
             # otherwise recurse through _classify forever.
-            self.inline[inline_id] = SchemaDocument(inline_id, {})
+            self.inline[inline_id] = SchemaDocument({})
             properties = {
                 child: self._classify(doc_id, child, raw_child, None)
-                for child, raw_child in raw_prop.get("properties", {}).items()
+                for child, raw_child in _keyword(inline_id, raw_prop, "properties").items()
             }
-            self.inline[inline_id] = SchemaDocument(
-                id=inline_id,
-                properties=properties,
-                description=self._description(raw_prop),
-            )
+            self.inline[inline_id] = SchemaDocument(properties, self._description(raw_prop))
         return inline_id
 
     # -- small helpers ------------------------------------------------------
@@ -358,8 +330,8 @@ class _IndexBuilder:
         raw = self.raw[doc_id]
         if "properties" in raw:
             return False
-        for keyword in ("allOf", "anyOf", "oneOf"):
-            for member in raw.get(keyword, []) or []:
+        for keyword in _COMPOSITES:
+            for member in _keyword(doc_id, raw, keyword):
                 if isinstance(member, dict) and "properties" in member:
                     return False
                 if isinstance(member, dict) and isinstance(member.get("$ref"), str):

@@ -21,7 +21,7 @@ from typing import Any
 
 from . import treeops
 from .errors import CycleDetected, EmptyExampleDir, MalformedDocument
-from .schema_index import PropertyDef, SchemaIndex
+from .schema_index import SchemaIndex
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,23 @@ class Template:
 def load_examples(example_dir) -> list[tuple[str, Any]]:
     """(file name, parsed instance) for every ``.json`` file under a directory.
 
-    Raises :class:`EmptyExampleDir` when there is none and
-    :class:`MalformedDocument` naming the first file that is not UTF-8 JSON.
+    Raises :class:`EmptyExampleDir` when there is none or no example has a
+    leaf, and :class:`MalformedDocument` naming the first file that is not
+    UTF-8 JSON.
     """
     files = treeops.json_files(example_dir) if os.path.isdir(example_dir) else []
     if not files:
         raise EmptyExampleDir(f"no example files found in {example_dir}")
     examples = []
+    has_leaf = False
     for rel in files:
         name = posixpath.basename(rel)
-        examples.append((name, treeops.read_json(os.path.join(example_dir, rel), name)))
+        parsed = treeops.read_json(os.path.join(example_dir, rel), name)
+        examples.append((name, parsed))
+        # The walk stops at the first leaf, and not at all once one is found.
+        has_leaf = has_leaf or next(treeops.iter_leaf_paths(parsed), None) is not None
+    if not has_leaf:
+        raise EmptyExampleDir(f"no example in {example_dir} has a leaf value")
     return examples
 
 
@@ -97,14 +104,12 @@ def flatten_examples(example_dir) -> KeyPathSet:
     """Union of dot-separated leaf paths over every example in a directory.
 
     Array indices contribute no segment, so ``a[0].b`` and ``a[3].b`` both
-    flatten to ``a.b``. Errors are those of :func:`load_examples`, and
-    :class:`EmptyExampleDir` when no example has a leaf.
+    flatten to ``a.b``. Errors are those of :func:`load_examples`.
     """
     examples = load_examples(example_dir)
-    paths = {path for _, parsed in examples for path, _ in treeops.iter_leaf_paths(parsed)}
-    if not paths:
-        raise EmptyExampleDir(f"no example in {example_dir} has a leaf value")
-    return KeyPathSet(frozenset(paths))
+    return KeyPathSet(
+        frozenset(path for _, parsed in examples for path, _ in treeops.iter_leaf_paths(parsed))
+    )
 
 
 def build_template(index: SchemaIndex, keys: KeyPathSet, contract_type: str) -> Template:
@@ -131,22 +136,14 @@ def _traverse(index: SchemaIndex, doc_id: str, prefix: str, keys: KeyPathSet, de
         path = f"{prefix}.{name}" if prefix else name
         if not keys.covers(path):
             continue
-        if prop.kind == "object-ref" or prop.kind == "inline-object":
-            children[name] = _traverse(index, prop.ref_target, path, keys, depth + 1)
-        elif prop.kind == "array-of-ref":
-            children[name] = [_traverse(index, prop.ref_target, path, keys, depth + 1)]
+        if prop.ref_target is not None:
+            value = _traverse(index, prop.ref_target, path, keys, depth + 1)
         else:
-            children[name] = _placeholder(prop)
+            value = treeops.PLACEHOLDERS[prop.scalar_type]
+        # An array gets one prototype element; a bare [] would be pruned and
+        # the example-covered key lost.
+        children[name] = [value] if prop.array else value
     return _annotate(children, doc.description)
-
-
-def _placeholder(prop: PropertyDef):
-    value = treeops.PLACEHOLDERS[prop.scalar_type]
-    if prop.kind == "array-of-scalar":
-        # One prototype element, mirroring referenced arrays; a bare [] would
-        # be pruned and the example-covered key lost.
-        return [value]
-    return value
 
 
 def _annotate(children: dict, description) -> dict:

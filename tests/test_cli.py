@@ -831,12 +831,31 @@ BAD_INPUTS = {
         1, "make-template --schema-dir {schema_dir} --root contract.schema.json"
         " --examples {examples_without_leaves} --contract-type CommodityOption"
     ),
+    "ingest_examples_without_leaves": (
+        1, "ingest-kb --examples {examples_without_leaves} --contract-type CommodityOption --budget 200"
+    ),
+    "schema_properties_list": (
+        1, "make-template --schema-dir {schema_properties_list} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "schema_member_properties_number": (
+        1, "make-template --schema-dir {schema_member_properties_number} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "schema_ref_all_of_number": (
+        1, "make-template --schema-dir {schema_ref_all_of_number} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "config_contract_type_number": (2, "pipeline --config {config_contract_type_number}"),
+    "config_contract_type_combined": (2, "pipeline --config {config_contract_type_combined}"),
+    "report_contract_type_combined": (1, "report --in {reports_contract_type_combined}"),
 }
 # The error a case with exit code 1 names, when it is not MalformedDocument.
 BAD_INPUT_ERRORS = {
     "root_outside_schema_dir_missing": "MissingRoot",
     "root_outside_schema_dir_existing": "MissingRoot",
     "examples_without_leaves": "EmptyExampleDir",
+    "ingest_examples_without_leaves": "EmptyExampleDir",
 }
 # A pattern the error detail of a case with exit code 1 must match: only a
 # file that does not parse names a byte offset.
@@ -844,6 +863,11 @@ BAD_INPUT_DETAILS = {
     "template_not_json": r"not_json\.json: parse failure at byte offset 1: ",
     "template_tree_list": r"tree_list\.json: 'tree' is not an object$",
     "examples_without_leaves": r"no example in .*examples_without_leaves has a leaf value$",
+    "ingest_examples_without_leaves": r"no example in .*examples_without_leaves has a leaf value$",
+    "schema_properties_list": r"^contract\.schema\.json: 'properties' is not an object$",
+    "schema_member_properties_number": r"^contract\.schema\.json#oneOf\[0\]: 'properties' is not an object$",
+    "schema_ref_all_of_number": r"^x\.schema\.json: 'allOf' is not a list$",
+    "report_contract_type_combined": r"r1\.report\.json: 'contract_type' 'combined' names the union row$",
 }
 # Text the usage message of a case with exit code 2 must hold.
 BAD_INPUT_USAGE = {
@@ -854,6 +878,8 @@ BAD_INPUT_USAGE = {
     "config_duplicate_stem": "contract name 'commodity_option' is used twice",
     "config_provider_model_number": "error: model must be a string",
     "config_provider_credential_env_number": "error: credential_env must be a string",
+    "config_contract_type_number": "contract 'c1': contract_type must be a string other than 'combined'",
+    "config_contract_type_combined": "contract 'c1': contract_type must be a string other than 'combined'",
 }
 
 
@@ -905,6 +931,8 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_provider_unknown_key": json.dumps({**http_config, "provider": {**provider, "modle": "m"}}),
         "config_duplicate_name": json.dumps({**config, "contracts": [job, job]}),
         "config_duplicate_stem": json.dumps({**config, "contracts": [{**job, "name": ""}, {**job, "name": None}]}),
+        "config_contract_type_number": json.dumps({**config, "contracts": [{**job, "contract_type": 5}]}),
+        "config_contract_type_combined": json.dumps({**config, "contracts": [{**job, "contract_type": "combined"}]}),
         "script_usage_5": json.dumps({"0" * 64: {"text": "{}", "usage": 5}}),
         "blank": " \n\t\n",
         "cdm_one_key": json.dumps({"trade": {}}),
@@ -928,6 +956,7 @@ def test_bad_input_is_typed_not_a_traceback(
         "score_text": json.dumps({**scores, "syntactical_correctness": "x"}),
         "detail_5": json.dumps({**scores, "per_path_detail": 5}),
         "contract_type_list": json.dumps({**scores, "contract_type": ["x"]}),
+        "contract_type_combined": json.dumps({**scores, "contract_type": "combined"}),
     }
     files["config_kb_without_chunks"] = json.dumps(
         {
@@ -958,6 +987,10 @@ def test_bad_input_is_typed_not_a_traceback(
         ("examples_not_utf8", "e1.json", files["not_utf8"]),
         ("examples_without_leaves", "e1.json", "{}"),
         ("examples_without_leaves", "e2.json", "[]"),
+        ("schema_properties_list", "contract.schema.json", '{"properties": []}'),
+        ("schema_member_properties_number", "contract.schema.json", '{"oneOf": [{"properties": 3}]}'),
+        ("schema_ref_all_of_number", "contract.schema.json", '{"properties": {"x": {"$ref": "x.schema.json"}}}'),
+        ("schema_ref_all_of_number", "x.schema.json", '{"allOf": 5}'),
     ]
     for name, file_name, text in dirs:
         paths[name] = tmp_path / name

@@ -62,6 +62,13 @@ def test_empty_dir_raises(tmp_path):
         ingest_examples(tmp_path, "sample", chunk_budget=10)
 
 
+def test_examples_without_a_leaf_raise(tmp_path):
+    write_example(tmp_path, "empty.json", {})
+    write_example(tmp_path, "empty_list.json", [])
+    with pytest.raises(EmptyExampleDir, match="has a leaf value"):
+        ingest_examples(tmp_path, "sample", chunk_budget=10)
+
+
 def test_oversized_leaf_emitted_and_flagged(tmp_path):
     write_example(tmp_path, "e1.json", {"blob": "w1 w2 w3 w4 w5 w6 w7 w8 w9 w10"})
     kb = ingest_examples(tmp_path, "sample", chunk_budget=3)

@@ -33,8 +33,7 @@ def test_three_file_fixture_loads_and_resolves(tiny_index):
     }
     assert tiny_index.root_id == "root.schema.json"
     party = tiny_index.documents["root.schema.json"].properties["party"]
-    assert party.kind == "object-ref"
-    assert party.ref_target == "party.schema.json"
+    assert party.ref_target == "party.schema.json" and not party.array
     address = tiny_index.documents["party.schema.json"].properties["address"]
     assert address.ref_target == "address.schema.json"
 
@@ -89,6 +88,32 @@ def test_non_utf8_document_names_file_and_byte_offset(tmp_path):
         load_schema_dir(tmp_path, "root.schema.json")
     assert exc_info.value.file == "base/latin1.schema.json"
     assert exc_info.value.offset == data.index(b"\xe9")
+
+
+@pytest.mark.parametrize(
+    "root, where, detail",
+    [
+        ({"properties": None}, "root.schema.json", "'properties' is not an object"),
+        ({"allOf": {"properties": {}}}, "root.schema.json", "'allOf' is not a list"),
+        ({"anyOf": None}, "root.schema.json", "'anyOf' is not a list"),
+        ({"anyOf": [{"properties": []}]}, "root.schema.json#anyOf[0]", "'properties' is not an object"),
+        (
+            {"properties": {"x": {"type": "object", "properties": "y"}}},
+            "root.schema.json::x",
+            "'properties' is not an object",
+        ),
+        (
+            {"properties": {"x": {"items": {"properties": 1}}}},
+            "root.schema.json::x[]",
+            "'properties' is not an object",
+        ),
+    ],
+)
+def test_a_keyword_of_the_wrong_type_names_document_and_keyword(tmp_path, root, where, detail):
+    write(tmp_path / "root.schema.json", root)
+    with pytest.raises(MalformedDocument) as exc_info:
+        load_schema_dir(tmp_path, "root.schema.json")
+    assert str(exc_info.value) == f"{where}: {detail}"
 
 
 def test_line_ends_read_as_text_mode_reads_them(tmp_path):
@@ -172,7 +197,8 @@ def test_loading_twice_yields_equal_indexes(tiny_schema_dir):
 def test_scalar_classification(cdm_index):
     trade = cdm_index.documents["trade.schema.json"]
     assert trade.properties["tradeDate"].scalar_type == "date"
-    assert trade.properties["tradeIdentifier"].kind == "array-of-ref"
+    identifier = trade.properties["tradeIdentifier"]
+    assert identifier.ref_target is not None and identifier.array
     leg = cdm_index.documents["interest-rate-leg.schema.json"]
     assert leg.properties["notional"].scalar_type == "number"
     assert leg.properties["dayCount"].scalar_type == "enum"
@@ -186,8 +212,7 @@ def test_scalar_classification(cdm_index):
 def test_inline_object_becomes_internal_document(cdm_index):
     value_doc = cdm_index.documents["identifier-value.schema.json"]
     meta = value_doc.properties["meta"]
-    assert meta.kind == "inline-object"
-    assert meta.ref_target is not None
+    assert meta.ref_target == "identifier-value.schema.json::meta" and not meta.array
     inline = cdm_index.doc(meta.ref_target)
     assert "scheme" in inline.properties
 
