@@ -127,13 +127,13 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_gateway(parser, args, mock_script, file_values: dict, max_inflight: int = 1):
+def _make_gateway(parser, args, mock_script, file_values: dict):
     """A command's provider: the mock script when one is named, else an
     HTTP client, configured from the provider flags and a run config's
     ``provider`` keys, that keeps a connection per call in flight."""
     if mock_script:
         return MockProvider.from_file(mock_script)
-    return HttpProvider(_configure(parser, ProviderConfig, args, file_values), max_inflight=max_inflight)
+    return HttpProvider(_configure(parser, ProviderConfig, args, file_values))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +166,12 @@ def cmd_ingest_kb(args, parser) -> int:
     return 0
 
 
-def _generation_inputs(args, parser, max_inflight: int = 1):
+def _generation_inputs(args, parser):
     """Gateway, contract text and knowledge base of ``populate`` and
     ``baseline``."""
     if args.use_rag and not args.kb:
         parser.error("--rag requires --kb FILE")
-    gateway = _make_gateway(parser, args, args.mock_script, {}, max_inflight)
+    gateway = _make_gateway(parser, args, args.mock_script, {})
     return gateway, _read_contract(args.contract), KnowledgeBase.load(args.kb) if args.kb else None
 
 
@@ -190,7 +190,7 @@ def _write_population(doc: populator.PopulatedDocument, cdm_path, provenance_pat
 
 def cmd_populate(args, parser) -> int:
     cfg = _configure(parser, PopulationConfig, args, {})
-    gateway, contract_text, kb = _generation_inputs(args, parser, cfg.max_inflight)
+    gateway, contract_text, kb = _generation_inputs(args, parser)
     template = Template.load(args.template)
     try:
         doc = populate(template, contract_text, kb, gateway, cfg)
@@ -308,9 +308,9 @@ class ContractJob:
     def __post_init__(self):
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"contract name {self.name!r} is not a plain file name")
-        if not isinstance(self.contract_type, str) or self.contract_type == evaluator.COMBINED:
+        if not isinstance(self.contract_type, str) or self.contract_type in ("", evaluator.COMBINED):
             raise ValueError(
-                f"contract {self.name!r}: contract_type must be a string other than "
+                f"contract {self.name!r}: contract_type must be a non-empty string other than "
                 f"{evaluator.COMBINED!r}, which names the union row"
             )
 
@@ -437,7 +437,7 @@ def cmd_pipeline(args, parser) -> int:
     cfg = _configure(parser, PopulationConfig, args, run.settings)
     weights = _configure(parser, evaluator.CoverageWeights, args, run.settings)
     run.validate(parser, cfg.use_rag)
-    gateway = _make_gateway(parser, args, run.mock_script, run.provider, cfg.max_inflight)
+    gateway = _make_gateway(parser, args, run.mock_script, run.provider)
 
     # Contracts naming the same knowledge base share it, and contracts of
     # one type built from the same examples share a template and its file

@@ -13,10 +13,11 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
-from urllib.parse import urlsplit
+from typing import Mapping, Optional, Sequence
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import prompts
 from .errors import (
@@ -28,9 +29,6 @@ from .errors import (
     Timeout,
 )
 from .treeops import conforms, read_json_object
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -184,40 +182,107 @@ class HttpProvider:
     8 s. Authentication failures never retry, nor does a 200 reply that is
     not JSON or carries no message (both raise :class:`ProviderUnavailable`).
     Every call posts to ``cfg.endpoint``, as the caller resolved it.
-    ``requests`` is imported here, not with the module, so runs without an
-    HTTP provider never load it.
 
-    A session built here keeps up to ``max_inflight`` connections per host
-    (at least the 10 ``requests`` keeps), so that many concurrent calls
-    reuse theirs; an injected ``session`` is used as it is.
+    The transport is the standard library's ``http.client``, imported when a
+    provider is built, so runs without an HTTP provider never load it. Each
+    call in flight holds one keep-alive connection and idle ones wait on a
+    stack, so there are never more connections than calls were in flight at
+    once. An idle connection the server has closed is reopened before it is
+    used, without spending a retry. ``HTTP_PROXY``, ``HTTPS_PROXY`` and
+    ``NO_PROXY`` are read once, here: an ``http`` request goes to the proxy
+    in absolute form, an ``https`` one through a CONNECT tunnel. TLS
+    certificates are checked against the default trust store, which
+    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` replace when set.
     """
 
     _sleep = staticmethod(time.sleep)
 
-    def __init__(
-        self, cfg: ProviderConfig, session: Optional[requests.Session] = None, max_inflight: int = 1
-    ):
-        import requests
+    def __init__(self, cfg: ProviderConfig):
+        import base64
+        import ssl
+        import urllib.request
 
         self.cfg = cfg
-        if session is None:
-            session = requests.Session()
-            adapter = requests.adapters.HTTPAdapter(pool_maxsize=max(10, max_inflight))
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self.session = session
+        url = urlsplit(cfg.endpoint)
+        self._address = (url.hostname, url.port)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        self._tunnel = None
+        self._proxy_headers: dict[str, str] = {}
+        proxies = urllib.request.getproxies_environment()
+        proxy = proxies.get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass_environment(url.hostname, proxies):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise ProviderUnavailable(f"proxy {proxy!r} is not an http:// URL with a host")
+            if proxy_url.username is not None:
+                user_pass = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                token = base64.b64encode(user_pass.encode("utf-8")).decode("ascii")
+                self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if self._context is None:
+                # http.client takes the Host header from the absolute URL.
+                self._target = urlunsplit(("http", url.netloc, url.path or "/", url.query, ""))
+            else:
+                self._tunnel = (url.hostname, url.port or 443)
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+        self._idle: list = []
+        self._idle_lock = threading.Lock()
+
+    def _new_connection(self):
+        import http.client
+
+        if self._context is None:
+            return http.client.HTTPConnection(*self._address, timeout=self.cfg.timeout)
+        connection = http.client.HTTPSConnection(
+            *self._address, timeout=self.cfg.timeout, context=self._context
+        )
+        if self._tunnel:
+            connection.set_tunnel(*self._tunnel, headers=self._proxy_headers)
+        return connection
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": "cdmgen"}
         if self.cfg.credential_env:
             token = os.environ.get(self.cfg.credential_env)
             if not token:
                 raise AuthFailure(f"credential variable {self.cfg.credential_env} is not set")
             headers["Authorization"] = f"Bearer {token}"
+        if self._tunnel is None:
+            headers.update(self._proxy_headers)
         return headers
 
+    def _post(self, body: bytes, headers: dict[str, str]):
+        """Send one request on an idle connection, or on a new one when none
+        is idle, and read the whole reply. A connection that fails is
+        closed and not kept."""
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = self._new_connection()
+        elif connection.sock is not None and _readable(connection.sock):
+            # An idle connection with something to read was closed by the
+            # server; once closed, the request below opens it again.
+            connection.close()
+        try:
+            connection.request("POST", self._target, body, headers)
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        with self._idle_lock:
+            self._idle.append(connection)
+        return response, data
+
     def complete(self, prompt: PromptBundle) -> CompletionResult:
-        import requests
+        import http.client
 
         payload = {
             "model": self.cfg.model,
@@ -228,6 +293,7 @@ class HttpProvider:
             "max_tokens": MAX_OUTPUT_TOKENS,
             "temperature": TEMPERATURE,
         }
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         headers = self._headers()
         last_error: Exception | None = None
         retry_after = ""
@@ -238,34 +304,31 @@ class HttpProvider:
                 self._sleep(min(delay, 8.0))
             retry_after = ""
             try:
-                response = self.session.post(
-                    self.cfg.endpoint, json=payload, headers=headers, timeout=self.cfg.timeout
-                )
-            except requests.Timeout:
+                response, data = self._post(body, headers)
+            except TimeoutError:
                 last_error = Timeout(f"provider call timed out after {self.cfg.timeout}s")
                 logger.warning("provider timeout attempt=%d", attempt + 1)
                 continue
-            except requests.RequestException as exc:
-                last_error = ProviderUnavailable(f"provider unreachable: {exc}")
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = ProviderUnavailable(f"provider unreachable: {exc!r}")
                 logger.warning("provider unreachable attempt=%d", attempt + 1)
                 continue
-            if response.status_code in (401, 403):
-                raise AuthFailure(f"provider rejected credentials ({response.status_code})")
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = ProviderUnavailable(
-                    f"provider error {response.status_code}: {response.text[:200]}"
-                )
-                retry_after = response.headers.get("Retry-After", "").strip()
+            status = response.status
+            if status in (401, 403):
+                raise AuthFailure(f"provider rejected credentials ({status})")
+            if status == 429 or status >= 500:
+                text = data.decode("utf-8", "replace")
+                last_error = ProviderUnavailable(f"provider error {status}: {text[:200]}")
+                retry_after = response.getheader("Retry-After", "").strip()
                 continue
-            if response.status_code != 200:
-                raise ProviderUnavailable(
-                    f"provider error {response.status_code}: {response.text[:200]}"
-                )
+            if status != 200:
+                text = data.decode("utf-8", "replace")
+                raise ProviderUnavailable(f"provider error {status}: {text[:200]}")
             try:
-                body = response.json()
+                reply = json.loads(data)
             except ValueError as exc:
                 raise ProviderUnavailable(f"provider sent a non-JSON body: {exc}") from exc
-            return self._parse(body)
+            return self._parse(reply)
         raise last_error if last_error else ProviderUnavailable("provider call failed")
 
     @staticmethod
@@ -285,6 +348,17 @@ class HttpProvider:
             finish_reason=finish,
             usage=dict(usage) if isinstance(usage, dict) else {},
         )
+
+
+def _readable(sock) -> bool:
+    """Whether ``sock`` has bytes or an end of stream waiting, without blocking."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 # ---------------------------------------------------------------------------

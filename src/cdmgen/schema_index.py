@@ -156,6 +156,18 @@ def _keyword(where: str, raw: dict, keyword: str):
     return value
 
 
+def _members(doc_id: str, raw: dict):
+    """``(keyword, label, member)`` for each ``allOf``/``anyOf``/``oneOf``
+    member of ``raw``, labelled ``keyword[i]``. A member that is not an
+    object raises :class:`MalformedDocument` naming ``doc_id#label``."""
+    for keyword in _COMPOSITES:
+        for i, member in enumerate(_keyword(doc_id, raw, keyword)):
+            label = f"{keyword}[{i}]"
+            if not isinstance(member, dict):
+                raise MalformedDocument(f"{doc_id}#{label}", "the member is not an object")
+            yield keyword, label, member
+
+
 def _normalize_ref(from_doc: str, ref_text: str) -> str:
     """Canonical document id for a ``$ref`` written inside ``from_doc``.
 
@@ -246,19 +258,15 @@ class _IndexBuilder:
         raw = self.raw[doc_id]
         for name, raw_prop in _keyword(doc_id, raw, "properties").items():
             yield name, raw_prop, None
-        for keyword in _COMPOSITES:
-            for i, member in enumerate(_keyword(doc_id, raw, keyword)):
-                if not isinstance(member, dict):
-                    continue
-                label = f"{keyword}[{i}]"
-                group = label if keyword in ("anyOf", "oneOf") else None
-                if "$ref" in member:
-                    target = self._resolve(doc_id, member["$ref"], label)
-                    for name, raw_prop, inner in self._raw_properties(target, visiting):
-                        yield name, raw_prop, group or inner
-                else:
-                    for name, raw_prop in _keyword(f"{doc_id}#{label}", member, "properties").items():
-                        yield name, raw_prop, group
+        for keyword, label, member in _members(doc_id, raw):
+            group = label if keyword in ("anyOf", "oneOf") else None
+            if "$ref" in member:
+                target = self._resolve(doc_id, member["$ref"], label)
+                for name, raw_prop, inner in self._raw_properties(target, visiting):
+                    yield name, raw_prop, group or inner
+            else:
+                for name, raw_prop in _keyword(f"{doc_id}#{label}", member, "properties").items():
+                    yield name, raw_prop, group
 
     # -- classification -----------------------------------------------------
 
@@ -330,16 +338,13 @@ class _IndexBuilder:
         raw = self.raw[doc_id]
         if "properties" in raw:
             return False
-        for keyword in _COMPOSITES:
-            for member in _keyword(doc_id, raw, keyword):
-                if isinstance(member, dict) and "properties" in member:
+        for _, _, member in _members(doc_id, raw):
+            if "properties" in member:
+                return False
+            if isinstance(member.get("$ref"), str):
+                target = _normalize_ref(doc_id, member["$ref"])
+                if target in self.raw and not self._is_scalar_doc(target, visiting | {doc_id}):
                     return False
-                if isinstance(member, dict) and isinstance(member.get("$ref"), str):
-                    target = _normalize_ref(doc_id, member["$ref"])
-                    if target in self.raw and not self._is_scalar_doc(
-                        target, visiting | {doc_id}
-                    ):
-                        return False
         return "enum" in raw or raw.get("type") in _JSON_SCALARS
 
     @staticmethod

@@ -846,8 +846,17 @@ BAD_INPUTS = {
         1, "make-template --schema-dir {schema_ref_all_of_number} --root contract.schema.json"
         " --examples {examples} --contract-type CommodityOption"
     ),
+    "schema_member_number": (
+        1, "make-template --schema-dir {schema_member_number} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "schema_ref_member_text": (
+        1, "make-template --schema-dir {schema_ref_member_text} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
     "config_contract_type_number": (2, "pipeline --config {config_contract_type_number}"),
     "config_contract_type_combined": (2, "pipeline --config {config_contract_type_combined}"),
+    "config_contract_type_empty": (2, "pipeline --config {config_contract_type_empty}"),
     "report_contract_type_combined": (1, "report --in {reports_contract_type_combined}"),
 }
 # The error a case with exit code 1 names, when it is not MalformedDocument.
@@ -867,6 +876,8 @@ BAD_INPUT_DETAILS = {
     "schema_properties_list": r"^contract\.schema\.json: 'properties' is not an object$",
     "schema_member_properties_number": r"^contract\.schema\.json#oneOf\[0\]: 'properties' is not an object$",
     "schema_ref_all_of_number": r"^x\.schema\.json: 'allOf' is not a list$",
+    "schema_member_number": r"^contract\.schema\.json#oneOf\[0\]: the member is not an object$",
+    "schema_ref_member_text": r"^x\.schema\.json#anyOf\[1\]: the member is not an object$",
     "report_contract_type_combined": r"r1\.report\.json: 'contract_type' 'combined' names the union row$",
 }
 # Text the usage message of a case with exit code 2 must hold.
@@ -878,8 +889,9 @@ BAD_INPUT_USAGE = {
     "config_duplicate_stem": "contract name 'commodity_option' is used twice",
     "config_provider_model_number": "error: model must be a string",
     "config_provider_credential_env_number": "error: credential_env must be a string",
-    "config_contract_type_number": "contract 'c1': contract_type must be a string other than 'combined'",
-    "config_contract_type_combined": "contract 'c1': contract_type must be a string other than 'combined'",
+    "config_contract_type_number": "contract 'c1': contract_type must be a non-empty string other than 'combined'",
+    "config_contract_type_combined": "contract 'c1': contract_type must be a non-empty string other than 'combined'",
+    "config_contract_type_empty": "contract 'c1': contract_type must be a non-empty string other than 'combined'",
 }
 
 
@@ -933,6 +945,7 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_duplicate_stem": json.dumps({**config, "contracts": [{**job, "name": ""}, {**job, "name": None}]}),
         "config_contract_type_number": json.dumps({**config, "contracts": [{**job, "contract_type": 5}]}),
         "config_contract_type_combined": json.dumps({**config, "contracts": [{**job, "contract_type": "combined"}]}),
+        "config_contract_type_empty": json.dumps({**config, "contracts": [{**job, "contract_type": ""}]}),
         "script_usage_5": json.dumps({"0" * 64: {"text": "{}", "usage": 5}}),
         "blank": " \n\t\n",
         "cdm_one_key": json.dumps({"trade": {}}),
@@ -991,6 +1004,9 @@ def test_bad_input_is_typed_not_a_traceback(
         ("schema_member_properties_number", "contract.schema.json", '{"oneOf": [{"properties": 3}]}'),
         ("schema_ref_all_of_number", "contract.schema.json", '{"properties": {"x": {"$ref": "x.schema.json"}}}'),
         ("schema_ref_all_of_number", "x.schema.json", '{"allOf": 5}'),
+        ("schema_member_number", "contract.schema.json", '{"properties": {"x": {"type": "string"}}, "oneOf": [5, "y"]}'),
+        ("schema_ref_member_text", "contract.schema.json", '{"properties": {"x": {"$ref": "x.schema.json"}}}'),
+        ("schema_ref_member_text", "x.schema.json", '{"type": "string", "anyOf": [{"type": "string"}, "y"]}'),
     ]
     for name, file_name, text in dirs:
         paths[name] = tmp_path / name
@@ -1807,55 +1823,18 @@ def test_pipeline_plans_a_template_once_per_knowledge_base(
     assert hashes[0].isdisjoint(hashes[1])
 
 
-def test_populate_and_pipeline_size_the_http_pool_to_max_inflight(
-    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
-):
-    config_path, out_dir, script_path = helpers.prepare_pipeline(
-        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
-    )
-    config = json.loads(config_path.read_text(encoding="utf-8"))
-    del config["mock_script"]
-    config["max_inflight"] = 12
-    config["provider"] = {"endpoint": "http://127.0.0.1:9/v1/chat/completions"}
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    sizes = []
-
-    def scripted_http_provider(cfg, max_inflight):
-        sizes.append(max_inflight)
-        return MockProvider.from_file(script_path)
-
-    monkeypatch.setattr("cdmgen.cli.HttpProvider", scripted_http_provider)
-    assert run(["pipeline", "--config", config_path]) == 0
-    template = tmp_path / "template.json"
-    assert run(
-        [
-            "make-template", "--schema-dir", cdm_schema_dir, "--root", "contract.schema.json",
-            "--examples", examples_root / "equity_option", "--contract-type", "EquityOption",
-            "--out", template,
-        ]
-    ) == 0
-    provider = ["--provider", "http://127.0.0.1:9/v1/chat/completions"]
-    contract = contracts_dir / "equity_option.txt"
-    assert run(
-        [
-            "populate", "--template", template, "--contract", contract, *provider,
-            "--max-inflight", 16, "--out", tmp_path / "single.cdm.json",
-        ]
-    ) == 0
-    assert sizes == [12, 16]
-
-
-def test_mock_script_runs_never_import_requests(tmp_path, cdm_schema_dir, examples_root, contracts_dir):
+def test_mock_script_runs_never_load_the_http_transport(tmp_path, cdm_schema_dir, examples_root, contracts_dir):
     config_path, out_dir, _ = helpers.prepare_pipeline(
         tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
     )
     code = "\n".join(
         [
             "import sys",
+            "loaded = lambda: [name for name in ('http.client', 'ssl') if name in sys.modules]",
             "import cdmgen.cli",
-            "assert 'requests' not in sys.modules, 'importing cdmgen.cli loaded requests'",
+            "assert not loaded(), f'importing cdmgen.cli loaded {loaded()}'",
             f"assert cdmgen.cli.main(['pipeline', '--config', {str(config_path)!r}]) == 0",
-            "assert 'requests' not in sys.modules, 'a mock-script pipeline loaded requests'",
+            "assert not loaded(), f'a mock-script pipeline loaded {loaded()}'",
         ]
     )
     src = Path(cdmgen.__file__).resolve().parents[1]

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import select
+import socket
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +158,7 @@ def local_server():
     _Handler.retry_after = None
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_provider_transmits_prompt_bit_exactly(local_server, monkeypatch):
@@ -299,7 +306,7 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 
 
 def test_http_provider_reuses_a_connection_per_call_in_flight():
-    inflight = 16  # above the 10 connections per host requests keeps by default
+    inflight = 16
     _KeepAliveHandler.barrier = threading.Barrier(inflight, timeout=30)
     _KeepAliveHandler.ports = set()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
@@ -309,19 +316,195 @@ def test_http_provider_reuses_a_connection_per_call_in_flight():
     cfg = ProviderConfig(
         endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions", model="m", retries=0
     )
-    provider = HttpProvider(cfg, max_inflight=inflight)
+    provider = HttpProvider(cfg)
     try:
         with ThreadPoolExecutor(inflight) as calls:
             for _ in range(3):
                 replies = list(calls.map(lambda _: provider.complete(BUNDLE).text, range(inflight)))
                 assert replies == ["{}"] * inflight
     finally:
-        provider.session.close()
+        provider.close()
         server.shutdown()
         server.server_close()
     # Every round had 16 calls in flight at once; later rounds reuse the
     # first round's connections instead of opening new ones.
     assert len(_KeepAliveHandler.ports) <= inflight
+
+
+class _ClosingServer(HTTPServer):
+    """Keep-alive chat endpoint that answers one request per connection,
+    without a ``Connection: close`` header, then closes the connection."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ClosingHandler)
+        self.ports: list = []
+        self.closed = threading.Event()
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
+
+
+class _ClosingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.ports.append(self.client_address[1])
+        raw = json.dumps({"choices": [{"message": {"content": "{}"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_provider_reopens_an_idle_connection_the_server_closed():
+    server = _ClosingServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    cfg = ProviderConfig(endpoint=f"http://127.0.0.1:{server.server_port}/v1", model="m", retries=0)
+    provider = HttpProvider(cfg)
+    sleeps = []
+    provider._sleep = sleeps.append
+    try:
+        assert provider.complete(BUNDLE).text == "{}"
+        assert server.closed.wait(10)
+        assert provider.complete(BUNDLE).text == "{}"
+    finally:
+        provider.close()
+        server.shutdown()
+        server.server_close()
+    # The second call went out once, on a new connection, and spent no retry.
+    assert len(server.ports) == len(set(server.ports)) == 2
+    assert sleeps == []
+
+
+class _ForwardingProxy(BaseHTTPRequestHandler):
+    """HTTP proxy: records each request line's target and its
+    ``Proxy-Authorization``, forwards a POST to its absolute URL and relays
+    a CONNECT tunnel's bytes both ways."""
+
+    seen: list = []
+
+    def do_POST(self):
+        _ForwardingProxy.seen.append((self.path, self.headers.get("Proxy-Authorization")))
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        upstream = urlsplit(self.path)
+        connection = http.client.HTTPConnection(upstream.hostname, upstream.port, timeout=10)
+        try:
+            connection.request("POST", upstream.path, body, {"Content-Type": "application/json"})
+            reply = connection.getresponse()
+            raw = reply.read()
+        finally:
+            connection.close()
+        self.send_response(reply.status)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def do_CONNECT(self):
+        _ForwardingProxy.seen.append((self.path, self.headers.get("Proxy-Authorization")))
+        host, port = self.path.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as upstream:
+            self.send_response(200)
+            self.end_headers()
+            peer = {self.connection: upstream, upstream: self.connection}
+            while True:
+                readable, _, _ = select.select(list(peer), [], [], 10)
+                chunks = [(sock, sock.recv(65536)) for sock in readable]
+                if not readable or not all(chunk for _, chunk in chunks):
+                    return
+                for sock, chunk in chunks:
+                    peer[sock].sendall(chunk)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def forwarding_proxy(monkeypatch):
+    """A running forwarding proxy's URL, with every proxy variable cleared."""
+    proxy = ThreadingHTTPServer(("127.0.0.1", 0), _ForwardingProxy)
+    proxy.daemon_threads = True
+    thread = threading.Thread(target=proxy.serve_forever, daemon=True)
+    thread.start()
+    _ForwardingProxy.seen = []
+    for name in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    yield f"127.0.0.1:{proxy.server_port}"
+    proxy.shutdown()
+    proxy.server_close()
+
+
+@pytest.mark.parametrize(
+    "user, no_proxy, authorization",
+    [("", "", None), ("us%40r:pw@", "", "Basic dXNAcjpwdw=="), ("", "127.0.0.1", None)],
+    ids=["proxied", "proxied_with_credentials", "bypassed"],
+)
+def test_http_provider_sends_through_the_environment_proxy(
+    local_server, forwarding_proxy, monkeypatch, user, no_proxy, authorization
+):
+    monkeypatch.setenv("HTTP_PROXY", f"http://{user}{forwarding_proxy}")
+    if no_proxy:
+        monkeypatch.setenv("NO_PROXY", no_proxy)
+    provider = HttpProvider(ProviderConfig(endpoint=local_server, model="m", retries=0))
+    try:
+        assert provider.complete(BUNDLE).text == '{"echo": true}'
+    finally:
+        provider.close()
+    assert _ForwardingProxy.seen == ([] if no_proxy else [(local_server, authorization)])
+    assert len(_Handler.captured) == 1
+
+
+def test_http_provider_refuses_a_proxy_that_is_not_http(forwarding_proxy, monkeypatch):
+    monkeypatch.setenv("HTTPS_PROXY", f"https://{forwarding_proxy}")
+    with pytest.raises(ProviderUnavailable, match="not an http:// URL"):
+        HttpProvider(ProviderConfig(endpoint="https://127.0.0.1:1/v1", model="m"))
+
+
+# localhost.pem is a self-signed certificate for localhost and 127.0.0.1, made with
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -keyout localhost.key -out localhost.pem -days 36500 -subj /CN=localhost \
+#     -addext subjectAltName=DNS:localhost,IP:127.0.0.1 \
+#     -addext basicConstraints=critical,CA:FALSE -addext keyUsage=critical,digitalSignature \
+#     -addext extendedKeyUsage=serverAuth
+TLS_DIR = Path(__file__).resolve().parent / "fixtures" / "tls"
+
+
+@pytest.mark.parametrize(
+    "trusted, proxied", [(False, False), (True, False), (True, True)], ids=["untrusted", "trusted", "tunnelled"]
+)
+def test_http_provider_checks_the_server_certificate(local_server, forwarding_proxy, monkeypatch, trusted, proxied):
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_DIR / "localhost.pem", TLS_DIR / "localhost.key")
+    server = HTTPServer(("127.0.0.1", 0), _Handler)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    if trusted:
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DIR / "localhost.pem"))
+    else:
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    if proxied:
+        monkeypatch.setenv("HTTPS_PROXY", f"http://{forwarding_proxy}")
+    cfg = ProviderConfig(endpoint=f"https://127.0.0.1:{server.server_port}/v1", model="m", retries=0)
+    provider = HttpProvider(cfg)
+    try:
+        if trusted:
+            assert provider.complete(BUNDLE).text == '{"echo": true}'
+        else:
+            with pytest.raises(ProviderUnavailable, match="CERTIFICATE_VERIFY_FAILED"):
+                provider.complete(BUNDLE)
+    finally:
+        provider.close()
+        server.shutdown()
+        server.server_close()
+    assert _ForwardingProxy.seen == ([(f"127.0.0.1:{server.server_port}", None)] if proxied else [])
 
 
 def test_complete_accepts_config_or_provider():

@@ -98,6 +98,13 @@ def test_non_utf8_document_names_file_and_byte_offset(tmp_path):
         ({"anyOf": None}, "root.schema.json", "'anyOf' is not a list"),
         ({"anyOf": [{"properties": []}]}, "root.schema.json#anyOf[0]", "'properties' is not an object"),
         (
+            {"properties": {"x": {"type": "string"}}, "oneOf": [5, "y"]},
+            "root.schema.json#oneOf[0]",
+            "the member is not an object",
+        ),
+        ({"allOf": [{"properties": {}}, None]}, "root.schema.json#allOf[1]", "the member is not an object"),
+        ({"anyOf": [[]]}, "root.schema.json#anyOf[0]", "the member is not an object"),
+        (
             {"properties": {"x": {"type": "object", "properties": "y"}}},
             "root.schema.json::x",
             "'properties' is not an object",
