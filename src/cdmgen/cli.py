@@ -39,10 +39,12 @@ VARIABLES = {
     "epsilon": ("CDMGEN_EPSILON", float),
     "endpoint": ("CDMGEN_ENDPOINT", str),
 }
-# The usage message of a field without a default that no source fills.
+# The usage message of a field without a default that no source fills; such
+# a field named here also counts as unset when its value is empty.
 UNSET = {
     "endpoint": "a provider is required: --provider URL or --mock-script FILE "
     "(in a run config, provider.endpoint or mock_script)",
+    "contracts": "pipeline config lists no contracts",
 }
 
 SUMMARY_COLUMNS = (
@@ -71,7 +73,7 @@ def _configure(parser, config_class, args, file_values: dict):
     the run config's key of that name in ``file_values``, else the default.
 
     A ValueError from the class or from converting a variable is a usage
-    error, and so is a field without a default left empty.
+    error, and so is a field without a default that no source fills.
     """
     values = {}
     try:
@@ -85,8 +87,9 @@ def _configure(parser, config_class, args, file_values: dict):
                 values[f.name] = cast(text)
             elif f.name in file_values:
                 values[f.name] = file_values[f.name]
-            if f.default is MISSING and not values.get(f.name):
-                parser.error(UNSET[f.name])
+            unset = f.name not in values or f.name in UNSET and not values[f.name]
+            if unset and f.default is MISSING and f.default_factory is MISSING:
+                parser.error(UNSET.get(f.name, f"{f.name} is required"))
         return config_class(**values)
     except ValueError as exc:
         parser.error(str(exc))
@@ -297,52 +300,59 @@ def cmd_report(args, parser) -> int:
 # pipeline
 
 
+def _existing(value, test, kind: str) -> Path:
+    """``value`` as a Path when ``test`` (``Path.is_file`` or ``Path.is_dir``)
+    accepts it; else a ValueError names ``kind`` and the value."""
+    if not (isinstance(value, (str, Path)) and value != "" and test(Path(value))):
+        raise ValueError(f"{kind} does not exist: {value}")
+    return Path(value)
+
+
 @dataclass
 class ContractJob:
-    name: str
+    """A run config's contract. Its ``name``, by default its contract file's
+    stem, names its files, so it must be a plain file name."""
+
     contract_type: str
     contract_path: Path
     examples_dir: Path
+    name: Optional[str] = None
     kb_path: Optional[Path] = None
 
     def __post_init__(self):
-        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+        if self.name in (None, "") and isinstance(self.contract_path, (str, Path)):
+            self.name = Path(self.contract_path).stem
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or set(self.name) & set("/\\\0"):
             raise ValueError(f"contract name {self.name!r} is not a plain file name")
         if not isinstance(self.contract_type, str) or self.contract_type in ("", evaluator.COMBINED):
             raise ValueError(
                 f"contract {self.name!r}: contract_type must be a non-empty string other than "
                 f"{evaluator.COMBINED!r}, which names the union row"
             )
+        self.contract_path = _existing(self.contract_path, Path.is_file, "contract file")
+        self.examples_dir = _existing(self.examples_dir, Path.is_dir, "examples dir")
+        self.kb_path = _existing(self.kb_path, Path.is_file, "knowledge base") if self.kb_path else None
 
 
-def _field_names(*classes) -> set[str]:
-    return {f.name for config_class in classes for f in fields(config_class)}
-
-
-def _check_keys(mapping, known: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - known) if isinstance(mapping, dict) else []
+def _check_keys(parser, mapping, where: str, *classes) -> None:
+    """Usage error for a run-config ``mapping``, named by ``where``, that is
+    not an object or holds a key that no field of ``classes`` reads."""
+    if not isinstance(mapping, dict):
+        parser.error(f"{where}{mapping!r} is not an object")
+    unknown = sorted(set(mapping) - {f.name for config_class in classes for f in fields(config_class)})
     if unknown:
-        raise ValueError(f"unknown {where}key {unknown[0]!r}")
+        parser.error(f"unknown {where}key {unknown[0]!r}")
 
 
 @dataclass
 class RunConfig:
-    """Batch run configuration, read from a JSON file.
-
-    Paths are resolved relative to the config file's directory; every
-    referenced input must exist when the command starts. ``settings`` holds
-    the file's PopulationConfig and CoverageWeights keys, and ``provider``
-    its ProviderConfig keys, as written, for :func:`_configure`. A key that
-    nothing reads, at the top level, in a contract entry or in ``provider``,
-    raises ``ValueError``, and so does a contract name that is used twice or
-    is not a plain file name (it names the contract's files in ``out_dir``).
-    """
+    """A batch run. ``provider`` holds the run config's ProviderConfig keys,
+    as written, for :func:`_configure`. Each input it names must exist."""
 
     schema_dir: Path
     root_file: str
     out_dir: Path
     contracts: list[ContractJob]
-    settings: dict = field(default_factory=dict)
     coverage: bool = False
     mock_script: Optional[Path] = None
     provider: dict = field(default_factory=dict)
@@ -350,66 +360,43 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.coverage, bool):
             raise ValueError("coverage must be true or false")
+        if not isinstance(self.contracts, list):
+            raise ValueError(f"contracts {self.contracts!r} is not a list")
         names = set()
         for job in self.contracts:
             if job.name in names:
                 raise ValueError(f"contract name {job.name!r} is used twice")
             names.add(job.name)
+        if not isinstance(self.out_dir, (str, Path)) or self.out_dir == "":
+            raise ValueError(f"out_dir {self.out_dir!r} is not a path")
+        self.out_dir = Path(self.out_dir)
+        if self.mock_script:
+            self.mock_script = _existing(self.mock_script, Path.is_file, "mock script")
+        self.schema_dir = _existing(self.schema_dir, Path.is_dir, "schema_dir")
+        root = self.schema_dir / self.root_file if isinstance(self.root_file, str) else self.root_file
+        _existing(root, Path.is_file, "root schema file")
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        config_path = Path(path)
-        payload = read_json_object(config_path)
-        base = config_path.parent
 
-        def resolve(value) -> Path:
-            p = Path(value)
-            return p if p.is_absolute() else base / p
+def _run_config(parser, args) -> tuple[RunConfig, dict]:
+    """The ``--config`` file's RunConfig and values. Its relative paths, and
+    ``out_dir``'s default ``pipeline-out``, are resolved against its
+    directory before :func:`_configure` fills each object; a flag's are not."""
+    values = read_json_object(args.config)
+    base = Path(args.config).parent
+    paths = {"schema_dir", "out_dir", "mock_script", "contract_path", "examples_dir", "kb_path"}
 
-        settings = _field_names(PopulationConfig, evaluator.CoverageWeights)
-        _check_keys(payload, (_field_names(cls) - {"settings"}) | settings, "")
-        for entry in payload.get("contracts", []):
-            _check_keys(entry, _field_names(ContractJob), "contract ")
-        _check_keys(payload.get("provider", {}), _field_names(ProviderConfig), "provider ")
-        contracts = [
-            ContractJob(
-                name=str(entry.get("name") or Path(entry["contract_path"]).stem),
-                contract_type=entry["contract_type"],
-                contract_path=resolve(entry["contract_path"]),
-                examples_dir=resolve(entry["examples_dir"]),
-                kb_path=resolve(entry["kb_path"]) if entry.get("kb_path") else None,
-            )
-            for entry in payload.get("contracts", [])
-        ]
-        return cls(
-            schema_dir=resolve(payload["schema_dir"]),
-            root_file=payload["root_file"],
-            out_dir=resolve(payload.get("out_dir", "pipeline-out")),
-            contracts=contracts,
-            settings={name: payload[name] for name in settings if name in payload},
-            coverage=payload.get("coverage", False),
-            mock_script=resolve(payload["mock_script"]) if payload.get("mock_script") else None,
-            provider=dict(payload.get("provider", {})),
-        )
+    def resolved(entry: dict) -> dict:
+        return {**entry, **{k: base / v for k, v in entry.items() if k in paths and isinstance(v, str) and v}}
 
-    def validate(self, parser: argparse.ArgumentParser, use_rag: bool) -> None:
-        if not self.contracts:
-            parser.error("pipeline config lists no contracts")
-        if self.mock_script and not self.mock_script.is_file():
-            parser.error(f"mock script does not exist: {self.mock_script}")
-        if not self.schema_dir.is_dir():
-            parser.error(f"schema_dir does not exist: {self.schema_dir}")
-        if not (self.schema_dir / self.root_file).is_file():
-            parser.error(f"root schema file does not exist: {self.schema_dir / self.root_file}")
-        for job in self.contracts:
-            if not job.contract_path.is_file():
-                parser.error(f"contract file does not exist: {job.contract_path}")
-            if not job.examples_dir.is_dir():
-                parser.error(f"examples dir does not exist: {job.examples_dir}")
-            if job.kb_path and not job.kb_path.is_file():
-                parser.error(f"knowledge base does not exist: {job.kb_path}")
-            if use_rag and not job.kb_path:
-                parser.error(f"use_rag needs a kb_path for contract {job.name}")
+    _check_keys(parser, values, "", RunConfig, PopulationConfig, evaluator.CoverageWeights)
+    _check_keys(parser, values.get("provider", {}), "provider ", ProviderConfig)
+    jobs = values.get("contracts")
+    if isinstance(jobs, list):
+        for entry in jobs:
+            _check_keys(parser, entry, "contract ", ContractJob)
+        jobs = [_configure(parser, ContractJob, argparse.Namespace(), resolved(entry)) for entry in jobs]
+    run = resolved({"out_dir": "pipeline-out", **values, "contracts": jobs})
+    return _configure(parser, RunConfig, args, run), values
 
 
 @dataclass
@@ -426,17 +413,12 @@ class _StartedContract:
 
 
 def cmd_pipeline(args, parser) -> int:
-    try:
-        run = RunConfig.from_file(args.config)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        parser.error(f"run config {args.config} is not usable: {exc!r}")
-    if args.out_dir:
-        run.out_dir = Path(args.out_dir)
-    if args.mock_script:
-        run.mock_script = Path(args.mock_script)
-    cfg = _configure(parser, PopulationConfig, args, run.settings)
-    weights = _configure(parser, evaluator.CoverageWeights, args, run.settings)
-    run.validate(parser, cfg.use_rag)
+    run, values = _run_config(parser, args)
+    cfg = _configure(parser, PopulationConfig, args, values)
+    weights = _configure(parser, evaluator.CoverageWeights, args, values)
+    for job in run.contracts:
+        if cfg.use_rag and not job.kb_path:
+            parser.error(f"use_rag needs a kb_path for contract {job.name}")
     gateway = _make_gateway(parser, args, run.mock_script, run.provider)
 
     # Contracts naming the same knowledge base share it, and contracts of
@@ -616,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate evaluation reports into a summary table")
     p.add_argument("--in", dest="input", required=True, help="directory of report JSON files")
-    p.add_argument("--group-by", choices=["contract-type"], default="contract-type")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 

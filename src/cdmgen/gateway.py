@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -238,6 +239,8 @@ class HttpProvider:
         )
         if self._tunnel:
             connection.set_tunnel(*self._tunnel, headers=self._proxy_headers)
+            if ":" in self._tunnel[0] and sys.version_info < (3, 12):
+                connection._tunnel = lambda: _bracketed_tunnel(connection)
         return connection
 
     def close(self) -> None:
@@ -348,6 +351,18 @@ class HttpProvider:
             finish_reason=finish,
             usage=dict(usage) if isinstance(usage, dict) else {},
         )
+
+
+def _bracketed_tunnel(connection) -> None:
+    """Open a tunnel as ``http.client`` before Python 3.12 does, but with an
+    IPv6 host bracketed in CONNECT; the TLS check and ``Host`` header, which
+    bracket it themselves, still see it bare."""
+    host = connection._tunnel_host
+    connection._tunnel_host = f"[{host}]"
+    try:
+        type(connection)._tunnel(connection)
+    finally:
+        connection._tunnel_host = host
 
 
 def _readable(sock) -> bool:

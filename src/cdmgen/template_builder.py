@@ -94,7 +94,7 @@ def load_examples(example_dir) -> list[tuple[str, Any]]:
         parsed = treeops.read_json(os.path.join(example_dir, rel), name)
         examples.append((name, parsed))
         # The walk stops at the first leaf, and not at all once one is found.
-        has_leaf = has_leaf or next(treeops.iter_leaf_paths(parsed), None) is not None
+        has_leaf = has_leaf or next(treeops.iter_leaf_paths(parsed, items=dict.items), None) is not None
     if not has_leaf:
         raise EmptyExampleDir(f"no example in {example_dir} has a leaf value")
     return examples
@@ -104,12 +104,11 @@ def flatten_examples(example_dir) -> KeyPathSet:
     """Union of dot-separated leaf paths over every example in a directory.
 
     Array indices contribute no segment, so ``a[0].b`` and ``a[3].b`` both
-    flatten to ``a.b``. Errors are those of :func:`load_examples`.
+    flatten to ``a.b``. Examples are data: a field named ``description`` is
+    a key like any other. Errors are those of :func:`load_examples`.
     """
-    examples = load_examples(example_dir)
-    return KeyPathSet(
-        frozenset(path for _, parsed in examples for path, _ in treeops.iter_leaf_paths(parsed))
-    )
+    leaves = (treeops.iter_leaf_paths(parsed, items=dict.items) for _, parsed in load_examples(example_dir))
+    return KeyPathSet(frozenset(path for paths in leaves for path, _ in paths))
 
 
 def build_template(index: SchemaIndex, keys: KeyPathSet, contract_type: str) -> Template:

@@ -241,29 +241,30 @@ def prune(value: Any, removable: Callable[[Any], bool]) -> Any:
     return value
 
 
-def iter_leaf_paths(value: Any, prefix: str = "") -> Iterator[tuple[str, Any]]:
+def iter_leaf_paths(value: Any, prefix: str = "", items=data_items) -> Iterator[tuple[str, Any]]:
     """Yield (normalized dot-path, leaf value) for every leaf of a tree.
 
     Array indices contribute no path segment, matching the key-flattening
     convention used for schema lookups. Empty containers are themselves
-    leaves. Annotations are skipped.
+    leaves. Annotations are skipped; ``items=dict.items`` walks plain data,
+    such as an example instance, where every key is data.
     """
     if isinstance(value, dict):
-        children = data_items(value)
+        children = items(value)
         if not children:
             if prefix:
                 yield prefix, value
             return
         for key, child in children:
             path = f"{prefix}.{key}" if prefix else key
-            yield from iter_leaf_paths(child, path)
+            yield from iter_leaf_paths(child, path, items)
     elif isinstance(value, list):
         if not value:
             if prefix:
                 yield prefix, value
             return
         for element in value:
-            yield from iter_leaf_paths(element, prefix)
+            yield from iter_leaf_paths(element, prefix, items)
     else:
         if prefix:
             yield prefix, value

@@ -545,7 +545,7 @@ def test_report_aggregates_by_contract_type(tmp_path):
         )
     (reports_dir / "archive.json").mkdir()  # a directory, not a report
     out = tmp_path / "summary.csv"
-    code = run(["report", "--in", reports_dir, "--group-by", "contract-type", "--out", out])
+    code = run(["report", "--in", reports_dir, "--out", out])
     assert code == 0
     with out.open(newline="", encoding="utf-8") as handle:
         parsed = list(csv.DictReader(handle))
@@ -744,6 +744,61 @@ def test_pipeline_rejects_a_contract_name_that_is_not_a_file_name(
     assert sorted(path.name for path in work.iterdir()) == ["mock_script.json", "run.json"]
 
 
+@pytest.mark.parametrize(
+    "key, in_contract, kind",
+    [
+        ("mock_script", False, "mock script"),
+        ("schema_dir", False, "schema_dir"),
+        ("root_file", False, "root schema file"),
+        ("contract_path", True, "contract file"),
+        ("examples_dir", True, "examples dir"),
+        ("kb_path", True, "knowledge base"),
+    ],
+)
+def test_a_run_config_input_that_does_not_exist_is_a_usage_error_naming_it(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, capsys, key, in_contract, kind
+):
+    work = tmp_path / "work"
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        work, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+    )
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    (config["contracts"][0] if in_contract else config)[key] = "absent"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    run_expecting_usage_error(["pipeline", "--config", config_path])
+    # A relative path names a file beside the config; root_file one in schema_dir.
+    missing = cdm_schema_dir / "absent" if key == "root_file" else work / "absent"
+    assert f"error: {kind} does not exist: {missing}\n" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_out_dir_and_mock_script_flags_beat_the_run_config(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
+):
+    work = tmp_path / "work"
+    config_path, _, script_path = helpers.prepare_pipeline(
+        work, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+    )
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(out_dir="config-out", mock_script="mock_script.json")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    # The run config's relative paths are taken from its own directory.
+    assert run(["pipeline", "--config", config_path]) == 0
+    written = {path.name: path.read_bytes() for path in (work / "config-out").iterdir()}
+    assert "equity_option.cdm.json" in written
+    # The flags' paths are taken from the working directory, and they win:
+    # the run config's script now scripts nothing.
+    (elsewhere / "script.json").write_bytes(script_path.read_bytes())
+    script_path.write_text("{}", encoding="utf-8")
+    argv = ["pipeline", "--config", config_path, "--out-dir", "flag-out", "--mock-script", "script.json"]
+    assert run(argv) == 0
+    assert {path.name: path.read_bytes() for path in (elsewhere / "flag-out").iterdir()} == written
+    assert {path.name: path.read_bytes() for path in (work / "config-out").iterdir()} == written
+
+
 # Each case is the expected exit code and a command line, with {placeholders}
 # for the files written by test_bad_input_is_typed_not_a_traceback; commands
 # other than pipeline also get --out.
@@ -857,6 +912,9 @@ BAD_INPUTS = {
     "config_contract_type_number": (2, "pipeline --config {config_contract_type_number}"),
     "config_contract_type_combined": (2, "pipeline --config {config_contract_type_combined}"),
     "config_contract_type_empty": (2, "pipeline --config {config_contract_type_empty}"),
+    "config_name_list": (2, "pipeline --config {config_name_list}"),
+    "config_name_number": (2, "pipeline --config {config_name_number}"),
+    "config_provider_list": (2, "pipeline --config {config_provider_list}"),
     "report_contract_type_combined": (1, "report --in {reports_contract_type_combined}"),
 }
 # The error a case with exit code 1 names, when it is not MalformedDocument.
@@ -892,6 +950,9 @@ BAD_INPUT_USAGE = {
     "config_contract_type_number": "contract 'c1': contract_type must be a non-empty string other than 'combined'",
     "config_contract_type_combined": "contract 'c1': contract_type must be a non-empty string other than 'combined'",
     "config_contract_type_empty": "contract 'c1': contract_type must be a non-empty string other than 'combined'",
+    "config_name_list": "error: contract name ['a'] is not a plain file name",
+    "config_name_number": "error: contract name 5 is not a plain file name",
+    "config_provider_list": "error: provider [['model', 'x']] is not an object",
 }
 
 
@@ -946,6 +1007,9 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_contract_type_number": json.dumps({**config, "contracts": [{**job, "contract_type": 5}]}),
         "config_contract_type_combined": json.dumps({**config, "contracts": [{**job, "contract_type": "combined"}]}),
         "config_contract_type_empty": json.dumps({**config, "contracts": [{**job, "contract_type": ""}]}),
+        "config_name_list": json.dumps({**config, "contracts": [{**job, "name": ["a"]}]}),
+        "config_name_number": json.dumps({**config, "contracts": [{**job, "name": 5}]}),
+        "config_provider_list": json.dumps({**http_config, "provider": [["model", "x"]]}),
         "script_usage_5": json.dumps({"0" * 64: {"text": "{}", "usage": 5}}),
         "blank": " \n\t\n",
         "cdm_one_key": json.dumps({"trade": {}}),
@@ -1946,7 +2010,6 @@ CLI_SURFACE = {
     "report": [
         "-h --help nargs=0",
         "--in INPUT required",
-        "--group-by {contract-type} choices=contract-type",
         "--out OUT required",
     ],
     "pipeline": [

@@ -274,6 +274,53 @@ def test_http_provider_reads_a_null_or_odd_content_or_usage_as_empty(local_serve
     assert result.usage == (usage if isinstance(usage, dict) else {})
 
 
+def test_http_provider_reply_without_choices_is_provider_unavailable(local_server):
+    _Handler.behavior = "raw"
+    _Handler.raw_body = json.dumps({"id": "reply-1", "usage": {}}).encode()
+    cfg = ProviderConfig(endpoint=local_server, model="m", retries=3)
+    with pytest.raises(ProviderUnavailable, match="malformed provider response"):
+        HttpProvider(cfg).complete(BUNDLE)
+    assert len(_Handler.captured) == 1
+
+
+class _StatusHandler(BaseHTTPRequestHandler):
+    """Answers every request with ``status`` and a short body, and counts them."""
+
+    status = 404
+    requests = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        _StatusHandler.requests += 1
+        body = b"not here"
+        self.send_response(_StatusHandler.status)
+        self.send_header("Location", "http://127.0.0.1:9/elsewhere")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("status", [302, 404])
+def test_http_provider_does_not_retry_or_follow_another_status(monkeypatch, status):
+    monkeypatch.setattr(_StatusHandler, "status", status)
+    monkeypatch.setattr(_StatusHandler, "requests", 0)
+    server = HTTPServer(("127.0.0.1", 0), _StatusHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    cfg = ProviderConfig(endpoint=f"http://127.0.0.1:{server.server_port}/v1", model="m", retries=3)
+    provider = HttpProvider(cfg)
+    try:
+        with pytest.raises(ProviderUnavailable, match=f"^provider error {status}: not here$"):
+            provider.complete(BUNDLE)
+    finally:
+        provider.close()
+        server.shutdown()
+        server.server_close()
+    assert _StatusHandler.requests == 1
+
+
 def test_unreachable_endpoint_zero_retries():
     cfg = ProviderConfig(
         endpoint="http://127.0.0.1:9/v1/chat/completions", model="m", retries=0, timeout=1.0
@@ -505,6 +552,63 @@ def test_http_provider_checks_the_server_certificate(local_server, forwarding_pr
         server.shutdown()
         server.server_close()
     assert _ForwardingProxy.seen == ([(f"127.0.0.1:{server.server_port}", None)] if proxied else [])
+
+
+class _RedirectingProxy(_ForwardingProxy):
+    """_ForwardingProxy that records each CONNECT request line, then tunnels
+    to ``upstream`` whatever host the line names, so a tunnel to an IPv6
+    endpoint needs no IPv6 interface."""
+
+    lines: list = []
+    upstream = ("127.0.0.1", 0)
+
+    def do_CONNECT(self):
+        _RedirectingProxy.lines.append(self.requestline)
+        self.path = "%s:%d" % _RedirectingProxy.upstream
+        super().do_CONNECT()
+
+
+class _HostHandler(_Handler):
+    """_Handler that records each request's ``Host`` header."""
+
+    hosts: list = []
+
+    def do_POST(self):
+        _HostHandler.hosts.append(self.headers["Host"])
+        super().do_POST()
+
+
+# loopback.pem is made as localhost.pem is, for localhost, 127.0.0.1 and ::1:
+#     -subj /CN=localhost -addext subjectAltName=DNS:localhost,IP:127.0.0.1,IP:::1
+@pytest.mark.parametrize("host", ["localhost", "127.0.0.1", "[::1]"], ids=["name", "ipv4", "ipv6"])
+def test_http_provider_tunnels_to_the_host_as_the_endpoint_writes_it(monkeypatch, host):
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_DIR / "loopback.pem", TLS_DIR / "loopback.key")
+    server = HTTPServer(("127.0.0.1", 0), _HostHandler)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    proxy = ThreadingHTTPServer(("127.0.0.1", 0), _RedirectingProxy)
+    proxy.daemon_threads = True
+    monkeypatch.setattr(_Handler, "behavior", "ok")
+    monkeypatch.setattr(_HostHandler, "hosts", [])
+    monkeypatch.setattr(_RedirectingProxy, "lines", [])
+    monkeypatch.setattr(_RedirectingProxy, "upstream", server.server_address)
+    for name in ("http_proxy", "HTTP_PROXY", "https_proxy", "no_proxy", "NO_PROXY", "SSL_CERT_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_port}")
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DIR / "loopback.pem"))
+    for running in (server, proxy):
+        threading.Thread(target=running.serve_forever, daemon=True).start()
+    provider = HttpProvider(ProviderConfig(endpoint=f"https://{host}:8443/v1", model="m", retries=0))
+    try:
+        assert provider.complete(BUNDLE).text == '{"echo": true}'
+    finally:
+        provider.close()
+        for running in (server, proxy):
+            running.shutdown()
+            running.server_close()
+    # Before Python 3.12, http.client writes an IPv6 host in CONNECT without brackets.
+    assert _RedirectingProxy.lines == [f"CONNECT {host}:8443 HTTP/1.0"]
+    assert _HostHandler.hosts == [f"{host}:8443"]
 
 
 def test_complete_accepts_config_or_provider():

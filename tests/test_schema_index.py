@@ -272,6 +272,36 @@ def test_composite_union_and_choice_groups(tmp_path):
     assert index.lookup("settlement.physical")[0] is True
 
 
+
+def test_ref_composite_members_join_the_union(tmp_path):
+    write(tmp_path / "base.schema.json", {"properties": {"baseField": {"type": "number"}, "own": {"type": "integer"}}})
+    write(tmp_path / "alt.schema.json", {"properties": {"altField": {"type": "string"}}})
+    write(
+        tmp_path / "root.schema.json",
+        {
+            "properties": {"own": {"type": "string"}},
+            "allOf": [{"$ref": "base.schema.json"}],
+            # The second alternative is the document itself, and adds nothing.
+            "oneOf": [{"$ref": "alt.schema.json"}, {"$ref": "root.schema.json"}],
+        },
+    )
+    props = load_schema_dir(tmp_path, "root.schema.json").documents["root.schema.json"].properties
+    # The document's own properties come first and win over a member's.
+    assert list(props) == ["own", "baseField", "altField"]
+    assert props["own"].scalar_type == "string"
+    assert props["baseField"].choice_group is None
+    assert props["altField"].choice_group == "oneOf[0]"
+
+
+def test_a_document_whose_ref_member_is_an_object_is_an_object(tmp_path):
+    write(tmp_path / "party.schema.json", {"properties": {"partyId": {"type": "string"}}})
+    write(tmp_path / "counterparty.schema.json", {"allOf": [{"$ref": "party.schema.json"}]})
+    write(tmp_path / "root.schema.json", {"properties": {"counterparty": {"$ref": "counterparty.schema.json"}}})
+    index = load_schema_dir(tmp_path, "root.schema.json")
+    assert index.documents["root.schema.json"].properties["counterparty"].ref_target == "counterparty.schema.json"
+    assert index.lookup("counterparty.partyId")[0] is True
+
+
 # ---------------------------------------------------------------------------
 # path lookup
 

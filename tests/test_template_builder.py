@@ -150,6 +150,44 @@ def test_description_data_field_displaces_annotation(tmp_path):
     }
 
 
+
+def test_an_example_field_named_description_is_kept_through_population(tmp_path):
+    from cdmgen.dryrun import build_population_script
+    from cdmgen.gateway import MockProvider
+    from cdmgen.populator import PopulationConfig, clean, populate
+
+    schema = tmp_path / "schema"
+    schema.mkdir()
+    (schema / "root.schema.json").write_text(
+        json.dumps({"properties": {"trade": {"$ref": "trade.schema.json"}}}), encoding="utf-8"
+    )
+    (schema / "trade.schema.json").write_text(
+        json.dumps(
+            {
+                "description": "A trade.",
+                "properties": {"description": {"type": "string"}, "tradeId": {"type": "string"}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    examples = tmp_path / "examples"
+    write_example(examples, "e1.json", {"trade": {"description": "A plain vanilla swap", "tradeId": "T-1"}})
+    index = load_schema_dir(schema, "root.schema.json")
+    keys = flatten_examples(examples)
+    assert keys.paths == {"trade.description", "trade.tradeId"}
+    template = build_template(index, keys, "Swap")
+    assert template.tree == {"trade": {"_template_description": "A trade.", "description": "", "tradeId": ""}}
+    cfg = PopulationConfig()
+    script = build_population_script(index, template, "A swap.", cfg)
+    doc = populate(template, "A swap.", None, MockProvider(script), cfg)
+    assert clean(doc) == {"trade": {"description": "description-001", "tradeId": "tradeId-001"}}
+
+
+def test_examples_whose_only_leaf_is_a_description_have_a_leaf(tmp_path):
+    write_example(tmp_path, "e1.json", {"trade": {"description": "A plain vanilla swap"}})
+    assert flatten_examples(tmp_path).paths == {"trade.description"}
+
+
 # ---------------------------------------------------------------------------
 # soundness / completeness / minimality against the brute-force oracle
 
