@@ -9,7 +9,10 @@ indices stripped.
 Supported schema keywords: ``properties``, ``items``, ``$ref``,
 ``description``, ``enum``, ``format``, ``type``, and the composites
 ``allOf`` / ``anyOf`` / ``oneOf`` (read as the union of member properties).
-Anything else is ignored.
+Anything else is ignored. Every node is read by the one rule written in
+:class:`_IndexBuilder`: a nested inline object gets a nested id
+(``doc::a::b``), and a JSON-pointer ``$ref`` (``doc.json#/definitions/X``)
+is an :class:`UnresolvedRef`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
 _JSON_SCALARS = {"string", "number", "integer", "boolean"}
 _COMPOSITES = ("allOf", "anyOf", "oneOf")
 _DATE_WORD = re.compile(r"\bdate\b", re.IGNORECASE)
+_OBJECT = object()  # what _IndexBuilder._kind gives for an object
 
 DEFAULT_MAX_PATH_DEPTH = 64
 
@@ -156,26 +160,14 @@ def _keyword(where: str, raw: dict, keyword: str):
     return value
 
 
-def _members(doc_id: str, raw: dict):
-    """``(keyword, label, member)`` for each ``allOf``/``anyOf``/``oneOf``
-    member of ``raw``, labelled ``keyword[i]``. A member that is not an
-    object raises :class:`MalformedDocument` naming ``doc_id#label``."""
-    for keyword in _COMPOSITES:
-        for i, member in enumerate(_keyword(doc_id, raw, keyword)):
-            label = f"{keyword}[{i}]"
-            if not isinstance(member, dict):
-                raise MalformedDocument(f"{doc_id}#{label}", "the member is not an object")
-            yield keyword, label, member
-
-
-def _normalize_ref(from_doc: str, ref_text: str) -> str:
-    """Canonical document id for a ``$ref`` written inside ``from_doc``.
-
-    Relative paths are normalized against the referencing document's
-    directory; a ``#fragment`` suffix is discarded and a pure-fragment ref
-    resolves to the referencing document itself.
-    """
-    file_part = ref_text.split("#", 1)[0].strip()
+def _normalize_ref(from_doc: str, ref_text) -> Optional[str]:
+    """Canonical document id for a ``$ref`` written inside ``from_doc``: a
+    path relative to its directory, or ``#`` for the document itself. A ref
+    that is not a non-empty string, or is a JSON pointer (a non-empty
+    fragment), gives None."""
+    if not isinstance(ref_text, str) or not ref_text or ref_text.partition("#")[2]:
+        return None
+    file_part = ref_text.partition("#")[0].strip()
     if not file_part:
         return from_doc
     base = posixpath.dirname(from_doc)
@@ -220,60 +212,93 @@ def _root_id_for(base: Path, root: Path) -> str:
 
 
 class _IndexBuilder:
-    """Two-pass construction: parse all files, then classify every property."""
+    """Reads every schema node by one rule, then indexes each document.
+
+    A node is a whole document, a property, an array's ``items`` or an
+    ``allOf``/``anyOf``/``oneOf`` member. Its ``$ref``s resolve against the
+    document it is written in.
+
+    * A node with ``$ref`` stands for the document at the end of its
+      ``$ref`` chain, sibling keys ignored; a cycle is :class:`CycleDetected`.
+    * Any other node is an object when it has ``properties``, ``type:
+      object`` or an object member, else a scalar when it has ``enum``, a
+      scalar ``type`` or a scalar member. The node that declares the scalar
+      gives its kind, enum values and date hint. A node that declares
+      neither is an object if it is a whole document, a string if it is a
+      property or items, and adds nothing if it is a member.
+    * An object's properties are its own, then each member's, in order; the
+      first of a name wins, and a document already on the chain of members
+      adds nothing. ``oneOf``/``anyOf`` members give a ``choice_group``.
+    * An inline object's id is its parent object's id plus ``::name``, or
+      ``::name[]`` for items; its annotation is its own ``description``.
+      Met again inside itself (a member ``$ref`` back to its document), it
+      is its ancestor's id.
+
+    A document's own entry lists the properties written in it, so one whose
+    body is a ``$ref`` has none; a reference to it reads its chain's end.
+    """
 
     def __init__(self, raw_docs: dict[str, dict], root_id: str):
         self.raw = raw_docs
         self.root_id = root_id
         self.documents: dict[str, SchemaDocument] = {}
         self.inline: dict[str, SchemaDocument] = {}
+        self.reading: dict[int, str] = {}  # node identity -> id of the inline object it is read as
 
     def build(self) -> SchemaIndex:
-        for doc_id in self.raw:
-            self.documents[doc_id] = SchemaDocument(
-                self._build_properties(doc_id), self._description(self.raw[doc_id])
-            )
+        for doc_id, raw in self.raw.items():
+            properties = self._properties(doc_id, {}, doc_id, raw, doc_id, frozenset({doc_id}))
+            self.documents[doc_id] = SchemaDocument(properties, self._description(raw))
         return SchemaIndex(root_id=self.root_id, documents=self.documents, _inline=self.inline)
 
-    # -- property collection ------------------------------------------------
-
-    def _build_properties(self, doc_id: str) -> dict[str, PropertyDef]:
-        merged: dict[str, PropertyDef] = {}
-        for name, raw_prop, group in self._raw_properties(doc_id, frozenset()):
-            if name in merged:
-                continue
-            merged[name] = self._classify(doc_id, name, raw_prop, group)
+    def _properties(self, obj_id, merged, doc_id, node, where, chain, group=None) -> dict[str, PropertyDef]:
+        """Adds to ``merged`` the properties of ``node``, written in ``doc_id``
+        at ``where``, as properties of the object ``obj_id``."""
+        for name, raw_prop in _keyword(where, node, "properties").items():
+            if name not in merged:
+                merged[name] = self._classify(doc_id, obj_id, name, raw_prop, group)
+        for *member, label in self._members(doc_id, node, where, chain):
+            self._properties(obj_id, merged, *member, group or label)
         return merged
 
-    def _raw_properties(self, doc_id: str, visiting: frozenset[str]):
-        """Yield (name, raw property, choice group) in declaration order.
+    def _members(self, doc_id, node, where, chain):
+        """``(document, node, where, chain, choice group)`` for each member of
+        ``node``. A ``$ref`` member is the document at the end of its chain,
+        and adds nothing when that document is already on ``chain``. A
+        member that is not an object raises :class:`MalformedDocument`."""
+        for keyword in _COMPOSITES:
+            if keyword not in node:
+                continue
+            for i, member in enumerate(_keyword(where, node, keyword)):
+                label = f"{keyword}[{i}]"
+                member_where = f"{where}#{label}"
+                if not isinstance(member, dict):
+                    raise MalformedDocument(member_where, "the member is not an object")
+                group = None if keyword == "allOf" else label
+                if "$ref" not in member:
+                    yield doc_id, member, member_where, chain, group
+                    continue
+                target, member = self._resolve(doc_id, member, member_where)
+                if target not in chain:
+                    yield target, member, target, chain | {target}, group
 
-        A document's own ``properties`` come first, then properties pulled in
-        from composite members. Revisited documents in one composite chain
-        are skipped (union semantics make the revisit a no-op).
-        """
-        if doc_id in visiting:
-            return
-        visiting = visiting | {doc_id}
-        raw = self.raw[doc_id]
-        for name, raw_prop in _keyword(doc_id, raw, "properties").items():
-            yield name, raw_prop, None
-        for keyword, label, member in _members(doc_id, raw):
-            group = label if keyword in ("anyOf", "oneOf") else None
-            if "$ref" in member:
-                target = self._resolve(doc_id, member["$ref"], label)
-                for name, raw_prop, inner in self._raw_properties(target, visiting):
-                    yield name, raw_prop, group or inner
-            else:
-                for name, raw_prop in _keyword(f"{doc_id}#{label}", member, "properties").items():
-                    yield name, raw_prop, group
+    def _kind(self, doc_id, node, where, chain):
+        """``_OBJECT``, the node that declares ``node`` a scalar, or None when
+        ``node`` declares neither. A node read at its document's own id is a
+        whole document."""
+        if "properties" in node or node.get("type") == "object":
+            return _OBJECT
+        declared = node if "enum" in node or node.get("type") in _JSON_SCALARS else None
+        for *member, _ in self._members(doc_id, node, where, chain):
+            kind = self._kind(*member)
+            if kind is _OBJECT:
+                return _OBJECT
+            declared = declared or kind
+        return declared or (_OBJECT if where == doc_id else None)
 
-    # -- classification -----------------------------------------------------
-
-    def _classify(self, doc_id: str, name: str, raw_prop, group) -> PropertyDef:
-        """One property: an array continues with its items schema, then a
-        ``$ref`` is an object or a scalar document, an inline object gets an
-        internal document, and anything else is a scalar."""
+    def _classify(self, doc_id: str, obj_id: str, name: str, raw_prop, group) -> PropertyDef:
+        """One property of the object ``obj_id``, written in ``doc_id``: the
+        property's node, or for an array its items node, read by the rule."""
         if not isinstance(raw_prop, dict):
             raw_prop = {}
         array = "$ref" not in raw_prop and (
@@ -282,70 +307,44 @@ class _IndexBuilder:
         if array:
             items = raw_prop.get("items")
             raw_prop = items if isinstance(items, dict) else {}
-        target = None
         if "$ref" in raw_prop:
-            target = self._chase_alias(self._resolve(doc_id, raw_prop["$ref"], name))
-            if self._is_scalar_doc(target, frozenset()):
-                raw_prop, target = self.raw[target], None
-        elif "properties" in raw_prop or raw_prop.get("type") == "object":
-            target = self._register_inline(doc_id, f"{name}[]" if array else name, raw_prop)
-        if target is not None:
+            doc_id, raw_prop = self._resolve(doc_id, raw_prop, f"{doc_id}#{name}")
+            where, chain = doc_id, frozenset({doc_id})
+        else:
+            where, chain = f"{obj_id}::{name}[]" if array else f"{obj_id}::{name}", frozenset()
+        kind = self._kind(doc_id, raw_prop, where, chain)
+        if kind is _OBJECT:
+            target = doc_id if where == doc_id else self._register_inline(doc_id, where, raw_prop)
             return PropertyDef(name, ref_target=target, array=array, choice_group=group)
-        scalar_type, enum_values = self._scalar_type(raw_prop)
+        scalar_type, enum_values = self._scalar_type(kind or raw_prop)
         return PropertyDef(
             name, scalar_type=scalar_type, enum_values=enum_values, array=array, choice_group=group
         )
 
-    def _register_inline(self, doc_id: str, name: str, raw_prop: dict) -> str:
-        inline_id = f"{doc_id}::{name}"
-        if inline_id not in self.inline:
-            # Reserve the slot first: a self-referential inline object would
-            # otherwise recurse through _classify forever.
-            self.inline[inline_id] = SchemaDocument({})
-            properties = {
-                child: self._classify(doc_id, child, raw_child, None)
-                for child, raw_child in _keyword(inline_id, raw_prop, "properties").items()
-            }
-            self.inline[inline_id] = SchemaDocument(properties, self._description(raw_prop))
+    def _register_inline(self, doc_id: str, inline_id: str, node: dict) -> str:
+        """``inline_id`` for the inline object ``node`` declares, or an ancestor's while it is read."""
+        if id(node) in self.reading:
+            return self.reading[id(node)]
+        self.reading[id(node)] = inline_id
+        properties = self._properties(inline_id, {}, doc_id, node, inline_id, frozenset())
+        del self.reading[id(node)]
+        self.inline[inline_id] = SchemaDocument(properties, self._description(node))
         return inline_id
 
-    # -- small helpers ------------------------------------------------------
-
-    def _resolve(self, from_doc: str, ref_text, label: Optional[str] = None) -> str:
-        """The document a ref written inside ``from_doc`` names. An
-        :class:`UnresolvedRef` says where the ref is written: at ``label``
-        in ``from_doc``, or in the document as a whole."""
-        if isinstance(ref_text, str) and ref_text:
-            target = _normalize_ref(from_doc, ref_text)
-            if target in self.raw:
-                return target
-        raise UnresolvedRef(str(ref_text), from_doc if label is None else f"{from_doc}#{label}")
-
-    def _chase_alias(self, doc_id: str) -> str:
-        """Follow documents whose whole body is a single ``$ref``."""
-        seen = [doc_id]
-        while set(self.raw[doc_id].keys()) == {"$ref"}:
-            doc_id = self._resolve(doc_id, self.raw[doc_id]["$ref"])
-            if doc_id in seen:
+    def _resolve(self, doc_id: str, node: dict, where: str) -> tuple[str, dict]:
+        """The document at the end of ``node``'s ``$ref`` chain, and its body.
+        An :class:`UnresolvedRef` names the ref and where it is written."""
+        seen: list[str] = []
+        while "$ref" in node:
+            ref_text = node["$ref"]
+            target = _normalize_ref(doc_id, ref_text)
+            if target not in self.raw:
+                raise UnresolvedRef(str(ref_text), where)
+            if target in seen:
                 raise CycleDetected(f"$ref alias cycle through {' -> '.join(seen)}")
-            seen.append(doc_id)
-        return doc_id
-
-    def _is_scalar_doc(self, doc_id: str, visiting: frozenset[str]) -> bool:
-        """A referenced document that defines a scalar value, not an object."""
-        if doc_id in visiting:
-            return False
-        raw = self.raw[doc_id]
-        if "properties" in raw:
-            return False
-        for _, _, member in _members(doc_id, raw):
-            if "properties" in member:
-                return False
-            if isinstance(member.get("$ref"), str):
-                target = _normalize_ref(doc_id, member["$ref"])
-                if target in self.raw and not self._is_scalar_doc(target, visiting | {doc_id}):
-                    return False
-        return "enum" in raw or raw.get("type") in _JSON_SCALARS
+            seen.append(target)
+            doc_id, node, where = target, self.raw[target], target
+        return doc_id, node
 
     @staticmethod
     def _description(raw: dict) -> Optional[str]:

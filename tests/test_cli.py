@@ -909,6 +909,10 @@ BAD_INPUTS = {
         1, "make-template --schema-dir {schema_ref_member_text} --root contract.schema.json"
         " --examples {examples} --contract-type CommodityOption"
     ),
+    "schema_ref_pointer": (
+        1, "make-template --schema-dir {schema_ref_pointer} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
     "config_contract_type_number": (2, "pipeline --config {config_contract_type_number}"),
     "config_contract_type_combined": (2, "pipeline --config {config_contract_type_combined}"),
     "config_contract_type_empty": (2, "pipeline --config {config_contract_type_empty}"),
@@ -923,6 +927,7 @@ BAD_INPUT_ERRORS = {
     "root_outside_schema_dir_existing": "MissingRoot",
     "examples_without_leaves": "EmptyExampleDir",
     "ingest_examples_without_leaves": "EmptyExampleDir",
+    "schema_ref_pointer": "UnresolvedRef",
 }
 # A pattern the error detail of a case with exit code 1 must match: only a
 # file that does not parse names a byte offset.
@@ -936,6 +941,7 @@ BAD_INPUT_DETAILS = {
     "schema_ref_all_of_number": r"^x\.schema\.json: 'allOf' is not a list$",
     "schema_member_number": r"^contract\.schema\.json#oneOf\[0\]: the member is not an object$",
     "schema_ref_member_text": r"^x\.schema\.json#anyOf\[1\]: the member is not an object$",
+    "schema_ref_pointer": r"'x\.schema\.json#/definitions/Y' \(referenced from contract\.schema\.json#x\)$",
     "report_contract_type_combined": r"r1\.report\.json: 'contract_type' 'combined' names the union row$",
 }
 # Text the usage message of a case with exit code 2 must hold.
@@ -1071,6 +1077,8 @@ def test_bad_input_is_typed_not_a_traceback(
         ("schema_member_number", "contract.schema.json", '{"properties": {"x": {"type": "string"}}, "oneOf": [5, "y"]}'),
         ("schema_ref_member_text", "contract.schema.json", '{"properties": {"x": {"$ref": "x.schema.json"}}}'),
         ("schema_ref_member_text", "x.schema.json", '{"type": "string", "anyOf": [{"type": "string"}, "y"]}'),
+        ("schema_ref_pointer", "contract.schema.json", '{"properties": {"x": {"$ref": "x.schema.json#/definitions/Y"}}}'),
+        ("schema_ref_pointer", "x.schema.json", '{"definitions": {"Y": {"type": "string"}}}'),
     ]
     for name, file_name, text in dirs:
         paths[name] = tmp_path / name

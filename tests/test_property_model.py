@@ -49,6 +49,17 @@ SCHEMA = {
             "status": {"type": "string", "enum": ["open", "closed"]},
             "settled": {"type": "string", "format": "date"},
             "agreed": {"type": "string", "description": "The date both sides agreed."},
+            "wrapEnum": {"$ref": "wrap.schema.json"},
+            "wrappedRef": {"description": "The thing, wrapped.", "allOf": [{"$ref": "thing.schema.json"}]},
+            "inlineMembers": {"type": "object", "allOf": [{"properties": {"size": {"type": "number"}}}]},
+            "choiceOnly": {"oneOf": [{"properties": {"label": {"type": "string"}}}]},
+            "inherited": {"$ref": "child.schema.json"},
+            "outer": {
+                "type": "object",
+                "properties": {"inner": {"type": "object", "properties": {"x": {"type": "string"}}}},
+            },
+            "inner": {"type": "object", "properties": {"y": {"type": "boolean"}}},
+            "notional": {"$ref": "notional.schema.json"},
         }
     },
     "thing.schema.json": {"description": "A thing.", "properties": {"id": {"type": "string"}}},
@@ -56,6 +67,11 @@ SCHEMA = {
     "alias.schema.json": {"$ref": "alias-2.schema.json"},
     "alias-2.schema.json": {"$ref": "amount.schema.json"},
     "amount.schema.json": {"type": "number", "description": "An amount."},
+    "wrap.schema.json": {"allOf": [{"$ref": "code.schema.json"}]},
+    "child.schema.json": {"allOf": [{"$ref": "base/parent.schema.json"}]},
+    "base/parent.schema.json": {"properties": {"gizmo": {"$ref": "gizmo.schema.json"}}},
+    "base/gizmo.schema.json": {"properties": {"count": {"type": "integer"}}},
+    "notional.schema.json": {"description": "The notional.", "$ref": "amount.schema.json"},
 }
 
 # property: (template subtree, a conforming value, a non-conforming value)
@@ -73,6 +89,19 @@ SHAPES = {
     "status": (P["enum"], "open", "pending"),
     "settled": (P["date"], "2024-01-01", "01/01/2024"),
     "agreed": (P["date"], "2024-01-01", "soon"),
+    # An allOf over a $ref is read as what the ref names, scalar or object.
+    "wrapEnum": (P["enum"], "B", "Z"),
+    "wrappedRef": ({treeops.DESCRIPTION_KEY: "The thing, wrapped.", "id": P["string"]}, {"id": "x"}, "x"),
+    # An inline node's composite members add their properties.
+    "inlineMembers": ({"size": P["number"]}, {"size": 1.5}, 1.5),
+    "choiceOnly": ({"label": P["string"]}, {"label": "a"}, "a"),
+    # An inherited property's $ref resolves against the file it is written in.
+    "inherited": ({"gizmo": {"count": P["integer"]}}, {"gizmo": {"count": 3}}, 3),
+    # A nested inline object is not the root's inline object of its name.
+    "outer": ({"inner": {"x": P["string"]}}, {"inner": {"x": "a"}}, "a"),
+    "inner": ({"y": P["boolean"]}, {"y": True}, True),
+    # An alias document with a sibling key still stands for its target.
+    "notional": (P["number"], 2.5, "2.5"),
 }
 
 
@@ -80,6 +109,7 @@ SHAPES = {
 def shapes_index(tmp_path_factory):
     schema_dir = tmp_path_factory.mktemp("shapes")
     for name, body in SCHEMA.items():
+        (schema_dir / name).parent.mkdir(exist_ok=True)
         (schema_dir / name).write_text(json.dumps(body), encoding="utf-8")
     return load_schema_dir(schema_dir, "root.schema.json")
 
@@ -125,5 +155,50 @@ def test_every_dry_run_filled_corpus_template_scores_100(seed):
             template = build_template(index, flatten_examples(examples_dir), contract_type)
             filled = clean(dryrun.fill_fragment(index, template.tree, ""))
             report = evaluate_document(filled, index)
+            assert report.syntactical_correctness == 100.0, (seed, contract_type)
+            assert report.schema_adherence == 100.0, (seed, contract_type)
+
+
+def _wrap_refs(node):
+    """``node`` with every ``$ref`` property and items node rewritten as an
+    annotated ``allOf`` over that ref."""
+    if isinstance(node, list):
+        return [_wrap_refs(child) for child in node]
+    if not isinstance(node, dict):
+        return node
+
+    def wrap(child):
+        child = _wrap_refs(child)
+        if isinstance(child, dict) and "$ref" in child:
+            return {"description": "Wrapped.", "allOf": [{"$ref": child["$ref"]}]}
+        return child
+
+    out = {}
+    for key, value in node.items():
+        if key == "properties" and isinstance(value, dict):
+            out[key] = {name: wrap(prop) for name, prop in value.items()}
+        else:
+            out[key] = wrap(value) if key == "items" else _wrap_refs(value)
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_a_ref_wrapped_in_an_annotated_all_of_reads_as_the_ref(seed):
+    with tempfile.TemporaryDirectory() as work:
+        batch = corpus.cdm_scale_batch(Path(work), random.Random(seed), corpus.SMOKE_SCALE)
+        wrapped_dir = Path(work) / "wrapped"
+        for doc_id in treeops.json_files(batch.schema_dir):
+            body = json.loads((batch.schema_dir / doc_id).read_text(encoding="utf-8"))
+            (wrapped_dir / doc_id).parent.mkdir(parents=True, exist_ok=True)
+            (wrapped_dir / doc_id).write_text(json.dumps(_wrap_refs(body)), encoding="utf-8")
+        index = load_schema_dir(batch.schema_dir, batch.root_file)
+        wrapped = load_schema_dir(wrapped_dir, batch.root_file)
+        for contract_type, examples_dir in batch.examples_dirs.items():
+            keys = flatten_examples(examples_dir)
+            template = build_template(wrapped, keys, contract_type).tree
+            plain = build_template(index, keys, contract_type).tree
+            assert treeops.strip_annotations(template) == treeops.strip_annotations(plain), (seed, contract_type)
+            report = evaluate_document(clean(dryrun.fill_fragment(wrapped, template, "")), wrapped)
             assert report.syntactical_correctness == 100.0, (seed, contract_type)
             assert report.schema_adherence == 100.0, (seed, contract_type)

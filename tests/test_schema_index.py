@@ -62,6 +62,35 @@ def test_non_string_composite_ref_is_unresolved(tmp_path):
     assert "z.schema.json#allOf[0]" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("ref", ["common.schema.json#/definitions/Money", "#/definitions/Money"])
+def test_a_json_pointer_ref_is_unresolved_not_the_whole_file(tmp_path, ref):
+    write(tmp_path / "common.schema.json", {"properties": {"note": {"type": "string"}}})
+    write(tmp_path / "root.schema.json", {"properties": {"m": {"$ref": ref}}})
+    with pytest.raises(UnresolvedRef) as exc_info:
+        load_schema_dir(tmp_path, "root.schema.json")
+    assert str(exc_info.value) == f"unresolved schema reference {ref!r} (referenced from root.schema.json#m)"
+
+
+def test_an_empty_fragment_is_the_whole_document(tmp_path):
+    write(tmp_path / "common.schema.json", {"properties": {"note": {"type": "string"}}})
+    write(
+        tmp_path / "root.schema.json",
+        {"properties": {"m": {"$ref": "common.schema.json#"}, "again": {"$ref": "#"}}},
+    )
+    index = load_schema_dir(tmp_path, "root.schema.json")
+    assert index.lookup("m.note")[0] is True
+    assert index.lookup("again.again.m.note")[0] is True
+
+
+def test_a_ref_chain_cycle_is_detected_through_annotated_aliases(tmp_path):
+    write(tmp_path / "a.schema.json", {"description": "A.", "$ref": "b.schema.json"})
+    write(tmp_path / "b.schema.json", {"$ref": "a.schema.json"})
+    write(tmp_path / "root.schema.json", {"properties": {"x": {"$ref": "a.schema.json"}}})
+    with pytest.raises(CycleDetected) as exc_info:
+        load_schema_dir(tmp_path, "root.schema.json")
+    assert str(exc_info.value) == "$ref alias cycle through a.schema.json -> b.schema.json"
+
+
 def test_missing_root(tmp_path):
     write(tmp_path / "other.schema.json", {"properties": {}})
     with pytest.raises(MissingRoot):
@@ -112,6 +141,16 @@ def test_non_utf8_document_names_file_and_byte_offset(tmp_path):
         (
             {"properties": {"x": {"items": {"properties": 1}}}},
             "root.schema.json::x[]",
+            "'properties' is not an object",
+        ),
+        (
+            {"properties": {"a": {"type": "object", "properties": {"b": {"type": "object", "properties": 2}}}}},
+            "root.schema.json::a::b",
+            "'properties' is not an object",
+        ),
+        (
+            {"properties": {"x": {"type": "object", "allOf": [{"properties": [3]}]}}},
+            "root.schema.json::x#allOf[0]",
             "'properties' is not an object",
         ),
     ],
@@ -300,6 +339,25 @@ def test_a_document_whose_ref_member_is_an_object_is_an_object(tmp_path):
     index = load_schema_dir(tmp_path, "root.schema.json")
     assert index.documents["root.schema.json"].properties["counterparty"].ref_target == "counterparty.schema.json"
     assert index.lookup("counterparty.partyId")[0] is True
+
+
+def test_an_inline_object_met_again_inside_itself_is_its_ancestor(tmp_path):
+    write(
+        tmp_path / "party.schema.json",
+        {
+            "properties": {
+                "partyId": {"type": "string"},
+                "related": {"description": "A related party.", "allOf": [{"$ref": "party.schema.json"}]},
+            }
+        },
+    )
+    write(tmp_path / "root.schema.json", {"properties": {"party": {"$ref": "party.schema.json"}}})
+    index = load_schema_dir(tmp_path, "root.schema.json")
+    related = index.documents["party.schema.json"].properties["related"]
+    assert related.ref_target == "party.schema.json::related"
+    assert index.doc(related.ref_target).properties["related"] == related
+    assert index.doc(related.ref_target).description == "A related party."
+    assert index.lookup("party.related.related.related.partyId")[0] is True
 
 
 # ---------------------------------------------------------------------------
