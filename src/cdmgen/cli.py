@@ -498,9 +498,10 @@ def cmd_pipeline(args, parser) -> int:
 
     # Contract i+1's tasks queue behind contract i's before i is collected,
     # and i's coverage call is collected one step later, so the pool's
-    # slots stay busy across contracts. Files are still written, and
-    # reports grouped, in contract order.
-    with populator.CallPool(cfg.max_inflight) as pool:
+    # slots stay busy across contracts (a pool that runs its calls on this
+    # thread has run them by then). Files are still written, and reports
+    # grouped, in contract order.
+    with populator.CallPool(cfg.max_inflight, gateway) as pool:
         ahead = start(run.contracts[0])
         scored = None
         for following in [*run.contracts[1:], None]:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import sys
 import threading
 import time
@@ -140,6 +141,10 @@ class MockProvider:
     incomplete scripts fail loudly instead of fabricating output.
     """
 
+    # Replies come from memory, so a call never waits on anything: a
+    # populator.CallPool runs it on the caller's thread.
+    calls_wait = False
+
     def __init__(self, script: Mapping[str, object]):
         self.script = dict(script)
 
@@ -178,10 +183,12 @@ class HttpProvider:
     """OpenAI-compatible chat-completion client with retry and backoff.
 
     Transient failures (connection errors, timeouts, 429 and 5xx replies)
-    retry up to ``cfg.retries`` times with exponential backoff, or after
-    the reply's ``Retry-After`` seconds when it sends them, either capped at
-    8 s. Authentication failures never retry, nor does a 200 reply that is
-    not JSON or carries no message (both raise :class:`ProviderUnavailable`).
+    retry up to ``cfg.retries`` times after the reply's ``Retry-After``
+    seconds when it sends them, else with exponential backoff that sleeps
+    half its delay plus a random share of the other half, so clients that
+    failed together do not retry together; either is capped at 8 s.
+    Authentication failures never retry, nor does a 200 reply that is not
+    JSON or carries no message (both raise :class:`ProviderUnavailable`).
     Every call posts to ``cfg.endpoint``, as the caller resolved it.
 
     The transport is the standard library's ``http.client``, imported when a
@@ -197,6 +204,7 @@ class HttpProvider:
     """
 
     _sleep = staticmethod(time.sleep)
+    _random = staticmethod(random.random)
 
     def __init__(self, cfg: ProviderConfig):
         import base64
@@ -303,8 +311,11 @@ class HttpProvider:
         for attempt in range(self.cfg.retries + 1):
             if attempt:
                 # Retry-After also allows an HTTP date, which backs off as usual.
-                delay = float(retry_after) if retry_after.isdecimal() else 0.5 * 2 ** (attempt - 1)
-                self._sleep(min(delay, 8.0))
+                if retry_after.isdecimal():
+                    self._sleep(min(float(retry_after), 8.0))
+                else:
+                    backoff = min(0.5 * 2 ** (attempt - 1), 8.0)
+                    self._sleep(backoff / 2 + self._random() * backoff / 2)
             retry_after = ""
             try:
                 response, data = self._post(body, headers)

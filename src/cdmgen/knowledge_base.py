@@ -1,20 +1,23 @@
 """Chunked example corpus with lexical retrieval.
 
 Example instances are split along subtree boundaries into chunks that fit a
-token budget, preserving well-formed JSON in every chunk body. Retrieval is
-exhaustive scoring: corpora here are at most hundreds of chunks, so no
-nearest-neighbor index is needed. The scorer is a deterministic lexical
-overlap, so the whole pipeline runs offline. Each chunk tokenizes its body
-once, on the first query that reaches it, and keeps the result, so a query
-costs one tokenization of its own text plus one set intersection per chunk.
+token budget, preserving well-formed JSON in every chunk body. The scorer is
+a deterministic lexical overlap, so the whole pipeline runs offline. A base
+keeps a postings index, token to the chunks whose body holds it, built from
+each chunk's tokens on the first query and again whenever its chunk list no
+longer holds the chunks the index was built from. A query then scores only
+the chunks that share one of its tokens; every other chunk scores zero.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import operator
 import re
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -75,6 +78,14 @@ _CHUNK_FIELDS = {
 @dataclass
 class KnowledgeBase:
     chunks: list[Chunk]
+    _index: Optional["_Postings"] = field(default=None, init=False, repr=False, compare=False)
+
+    def _postings(self) -> "_Postings":
+        """The postings index of the current chunk list, rebuilt when the
+        list no longer holds the chunks it indexes."""
+        if self._index is None or not self._index.indexes(self.chunks):
+            self._index = _Postings(self.chunks)
+        return self._index
 
     def to_text(self) -> str:
         payload = {"chunks": [asdict(chunk) for chunk in self.chunks]}
@@ -173,25 +184,49 @@ def _chunk_body(value, name: Optional[str], in_array: bool) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
+class _Postings:
+    """Token to the positions of the chunks whose body holds it, each
+    chunk's body token count (at least 1), and every position in chunk-id
+    order."""
+
+    def __init__(self, chunks: list[Chunk]):
+        self.chunks = tuple(chunks)
+        self.sizes: list[int] = []
+        self.by_token: dict[str, list[int]] = {}
+        for i, chunk in enumerate(self.chunks):
+            terms, token_count = chunk._lexical_terms
+            self.sizes.append(max(1, token_count))
+            for token in terms:
+                self.by_token.setdefault(token, []).append(i)
+        self.by_id = sorted(range(len(self.chunks)), key=lambda i: self.chunks[i].chunk_id)
+
+    def indexes(self, chunks: list[Chunk]) -> bool:
+        """Whether ``chunks`` holds exactly the chunk objects indexed here."""
+        return len(chunks) == len(self.chunks) and all(map(operator.is_, chunks, self.chunks))
+
+
 def retrieve(kb: KnowledgeBase, query: str, k: int = DEFAULT_K) -> list[Chunk]:
-    """Top-``k`` chunks for a query, ties broken by chunk id ascending.
+    """Top-``k`` chunks for a query, ties broken by chunk id ascending, then
+    by position in the base.
 
     A chunk's score is the number of distinct query tokens present in its
-    body, normalized by the body's token count. Body tokens are computed
-    once per chunk and reused by every query, so a query costs one
-    tokenization of its own text plus one set intersection per chunk.
+    body, normalized by the body's token count. Only chunks that share a
+    query token are scored, through the base's postings index; slots left
+    over go to the others, which all score zero, in chunk-id order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not kb.chunks:
         raise ValueError("knowledge base is empty")
-    scored = _lexical_scores(kb, query)
-    ranked = sorted(scored, key=lambda pair: (-pair[0], pair[1].chunk_id))
-    return [chunk for _, chunk in ranked[:k]]
-
-
-def _lexical_scores(kb: KnowledgeBase, query: str):
-    query_tokens = set(lexical_tokens(query))
-    for chunk in kb.chunks:
-        terms, token_count = chunk._lexical_terms
-        yield len(query_tokens & terms) / max(1, token_count), chunk
+    index = kb._postings()
+    shared = Counter()
+    for token in set(lexical_tokens(query)):
+        shared.update(index.by_token.get(token, ()))
+    scored = sorted(
+        (-(overlap / index.sizes[i]), index.chunks[i].chunk_id, i) for i, overlap in shared.items()
+    )
+    ranked = [i for _, _, i in scored[:k]]
+    if len(ranked) < k:
+        zero = (i for i in index.by_id if i not in shared)
+        ranked += itertools.islice(zero, k - len(ranked))
+    return [index.chunks[i] for i in ranked]

@@ -380,7 +380,7 @@ def populate(
     :func:`submit_population` on its own :class:`CallPool`.
     """
     tasks = plan_tasks(template, cfg, kb)
-    with CallPool(cfg.max_inflight) as pool:
+    with CallPool(cfg.max_inflight, gateway) as pool:
         return submit_population(pool, template, tasks, contract_text, gateway, cfg).collect()
 
 
@@ -390,8 +390,16 @@ class _Skipped(Exception):
 
 
 class CallPool:
-    """One executor of ``max_inflight`` workers that carries every provider
-    call of a run, so calls of different contracts share the same slots.
+    """Carries every provider call of a run, so calls of different contracts
+    share the same slots.
+
+    A provider whose calls wait, on a socket for instance, gets an executor
+    of ``max_inflight`` worker threads. One whose class declares
+    ``calls_wait = False``, such as :class:`MockProvider`, answers from
+    memory: each call then runs at once on the thread that submits it and
+    comes back as a finished future, since worker threads would only take
+    the interpreter lock from the caller. Any provider without that
+    attribute is taken to wait.
 
     The first provider outage, or any exception that is not a domain error
     (a bug), stops the pool and is kept as ``failure``: calls still queued
@@ -402,8 +410,10 @@ class CallPool:
     the calls in flight.
     """
 
-    def __init__(self, max_inflight: int):
-        self._executor = ThreadPoolExecutor(max_workers=max_inflight)
+    def __init__(self, max_inflight: int, provider):
+        self._executor = None
+        if getattr(provider, "calls_wait", True):
+            self._executor = ThreadPoolExecutor(max_workers=max_inflight)
         self._lock = threading.Lock()
         self.failure: Optional[BaseException] = None
 
@@ -411,11 +421,20 @@ class CallPool:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
 
     def submit(self, fn, *args) -> Future:
-        """Queue ``fn(*args)``; read its outcome with :meth:`result`."""
-        return self._executor.submit(self._call, fn, args)
+        """Queue ``fn(*args)``, or run it now when the provider's calls never
+        wait; read its outcome with :meth:`result`."""
+        if self._executor is not None:
+            return self._executor.submit(self._call, fn, args)
+        future: Future = Future()
+        try:
+            future.set_result(self._call(fn, args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     def result(self, future: Future):
         """Wait for a queued call; one skipped because the pool stopped

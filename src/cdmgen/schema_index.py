@@ -77,11 +77,16 @@ class SchemaIndex:
     internal table so document counts reflect files on disk. Files the root
     never links to are kept too.
 
+    ``root_id`` names the root file as given; walks from the root start at
+    ``start_id``, the document at the end of the root's ``$ref`` chain (the
+    root itself unless its body is a ``$ref``).
+
     The path table is a lazy memo over :meth:`lookup`; it is bounded by the
     set of distinct normalized paths ever queried.
     """
 
     root_id: str
+    start_id: str
     documents: dict[str, SchemaDocument]
     max_path_depth: int = DEFAULT_MAX_PATH_DEPTH
     _inline: dict[str, SchemaDocument] = field(default_factory=dict, repr=False)
@@ -124,7 +129,7 @@ class SchemaIndex:
             return hit is not None, hit
 
         prop: Optional[PropertyDef] = None
-        doc_id = self.root_id
+        doc_id = self.start_id
         for i, segment in enumerate(segments):
             properties = self.doc(doc_id).properties
             prop = properties.get(segment)
@@ -235,7 +240,8 @@ class _IndexBuilder:
       is its ancestor's id.
 
     A document's own entry lists the properties written in it, so one whose
-    body is a ``$ref`` has none; a reference to it reads its chain's end.
+    body is a ``$ref`` has none; a reference to it, and the index's walk
+    from such a root, read its chain's end.
     """
 
     def __init__(self, raw_docs: dict[str, dict], root_id: str):
@@ -249,7 +255,8 @@ class _IndexBuilder:
         for doc_id, raw in self.raw.items():
             properties = self._properties(doc_id, {}, doc_id, raw, doc_id, frozenset({doc_id}))
             self.documents[doc_id] = SchemaDocument(properties, self._description(raw))
-        return SchemaIndex(root_id=self.root_id, documents=self.documents, _inline=self.inline)
+        start_id, _ = self._resolve(self.root_id, self.raw[self.root_id], self.root_id)
+        return SchemaIndex(self.root_id, start_id, self.documents, _inline=self.inline)
 
     def _properties(self, obj_id, merged, doc_id, node, where, chain, group=None) -> dict[str, PropertyDef]:
         """Adds to ``merged`` the properties of ``node``, written in ``doc_id``

@@ -120,7 +120,7 @@ def build_template(index: SchemaIndex, keys: KeyPathSet, contract_type: str) -> 
     """
     if not keys.paths:
         raise ValueError("key path set is empty; need at least one example key")
-    tree = _traverse(index, index.root_id, "", keys, depth=0)
+    tree = _traverse(index, index.start_id, "", keys, depth=0)
     return Template(tree=prune_empty(tree), contract_type=contract_type, schema_root=index.root_id)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,24 @@ CONTRACT_TYPES = {
     "foreign_exchange": "ForeignExchange",
     "credit_default_swap": "CreditDefaultSwap",
 }
+
+
+# How long a thread a test started may take to end once the test returns.
+THREAD_GRACE_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread it started still running, such as
+    the workers of a call pool that was never shut down."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in left:
+        thread.join(THREAD_GRACE_S / len(left))
+    running = [thread.name for thread in left if thread.is_alive()]
+    if running:
+        pytest.fail(f"threads still running after the test: {running}")
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import posixpath
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,3 +328,25 @@ def leaf_multiset(value, prefix=""):
     else:
         out.append((prefix, json.dumps(value)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# exhaustive lexical retrieval
+
+
+def exhaustive_retrieve(chunks, query: str, k: int) -> list:
+    """Top-``k`` of ``chunks`` by a full scan: every body is tokenized for
+    this query and scored by distinct shared lowercase alphanumeric tokens
+    over its token count (at least 1); ranked by score descending, then
+    chunk id, then position in ``chunks``."""
+
+    def tokens(text: str) -> list[str]:
+        return re.findall(r"[a-z0-9]+", text.lower())
+
+    wanted = set(tokens(query))
+    scored = []
+    for position, chunk in enumerate(chunks):
+        body = tokens(chunk.body)
+        score = len(wanted & set(body)) / max(1, len(body))
+        scored.append((-score, chunk.chunk_id, position))
+    return [chunks[position] for _, _, position in sorted(scored)[:k]]

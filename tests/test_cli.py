@@ -1457,7 +1457,9 @@ class _ProbeGateway:
     most, until the calls of every hash in ``fail_after`` have returned,
     then raises ``AuthFailure``. ``coverage_error`` is raised by coverage
     calls instead of a reply, and coverage prompts whose text contains
-    ``unparseable`` get a reply without lists.
+    ``unparseable`` get a reply without lists. ``replies`` keeps the text
+    of every reply by prompt hash, a script a :class:`MockProvider` can
+    replay.
     """
 
     HOLD_S = 5.0
@@ -1480,6 +1482,7 @@ class _ProbeGateway:
         self.coverage_error = coverage_error
         self.unparseable = unparseable
         self.calls: list[str] = []
+        self.replies: dict[str, str] = {}
         self.returned: set[str] = set()
         self.inflight = 0
         self.peak = 0
@@ -1497,6 +1500,11 @@ class _ProbeGateway:
             self.inflight += 1
             self.peak = max(self.peak, self.inflight)
             self._changed.notify_all()
+        result = self._answer(key, prompt)
+        self.replies[key] = result.text
+        return result
+
+    def _answer(self, key, prompt):
         try:
             if key == self.hold:
                 self.held_ok = self._wait_until(lambda: not self.release.isdisjoint(self.calls))
@@ -1587,7 +1595,14 @@ def test_pipeline_with_coverage_writes_the_same_bytes_at_any_max_inflight(
         assert code == 0
         assert gateway.peak <= max_inflight
         outputs[max_inflight] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-    assert outputs[1] == outputs[2] == outputs[4]
+    # A mock script of the same replies is answered on the calling thread.
+    out_dir = tmp_path / "out-mock"
+    replay = MockProvider(gateway.replies)
+    assert _pipeline_with_probe(
+        monkeypatch, config_path, replay, coverage=True, max_inflight=4, out_dir=str(out_dir)
+    ) == 0
+    outputs["mock"] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    assert outputs[1] == outputs[2] == outputs[4] == outputs["mock"]
     with (tmp_path / "out-1" / "summary.csv").open(newline="", encoding="utf-8") as handle:
         status = {row["group"]: row["status"] for row in csv.DictReader(handle)}
     assert status.pop("foreign_exchange") == "failed: ListParseFailure"
@@ -1708,6 +1723,92 @@ def test_task_outage_in_a_later_contract_keeps_the_finished_one(
         assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
     assert (out_dir / f"{names[1]}.provenance.json").is_file()
     assert not (out_dir / f"{names[1]}.cdm.json").exists()
+
+
+def test_a_mock_script_is_answered_on_the_calling_thread(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
+):
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["interest_rate_swap", "equity_swap"]
+    )
+    callers, started = [], []
+    complete, start = MockProvider.complete, threading.Thread.start
+
+    def recorded_complete(self, prompt):
+        callers.append(threading.current_thread())
+        return complete(self, prompt)
+
+    def recorded_start(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(MockProvider, "complete", recorded_complete)
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps({**config, "max_inflight": 4}), encoding="utf-8")
+    assert run(["pipeline", "--config", config_path]) == 0
+    pipeline_calls = len(callers)
+    assert pipeline_calls > 0
+    code = run(
+        [
+            "populate",
+            "--template", out_dir / "interest_rate_swap.template.json",
+            "--contract", contracts_dir / "interest_rate_swap.txt",
+            "--mock-script", script_path,
+            "--max-inflight", 4,
+            "--out", tmp_path / "cdm.json",
+        ]
+    )
+    assert code == 0
+    assert (tmp_path / "cdm.json").read_bytes() == (out_dir / "interest_rate_swap.cdm.json").read_bytes()
+    assert len(callers) > pipeline_calls
+    assert set(callers) == {threading.main_thread()}
+    assert started == []
+
+
+@pytest.mark.parametrize("failing_task", [0, 3, -1])
+def test_a_mock_script_missing_a_later_contracts_hash_keeps_the_threaded_provenance_shape(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir, monkeypatch, capsys, failing_task
+):
+    names = ["interest_rate_swap", "equity_swap", "foreign_exchange"]
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=names
+    )
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    full_dir = tmp_path / "full"
+    assert _pipeline_with_probe(monkeypatch, config_path, MockProvider(script), out_dir=str(full_dir)) == 0
+    first, second = (_task_hashes(cdm_index, examples_root, contracts_dir, name) for name in names[:2])
+    lacking = {key: text for key, text in script.items() if key != second[failing_task]}
+    outcomes = {}
+    for label, gateway, max_inflight in (
+        ("serial", _ProbeGateway(lacking), 1),
+        ("threaded", _ProbeGateway(lacking), 4),
+        ("mock", MockProvider(lacking), 4),
+    ):
+        run_dir = tmp_path / label
+        capsys.readouterr()
+        code = _pipeline_with_probe(
+            monkeypatch, config_path, gateway, max_inflight=max_inflight, out_dir=str(run_dir)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ProviderUnavailable"
+        # A threaded run may have started contract 3's first calls too.
+        calls = gateway.calls if isinstance(gateway, _ProbeGateway) else first + second
+        _assert_outage_files(run_dir, full_dir, calls)
+        outcomes[label] = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+        # Contract 1 is written in full, contract 2 only as partial provenance.
+        for suffix in (".template.json", ".provenance.json", ".cdm.json", ".report.json"):
+            name = f"{names[0]}{suffix}"
+            assert outcomes[label][name] == (full_dir / name).read_bytes()
+        partial = json.loads(outcomes[label][f"{names[1]}.provenance.json"])
+        complete = json.loads((full_dir / f"{names[1]}.provenance.json").read_text(encoding="utf-8"))
+        assert list(partial) == [key for key in complete if key in partial]
+        assert not (run_dir / f"{names[1]}.cdm.json").exists()
+        assert not (run_dir / "summary.csv").exists()
+    # Calls run on the caller's thread stop where a serial run stops.
+    assert outcomes["mock"] == outcomes["serial"]
 
 
 # ---------------------------------------------------------------------------

@@ -189,14 +189,29 @@ def test_http_provider_recovers_from_transient_5xx(local_server):
 
 
 @pytest.mark.parametrize(
+    "share, expected",
+    [(0.0, [0.25, 0.5, 1.0, 2.0, 4.0, 4.0]), (1.0, [0.5, 1.0, 2.0, 4.0, 8.0, 8.0])],
+)
+def test_http_provider_backoff_spans_the_upper_half_of_its_capped_delay(local_server, share, expected):
+    _Handler.behavior = "flaky"
+    _Handler.fail_times = 6
+    provider = HttpProvider(ProviderConfig(endpoint=local_server, model="m", retries=6))
+    sleeps = []
+    provider._sleep = sleeps.append
+    provider._random = lambda: share
+    assert provider.complete(BUNDLE).text == '{"echo": true}'
+    assert sleeps == expected
+
+
+@pytest.mark.parametrize(
     "retry_after, expected_sleep",
     [
-        (None, 0.5),
+        (None, 0.3125),
         ("3", 3.0),
         ("0", 0.0),
         ("120", 8.0),
-        ("-1", 0.5),
-        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5),
+        ("-1", 0.3125),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.3125),
     ],
     ids=["no_header", "seconds", "zero", "capped", "negative", "http_date"],
 )
@@ -208,6 +223,9 @@ def test_http_provider_retries_429_after_retry_after(local_server, retry_after, 
     provider = HttpProvider(cfg)
     sleeps = []
     provider._sleep = sleeps.append
+    # The backoff without a usable Retry-After is 0.5 s: a half of it, plus
+    # this share of the other half.
+    provider._random = lambda: 0.25
     assert provider.complete(BUNDLE).text == '{"echo": true}'
     assert len(_Handler.captured) == 2
     assert sleeps == [expected_sleep]

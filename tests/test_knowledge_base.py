@@ -165,18 +165,6 @@ def test_irrelevant_chunk_preserves_relative_order(five_chunks):
     assert after == before
 
 
-def reference_retrieve(chunks, query: str, k: int) -> list[str]:
-    """Brute force: tokenize every body for this query, rank by
-    (-score, chunk_id)."""
-    query_tokens = set(lexical_tokens(query))
-    scored = []
-    for chunk in chunks:
-        tokens = lexical_tokens(chunk.body)
-        score = len(query_tokens & set(tokens)) / max(1, len(tokens))
-        scored.append((-score, chunk.chunk_id))
-    return [chunk_id for _, chunk_id in sorted(scored)[:k]]
-
-
 _TEXT = st.text(alphabet='abcAB01 {}[]":,._-\n', max_size=30)
 # Drawn often, so bases repeat bodies and queries hit them; "{}" and "[]"
 # have no tokens, and repeated tokens make the token count exceed the
@@ -194,13 +182,24 @@ _QUERIES = st.one_of(_TEXT, st.sampled_from(["alpha", "beta one", "a b", "01 1"]
     queries=st.lists(_QUERIES, min_size=1, max_size=4),
     data=st.data(),
 )
-def test_retrieval_matches_per_query_tokenization(bodies, queries, data):
-    ids = data.draw(st.permutations([f"c{i:02d}" for i in range(len(bodies))]))
-    kb = KnowledgeBase(chunks=[make_chunk(i, body) for i, body in zip(ids, bodies)])
+def test_retrieval_matches_an_exhaustive_scan(bodies, queries, data):
+    # Ids are drawn with replacement, so chunks may share one; one base
+    # answers every query, and between queries a chunk may be replaced or
+    # added, which the base's index must follow.
+    ids = st.sampled_from([f"c{i}" for i in range(len(bodies))])
+    kb = KnowledgeBase(chunks=[make_chunk(data.draw(ids), body) for body in bodies])
     for query in queries:
-        k = data.draw(st.integers(1, len(bodies) + 2))
-        got = [chunk.chunk_id for chunk in retrieve(kb, query, k)]
-        assert got == reference_retrieve(kb.chunks, query, k)
+        k = data.draw(st.integers(1, len(kb.chunks) + 2))
+        got = retrieve(kb, query, k)
+        expected = oracles.exhaustive_retrieve(kb.chunks, query, k)
+        assert [id(chunk) for chunk in got] == [id(chunk) for chunk in expected]
+        change = data.draw(st.sampled_from(["none", "replace", "add"]))
+        if change != "none":
+            chunk = make_chunk(data.draw(ids), data.draw(_BODIES))
+            if change == "add":
+                kb.chunks.append(chunk)
+            else:
+                kb.chunks[data.draw(st.integers(0, len(kb.chunks) - 1))] = chunk
 
 
 def test_retrieval_ranks_by_current_bodies_under_reused_chunk_ids():

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import oracles
 from cdmgen import treeops
 from cdmgen.errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
+from cdmgen.evaluator import evaluate_document
 from cdmgen.schema_index import load_schema_dir
+from cdmgen.template_builder import KeyPathSet, build_template
 
 
 def write(path, payload) -> None:
@@ -42,6 +44,25 @@ def test_root_only_directory(tmp_path):
     write(tmp_path / "solo.schema.json", {"properties": {"x": {"type": "string"}}})
     index = load_schema_dir(tmp_path, "solo.schema.json")
     assert len(index.documents) == 1
+
+
+def test_a_root_whose_body_is_a_ref_is_read_at_its_chains_end(tmp_path):
+    contract = {
+        "description": "A contract.",
+        "properties": {"tradeDate": {"type": "string", "format": "date"}, "notional": {"type": "number"}},
+    }
+    write(tmp_path / "contract.schema.json", contract)
+    write(tmp_path / "entry.schema.json", {"$ref": "contract.schema.json"})
+    index = load_schema_dir(tmp_path, "entry.schema.json")
+    assert index.root_id == "entry.schema.json"
+    assert index.lookup("tradeDate") == (True, index.documents["contract.schema.json"].properties["tradeDate"])
+    assert evaluate_document({"tradeDate": "2024-01-01", "notional": 5}, index).schema_adherence == 100.0
+    direct = load_schema_dir(tmp_path, "contract.schema.json")
+    keys = KeyPathSet(frozenset({"tradeDate", "notional"}))
+    template = build_template(index, keys, "X")
+    assert template.schema_root == "entry.schema.json"
+    assert template.tree == build_template(direct, keys, "X").tree
+    assert treeops.data_items(template.tree)
 
 
 def test_missing_reference_is_reported(tmp_path):
