@@ -12,7 +12,6 @@ percentage.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .errors import (
     ListParseFailure,
     NoStructuredPayload,
 )
-from .gateway import PromptBundle, chat_prompt, extract_structured, follow_up
+from .gateway import PromptBundle, chat_prompt, evidence_json, extract_structured, follow_up
 from .schema_index import PropertyDef, SchemaIndex
 
 DEFAULT_MU = 0.3
@@ -154,8 +153,9 @@ def _holds(prop: PropertyDef, value) -> bool:
 
 
 def coverage_prompt(contract_text: str, doc: dict) -> PromptBundle:
-    structured = "Structured representation:\n" + json.dumps(doc, indent=2, ensure_ascii=False)
-    return chat_prompt("coverage", contract_text, [structured])
+    """The coverage request: the contract text, then the document, encoded
+    by :func:`gateway.evidence_json`."""
+    return chat_prompt("coverage", contract_text, ["Structured representation:\n" + evidence_json(doc)])
 
 
 def coverage_retry_prompt(first: PromptBundle) -> PromptBundle:

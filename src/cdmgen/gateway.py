@@ -5,6 +5,12 @@ OpenAI-compatible chat wire shape (covering both hosted and locally served
 models) and a fully deterministic mock that replays scripted responses
 keyed by a stable hash of the prompt, so every downstream module is
 testable offline.
+
+JSON that a prompt carries as evidence (reference chunks, the document a
+coverage check reads, a mismatch report, the example a description is
+written from) is encoded one way, by :func:`evidence_json`: minified, as
+whitespace carries nothing a model reads. The structure to populate keeps
+its indented layout, as it is the shape the reply must copy.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
     ProviderUnavailable,
     Timeout,
 )
-from .treeops import conforms, read_json_object
+from .treeops import conforms, lone_surrogate, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +106,12 @@ class CompletionResult:
     usage: Mapping[str, int] = field(default_factory=dict)
 
 
+def evidence_json(value) -> str:
+    """``value`` as a prompt carries it for the model to read: JSON without
+    whitespace between tokens, non-ASCII text as itself."""
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
 def prompt_hash(prompt: PromptBundle) -> str:
     """Stable identity of a prompt: sha256 over system and user text."""
     return prompt.digest
@@ -124,11 +136,12 @@ def chat_prompt(
 
 def follow_up(prompt: PromptBundle, resource: str, report=None) -> PromptBundle:
     """A re-ask: ``prompt`` with the ``resource`` text after a blank line,
-    then the JSON ``report``, when there is one, from the next line. Built
-    from the original request, so identical failures give identical prompts."""
+    then the ``report``, when there is one, from the next line, encoded by
+    :func:`evidence_json`. Built from the original request, so identical
+    failures give identical prompts."""
     user_text = prompt.user_text + "\n\n" + prompts.load(resource)
     if report is not None:
-        user_text += "\n" + json.dumps(report, indent=2, ensure_ascii=False)
+        user_text += "\n" + evidence_json(report)
     return PromptBundle(prompt.system_text, user_text)
 
 
@@ -304,7 +317,7 @@ class HttpProvider:
             "max_tokens": MAX_OUTPUT_TOKENS,
             "temperature": TEMPERATURE,
         }
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        body = json.dumps(payload, ensure_ascii=False, allow_nan=False).encode("utf-8")
         headers = self._headers()
         last_error: Exception | None = None
         retry_after = ""
@@ -355,10 +368,13 @@ class HttpProvider:
         finish = choice.get("finish_reason") or "stop"
         if finish not in ("stop", "length"):
             finish = "stop"
-        # A null or non-text content, or a usage that is not an object, reads as empty.
+        # A null or non-text content, one holding a lone surrogate, or a
+        # usage that is not an object, reads as empty.
+        if not isinstance(text, str) or lone_surrogate(text):
+            text = ""
         usage = body.get("usage")
         return CompletionResult(
-            text=text if isinstance(text, str) else "",
+            text=text,
             finish_reason=finish,
             usage=dict(usage) if isinstance(usage, dict) else {},
         )
@@ -399,23 +415,34 @@ def extract_structured(text: str) -> dict:
 
     Fenced code blocks are tried first and must decode whole; then the raw
     text is decoded from each ``{`` in turn, ignoring what follows the
-    object. Raises :class:`NoStructuredPayload` when nothing decodes.
+    object. Raises :class:`NoStructuredPayload` when nothing decodes, or
+    when the object found holds a lone surrogate, which no file can hold.
     """
-    if text:
-        for block in _fenced_blocks(text):
-            try:
-                parsed = json.loads(block)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(parsed, dict):
-                return parsed
-        start = text.find("{")
-        while start != -1:
-            try:
-                return _DECODER.raw_decode(text, start)[0]
-            except json.JSONDecodeError:
-                start = text.find("{", start + 1)
-    raise NoStructuredPayload("no balanced JSON object found in model output")
+    payload = _first_object(text) if text else None
+    if payload is None:
+        raise NoStructuredPayload("no balanced JSON object found in model output")
+    # A surrogate comes from a \u escape, or from a provider's own text.
+    surrogate = ("\\u" in text or not text.isascii()) and lone_surrogate(payload)
+    if surrogate:
+        raise NoStructuredPayload(f"the JSON object in model output holds the lone surrogate {surrogate}")
+    return payload
+
+
+def _first_object(text: str) -> Optional[dict]:
+    for block in _fenced_blocks(text):
+        try:
+            parsed = json.loads(block)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(parsed, dict):
+            return parsed
+    start = text.find("{")
+    while start != -1:
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
+    return None
 
 
 def _fenced_blocks(text: str):
@@ -436,16 +463,15 @@ def _fenced_blocks(text: str):
 def synthesize_description(provider, cdm_example: dict, reference_texts: Sequence[str]) -> str:
     """Generate a natural-language contract description from a CDM instance.
 
-    The prompt embeds the structured example plus any reference term sheets
-    as style guides. ``provider`` is any object with ``complete(prompt)``.
-    An empty or blank reply raises :class:`GenerationIncomplete`.
+    The prompt embeds the structured example, encoded by
+    :func:`evidence_json`, plus any reference term sheets as style guides.
+    ``provider`` is any object with ``complete(prompt)``. An empty or blank
+    reply raises :class:`GenerationIncomplete`.
     """
     if not cdm_example:
         raise ValueError("cdm_example must be a non-empty structured value")
     sections = [f"Reference term sheet {i}:\n{sheet}" for i, sheet in enumerate(reference_texts, start=1)]
-    sections.append(
-        "Structured contract data:\n" + json.dumps(cdm_example, indent=2, ensure_ascii=False)
-    )
+    sections.append("Structured contract data:\n" + evidence_json(cdm_example))
     text = provider.complete(chat_prompt("synthesize", sections=sections)).text
     if not text.strip():
         raise GenerationIncomplete("the model's reply holds no description")

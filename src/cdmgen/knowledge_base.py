@@ -1,7 +1,10 @@
 """Chunked example corpus with lexical retrieval.
 
 Example instances are split along subtree boundaries into chunks that fit a
-token budget, preserving well-formed JSON in every chunk body. The scorer is
+token budget, preserving well-formed JSON in every chunk body. A body is
+minified, as a prompt carries it (:func:`gateway.evidence_json`); tokens are
+alphanumeric runs, so whitespace never counts toward a budget or a score,
+and a base saved with indented bodies ranks the same. The scorer is
 a deterministic lexical overlap, so the whole pipeline runs offline. A base
 keeps a postings index, token to the chunks whose body holds it, built from
 each chunk's tokens on the first query and again whenever its chunk list no
@@ -22,6 +25,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import MalformedDocument
+from .gateway import evidence_json
 from .template_builder import load_examples
 from .treeops import conforms, read_json_object, write_text
 
@@ -169,7 +173,8 @@ def _split(value, file_name, path, name, in_array, contract_type, budget, out) -
 
 
 def _chunk_body(value, name: Optional[str], in_array: bool) -> str:
-    """Serialize a subtree, wrapped under its field name when it has one.
+    """Serialize a subtree, wrapped under its field name when it has one,
+    minified, as every prompt carries JSON evidence.
 
     Keeping the field name in the body preserves the logical structure and
     lets lexical retrieval match queries built from field names. An array
@@ -181,7 +186,7 @@ def _chunk_body(value, name: Optional[str], in_array: bool) -> str:
         payload = {name: [value]}
     else:
         payload = {name: value}
-    return json.dumps(payload, indent=2, ensure_ascii=False)
+    return evidence_json(payload)
 
 
 class _Postings:

@@ -76,7 +76,9 @@ class PopulationTask:
     """A maximal substructure of bounded depth plus its prompt context.
 
     ``structure_text`` is the placeholder structure as the prompt shows it,
-    encoded once when the task is made. A batch shares one planned task
+    encoded once when the task is made. Unlike the evidence a prompt
+    carries (:func:`gateway.evidence_json`), it stays indented: it is the
+    shape the reply must copy. A batch shares one planned task
     among its contracts, so nothing changes a task after it is planned.
     """
 

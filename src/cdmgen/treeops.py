@@ -6,8 +6,9 @@ that is metadata, not data; every helper here skips annotations consistently
 so depth, leaf and key enumeration agree across modules. The scalar kinds
 of template leaves, their placeholders and the rule for what each kind may
 hold live here too, and so do the listing and reading of JSON input files,
-with one rule for what a file that is not UTF-8 JSON raises, and the one
-atomic writer of every output file.
+with one rule for what a file that is not UTF-8 JSON raises (a lone
+surrogate escape such as ``"\\ud800"`` is not UTF-8 text either), and the
+one atomic writer of every output file.
 """
 
 from __future__ import annotations
@@ -153,15 +154,37 @@ def write_text(path, text: str) -> None:
             raise
 
 
+def lone_surrogate(value) -> Optional[str]:
+    """The first lone surrogate in the strings of a parsed JSON ``value``,
+    keys included, as a ``\\uXXXX`` escape; None when it holds none.
+
+    JSON text can escape half of a UTF-16 pair on its own (``"\\ud800"``),
+    and :func:`json.loads` keeps it; such a string is not Unicode text and
+    cannot be written as UTF-8. Text decoded from UTF-8 holds no surrogate,
+    so a value parsed from it can hold one only if the text holds a ``\\u``
+    escape; a caller may skip this check when it holds none.
+    """
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"\\u{ord(exc.object[exc.start]):04x}"
+    return None
+
+
 def read_json(path, name: Optional[str] = None):
-    """The JSON value in a UTF-8 file; text that is not UTF-8 or not JSON
-    raises :class:`MalformedDocument` naming the file as ``name`` (by
-    default, as ``path``)."""
+    """The JSON value in a UTF-8 file; text that is not UTF-8 or not JSON,
+    or a value holding a lone surrogate escape, raises
+    :class:`MalformedDocument` naming the file as ``name`` (by default, as
+    ``path``)."""
     text = read_text(path, name)
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(name or str(path), exc.msg, exc.pos) from exc
+    surrogate = "\\u" in text and lone_surrogate(value)
+    if surrogate:
+        raise MalformedDocument(name or str(path), f"the lone surrogate {surrogate} is not UTF-8 text")
+    return value
 
 
 def read_json_object(path, *required: str) -> dict:

@@ -12,6 +12,7 @@ import posixpath
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +351,47 @@ def exhaustive_retrieve(chunks, query: str, k: int) -> list:
         score = len(wanted & set(body)) / max(1, len(body))
         scored.append((-score, chunk.chunk_id, position))
     return [chunks[position] for _, _, position in sorted(scored)[:k]]
+
+
+# ---------------------------------------------------------------------------
+# knowledge-base ingest with indented bodies
+
+
+def ingest_indented(examples, contract_type: str, budget: int) -> list:
+    """Chunks of ``examples``, (file name, parsed value) pairs in file
+    order, as ingest made them when every body was JSON indented by two
+    spaces: a subtree is one chunk when its body, wrapped under its field
+    name (an array element as a one-element array under the array's name),
+    has at most ``budget`` lowercase alphanumeric tokens, or cannot be split;
+    else each child is chunked in turn. Each chunk is a SimpleNamespace with
+    the fields of a saved chunk."""
+    chunks = []
+
+    def visit(value, file_name, path, name, in_array):
+        if name is None:
+            wrapped = value
+        else:
+            wrapped = {name: [value] if in_array else value}
+        body = json.dumps(wrapped, indent=2, ensure_ascii=False)
+        count = len(re.findall(r"[a-z0-9]+", body.lower()))
+        if count > budget and isinstance(value, dict) and value:
+            for key in value:
+                visit(value[key], file_name, f"{path}.{key}" if path else key, key, False)
+        elif count > budget and isinstance(value, list) and value:
+            for i in range(len(value)):
+                visit(value[i], file_name, f"{path}.{i}" if path else str(i), name, True)
+        else:
+            chunks.append(
+                SimpleNamespace(
+                    chunk_id=f"{file_name}#{path}",
+                    contract_type=contract_type,
+                    source_path=path,
+                    body=body,
+                    token_estimate=count,
+                    oversized=count > budget,
+                )
+            )
+
+    for file_name, parsed in examples:
+        visit(parsed, file_name, "", None, False)
+    return chunks

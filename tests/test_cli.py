@@ -2,17 +2,21 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +24,12 @@ from hypothesis import strategies as st
 
 import helpers
 import cdmgen
-from cdmgen import populator, prompts
+from cdmgen import cli, populator, prompts
 from cdmgen.cli import build_parser, main, write_json
 from cdmgen.dryrun import build_population_script
-from cdmgen.errors import AuthFailure, OutputUnwritable
+from cdmgen.errors import AuthFailure, OutputUnwritable, ProviderUnavailable, Timeout
 from cdmgen.evaluator import CoverageWeights
-from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, prompt_hash
+from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, evidence_json, prompt_hash
 from cdmgen.knowledge_base import KnowledgeBase, ingest_examples
 from cdmgen.populator import PopulationConfig
 from cdmgen.template_builder import Template, build_template, flatten_examples
@@ -240,6 +244,66 @@ def test_populate_exhaustion_exits_1_but_writes_artifacts(
     assert all(record["failed"] for record in records.values())
 
 
+def _leaf_swaps(value, swap):
+    """Copies of ``value`` with one scalar leaf replaced by ``swap(leaf)``,
+    one per leaf for which that is not None, in document order."""
+    if isinstance(value, (dict, list)):
+        pairs = list(value.items()) if isinstance(value, dict) else list(enumerate(value))
+        for key, child in pairs:
+            for swapped in _leaf_swaps(child, swap):
+                copy = dict(value) if isinstance(value, dict) else list(value)
+                copy[key] = swapped
+                yield copy
+    elif swap(value) is not None:
+        yield swap(value)
+
+
+def test_populate_reply_with_a_lone_surrogate_is_unparseable_not_a_traceback(
+    tmp_path, cdm_index, examples_root, contracts_dir, capsys
+):
+    # One reply fits its structure but holds the escape of half a UTF-16
+    # pair, which no output file can hold: the task is asked again (here
+    # with no retries left) instead of ending the run when it writes.
+    template_path, contract_path, script_path = _write_template_and_script(
+        tmp_path, cdm_index, examples_root, contracts_dir, "equity_option"
+    )
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    cfg = PopulationConfig(max_inflight=1)
+    text = contract_path.read_text(encoding="utf-8")
+    for task in populator.plan_tasks(Template.load(template_path), cfg, None):
+        key = prompt_hash(populator.build_prompt(task, text, cfg))
+        swaps = _leaf_swaps(json.loads(script[key]), lambda leaf: "\ud800" if isinstance(leaf, str) else None)
+        valid = next((s for s in swaps if populator.validate_shape(task.target_subtree, s).ok), None)
+        if valid is not None:
+            script[key] = json.dumps(valid)
+            break
+    assert "\\ud800" in script[key]
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    out, provenance = tmp_path / "cdm.json", tmp_path / "prov.json"
+    code = run(
+        [
+            "populate",
+            "--template", template_path,
+            "--contract", contract_path,
+            "--mock-script", script_path,
+            "--retries", 0,
+            "--out", out,
+            "--provenance", provenance,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "PopulationIncomplete",
+        "detail": f"tasks failed: {task.target_path}",
+    }
+    records = json.loads(provenance.read_text(encoding="utf-8"))
+    [failed] = [record for record in records.values() if record["failed"]]
+    assert [m["kind"] for m in failed["mismatches"]] == ["unparseable"]
+    assert "\\ud800" in failed["mismatches"][0]["detail"]
+    assert json.loads(out.read_text(encoding="utf-8"))
+
+
 def test_populate_rerun_is_byte_identical(tmp_path, cdm_index, examples_root, contracts_dir):
     template_path, contract_path, script_path = _write_template_and_script(
         tmp_path, cdm_index, examples_root, contracts_dir, "equity_swap"
@@ -342,7 +406,7 @@ def test_synthesize_cli(tmp_path, examples_root):
     sections = [
         prompts.load("synthesize_instructions.txt"),
         "Reference term sheet 1:\nReference sheet.",
-        "Structured contract data:\n" + json.dumps(example, indent=2, ensure_ascii=False),
+        "Structured contract data:\n" + evidence_json(example),
     ]
     bundle = PromptBundle(
         system_text=prompts.load("synthesize_system.txt"), user_text="\n\n".join(sections)
@@ -874,6 +938,17 @@ BAD_INPUTS = {
     "contract_not_utf8": (1, "populate --contract {not_utf8} --template {template} --mock-script {script}"),
     "mock_script_not_utf8": (1, POPULATE + " --template {template} --mock-script {not_utf8}"),
     "examples_not_utf8": (1, "ingest-kb --examples {examples_not_utf8} --contract-type CommodityOption --budget 200"),
+    "examples_lone_surrogate": (
+        1, "ingest-kb --examples {examples_lone_surrogate} --contract-type CommodityOption --budget 200"
+    ),
+    "schema_lone_surrogate": (
+        1, "make-template --schema-dir {schema_lone_surrogate} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "template_lone_surrogate_key": (1, POPULATE + " --template {lone_surrogate_key} --mock-script {script}"),
+    "mock_script_lone_surrogate": (1, POPULATE + " --template {template} --mock-script {lone_surrogate}"),
+    "kb_lone_surrogate": (1, "baseline --contract {contract} --rag --kb {kb_lone_surrogate} --mock-script {script}"),
+    "config_lone_surrogate": (1, "pipeline --config {config_lone_surrogate}"),
     "root_outside_schema_dir_missing": (
         1, "make-template --schema-dir {schema_dir} --root {missing_root}"
         " --examples {examples} --contract-type CommodityOption"
@@ -943,6 +1018,12 @@ BAD_INPUT_DETAILS = {
     "schema_ref_member_text": r"^x\.schema\.json#anyOf\[1\]: the member is not an object$",
     "schema_ref_pointer": r"'x\.schema\.json#/definitions/Y' \(referenced from contract\.schema\.json#x\)$",
     "report_contract_type_combined": r"r1\.report\.json: 'contract_type' 'combined' names the union row$",
+    "examples_lone_surrogate": r"^e1\.json: the lone surrogate \\ud800 is not UTF-8 text$",
+    "schema_lone_surrogate": r"^contract\.schema\.json: the lone surrogate \\udc00 is not UTF-8 text$",
+    "template_lone_surrogate_key": r"lone_surrogate_key\.json: the lone surrogate \\udfff is not UTF-8 text$",
+    "mock_script_lone_surrogate": r"lone_surrogate\.json: the lone surrogate \\ud800 is not UTF-8 text$",
+    "kb_lone_surrogate": r"kb_lone_surrogate\.json: the lone surrogate \\ud800 is not UTF-8 text$",
+    "config_lone_surrogate": r"config_lone_surrogate\.json: the lone surrogate \\udbff is not UTF-8 text$",
 }
 # Text the usage message of a case with exit code 2 must hold.
 BAD_INPUT_USAGE = {
@@ -1029,6 +1110,11 @@ def test_bad_input_is_typed_not_a_traceback(
         "tree_text": json.dumps({"tree": "x"}),
         "contract_type_only": json.dumps({"contract_type": "x"}),
         "not_utf8": b'{"text": "caf\xe9"}',
+        # Escapes of half a UTF-16 pair, written as text; "\\ud83d\\ude00" is a whole pair.
+        "lone_surrogate": '{"%s": "A\\ud800B \\ud83d\\ude00"}' % ("0" * 64),
+        "lone_surrogate_key": '{"tree": {"\\udfff": ""}}',
+        "kb_lone_surrogate": json.dumps({"chunks": [{**chunk, "body": '{"a": "\ud800"}'}]}),
+        "config_lone_surrogate": json.dumps({**config, "out_dir": str(tmp_path / "out-\udbff")}),
     }
     scores = {"syntactical_correctness": 100.0, "schema_adherence": 100.0}
     reports = {
@@ -1068,6 +1154,8 @@ def test_bad_input_is_typed_not_a_traceback(
     dirs += [
         ("schema_not_utf8", "contract.schema.json", files["not_utf8"]),
         ("examples_not_utf8", "e1.json", files["not_utf8"]),
+        ("examples_lone_surrogate", "e1.json", '{"trade": {"tradeId": "A\\ud800B", "notional": 5}}'),
+        ("schema_lone_surrogate", "contract.schema.json", '{"properties": {"x": {"description": "\\uDC00"}}}'),
         ("examples_without_leaves", "e1.json", "{}"),
         ("examples_without_leaves", "e2.json", "[]"),
         ("schema_properties_list", "contract.schema.json", '{"properties": []}'),
@@ -1250,6 +1338,98 @@ def test_an_unwritable_artifact_stops_the_batch(
     assert (out_dir / f"{names[0]}.report.json").is_file()
     assert not list(out_dir.glob(f"{names[2]}.*"))
     assert not list(out_dir.glob(".*"))
+
+
+# ---------------------------------------------------------------------------
+# any sequence of replies and failures ends in an exit code, never a traceback
+
+# What a call may get besides a valid reply; "valid" is drawn most often, and
+# half the batches draw no outage, so that batches also run to their end.
+REPLY_FAULTS = ("missing_key", "extra_key", "wrong_leaf_type", "length", "no_json", "lone_surrogate")
+OUTAGES = ("unavailable", "timeout")
+
+
+class _DrawnReplies:
+    """A provider that answers each call with what the test draws: a valid
+    reply (the dry run's for a task, lists for a coverage check), one of
+    REPLY_FAULTS made from it, or an outage. Calls run on the calling thread."""
+
+    calls_wait = False
+
+    def __init__(self, valid: dict, draw, kinds):
+        self.valid = valid
+        self.draw = draw
+        self.kinds = st.sampled_from(kinds)
+        self.outages = 0
+        self.coverage_system = prompts.load("coverage_system.txt")
+        self.repair_text = "\n\n" + prompts.load("repair_followup.txt")
+
+    def _valid_reply(self, prompt) -> dict:
+        if prompt.system_text == self.coverage_system:
+            return {"captured": ["notional"], "uncaptured": ["a date"], "extraneous": []}
+        user_text = prompt.user_text
+        if self.repair_text in user_text:
+            user_text = user_text[: user_text.rindex(self.repair_text)]
+        return json.loads(self.valid[prompt_hash(PromptBundle(prompt.system_text, user_text))])
+
+    def complete(self, prompt):
+        reply = self._valid_reply(prompt)
+        kind = self.draw(self.kinds)
+        if kind in OUTAGES:
+            self.outages += 1
+            raise (ProviderUnavailable if kind == "unavailable" else Timeout)(f"drawn {kind}")
+        if kind == "missing_key":
+            reply = dict(list(reply.items())[1:])
+        elif kind == "extra_key":
+            reply = {**reply, "unexpectedKey": 1}
+        elif kind == "wrong_leaf_type":
+            reply = next(_leaf_swaps(reply, lambda leaf: 5 if isinstance(leaf, str) else "x"))
+        elif kind == "lone_surrogate":
+            reply = next(
+                _leaf_swaps(reply, lambda leaf: "A\ud800" if isinstance(leaf, str) else None),
+                {**reply, "note": "\udfff"},
+            )
+        text = json.dumps(reply)
+        if kind == "length":
+            return CompletionResult(text[: len(text) // 2], "length")
+        return CompletionResult("I cannot answer that." if kind == "no_json" else text, "stop")
+
+
+@pytest.fixture(scope="module")
+def drawn_batch(tmp_path_factory, cdm_schema_dir, examples_root, contracts_dir):
+    """The fixture batch with one retry and coverage, and the valid reply
+    to each of its populate prompts."""
+    config_path, _, script_path = helpers.prepare_pipeline(
+        tmp_path_factory.mktemp("drawn"), cdm_schema_dir, examples_root, contracts_dir, retry_limit=1
+    )
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps({**config, "coverage": True}), encoding="utf-8")
+    return config_path, json.loads(script_path.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_reply_sequence_ends_the_pipeline_with_an_exit_code(drawn_batch, data):
+    config_path, valid = drawn_batch
+    outages = OUTAGES if data.draw(st.booleans()) else ()
+    provider = _DrawnReplies(valid, data.draw, ("valid",) * 6 + REPLY_FAULTS + outages)
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as out_dir:
+        with mock.patch.object(cli, "_make_gateway", lambda *args: provider), contextlib.redirect_stderr(stderr):
+            code = main(["pipeline", "--config", str(config_path), "--out-dir", out_dir])
+        # Only an outage stops a batch; every other fault fails its task or contract.
+        assert code == (1 if provider.outages else 0)
+        if code:
+            error = json.loads(stderr.getvalue().strip().splitlines()[-1])
+            assert error["error"] in ("ProviderUnavailable", "Timeout")
+        else:
+            assert (Path(out_dir) / "summary.csv").is_file()
+        for file in Path(out_dir).iterdir():
+            text = file.read_text(encoding="utf-8")
+            if file.suffix == ".csv":
+                assert list(csv.reader(io.StringIO(text)))[0] == list(cli.SUMMARY_COLUMNS)
+            else:
+                assert file.suffix == ".json" and json.loads(text) is not None
 
 
 # ---------------------------------------------------------------------------

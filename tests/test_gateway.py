@@ -26,6 +26,7 @@ from cdmgen.gateway import (
     MockProvider,
     PromptBundle,
     ProviderConfig,
+    evidence_json,
     extract_structured,
     prompt_hash,
     synthesize_description,
@@ -103,8 +104,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        _Handler.captured.append({"payload": payload, "auth": self.headers.get("Authorization")})
+        sent = self.rfile.read(length)
+        _Handler.captured.append(
+            {"payload": json.loads(sent), "body": sent, "auth": self.headers.get("Authorization")}
+        )
         if _Handler.behavior == "slow":
             time.sleep(0.5)
         if _Handler.behavior == "unauthorized":
@@ -177,6 +180,17 @@ def test_http_provider_transmits_prompt_bit_exactly(local_server, monkeypatch):
     assert sent["payload"]["messages"][1] == {"role": "user", "content": "user\ntext"}
     assert sent["payload"]["max_tokens"] == 2048
     assert sent["payload"]["temperature"] == 0.0
+
+
+def test_http_provider_posts_non_ascii_text_as_utf8(local_server):
+    bundle = PromptBundle(system_text="prix en €", user_text="café, 5 € net")
+    HttpProvider(ProviderConfig(endpoint=local_server, model="m")).complete(bundle)
+    body = _Handler.captured[-1]["body"]
+    # Each character travels as its UTF-8 bytes, not as a \uXXXX escape.
+    assert "prix en €".encode() in body and "café, 5 € net".encode() in body
+    assert b"\\u" not in body
+    messages = json.loads(body.decode("utf-8"))["messages"]
+    assert [m["content"] for m in messages] == [bundle.system_text, bundle.user_text]
 
 
 def test_http_provider_recovers_from_transient_5xx(local_server):
@@ -281,8 +295,11 @@ def test_http_provider_non_json_body_is_provider_unavailable(local_server):
         ({"content": "{}"}, [1], "{}"),
         ({"content": None}, {"prompt_tokens": 2}, ""),
         ({"content": 5}, None, ""),
+        ({"content": '{"a": "\ud800"}'}, None, ""),
+        # Sent as the escaped pair "\\ud83d\\ude00", which reads as one character.
+        ({"content": '{"a": "\U0001f600"}'}, None, '{"a": "\U0001f600"}'),
     ],
-    ids=["usage_null", "usage_list", "content_null", "content_number"],
+    ids=["usage_null", "usage_list", "content_null", "content_number", "content_lone_surrogate", "content_pair"],
 )
 def test_http_provider_reads_a_null_or_odd_content_or_usage_as_empty(local_server, reply, usage, text):
     _Handler.behavior = "raw"
@@ -673,6 +690,25 @@ def test_extract_no_payload():
         extract_structured("")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": "\\ud800"}',
+        '```json\n{"a": ["\\uDFFF"]}\n```',
+        'Here: {"\\udbff": 1} and {"b": 2}',
+        '{"a": "\udc00"}',
+    ],
+    ids=["escaped", "fenced", "key", "raw"],
+)
+def test_extract_refuses_an_object_holding_a_lone_surrogate(text):
+    with pytest.raises(NoStructuredPayload, match="lone surrogate"):
+        extract_structured(text)
+
+
+def test_extract_reads_an_escaped_surrogate_pair_as_one_character():
+    assert extract_structured('{"a": "\\ud83d\\ude00 \\u00e9"}') == {"a": "\U0001f600 é"}
+
+
 def test_extract_ignores_braces_inside_strings():
     text = 'note: "{" is a brace. {"key": "va{lue}"} done'
     assert extract_structured(text) == {"key": "va{lue}"}
@@ -730,7 +766,7 @@ def test_synthesize_with_mock():
     sections = [
         prompts.load("synthesize_instructions.txt"),
         "Reference term sheet 1:\nReference sheet one.",
-        "Structured contract data:\n" + json.dumps(example, indent=2, ensure_ascii=False),
+        "Structured contract data:\n" + evidence_json(example),
     ]
     bundle = PromptBundle(
         system_text=prompts.load("synthesize_system.txt"), user_text="\n\n".join(sections)

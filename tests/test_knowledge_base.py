@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,47 @@ def test_token_estimates_respect_budget_unless_oversized(tmp_path, examples_root
         for chunk in kb.chunks:
             assert chunk.token_estimate <= budget or chunk.oversized
             json.loads(chunk.body)  # every body is well-formed on its own
+
+
+# Strings with what indentation and separators would add around them, and
+# with text that is not ASCII; keys from a smaller alphabet, so they repeat.
+_WORDS = st.text(alphabet='ab Z9,:."é€中', max_size=10)
+_KEYS = st.text(alphabet="abZ9 :,é", min_size=1, max_size=4)
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-99, 99) | st.floats(allow_nan=False, allow_infinity=False) | _WORDS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_KEYS, children, max_size=3),
+    max_leaves=12,
+)
+# A non-empty object with non-empty keys always has a leaf (an empty
+# container under a key is one).
+_EXAMPLES = st.lists(st.dictionaries(_KEYS, _TREES, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    examples=_EXAMPLES,
+    budget=st.integers(1, 40),
+    queries=st.lists(st.text(alphabet="abZ9 é,:", max_size=12), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_minified_bodies_chunk_and_rank_as_indented_ones(examples, budget, queries, data):
+    named = [(f"e{i}.json", example) for i, example in enumerate(examples)]
+    with tempfile.TemporaryDirectory() as directory:
+        for name, example in named:
+            write_example(Path(directory), name, example)
+        kb = ingest_examples(directory, "sample", budget)
+    expected = oracles.ingest_indented(named, "sample", budget)
+    def fields(chunks):
+        return [(c.chunk_id, c.contract_type, c.source_path, c.token_estimate, c.oversized) for c in chunks]
+
+    assert fields(kb.chunks) == fields(expected)
+    for chunk, indented in zip(kb.chunks, expected):
+        assert json.loads(chunk.body) == json.loads(indented.body)
+        assert len(chunk.body) <= len(indented.body)
+    for query in queries:
+        k = data.draw(st.integers(1, len(kb.chunks) + 1))
+        got = [kb.chunks.index(c) for c in retrieve(kb, query, k)]
+        assert got == [expected.index(c) for c in oracles.exhaustive_retrieve(expected, query, k)]
 
 
 # ---------------------------------------------------------------------------

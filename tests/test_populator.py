@@ -16,7 +16,9 @@ from cdmgen.errors import AuthFailure, GenerationIncomplete, ProviderUnavailable
 from cdmgen.gateway import CompletionResult, MockProvider, prompt_hash
 from cdmgen.knowledge_base import Chunk, KnowledgeBase
 from cdmgen.populator import (
+    Mismatch,
     PopulationConfig,
+    ShapeReport,
     baseline_generate,
     build_prompt,
     clean,
@@ -662,7 +664,6 @@ def test_populate_truncated_reply_is_retried():
     cfg = config()
     [task] = select_tasks(compute_depths(template), cfg.depth_threshold)
     prompt = build_prompt(task, "contract", cfg)
-    from cdmgen.populator import Mismatch, ShapeReport
 
     truncated_report = ShapeReport([Mismatch("(root)", "truncated", "output was cut off")])
     retry = repair_prompt(prompt, truncated_report)
@@ -687,6 +688,29 @@ def test_populate_unparseable_reply_is_retried_then_falls_back():
     doc = populate(template, "contract", None, gateway, cfg)
     assert doc.provenance["(root)"]["failed"] is True
     assert doc.tree == {"id": {"value": ""}, "amount": 0}
+
+
+@pytest.mark.parametrize(
+    "reply, surrogate",
+    [
+        ('{"id": {"value": "UC-\\ud800"}, "amount": 1}', "\\ud800"),
+        ('{"id": {"value": "UC-\udfff"}, "amount": 1}', "\\udfff"),
+    ],
+    ids=["escaped", "raw"],
+)
+def test_populate_lone_surrogate_reply_is_repaired_on_the_next_attempt(reply, surrogate):
+    # The first reply fits the structure, but its value holds half a UTF-16
+    # pair, escaped or as a provider's own text: no file can hold it.
+    template = simple_template()
+    cfg = config()
+    good = {"id": {"value": "UC-1"}, "amount": 1}
+    gateway = FakeGateway(reply, json.dumps(good))
+    doc = populate(template, "contract", None, gateway, cfg)
+    assert doc.tree == good
+    assert doc.provenance["(root)"]["attempts"] == 2
+    first, retry = gateway.prompts
+    detail = f"the JSON object in model output holds the lone surrogate {surrogate}"
+    assert retry == repair_prompt(first, ShapeReport([Mismatch("(root)", "unparseable", detail)]))
 
 
 def test_populate_empty_template_short_circuits():

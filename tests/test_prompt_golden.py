@@ -30,13 +30,13 @@ from conftest import CONTRACT_TYPES
 
 GOLDEN = {
     "populate": (36, "a6a250782080c0275fa44dd864afaf6d104114bf964c6337ad1f63564b5daabf"),
-    "populate_rag": (36, "3160ba46f8bca8cd2e121402b7e4d96ee17366d4c34bbe1c2bafbd9e4d916e93"),
-    "repair": (36, "54df75be6b4f0edb69c20998e50599daf218ca9b997b46345645f785581c2883"),
+    "populate_rag": (36, "0a46fdfdb97cf8e679bd8e1295d4198fc66f8285c7c1ba322574f163e04dbd81"),
+    "repair": (36, "0ceb7aedc6727fe95dcecfa3eed4c345da35eddbeeb0a5ce585f5f8d04660b8b"),
     "baseline": (6, "97ae2c8a355233fc65c6a9239d59e9b3784fc825d2dfbc11e05302e784ea82f7"),
-    "baseline_rag": (6, "976fb024070c8481e7536b9b2cbff9d613956b7a272010030ebac44c9890bb78"),
-    "coverage": (6, "b9793a65916c749975707f974d796b61c2042e1674dea68b226ab6f51d31474c"),
-    "coverage_retry": (6, "d7a64d9b477973526e87cc82b0ce423821526d206ea08098fc5d344142e70f63"),
-    "synthesize": (6, "d28ebbcc65c77bb5093ee2c5133459a89ee9359df24542048fa5661369bdb5a8"),
+    "baseline_rag": (6, "f322f852225bfb097d4b48a489847722a4cd7c8d70dd20f0f91211eeb59f4d07"),
+    "coverage": (6, "48bc966de4d707c8d52e02c7e4ac24a8a2a886ef91ea18dbe7bebbab8317e6fc"),
+    "coverage_retry": (6, "292222be1336d0f1c7df7ca3e866b2c7b204fdeb6d69b2582162f6568f73fdda"),
+    "synthesize": (6, "0ba6c9366ed6e37edbd04c0a9cd51cc14f69f2f426fbdbee12fb52c6a368bec1"),
 }
 
 

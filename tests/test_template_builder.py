@@ -77,6 +77,16 @@ def test_flatten_non_utf8_example_names_file(tmp_path):
     assert exc_info.value.offset == data.index(b"\xe9")
 
 
+def test_flatten_reads_escapes_and_refuses_a_lone_surrogate(tmp_path):
+    # "\u00e4" is a character and "\ud83d\ude00" a whole UTF-16 pair;
+    # "\uDBFF" alone is half of one, which is not UTF-8 text.
+    (tmp_path / "escaped.json").write_text('{"n\\u00e4me": "\\ud83d\\ude00"}', encoding="utf-8")
+    assert flatten_examples(tmp_path).paths == frozenset({"n\u00e4me"})
+    (tmp_path / "half.json").write_text('{"name": ["ok", "\\uDBFF"]}', encoding="utf-8")
+    with pytest.raises(MalformedDocument, match=r"^half\.json: the lone surrogate \\udbff is not UTF-8 text$"):
+        flatten_examples(tmp_path)
+
+
 def test_examples_dir_walks_directory_named_json(tmp_path):
     write_example(tmp_path, "a.json", {"name": "A"})
     write_example(tmp_path / "odd.json", "b.json", {"nested": {"x": 1}})
