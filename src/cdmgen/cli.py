@@ -154,7 +154,7 @@ def cmd_make_template(args, parser) -> int:
             "template written out=%s leaves=%d depth=%d",
             args.out,
             sum(1 for _ in iter_leaf_paths(template.tree)),
-            populator.compute_depths(template).depth - 1,
+            populator.compute_depths(template) - 1,
         )
     return 0
 

@@ -135,10 +135,14 @@ def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
 
 
 def _value_conforms(prop: PropertyDef, value) -> bool:
-    """An array property needs a list of which every element holds."""
-    if prop.array:
-        return isinstance(value, list) and all(_holds(prop, v) for v in value)
-    return _holds(prop, value)
+    """An array property needs a list at each of its levels, of which every
+    innermost element holds."""
+    values = [value]
+    for _ in range(prop.array):
+        if not all(isinstance(v, list) for v in values):
+            return False
+        values = [element for v in values for element in v]
+    return all(_holds(prop, v) for v in values)
 
 
 def _holds(prop: PropertyDef, value) -> bool:

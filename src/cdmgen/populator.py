@@ -54,24 +54,6 @@ class PopulationConfig:
 
 
 @dataclass
-class DepthAnnotatedNode:
-    """One template node with its subtree depth and structural address.
-
-    ``path`` is the normalized dot-path (array elements share their array's
-    path); ``segments`` is the exact address including list indices, used
-    for grafting. Annotation entries are neither children nor counted in
-    depth.
-    """
-
-    name: str
-    path: str
-    segments: tuple
-    depth: int
-    children: list["DepthAnnotatedNode"]
-    fragment: Any
-
-
-@dataclass
 class PopulationTask:
     """A maximal substructure of bounded depth plus its prompt context.
 
@@ -124,74 +106,58 @@ class PopulatedDocument:
 
 
 # ---------------------------------------------------------------------------
-# depth annotation and task selection
+# task selection
 
 
-def compute_depths(template: Template) -> DepthAnnotatedNode:
-    """Annotate every template node with its subtree depth.
-
-    Depth follows :func:`treeops.depth_over`, applied once per node to its
-    children's depths. The returned root is the anonymous template
-    container at path ``""``.
-    """
-    return _annotate_node("", "", (), template.tree)
+def compute_depths(template: Template) -> int:
+    """The template's depth by :func:`treeops.depth`, its root container
+    included."""
+    return treeops.depth(template.tree)
 
 
-def _annotate_node(name, path, segments, fragment) -> DepthAnnotatedNode:
-    children: list[DepthAnnotatedNode] = []
-    if isinstance(fragment, dict):
-        for key, value in treeops.data_items(fragment):
-            child_path = f"{path}.{key}" if path else key
-            children.append(_annotate_node(key, child_path, segments + (key,), value))
-    elif isinstance(fragment, list):
-        for i, value in enumerate(fragment):
-            children.append(_annotate_node(name, path, segments + (i,), value))
-    return DepthAnnotatedNode(
-        name=name,
-        path=path,
-        segments=segments,
-        depth=treeops.depth_over(c.depth for c in children),
-        children=children,
-        fragment=fragment,
-    )
+def select_tasks(template: Template, d: int) -> list[PopulationTask]:
+    """Emit the maximal subtrees of depth <= ``d``, in one top-down walk.
 
-
-def select_tasks(annotated: DepthAnnotatedNode, d: int) -> list[PopulationTask]:
-    """Emit the maximal subtrees of depth <= ``d``, top down.
-
-    A node within the bound becomes one task and is not descended into;
-    deeper nodes are split through their children. The resulting tasks are
-    disjoint and jointly cover every leaf of the template.
+    A fragment within the bound becomes one task and is not descended into.
+    A deeper object is split into its data items, and a deeper array into
+    its elements, which keep the array's name and path. The resulting tasks
+    are disjoint and jointly cover every leaf of the template.
     """
     if d < 1:
         raise ValueError("depth threshold must be >= 1")
     tasks: list[PopulationTask] = []
-    _select(annotated, d, tasks)
+    _select("", "", (), template.tree, d, tasks)
     return tasks
 
 
-def _select(node: DepthAnnotatedNode, d: int, out: list[PopulationTask]) -> None:
-    if node.depth <= d:
-        out.append(_task_from_node(node))
-        return
-    for child in node.children:
-        _select(child, d, out)
+def _select(name: str, path: str, segments: tuple, fragment, d: int, out: list) -> None:
+    if treeops.depth(fragment) <= d:
+        out.append(_task(name, path, segments, fragment))
+    elif isinstance(fragment, dict):
+        for key, value in treeops.data_items(fragment):
+            _select(key, _join(path, key), segments + (key,), value, d, out)
+    else:
+        # Only a container is deeper than d >= 1; an array's elements share its name.
+        for i, value in enumerate(fragment):
+            _select(name, path, segments + (i,), value, d, out)
 
 
-def _task_from_node(node: DepthAnnotatedNode) -> PopulationTask:
-    subtree = copy.deepcopy(node.fragment)
+def _task(name: str, path: str, segments: tuple, fragment) -> PopulationTask:
+    """The task for ``fragment``, named ``name``, at dot-path ``path`` and
+    exact address ``segments`` (list indices included, for grafting)."""
+    subtree = copy.deepcopy(fragment)
     unwrap_key = None
     if not isinstance(subtree, dict):
         # Leaf and whole-array tasks are presented wrapped under their field
         # name so the model can reply with a JSON object.
-        unwrap_key = node.name
-        subtree = {node.name: subtree}
+        unwrap_key = name
+        subtree = {name: subtree}
     return PopulationTask(
-        target_path=node.path,
-        segments=node.segments,
+        target_path=path,
+        segments=segments,
         target_subtree=subtree,
-        object_definition=_definition_of(node.fragment),
-        traversal_context=node.path.split(".")[:-1] if node.path else [],
+        object_definition=_definition_of(fragment),
+        traversal_context=path.split(".")[:-1] if path else [],
         unwrap_key=unwrap_key,
     )
 
@@ -216,7 +182,7 @@ def plan_tasks(
         raise ValueError("use_rag requires a knowledge base")
     if not treeops.data_items(template.tree):
         return []
-    tasks = select_tasks(compute_depths(template), cfg.depth_threshold)
+    tasks = select_tasks(template, cfg.depth_threshold)
     if cfg.use_rag:
         for task in tasks:
             task.retrieved_chunks = retrieve(kb, task_query(task), cfg.k_chunks)

@@ -43,8 +43,9 @@ class PropertyDef:
 
     A property holds one object when it has a ``ref_target`` (inline objects
     point at a synthesized internal document), else one scalar of
-    ``scalar_type``, with ``enum_values`` for an enum. ``array`` marks a
-    property that holds a list of these. ``choice_group`` records which
+    ``scalar_type``, with ``enum_values`` for an enum. ``array`` counts the
+    list levels around these: 0 for none, 1 for a list, 2 for a list of
+    lists, and so on. ``choice_group`` records which
     ``oneOf``/``anyOf`` alternative contributed the property, when any.
     """
 
@@ -52,7 +53,7 @@ class PropertyDef:
     ref_target: Optional[str] = None
     scalar_type: Optional[str] = None
     enum_values: Optional[tuple[str, ...]] = None
-    array: bool = False
+    array: int = 0
     choice_group: Optional[str] = None
 
     def __post_init__(self):
@@ -234,8 +235,9 @@ class _IndexBuilder:
     * An object's properties are its own, then each member's, in order; the
       first of a name wins, and a document already on the chain of members
       adds nothing. ``oneOf``/``anyOf`` members give a ``choice_group``.
-    * An inline object's id is its parent object's id plus ``::name``, or
-      ``::name[]`` for items; its annotation is its own ``description``.
+    * An inline object's id is its parent object's id plus ``::name``, with
+      one ``[]`` per array level for items (``::name[][]`` for an array of
+      arrays); its annotation is its own ``description``.
       Met again inside itself (a member ``$ref`` back to its document), it
       is its ancestor's id.
 
@@ -305,20 +307,22 @@ class _IndexBuilder:
 
     def _classify(self, doc_id: str, obj_id: str, name: str, raw_prop, group) -> PropertyDef:
         """One property of the object ``obj_id``, written in ``doc_id``: the
-        property's node, or for an array its items node, read by the rule."""
+        property's node, or for an array its items node (followed once per
+        array level), read by the rule."""
         if not isinstance(raw_prop, dict):
             raw_prop = {}
-        array = "$ref" not in raw_prop and (
+        array = 0
+        while "$ref" not in raw_prop and (
             raw_prop.get("type") == "array" or isinstance(raw_prop.get("items"), dict)
-        )
-        if array:
+        ):
+            array += 1
             items = raw_prop.get("items")
             raw_prop = items if isinstance(items, dict) else {}
         if "$ref" in raw_prop:
             doc_id, raw_prop = self._resolve(doc_id, raw_prop, f"{doc_id}#{name}")
             where, chain = doc_id, frozenset({doc_id})
         else:
-            where, chain = f"{obj_id}::{name}[]" if array else f"{obj_id}::{name}", frozenset()
+            where, chain = f"{obj_id}::{name}" + "[]" * array, frozenset()
         kind = self._kind(doc_id, raw_prop, where, chain)
         if kind is _OBJECT:
             target = doc_id if where == doc_id else self._register_inline(doc_id, where, raw_prop)

@@ -139,9 +139,11 @@ def _traverse(index: SchemaIndex, doc_id: str, prefix: str, keys: KeyPathSet, de
             value = _traverse(index, prop.ref_target, path, keys, depth + 1)
         else:
             value = treeops.PLACEHOLDERS[prop.scalar_type]
-        # An array gets one prototype element; a bare [] would be pruned and
-        # the example-covered key lost.
-        children[name] = [value] if prop.array else value
+        # Each array level gets one prototype element; a bare [] would be
+        # pruned and the example-covered key lost.
+        for _ in range(prop.array):
+            value = [value]
+        children[name] = value
     return _annotate(children, doc.description)
 
 

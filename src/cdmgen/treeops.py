@@ -17,7 +17,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .errors import MalformedDocument, OutputUnwritable
 
@@ -239,9 +239,14 @@ def strip_annotations(value: Any) -> Any:
     return value
 
 
-def depth_over(child_depths: Iterable[int]) -> int:
-    """The depth rule: leaf = 1, container = 1 + max(children), empty = 1."""
-    return 1 + max(child_depths, default=0)
+def depth(value: Any) -> int:
+    """The depth rule: a leaf is 1, a container 1 + its deepest child, an
+    empty container 1. Annotations are not children."""
+    if isinstance(value, dict):
+        return 1 + max((depth(child) for _, child in data_items(value)), default=0)
+    if isinstance(value, list):
+        return 1 + max((depth(child) for child in value), default=0)
+    return 1
 
 
 def prune(value: Any, removable: Callable[[Any], bool]) -> Any:

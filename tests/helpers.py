@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from cdmgen.dryrun import build_population_script
-from cdmgen.populator import PopulationConfig, build_prompt, compute_depths, select_tasks
+from cdmgen.populator import PopulationConfig, build_prompt, select_tasks
 from cdmgen.gateway import prompt_hash
 from cdmgen.schema_index import load_schema_dir
 from cdmgen.template_builder import build_template, flatten_examples
@@ -49,7 +49,7 @@ def prepare_pipeline(
         template = build_template(index, keys, contract_type)
         contract_text = contract_path.read_text(encoding="utf-8")
         if key in sabotage:
-            for task in select_tasks(compute_depths(template), cfg.depth_threshold):
+            for task in select_tasks(template, cfg.depth_threshold):
                 prompt = build_prompt(task, contract_text, cfg)
                 script[prompt_hash(prompt)] = json.dumps({"notTheRightShape": 1})
         else:

@@ -395,3 +395,86 @@ def ingest_indented(examples, contract_type: str, budget: int) -> list:
     for file_name, parsed in examples:
         visit(parsed, file_name, "", None, False)
     return chunks
+
+
+# ---------------------------------------------------------------------------
+# two-pass task planner
+
+
+TASK_FIELDS = (
+    "target_path",
+    "segments",
+    "target_subtree",
+    "structure_text",
+    "unwrap_key",
+    "object_definition",
+    "traversal_context",
+)
+
+
+def plan_two_pass(tree: dict, d: int) -> list:
+    """The tasks of a template ``tree`` at depth threshold ``d``, planned in
+    two passes: first a copy of the whole tree with every node's name, path,
+    address, children and depth (a leaf 1, a container 1 + its deepest
+    child, an empty container 1), then a walk of that copy that makes a
+    task of each node of depth <= ``d`` and splits every deeper one into
+    its children. Annotations (``_template_description``, or a
+    ``description`` holding text that is not a placeholder) are neither
+    children nor counted in depth. Each task is a SimpleNamespace of
+    :data:`TASK_FIELDS`."""
+
+    def is_annotation(key, value):
+        if key == "_template_description":
+            return True
+        return key == "description" and isinstance(value, str) and value not in ("", "YYYY-MM-DD")
+
+    def annotate(name, path, segments, fragment):
+        children = []
+        if isinstance(fragment, dict):
+            for key, value in fragment.items():
+                if not is_annotation(key, value):
+                    child_path = f"{path}.{key}" if path else key
+                    children.append(annotate(key, child_path, segments + (key,), value))
+        elif isinstance(fragment, list):
+            for i, value in enumerate(fragment):
+                children.append(annotate(name, path, segments + (i,), value))
+        depth = 1 + max((child.depth for child in children), default=0)
+        return SimpleNamespace(
+            name=name, path=path, segments=segments, depth=depth, children=children, fragment=fragment
+        )
+
+    def definition(fragment):
+        if isinstance(fragment, list) and fragment and isinstance(fragment[0], dict):
+            fragment = fragment[0]
+        if not isinstance(fragment, dict):
+            return ""
+        if isinstance(fragment.get("_template_description"), str):
+            return fragment["_template_description"]
+        value = fragment.get("description")
+        return value if is_annotation("description", value) else ""
+
+    def task(node):
+        subtree, unwrap_key = json.loads(json.dumps(node.fragment)), None
+        if not isinstance(subtree, dict):
+            subtree, unwrap_key = {node.name: subtree}, node.name
+        return SimpleNamespace(
+            target_path=node.path,
+            segments=node.segments,
+            target_subtree=subtree,
+            structure_text=json.dumps(subtree, indent=2, ensure_ascii=False),
+            unwrap_key=unwrap_key,
+            object_definition=definition(node.fragment),
+            traversal_context=node.path.split(".")[:-1] if node.path else [],
+        )
+
+    tasks = []
+
+    def select(node):
+        if node.depth <= d:
+            tasks.append(task(node))
+        else:
+            for child in node.children:
+                select(child)
+
+    select(annotate("", "", (), tree))
+    return tasks

@@ -29,7 +29,6 @@ from cdmgen.populator import (
     baseline_generate,
     build_prompt,
     clean,
-    compute_depths,
     populate,
     repair_prompt,
     select_tasks,
@@ -216,7 +215,7 @@ def test_criterion_5_depth_properties(cdm_index, examples_root):
 
     keys = flatten_examples(examples_root / "interest_rate_swap")
     template = build_template(cdm_index, keys, "InterestRateSwap")
-    tasks = select_tasks(compute_depths(template), 4)
+    tasks = select_tasks(template, 4)
     paths = [t.target_path for t in tasks]
     assert "trade.tradeIdentifier.assignedIdentifier" in paths
     task = next(t for t in tasks if t.target_path == "trade.tradeIdentifier.assignedIdentifier")
@@ -229,7 +228,7 @@ def test_criterion_6_repair_loop():
         tree={"id": {"value": ""}, "amount": 0}, contract_type="sample", schema_root="r"
     )
     cfg = PopulationConfig(retry_limit=2, max_inflight=1)
-    [task] = select_tasks(compute_depths(template), cfg.depth_threshold)
+    [task] = select_tasks(template, cfg.depth_threshold)
     first = build_prompt(task, "contract", cfg)
     good = {"id": {"value": "UC-1"}, "amount": 3}
     bad = {"id": {"value": "UC-1"}, "amount": 3, "extra": True}

@@ -214,10 +214,10 @@ def test_populate_exhaustion_exits_1_but_writes_artifacts(
     template.save(template_path)
     contract_path = contracts_dir / "foreign_exchange.txt"
     cfg = PopulationConfig(retry_limit=0, max_inflight=1)
-    from cdmgen.populator import build_prompt, compute_depths, select_tasks
+    from cdmgen.populator import build_prompt, select_tasks
 
     script = {}
-    for task in select_tasks(compute_depths(template), cfg.depth_threshold):
+    for task in select_tasks(template, cfg.depth_threshold):
         prompt = build_prompt(task, contract_path.read_text(encoding="utf-8"), cfg)
         script[prompt_hash(prompt)] = json.dumps({"wrongShape": 1})
     script_path = tmp_path / "script.json"
@@ -1592,7 +1592,7 @@ def test_a_setting_takes_the_flag_then_the_variable_then_the_run_config_then_the
 
     def expected(value):
         if key == "depth_threshold":
-            return {task.target_path for task in populator.select_tasks(populator.compute_depths(template), value)}
+            return {task.target_path for task in populator.select_tasks(template, value)}
         weights = CoverageWeights(**{key: value})
         return pytest.approx(100 / (1 + weights.mu + weights.epsilon))
 
@@ -2047,7 +2047,7 @@ def test_pipeline_plans_a_template_once_and_writes_what_single_runs_write(
     assert run(["pipeline", "--config", config_path]) == 0
     assert len(plans) == 1
     # The three contracts shared the plan, and none of their runs changed it.
-    fresh = select_tasks(populator.compute_depths(template), cfg.depth_threshold)
+    fresh = select_tasks(template, cfg.depth_threshold)
     assert [task.target_subtree for task in plans[0]] == [task.target_subtree for task in fresh]
     assert [task.structure_text for task in plans[0]] == [task.structure_text for task in fresh]
 

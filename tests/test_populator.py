@@ -3,13 +3,17 @@ from __future__ import annotations
 import copy
 import json
 import random
+import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure, GenerationIncomplete, ProviderUnavailable, Timeout
@@ -32,6 +36,9 @@ from cdmgen.evaluator import evaluate_document
 from cdmgen.schema_index import load_schema_dir
 from cdmgen.template_builder import Template, build_template, flatten_examples
 from cdmgen import treeops
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import corpus  # noqa: E402
 
 
 def make_template(tree) -> Template:
@@ -67,33 +74,35 @@ class FakeGateway:
 
 
 def test_depth_of_single_leaf():
-    node = compute_depths(make_template({"value": ""}))
-    assert node.children[0].depth == 1
-    assert node.depth == 2
+    template = make_template({"value": ""})
+    assert treeops.depth(template.tree["value"]) == 1
+    assert compute_depths(template) == 2
 
 
 def test_depth_of_nested_object():
     # hand-applied recurrence: leaf 1, inner object 2, container 3
-    node = compute_depths(make_template({"a": {"b": ""}}))
-    assert node.depth == 3
+    assert compute_depths(make_template({"a": {"b": ""}})) == 3
 
 
 def test_depth_of_empty_template():
-    node = compute_depths(make_template({}))
-    assert node.depth == 1
-    assert node.children == []
+    template = make_template({})
+    assert compute_depths(template) == 1
+    # The empty root is one whole task, with no child to split into.
+    assert [t.segments for t in select_tasks(template, 1)] == [()]
 
 
 def test_depth_skips_annotations():
-    node = compute_depths(make_template({"description": "Ann.", "a": ""}))
-    assert node.depth == 2
-    assert [c.name for c in node.children] == ["a"]
+    # Counted as a child, the annotation would make this depth 2.
+    assert compute_depths(make_template({"description": "Ann."})) == 1
+    template = make_template({"description": "Ann.", "a": ""})
+    assert compute_depths(template) == 2
+    # Split at d=1, only the data field gets a task; the annotation gets none.
+    assert [t.target_path for t in select_tasks(template, 1)] == ["a"]
 
 
 def test_array_adds_a_level():
-    node = compute_depths(make_template({"ids": [{"v": ""}]}))
     # v=1, element=2, array=3, container=4
-    assert node.depth == 4
+    assert compute_depths(make_template({"ids": [{"v": ""}]})) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +114,9 @@ def chain_template() -> Template:
 
 
 def test_chain_depth_six_emits_single_depth_four_task():
-    annotated = compute_depths(chain_template())
-    assert annotated.depth == 6
-    tasks = select_tasks(annotated, 4)
+    template = chain_template()
+    assert compute_depths(template) == 6
+    tasks = select_tasks(template, 4)
     assert len(tasks) == 1
     assert tasks[0].target_path == "a.b"
     assert tasks[0].target_subtree == {"c": {"d": {"e": ""}}}
@@ -116,7 +125,7 @@ def test_chain_depth_six_emits_single_depth_four_task():
 
 def test_shallow_tree_is_one_whole_task():
     template = make_template({"x": {"y": ""}})
-    tasks = select_tasks(compute_depths(template), 4)
+    tasks = select_tasks(template, 4)
     assert len(tasks) == 1
     assert tasks[0].target_path == ""
     assert tasks[0].target_subtree == template.tree
@@ -124,7 +133,7 @@ def test_shallow_tree_is_one_whole_task():
 
 def test_threshold_one_emits_one_task_per_leaf():
     template = make_template({"a": {"b": "", "c": 0}, "d": False})
-    tasks = select_tasks(compute_depths(template), 1)
+    tasks = select_tasks(template, 1)
     assert sorted(t.target_path for t in tasks) == ["a.b", "a.c", "d"]
     assert all(t.unwrap_key for t in tasks)
 
@@ -132,7 +141,7 @@ def test_threshold_one_emits_one_task_per_leaf():
 def test_fig2_style_fixture_emits_assigned_identifier_task(cdm_index, examples_root):
     keys = flatten_examples(examples_root / "interest_rate_swap")
     template = build_template(cdm_index, keys, "InterestRateSwap")
-    tasks = select_tasks(compute_depths(template), 4)
+    tasks = select_tasks(template, 4)
     by_path = {t.target_path: t for t in tasks}
     assert "trade.tradeIdentifier.assignedIdentifier" in by_path
     task = by_path["trade.tradeIdentifier.assignedIdentifier"]
@@ -197,8 +206,7 @@ def random_template_tree(rng: random.Random, max_depth=7, max_nodes=200) -> dict
 
 def check_task_properties(tree: dict, d: int) -> int:
     template = make_template(tree)
-    annotated = compute_depths(template)
-    tasks = select_tasks(annotated, d)
+    tasks = select_tasks(template, d)
     addresses = [t.segments for t in tasks]
     # disjointness: no task address is a prefix of another
     for i, a in enumerate(addresses):
@@ -242,6 +250,64 @@ def test_randomized_task_properties(seed):
         previous = count
 
 
+def assert_plan_matches_two_pass(template: Template, d: int) -> None:
+    """``select_tasks`` plans the same tasks as the two-pass reference, in
+    the same order and equal in every field the planner sets."""
+    planned = [{name: getattr(task, name) for name in oracles.TASK_FIELDS} for task in select_tasks(template, d)]
+    expected = [vars(task) for task in oracles.plan_two_pass(template.tree, d)]
+    assert planned == expected, d
+
+
+PLACEHOLDER_LEAVES = st.sampled_from(["", "YYYY-MM-DD", 0, False])
+FIELD_NAMES = st.sampled_from(["a", "b", "id", "description"])
+
+
+def _annotated(children: dict, note) -> dict:
+    """An object node as the template builder writes one: its annotation
+    first, moved to ``_template_description`` beside a data field named
+    ``description``."""
+    if note is None:
+        return children
+    key = treeops.FALLBACK_DESCRIPTION_KEY if treeops.DESCRIPTION_KEY in children else treeops.DESCRIPTION_KEY
+    return {key: note, **children}
+
+
+def _objects(values):
+    return st.builds(_annotated, st.dictionaries(FIELD_NAMES, values, max_size=4), st.sampled_from([None, "Ann."]))
+
+
+# Arrays of objects, of scalars and of arrays, empty arrays and objects,
+# and objects holding only an annotation.
+TEMPLATE_TREES = _objects(
+    st.recursive(PLACEHOLDER_LEAVES, lambda inner: st.lists(inner, max_size=2) | _objects(inner), max_leaves=24)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=TEMPLATE_TREES, d=st.integers(min_value=1, max_value=8))
+def test_the_plan_equals_the_two_pass_reference_on_drawn_trees(tree, d):
+    assert_plan_matches_two_pass(make_template(tree), d)
+
+
+def test_the_plan_equals_the_two_pass_reference_on_the_fixtures(cdm_index, examples_root):
+    for key, contract_type in helpers.CONTRACT_TYPES.items():
+        template = build_template(cdm_index, flatten_examples(examples_root / key), contract_type)
+        for d in range(1, 12):
+            assert_plan_matches_two_pass(template, d)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_the_plan_equals_the_two_pass_reference_on_generated_corpora(seed):
+    with tempfile.TemporaryDirectory() as work:
+        batch = corpus.cdm_scale_batch(Path(work), random.Random(seed), corpus.SMOKE_SCALE)
+        index = load_schema_dir(batch.schema_dir, batch.root_file)
+        for contract_type, examples_dir in batch.examples_dirs.items():
+            template = build_template(index, flatten_examples(examples_dir), contract_type)
+            for d in range(1, 12):
+                assert_plan_matches_two_pass(template, d)
+
+
 # ---------------------------------------------------------------------------
 # prompt construction
 
@@ -249,7 +315,7 @@ def test_randomized_task_properties(seed):
 def fig2_task(cdm_index, examples_root):
     keys = flatten_examples(examples_root / "interest_rate_swap")
     template = build_template(cdm_index, keys, "InterestRateSwap")
-    tasks = select_tasks(compute_depths(template), 4)
+    tasks = select_tasks(template, 4)
     return next(t for t in tasks if t.target_path == "trade.tradeIdentifier.assignedIdentifier")
 
 
@@ -473,7 +539,7 @@ def simple_template() -> Template:
 def test_populate_happy_path_single_attempt():
     template = simple_template()
     cfg = config()
-    [task] = select_tasks(compute_depths(template), cfg.depth_threshold)
+    [task] = select_tasks(template, cfg.depth_threshold)
     prompt = build_prompt(task, "contract", cfg)
     fill = {"id": {"value": "UC-1"}, "amount": 12.5}
     gateway = MockProvider({prompt_hash(prompt): json.dumps(fill)})
@@ -489,7 +555,7 @@ def test_populate_happy_path_single_attempt():
 def test_populate_retries_after_shape_mismatch():
     template = simple_template()
     cfg = config()
-    [task] = select_tasks(compute_depths(template), cfg.depth_threshold)
+    [task] = select_tasks(template, cfg.depth_threshold)
     prompt = build_prompt(task, "contract", cfg)
     bad = {"id": {"value": "UC-1"}, "amount": 12.5, "extra": 1}
     retry = repair_prompt(prompt, validate_shape(task.target_subtree, bad))
@@ -506,7 +572,7 @@ def test_populate_retries_after_shape_mismatch():
 def test_populate_exhaustion_keeps_placeholders():
     template = simple_template()
     cfg = config(retry_limit=2)
-    [task] = select_tasks(compute_depths(template), cfg.depth_threshold)
+    [task] = select_tasks(template, cfg.depth_threshold)
     prompt = build_prompt(task, "contract", cfg)
     bad = {"wrong": True}
     retry = repair_prompt(prompt, validate_shape(task.target_subtree, bad))
@@ -526,7 +592,7 @@ def test_populate_exhaustion_keeps_placeholders():
 def test_populate_aborts_on_provider_outage_with_partial_provenance():
     template = make_template({"a": {"x": ""}, "b": {"y": ""}})
     cfg = config(depth_threshold=2)
-    tasks = select_tasks(compute_depths(template), cfg.depth_threshold)
+    tasks = select_tasks(template, cfg.depth_threshold)
     assert [t.target_path for t in tasks] == ["a", "b"]
     first_prompt = build_prompt(tasks[0], "contract", cfg)
     gateway = MockProvider({prompt_hash(first_prompt): json.dumps({"x": "done"})})
@@ -562,7 +628,7 @@ def valid_script(template, cfg) -> dict:
     """A reply that validates first time for every task of ``template``."""
     return {
         prompt_hash(build_prompt(task, "c", cfg)): json.dumps(_fill_naive(task.target_subtree))
-        for task in select_tasks(compute_depths(template), cfg.depth_threshold)
+        for task in select_tasks(template, cfg.depth_threshold)
     }
 
 
@@ -570,7 +636,7 @@ def test_outage_keeps_partial_provenance_of_array_elements_under_distinct_keys()
     leg = {"a": {"b": {"c": ""}}}
     template = make_template({"legs": [leg, copy.deepcopy(leg)], "z": ""})
     cfg = config(depth_threshold=4)
-    tasks = select_tasks(compute_depths(template), cfg.depth_threshold)
+    tasks = select_tasks(template, cfg.depth_threshold)
     assert [t.target_path for t in tasks] == ["legs", "legs", "z"]
     full = populate(template, "c", None, MockProvider(valid_script(template, cfg)), cfg)
     assert set(full.provenance) == {"legs", "legs+", "z"}
@@ -600,7 +666,7 @@ def test_auth_failure_and_timeout_keep_partial_provenance(error, max_inflight):
 def test_outage_stops_queued_tasks():
     template = make_template({f"f{i:02d}": "" for i in range(42)})
     cfg = config(depth_threshold=1, max_inflight=4)
-    assert len(select_tasks(compute_depths(template), cfg.depth_threshold)) == 42
+    assert len(select_tasks(template, cfg.depth_threshold)) == 42
     # Successful calls take 20 ms, so the tasks in flight cannot finish and
     # start new ones before the outage on call 2 stops the run.
     gateway = FailingProvider(valid_script(template, cfg), fail_on=2, delay=0.02)
@@ -662,7 +728,7 @@ def test_outage_at_any_call_completes_or_keeps_a_subset_of_the_full_provenance(
 def test_populate_truncated_reply_is_retried():
     template = simple_template()
     cfg = config()
-    [task] = select_tasks(compute_depths(template), cfg.depth_threshold)
+    [task] = select_tasks(template, cfg.depth_threshold)
     prompt = build_prompt(task, "contract", cfg)
 
     truncated_report = ShapeReport([Mismatch("(root)", "truncated", "output was cut off")])
@@ -682,7 +748,7 @@ def test_populate_truncated_reply_is_retried():
 def test_populate_unparseable_reply_is_retried_then_falls_back():
     template = simple_template()
     cfg = config(retry_limit=0)
-    [task] = select_tasks(compute_depths(template), cfg.depth_threshold)
+    [task] = select_tasks(template, cfg.depth_threshold)
     prompt = build_prompt(task, "contract", cfg)
     gateway = MockProvider({prompt_hash(prompt): "no json at all"})
     doc = populate(template, "contract", None, gateway, cfg)
@@ -763,7 +829,7 @@ def test_populate_preserves_data_field_named_description():
         {"_template_description": "Object docs.", "description": "", "label": ""}
     )
     cfg = config()
-    [task] = select_tasks(compute_depths(template), cfg.depth_threshold)
+    [task] = select_tasks(template, cfg.depth_threshold)
     prompt = build_prompt(task, "contract", cfg)
     fill = {"description": "A five year payer swap.", "label": "L-1"}
     gateway = MockProvider({prompt_hash(prompt): json.dumps(fill)})
@@ -775,7 +841,7 @@ def test_populate_preserves_data_field_named_description():
 def test_populate_failed_task_keeps_placeholders_without_annotations():
     template = make_template({"a": {"description": "Ann.", "x": ""}, "b": {"y": ""}})
     cfg = config(depth_threshold=2, retry_limit=0)
-    tasks = select_tasks(compute_depths(template), cfg.depth_threshold)
+    tasks = select_tasks(template, cfg.depth_threshold)
     prompts_by_path = {t.target_path: build_prompt(t, "c", cfg) for t in tasks}
     gateway = MockProvider(
         {

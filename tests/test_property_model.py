@@ -1,9 +1,10 @@
 """One reading of every schema property shape, pinned end to end.
 
-A property holds one object or one scalar, and may be an array of either.
-The template builder, the evaluator and the dry run must all read each
-shape the same way: the template gives it the right skeleton, a value of
-that shape adheres, and a value of another shape does not.
+A property holds one object or one scalar, and may be an array of either
+or an array of such arrays. The template builder, the evaluator and the
+dry run must all read each shape the same way: the template gives it the
+right skeleton, a value of that shape adheres, and a value of another
+shape does not.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ SCHEMA = {
                 "items": {"type": "object", "properties": {"label": {"type": "string"}}},
             },
             "plainScalars": {"type": "array", "items": {"type": "number"}},
+            "nestedScalars": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
             "bareItems": {"items": {"type": "integer"}},
             "refWins": {"$ref": "thing.schema.json", "type": "array", "items": {"type": "string"}},
             "inlineObject": {"type": "object", "properties": {"flag": {"type": "boolean"}}},
@@ -83,6 +85,8 @@ SHAPES = {
     "refScalars": ([P["enum"]], ["A", "B"], ["A", "Z"]),
     "inlineItems": ([{"label": P["string"]}], [{"label": "a"}], {"label": "a"}),
     "plainScalars": ([P["number"]], [1, 2.5], [1, "2"]),
+    # An array of arrays has a list at each level.
+    "nestedScalars": ([[P["number"]]], [[1.5, 2]], ["x"]),
     "bareItems": ([P["integer"]], [1, 2], [1.5]),
     "refWins": (THING, {"id": "x"}, [{"id": "x"}]),
     "inlineObject": ({"flag": P["boolean"]}, {"flag": True}, [True]),
