@@ -9,6 +9,7 @@ embeds timestamps, so identical inputs reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -133,10 +134,13 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
 def _make_gateway(parser, args, mock_script, file_values: dict):
     """A command's provider: the mock script when one is named, else an
     HTTP client, configured from the provider flags and a run config's
-    ``provider`` keys, that keeps a connection per call in flight."""
+    ``provider`` keys, that keeps a connection per call in flight. The
+    client's connections are closed when the command returns."""
     if mock_script:
         return MockProvider.from_file(mock_script)
-    return HttpProvider(_configure(parser, ProviderConfig, args, file_values))
+    provider = HttpProvider(_configure(parser, ProviderConfig, args, file_values))
+    args.on_return.callback(provider.close)
+    return provider
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +627,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.func(args, parser)
+        with contextlib.ExitStack() as args.on_return:
+            return args.func(args, parser)
     except CdmgenError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 1

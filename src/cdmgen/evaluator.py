@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 from . import treeops
@@ -32,6 +33,8 @@ DEFAULT_MU = 0.3
 DEFAULT_EPSILON = 0.1
 
 METRICS = ("syntactical_correctness", "schema_adherence", "coverage_score")
+# The key an array element is read under in the evaluator's walk.
+_ELEMENT = object()
 # The name of the row that :func:`aggregate` computes over all groups.
 COMBINED = "combined"
 
@@ -118,18 +121,57 @@ class EvaluationReport:
 
 
 def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
-    """Both structural metrics from one walk with one schema lookup per
-    key occurrence; the per-path detail records ``exists`` and ``adheres``."""
+    """Both structural metrics from one pre-order walk of the document
+    beside the schema; the per-path detail records ``exists`` and
+    ``adheres`` for each key occurrence, annotation keys included.
+
+    A key is read from the properties of the schema document its object
+    stands for, as the template builder reads them. Where
+    :meth:`SchemaIndex.lookup` would read its path otherwise (a key that is
+    empty, all digits or holds a ``.``, a key that is not a property there,
+    or a path deeper than the depth guard), the key and everything under it
+    are resolved from the root by :meth:`SchemaIndex.property_at`. The walk
+    keeps its own stack, so any document the JSON parser reads is scored.
+    """
     if not isinstance(doc, dict) or not doc:
         raise EmptyDocument("document contains no keys")
     detail = []
-    for path, value in treeops.iter_key_paths(doc):
-        prop = index.property_at(path)
-        adheres = prop is not None and _value_conforms(prop, value)
-        detail.append({"path": path, "exists": prop is not None, "adheres": adheres})
+    existing = adhering = 0
+    guard = index.max_path_depth
+    # The objects and arrays being read, innermost last: an iterator over
+    # their entries left (an array's under the key _ELEMENT), the properties
+    # their keys are read from (None: resolve each from the root), and their
+    # path with its number of segments.
+    stack = [(iter(doc.items()), index.doc(index.start_id).properties, "", 0)]
+    while stack:
+        entries, properties, prefix, depth = stack[-1]
+        for key, value in entries:
+            if key is _ELEMENT:
+                inner, path, below = properties, prefix, depth
+            else:
+                path = f"{prefix}.{key}" if prefix else key
+                prop = properties.get(key) if properties is not None and depth < guard else None
+                if prop is not None and key and "." not in key and not key.isdigit():
+                    inner = index.doc(prop.ref_target).properties if prop.ref_target is not None else None
+                else:
+                    prop, inner = index.property_at(path), None
+                exists = prop is not None
+                adheres = exists and _value_conforms(prop, value)
+                existing += exists
+                adhering += adheres
+                detail.append({"path": path, "exists": exists, "adheres": adheres})
+                below = depth + 1
+            if isinstance(value, dict):
+                stack.append((iter(value.items()), inner, path, below))
+                break
+            if isinstance(value, list):
+                stack.append((zip(repeat(_ELEMENT), value), inner, path, below))
+                break
+        else:
+            stack.pop()
     return EvaluationReport(
-        syntactical_correctness=100.0 * sum(d["exists"] for d in detail) / len(detail),
-        schema_adherence=100.0 * sum(d["adheres"] for d in detail) / len(detail),
+        syntactical_correctness=100.0 * existing / len(detail),
+        schema_adherence=100.0 * adhering / len(detail),
         per_path_detail=detail,
     )
 
@@ -137,6 +179,8 @@ def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
 def _value_conforms(prop: PropertyDef, value) -> bool:
     """An array property needs a list at each of its levels, of which every
     innermost element holds."""
+    if not prop.array:
+        return _holds(prop, value)
     values = [value]
     for _ in range(prop.array):
         if not all(isinstance(v, list) for v in values):

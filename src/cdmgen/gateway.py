@@ -353,7 +353,7 @@ class HttpProvider:
                 raise ProviderUnavailable(f"provider error {status}: {text[:200]}")
             try:
                 reply = json.loads(data)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ProviderUnavailable(f"provider sent a non-JSON body: {exc}") from exc
             return self._parse(reply)
         raise last_error if last_error else ProviderUnavailable("provider call failed")
@@ -415,14 +415,18 @@ def extract_structured(text: str) -> dict:
 
     Fenced code blocks are tried first and must decode whole; then the raw
     text is decoded from each ``{`` in turn, ignoring what follows the
-    object. Raises :class:`NoStructuredPayload` when nothing decodes, or
+    object. Raises :class:`NoStructuredPayload` when nothing decodes, when
+    a candidate is nested deeper than the parser's recursion limit, or
     when the object found holds a lone surrogate, which no file can hold.
     """
-    payload = _first_object(text) if text else None
+    try:
+        payload = _first_object(text) if text else None
+        # A surrogate comes from a \u escape, or from a provider's own text.
+        surrogate = payload is not None and ("\\u" in text or not text.isascii()) and lone_surrogate(payload)
+    except RecursionError:
+        raise NoStructuredPayload("the JSON in model output is nested too deeply to read") from None
     if payload is None:
         raise NoStructuredPayload("no balanced JSON object found in model output")
-    # A surrogate comes from a \u escape, or from a provider's own text.
-    surrogate = ("\\u" in text or not text.isascii()) and lone_surrogate(payload)
     if surrogate:
         raise NoStructuredPayload(f"the JSON object in model output holds the lone surrogate {surrogate}")
     return payload

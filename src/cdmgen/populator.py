@@ -14,7 +14,6 @@ Direct single-prompt generation (the non-template baseline) lives here too.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import threading
@@ -61,7 +60,9 @@ class PopulationTask:
     encoded once when the task is made. Unlike the evidence a prompt
     carries (:func:`gateway.evidence_json`), it stays indented: it is the
     shape the reply must copy. A batch shares one planned task
-    among its contracts, so nothing changes a task after it is planned.
+    among its contracts, so nothing changes a task after it is planned;
+    its subtree is the template's own fragment, which is not changed
+    either.
     """
 
     target_path: str
@@ -116,42 +117,59 @@ def compute_depths(template: Template) -> int:
 
 
 def select_tasks(template: Template, d: int) -> list[PopulationTask]:
-    """Emit the maximal subtrees of depth <= ``d``, in one top-down walk.
+    """Emit the maximal subtrees of depth <= ``d``, in one post-order walk.
 
-    A fragment within the bound becomes one task and is not descended into.
-    A deeper object is split into its data items, and a deeper array into
-    its elements, which keep the array's name and path. The resulting tasks
-    are disjoint and jointly cover every leaf of the template.
+    The walk learns each fragment's depth from its children's. A fragment
+    within the bound is kept whole, in place of what was kept below it; a
+    deeper object is split into its data items, and a deeper array into
+    its elements, which keep the array's name and path. Tasks are built
+    for the kept fragments only, in document order; they are disjoint and
+    jointly cover every leaf of the template.
     """
     if d < 1:
         raise ValueError("depth threshold must be >= 1")
-    tasks: list[PopulationTask] = []
-    _select("", "", (), template.tree, d, tasks)
-    return tasks
+    kept: list[tuple] = []
+    _select("", "", (), template.tree, d, kept)
+    return [_task(*fragment) for fragment in kept]
 
 
-def _select(name: str, path: str, segments: tuple, fragment, d: int, out: list) -> None:
-    if treeops.depth(fragment) <= d:
-        out.append(_task(name, path, segments, fragment))
-    elif isinstance(fragment, dict):
-        for key, value in treeops.data_items(fragment):
-            _select(key, _join(path, key), segments + (key,), value, d, out)
+def _select(name: str, path: str, segments: tuple, fragment, d: int, kept: list) -> int:
+    """Add to ``kept`` the maximal fragments of depth <= ``d`` in the
+    container ``fragment``, each as ``(name, path, segments, fragment)``,
+    and return its depth by :func:`treeops.depth`. A leaf child is kept as
+    it is met, since its depth, 1, is within any bound."""
+    if isinstance(fragment, dict):
+        children = [
+            (key, f"{path}.{key}" if path else key, segments + (key,), value)
+            for key, value in treeops.data_items(fragment)
+        ]
     else:
-        # Only a container is deeper than d >= 1; an array's elements share its name.
-        for i, value in enumerate(fragment):
-            _select(name, path, segments + (i,), value, d, out)
+        # An array's elements share its name.
+        children = [(name, path, segments + (i,), value) for i, value in enumerate(fragment)]
+    mark = len(kept)
+    deepest = 0
+    for child in children:
+        if isinstance(child[3], (dict, list)):
+            depth = _select(*child, d, kept)
+            if depth > deepest:
+                deepest = depth
+        else:
+            kept.append(child)
+            deepest = deepest or 1
+    if deepest < d:
+        del kept[mark:]
+        kept.append((name, path, segments, fragment))
+    return deepest + 1
 
 
 def _task(name: str, path: str, segments: tuple, fragment) -> PopulationTask:
     """The task for ``fragment``, named ``name``, at dot-path ``path`` and
     exact address ``segments`` (list indices included, for grafting)."""
-    subtree = copy.deepcopy(fragment)
-    unwrap_key = None
-    if not isinstance(subtree, dict):
+    subtree, unwrap_key = fragment, None
+    if not isinstance(fragment, dict):
         # Leaf and whole-array tasks are presented wrapped under their field
         # name so the model can reply with a JSON object.
-        unwrap_key = name
-        subtree = {name: subtree}
+        subtree, unwrap_key = {name: fragment}, name
     return PopulationTask(
         target_path=path,
         segments=segments,

@@ -83,7 +83,9 @@ class SchemaIndex:
     root itself unless its body is a ``$ref``).
 
     The path table is a lazy memo over :meth:`lookup`; it is bounded by the
-    set of distinct normalized paths ever queried.
+    set of distinct normalized paths ever queried. Scoring reads each
+    document's ``properties`` as it walks and asks :meth:`lookup` only for
+    a path it cannot read that way, so it adds only those paths.
     """
 
     root_id: str
@@ -226,6 +228,9 @@ class _IndexBuilder:
 
     * A node with ``$ref`` stands for the document at the end of its
       ``$ref`` chain, sibling keys ignored; a cycle is :class:`CycleDetected`.
+    * A property is read as the node its ``$ref`` chains and array
+      ``items`` lead to, one array level per ``items``, so a ``$ref`` to a
+      document that is itself an array schema reads as that array.
     * Any other node is an object when it has ``properties``, ``type:
       object`` or an object member, else a scalar when it has ``enum``, a
       scalar ``type`` or a scalar member. The node that declares the scalar
@@ -237,7 +242,8 @@ class _IndexBuilder:
       adds nothing. ``oneOf``/``anyOf`` members give a ``choice_group``.
     * An inline object's id is its parent object's id plus ``::name``, with
       one ``[]`` per array level for items (``::name[][]`` for an array of
-      arrays); its annotation is its own ``description``.
+      arrays), or, for the items of an array document, that document's id
+      with one ``[]`` per level; its annotation is its own ``description``.
       Met again inside itself (a member ``$ref`` back to its document), it
       is its ancestor's id.
 
@@ -307,27 +313,33 @@ class _IndexBuilder:
 
     def _classify(self, doc_id: str, obj_id: str, name: str, raw_prop, group) -> PropertyDef:
         """One property of the object ``obj_id``, written in ``doc_id``: the
-        property's node, or for an array its items node (followed once per
-        array level), read by the rule."""
-        if not isinstance(raw_prop, dict):
-            raw_prop = {}
+        node that the property's ``$ref`` chains and array ``items`` lead
+        to, read by the rule, with one array level per ``items`` followed,
+        before a ``$ref`` or after one. Items that lead back to a document
+        already passed raise :class:`CycleDetected`."""
+        node = raw_prop if isinstance(raw_prop, dict) else {}
         array = 0
-        while "$ref" not in raw_prop and (
-            raw_prop.get("type") == "array" or isinstance(raw_prop.get("items"), dict)
-        ):
-            array += 1
-            items = raw_prop.get("items")
-            raw_prop = items if isinstance(items, dict) else {}
-        if "$ref" in raw_prop:
-            doc_id, raw_prop = self._resolve(doc_id, raw_prop, f"{doc_id}#{name}")
-            where, chain = doc_id, frozenset({doc_id})
-        else:
-            where, chain = f"{obj_id}::{name}" + "[]" * array, frozenset()
-        kind = self._kind(doc_id, raw_prop, where, chain)
+        where, chain, written = f"{obj_id}::{name}", frozenset(), f"{doc_id}#{name}"
+        passed: list[str] = []
+        while True:
+            if "$ref" in node:
+                doc_id, node = self._resolve(doc_id, node, written)
+                if doc_id in passed:
+                    raise CycleDetected(f"array items cycle through {' -> '.join(passed + [doc_id])}")
+                passed.append(doc_id)
+                where, chain, written = doc_id, frozenset({doc_id}), doc_id
+            elif node.get("type") == "array" or isinstance(node.get("items"), dict):
+                array += 1
+                where += "[]"
+                items = node.get("items")
+                node = items if isinstance(items, dict) else {}
+            else:
+                break
+        kind = self._kind(doc_id, node, where, chain)
         if kind is _OBJECT:
-            target = doc_id if where == doc_id else self._register_inline(doc_id, where, raw_prop)
+            target = doc_id if where == doc_id else self._register_inline(doc_id, where, node)
             return PropertyDef(name, ref_target=target, array=array, choice_group=group)
-        scalar_type, enum_values = self._scalar_type(kind or raw_prop)
+        scalar_type, enum_values = self._scalar_type(kind or node)
         return PropertyDef(
             name, scalar_type=scalar_type, enum_values=enum_values, array=array, choice_group=group
         )

@@ -173,15 +173,17 @@ def lone_surrogate(value) -> Optional[str]:
 
 def read_json(path, name: Optional[str] = None):
     """The JSON value in a UTF-8 file; text that is not UTF-8 or not JSON,
-    or a value holding a lone surrogate escape, raises
-    :class:`MalformedDocument` naming the file as ``name`` (by default, as
-    ``path``)."""
+    a value nested deeper than the parser's recursion limit, or a value
+    holding a lone surrogate escape, raises :class:`MalformedDocument`
+    naming the file as ``name`` (by default, as ``path``)."""
     text = read_text(path, name)
     try:
         value = json.loads(text)
+        surrogate = "\\u" in text and lone_surrogate(value)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(name or str(path), exc.msg, exc.pos) from exc
-    surrogate = "\\u" in text and lone_surrogate(value)
+    except RecursionError as exc:
+        raise MalformedDocument(name or str(path), "the JSON value is nested too deeply to read") from exc
     if surrogate:
         raise MalformedDocument(name or str(path), f"the lone surrogate {surrogate} is not UTF-8 text")
     return value
@@ -270,48 +272,37 @@ def prune(value: Any, removable: Callable[[Any], bool]) -> Any:
 
 
 def iter_leaf_paths(value: Any, prefix: str = "", items=data_items) -> Iterator[tuple[str, Any]]:
-    """Yield (normalized dot-path, leaf value) for every leaf of a tree.
+    """Iterate (normalized dot-path, leaf value) over every leaf of a tree,
+    in document order.
 
     Array indices contribute no path segment, matching the key-flattening
     convention used for schema lookups. Empty containers are themselves
     leaves. Annotations are skipped; ``items=dict.items`` walks plain data,
-    such as an example instance, where every key is data.
+    such as an example instance, where every key is data. The leaves are
+    collected by one recursion over the tree before the first is returned.
     """
+    leaves: list[tuple[str, Any]] = []
+    _collect_leaves(value, prefix, items, leaves)
+    return iter(leaves)
+
+
+def _collect_leaves(value, prefix: str, items, leaves: list) -> None:
     if isinstance(value, dict):
         children = items(value)
-        if not children:
-            if prefix:
-                yield prefix, value
+        if children:
+            for key, child in children:
+                path = f"{prefix}.{key}" if prefix else key
+                if isinstance(child, (dict, list)):
+                    _collect_leaves(child, path, items, leaves)
+                elif path:
+                    leaves.append((path, child))
             return
-        for key, child in children:
-            path = f"{prefix}.{key}" if prefix else key
-            yield from iter_leaf_paths(child, path, items)
-    elif isinstance(value, list):
-        if not value:
-            if prefix:
-                yield prefix, value
-            return
+    elif isinstance(value, list) and value:
         for element in value:
-            yield from iter_leaf_paths(element, prefix, items)
-    else:
-        if prefix:
-            yield prefix, value
-
-
-def iter_key_paths(value: Any, prefix: str = "") -> Iterator[tuple[str, Any]]:
-    """Yield (normalized dot-path, value) for every key occurrence in a tree.
-
-    Each dict key at every level yields once per occurrence, so repeated
-    array elements are counted repeatedly. Array indices are normalized away.
-    Unlike :func:`iter_leaf_paths`, annotations are *not* skipped: generated
-    documents carry no annotations, and any echoed annotation key must be
-    scored like every other generated key.
-    """
-    if isinstance(value, dict):
-        for key, child in value.items():
-            path = f"{prefix}.{key}" if prefix else key
-            yield path, child
-            yield from iter_key_paths(child, path)
-    elif isinstance(value, list):
-        for element in value:
-            yield from iter_key_paths(element, prefix)
+            if isinstance(element, (dict, list)):
+                _collect_leaves(element, prefix, items, leaves)
+            elif prefix:
+                leaves.append((prefix, element))
+        return
+    if prefix:
+        leaves.append((prefix, value))

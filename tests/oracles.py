@@ -478,3 +478,95 @@ def plan_two_pass(tree: dict, d: int) -> list:
 
     select(annotate("", "", (), tree))
     return tasks
+
+
+# ---------------------------------------------------------------------------
+# the tree walks as first written: nested generators, split-and-join
+# prefixes, a lookup from the root for every key occurrence
+
+
+def leaf_paths_generator(value, prefix="", items=dict.items):
+    """Yield (dot-path, leaf) for every leaf of a tree, by nested
+    generators: array indices add no segment, an empty container is a leaf,
+    a leaf without a path is skipped, and ``items`` lists an object's
+    children."""
+    if isinstance(value, dict):
+        children = items(value)
+        if not children:
+            if prefix:
+                yield prefix, value
+            return
+        for key, child in children:
+            yield from leaf_paths_generator(child, f"{prefix}.{key}" if prefix else key, items)
+    elif isinstance(value, list):
+        if not value:
+            if prefix:
+                yield prefix, value
+            return
+        for element in value:
+            yield from leaf_paths_generator(element, prefix, items)
+    elif prefix:
+        yield prefix, value
+
+
+def prefix_closure(paths) -> set[str]:
+    """Every prefix at a ``.`` of every path, the path included, made by
+    splitting the path into segments and joining the first 1, 2, ... of
+    them."""
+    closure = set()
+    for path in paths:
+        segments = path.split(".")
+        for i in range(1, len(segments) + 1):
+            closure.add(".".join(segments[:i]))
+    return closure
+
+
+def key_occurrence_detail(doc, resolve) -> list[dict]:
+    """``exists`` and ``adheres`` of every key occurrence of ``doc``, in
+    pre-order under its dot-path (array indices add no segment), each path
+    resolved from the root by ``resolve`` (``SchemaIndex.property_at``).
+
+    A value adheres when it has a list at each of the property's ``array``
+    levels and every innermost element is an object (a property with a
+    ``ref_target``) or a scalar of its ``scalar_type``."""
+    detail = []
+
+    def walk(value, prefix):
+        if isinstance(value, dict):
+            for key, child in value.items():
+                path = f"{prefix}.{key}" if prefix else key
+                prop = resolve(path)
+                adheres = prop is not None and _adheres(prop, child)
+                detail.append({"path": path, "exists": prop is not None, "adheres": adheres})
+                walk(child, path)
+        elif isinstance(value, list):
+            for element in value:
+                walk(element, prefix)
+
+    walk(doc, "")
+    return detail
+
+
+def _adheres(prop, value) -> bool:
+    values = [value]
+    for _ in range(prop.array):
+        if not all(isinstance(v, list) for v in values):
+            return False
+        values = [element for v in values for element in v]
+    if prop.ref_target is not None:
+        return all(isinstance(v, dict) for v in values)
+    return all(_scalar_of(prop.scalar_type, v, prop.enum_values) for v in values)
+
+
+def _scalar_of(kind, value, enum_values) -> bool:
+    if kind == "boolean":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind in ("number", "integer"):
+        return isinstance(value, int if kind == "integer" else (int, float))
+    if not isinstance(value, str):
+        return False
+    if kind == "date":
+        return re.match(r"^\d{4}-\d{2}-\d{2}$", value) is not None
+    return kind != "enum" or value in (enum_values or ())

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -491,6 +491,32 @@ def test_evaluate_scores_an_empty_top_level_key_as_missing(tmp_path, cdm_schema_
     assert report["per_path_detail"][0] == {"path": "", "exists": False, "adheres": False}
 
 
+@pytest.mark.parametrize("levels, code", [(975, 0), (100_000, 1)])
+def test_evaluate_reads_a_deep_document_or_fails_typed(tmp_path, cdm_schema_dir, contracts_dir, levels, code):
+    # In a fresh interpreter, as a user runs the command: 975 levels are
+    # read and scored, 100,000 are deeper than any JSON parser's recursion
+    # limit (about a thousand levels on Python 3.11, more on later versions).
+    cdm = tmp_path / "deep.json"
+    cdm.write_text('{"a":' * levels + "1" + "}" * levels, encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = [
+        "evaluate", "--contract", str(contracts_dir / "equity_option.txt"), "--cdm", str(cdm),
+        "--schema-dir", str(cdm_schema_dir), "--root", "contract.schema.json", "--out", str(out),
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from cdmgen.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(cdmgen.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == code, result.stderr
+    if code:
+        assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "MalformedDocument"
+    else:
+        assert len(json.loads(out.read_text(encoding="utf-8"))["per_path_detail"]) == levels
+
+
 def test_evaluate_with_coverage_via_mock(tmp_path, cdm_schema_dir, contracts_dir):
     from cdmgen.evaluator import coverage_prompt
 
@@ -876,6 +902,7 @@ BAD_INPUTS = {
     "kb_not_object": (1, POPULATE + " --template {template} --kb {not_object} --mock-script {script}"),
     "cdm_not_json": (1, EVALUATE + " --cdm {not_json}"),
     "cdm_not_object": (1, EVALUATE + " --cdm {not_object}"),
+    "cdm_too_deep": (1, EVALUATE + " --cdm {too_deep}"),
     "config_not_json": (1, "pipeline --config {not_json}"),
     "config_not_object": (1, "pipeline --config {not_object}"),
     "config_without_schema_dir": (2, "pipeline --config {config_without_schema_dir}"),
@@ -1008,6 +1035,7 @@ BAD_INPUT_ERRORS = {
 # file that does not parse names a byte offset.
 BAD_INPUT_DETAILS = {
     "template_not_json": r"not_json\.json: parse failure at byte offset 1: ",
+    "cdm_too_deep": r"too_deep\.json: the JSON value is nested too deeply to read$",
     "template_tree_list": r"tree_list\.json: 'tree' is not an object$",
     "examples_without_leaves": r"no example in .*examples_without_leaves has a leaf value$",
     "ingest_examples_without_leaves": r"no example in .*examples_without_leaves has a leaf value$",
@@ -1069,6 +1097,7 @@ def test_bad_input_is_typed_not_a_traceback(
     files = {
         "not_json": "{not json",
         "not_object": "[1, 2]",
+        "too_deep": '{"a":' * 100_000 + "1" + "}" * 100_000,
         "empty_object": "{}",
         "config": json.dumps(config),
         "config_without_schema_dir": json.dumps({k: v for k, v in config.items() if k != "schema_dir"}),
@@ -1285,6 +1314,7 @@ def test_pipeline_stops_at_first_auth_failure(
         code = run(["pipeline", "--config", config_path])
     finally:
         server.shutdown()
+        server.server_close()
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "AuthFailure"
@@ -1345,7 +1375,7 @@ def test_an_unwritable_artifact_stops_the_batch(
 
 # What a call may get besides a valid reply; "valid" is drawn most often, and
 # half the batches draw no outage, so that batches also run to their end.
-REPLY_FAULTS = ("missing_key", "extra_key", "wrong_leaf_type", "length", "no_json", "lone_surrogate")
+REPLY_FAULTS = ("missing_key", "extra_key", "wrong_leaf_type", "length", "no_json", "lone_surrogate", "too_deep")
 OUTAGES = ("unavailable", "timeout")
 
 
@@ -1390,6 +1420,9 @@ class _DrawnReplies:
                 {**reply, "note": "\udfff"},
             )
         text = json.dumps(reply)
+        if kind == "too_deep":
+            # Deeper than the JSON parser's recursion limit.
+            text = '{"a": ' * 100_000 + text + "}" * 100_000
         if kind == "length":
             return CompletionResult(text[: len(text) // 2], "length")
         return CompletionResult("I cannot answer that." if kind == "no_json" else text, "stop")
@@ -1623,6 +1656,77 @@ def test_synthesize_empty_reply_is_generation_incomplete(tmp_path, examples_root
     assert run(argv + ["--provider", script_server]) == 1
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "GenerationIncomplete"
     assert not out.exists()
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """Chat endpoint that answers every request with the object ``{"a": 1}``
+    and keeps the connection open for the next."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        raw = json.dumps({"choices": [{"message": {"content": '{"a": 1}'}, "finish_reason": "stop"}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("command", ["baseline", "populate", "synthesize", "evaluate", "pipeline"])
+def test_a_command_closes_the_connections_it_opened(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch, command
+):
+    monkeypatch.delenv("CDMGEN_ENDPOINT", raising=False)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    opened = []
+
+    class Recording(cli.HttpProvider):
+        def _new_connection(self):
+            opened.append(super()._new_connection())
+            return opened[-1]
+
+    monkeypatch.setattr(cli, "HttpProvider", Recording)
+    contract = contracts_dir / "equity_option.txt"
+    out = ["--out", tmp_path / "out.json"]
+    provider = ["--provider", url, "--provider-retries", 0]
+    template = tmp_path / "template.json"
+    Template({"a": 0}, "T", "root.json").save(template)
+    cdm = tmp_path / "cdm.json"
+    cdm.write_text(json.dumps({"trade": {}}), encoding="utf-8")
+    argv = {
+        "baseline": ["baseline", "--contract", contract, *provider, *out],
+        "populate": ["populate", "--template", template, "--contract", contract, *provider, *out],
+        "synthesize": ["synthesize", "--example", examples_root / "equity_swap" / "eqs-001.json", *provider, *out],
+        "evaluate": [
+            "evaluate", "--contract", contract, "--cdm", cdm, "--schema-dir", cdm_schema_dir,
+            "--root", "contract.schema.json", "--coverage", *provider, *out,
+        ],
+    }
+    if command == "pipeline":
+        config_path, _, _ = helpers.prepare_pipeline(
+            tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+        )
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        del config["mock_script"]
+        config["provider"] = {"endpoint": url, "retries": 0}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv["pipeline"] = ["pipeline", "--config", config_path]
+    try:
+        # The reply fits only some commands; whatever the exit code, every
+        # connection is closed once the command returns.
+        assert run(argv[command]) in (0, 1)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert opened
+    assert all(connection.sock is None for connection in opened)
 
 
 class _ProbeGateway:

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from cdmgen.errors import (
     EmptyDocument,
     EmptyGroup,
     ListParseFailure,
+    MalformedDocument,
 )
 from cdmgen.evaluator import (
     CoverageLists,
@@ -26,6 +31,11 @@ from cdmgen.evaluator import (
     evaluate_document,
 )
 from cdmgen.gateway import MockProvider, prompt_hash
+from cdmgen.schema_index import load_schema_dir
+from cdmgen.treeops import read_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import corpus  # noqa: E402
 
 VALID_DOC = {
     "contractType": "InterestRateSwap",
@@ -403,3 +413,111 @@ def test_structural_scores_bounded_and_consistent(cdm_index):
         for row in result.per_path_detail:
             if row["adheres"]:
                 assert row["exists"]
+
+
+# ---------------------------------------------------------------------------
+# the walk beside the schema reads every key as a lookup from the root would
+
+# Keys that lookup normalizes (empty, all digits, holding a "."), or that no
+# schema names, mixed into drawn documents beside the schema's own keys.
+ODD_KEYS = ("", "0", "12", ".", "..", "a.b", "x..y", ".lead", "trail.", "bogus", "trade.tradeDate")
+LEAF_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.floats(allow_nan=False),
+    st.sampled_from(["", "x", "A", "open", "2024-01-01", "YYYY-MM-DD"]),
+)
+# Property names that lookup normalizes, as a schema may still declare them.
+ODD_SCHEMA = {
+    "root.json": {
+        "properties": {
+            "a.b": {"type": "string"},
+            "a": {"$ref": "a.json"},
+            "7": {"type": "boolean"},
+            "": {"type": "integer"},
+            "rows": {"type": "array", "items": {"type": "array", "items": {"$ref": "root.json"}}},
+        }
+    },
+    "a.json": {"properties": {"b": {"type": "number"}, "c.d": {"$ref": "root.json"}, "0": {"$ref": "a.json"}}},
+}
+
+
+@pytest.fixture(scope="module")
+def odd_index(tmp_path_factory):
+    schema_dir = tmp_path_factory.mktemp("odd_schema")
+    for name, body in ODD_SCHEMA.items():
+        (schema_dir / name).write_text(json.dumps(body), encoding="utf-8")
+    return load_schema_dir(schema_dir, "root.json")
+
+
+def _draw_object(data, index, properties, depth) -> dict:
+    """An object whose keys are mostly ``properties``' names, with values
+    that mostly follow the schema."""
+    names = sorted(properties or ())
+    out = {}
+    for _ in range(data.draw(st.integers(1 if depth == 0 else 0, 3))):
+        schema_key = names and data.draw(st.integers(0, 4)) > 0
+        key = data.draw(st.sampled_from(names if schema_key else ODD_KEYS))
+        out[key] = _draw_value(data, index, (properties or {}).get(key), depth + 1)
+    return out
+
+
+def _draw_value(data, index, prop, depth):
+    shape = data.draw(st.sampled_from(["leaf", "object", "object", "array"])) if depth < 8 else "leaf"
+    if shape == "leaf":
+        return data.draw(LEAF_VALUES)
+    if shape == "array":
+        # Nested arrays, arrays of objects and empty arrays.
+        return [_draw_value(data, index, prop, depth + 1) for _ in range(data.draw(st.integers(0, 2)))]
+    inner = index.doc(prop.ref_target).properties if prop is not None and prop.ref_target else None
+    return _draw_object(data, index, inner, depth)
+
+
+def _assert_scored_as_lookups(index, doc) -> None:
+    expected = oracles.key_occurrence_detail(doc, index.property_at)
+    result = evaluate_document(doc, index)
+    assert result.per_path_detail == expected
+    assert result.syntactical_correctness == 100.0 * sum(d["exists"] for d in expected) / len(expected)
+    assert result.schema_adherence == 100.0 * sum(d["adheres"] for d in expected) / len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_each_key_scores_as_its_lookup_from_the_root(cdm_index, odd_index, data):
+    # A depth guard of 3 puts the documents' deeper keys past it.
+    index = data.draw(st.sampled_from([cdm_index, odd_index]))
+    index = data.draw(st.sampled_from([index, replace(index, max_path_depth=3)]))
+    doc = _draw_object(data, index, index.doc(index.start_id).properties, 0)
+    _assert_scored_as_lookups(index, doc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_each_key_of_a_corpus_document_scores_as_its_lookup_from_the_root(seed, data):
+    with tempfile.TemporaryDirectory() as work:
+        batch = corpus.cdm_scale_batch(Path(work), random.Random(seed), corpus.SMOKE_SCALE)
+        index = load_schema_dir(batch.schema_dir, batch.root_file)
+    for guarded in (index, replace(index, max_path_depth=3)):
+        for _ in range(3):
+            doc = _draw_object(data, guarded, guarded.doc(guarded.start_id).properties, 0)
+            _assert_scored_as_lookups(guarded, doc)
+
+
+def test_a_document_as_deep_as_the_reader_reads_is_scored(tmp_path, cdm_index):
+    # The deepest nesting read_json reads here, found by bisection: the
+    # parser's limit depends on the interpreter and its stack.
+    path = tmp_path / "deep.json"
+    shallow, deep = 1, 2000
+    while shallow < deep:
+        levels = (shallow + deep + 1) // 2
+        path.write_text('{"a":' * levels + "1" + "}" * levels, encoding="utf-8")
+        try:
+            read_json(path)
+            shallow = levels
+        except MalformedDocument:
+            deep = levels - 1
+    path.write_text('{"a":' * shallow + "1" + "}" * shallow, encoding="utf-8")
+    result = evaluate_document(read_json(path), cdm_index)
+    assert len(result.per_path_detail) == shallow
+    assert result.syntactical_correctness == 0.0

@@ -288,6 +288,15 @@ def test_http_provider_non_json_body_is_provider_unavailable(local_server):
         HttpProvider(cfg).complete(BUNDLE)
 
 
+def test_http_provider_too_deeply_nested_body_is_provider_unavailable(local_server):
+    _Handler.behavior = "raw"
+    _Handler.raw_body = b'{"choices":' * 100_000 + b"1" + b"}" * 100_000
+    cfg = ProviderConfig(endpoint=local_server, model="m", retries=3)
+    with pytest.raises(ProviderUnavailable, match="non-JSON"):
+        HttpProvider(cfg).complete(BUNDLE)
+    assert len(_Handler.captured) == 1
+
+
 @pytest.mark.parametrize(
     "reply, usage, text",
     [
@@ -702,6 +711,20 @@ def test_extract_no_payload():
 )
 def test_extract_refuses_an_object_holding_a_lone_surrogate(text):
     with pytest.raises(NoStructuredPayload, match="lone surrogate"):
+        extract_structured(text)
+
+
+# Deeper than the JSON parser's recursion limit on any Python version.
+DEEP_OBJECT = '{"a":' * 100_000 + "1" + "}" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [DEEP_OBJECT, f"```json\n{DEEP_OBJECT}\n```", f'Here: {DEEP_OBJECT} and {{"b": 2}}'],
+    ids=["raw", "fenced", "followed"],
+)
+def test_extract_refuses_json_nested_deeper_than_the_parser_reads(text):
+    with pytest.raises(NoStructuredPayload, match="nested too deeply"):
         extract_structured(text)
 
 

@@ -779,6 +779,20 @@ def test_populate_lone_surrogate_reply_is_repaired_on_the_next_attempt(reply, su
     assert retry == repair_prompt(first, ShapeReport([Mismatch("(root)", "unparseable", detail)]))
 
 
+def test_populate_reply_nested_too_deeply_is_repaired_on_the_next_attempt():
+    # Deeper than the JSON parser's recursion limit: an unparseable reply.
+    template = simple_template()
+    cfg = config()
+    good = {"id": {"value": "UC-1"}, "amount": 1}
+    gateway = FakeGateway('{"id": ' * 100_000 + "1" + "}" * 100_000, json.dumps(good))
+    doc = populate(template, "contract", None, gateway, cfg)
+    assert doc.tree == good
+    assert doc.provenance["(root)"]["attempts"] == 2
+    first, retry = gateway.prompts
+    detail = "the JSON in model output is nested too deeply to read"
+    assert retry == repair_prompt(first, ShapeReport([Mismatch("(root)", "unparseable", detail)]))
+
+
 def test_populate_empty_template_short_circuits():
     doc = populate(make_template({}), "contract", None, MockProvider({}), config())
     assert doc.tree == {}

@@ -509,3 +509,73 @@ def nested_dir_index(tmp_path):
 
 def test_nested_lookup_through_directories(nested_dir_index):
     assert nested_dir_index.lookup("swap.party.partyId")[0] is True
+
+
+# ---------------------------------------------------------------------------
+# a $ref to a document that is itself an array schema
+
+
+def _write_schema(directory, documents: dict) -> None:
+    for name, body in documents.items():
+        write(directory / name, body)
+
+
+def test_a_ref_to_an_array_document_reads_as_that_array(tmp_path):
+    _write_schema(
+        tmp_path,
+        {
+            "root.json": {"properties": {"r": {"$ref": "list.json"}}},
+            "list.json": {"type": "array", "items": {"type": "string"}},
+        },
+    )
+    index = load_schema_dir(tmp_path, "root.json")
+    exists, prop = index.lookup("r")
+    assert exists and prop.ref_target is None
+    assert (prop.scalar_type, prop.array) == ("string", 1)
+    assert build_template(index, KeyPathSet(frozenset({"r"})), "T").tree == {"r": [""]}
+    filled = evaluate_document({"r": ["a"]}, index)
+    assert (filled.syntactical_correctness, filled.schema_adherence) == (100.0, 100.0)
+    assert evaluate_document({"r": {}}, index).schema_adherence == 0.0
+
+
+def test_array_levels_count_on_both_sides_of_a_ref(tmp_path):
+    _write_schema(
+        tmp_path,
+        {
+            "root.json": {"properties": {"grid": {"type": "array", "items": {"$ref": "rows.json"}}}},
+            "rows.json": {"type": "array", "items": {"$ref": "cells.json"}},
+            "cells.json": {"type": "array", "items": {"type": "number"}},
+        },
+    )
+    prop = load_schema_dir(tmp_path, "root.json").property_at("grid")
+    assert (prop.scalar_type, prop.array) == ("number", 3)
+
+
+def test_an_array_documents_inline_items_are_one_inline_object(tmp_path):
+    items = {"type": "object", "description": "A row.", "properties": {"x": {"type": "string"}}}
+    _write_schema(
+        tmp_path,
+        {
+            "root.json": {"properties": {"a": {"$ref": "rows.json"}, "b": {"$ref": "rows.json"}}},
+            "rows.json": {"type": "array", "items": items},
+        },
+    )
+    index = load_schema_dir(tmp_path, "root.json")
+    a, b = index.property_at("a"), index.property_at("b")
+    assert a.ref_target == b.ref_target == "rows.json[]"
+    assert a.array == b.array == 1
+    assert list(index._inline) == ["rows.json[]"]
+    assert index.doc("rows.json[]").description == "A row."
+    assert index.property_at("b.x").scalar_type == "string"
+
+
+def test_array_items_that_lead_back_to_their_document_are_a_cycle(tmp_path):
+    _write_schema(
+        tmp_path,
+        {
+            "root.json": {"properties": {"r": {"$ref": "nest.json"}}},
+            "nest.json": {"type": "array", "items": {"$ref": "nest.json"}},
+        },
+    )
+    with pytest.raises(CycleDetected, match="array items cycle through nest.json -> nest.json"):
+        load_schema_dir(tmp_path, "root.json")

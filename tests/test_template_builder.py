@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cdmgen import treeops
 from cdmgen.errors import EmptyExampleDir, MalformedDocument
 from cdmgen.schema_index import load_schema_dir
 from cdmgen.template_builder import (
@@ -203,8 +204,6 @@ def test_examples_whose_only_leaf_is_a_description_have_a_leaf(tmp_path):
 
 
 def _template_leaf_paths(tree) -> set[str]:
-    from cdmgen import treeops
-
     return {path for path, _ in treeops.iter_leaf_paths(tree)}
 
 
@@ -286,3 +285,37 @@ def test_prune_is_idempotent_and_matches_oracle(tree):
     assert prune_empty(once) == once
     assert once == oracles.prune_fixpoint(tree)
 
+
+
+# ---------------------------------------------------------------------------
+# the direct walks equal the walks they replaced
+
+# Keys over a small alphabet, so that drawn sets share prefixes, with empty
+# segments and leading or trailing dots.
+DOTTED_KEYS = st.text(alphabet="ab.", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.frozensets(DOTTED_KEYS, max_size=8), probes=st.lists(DOTTED_KEYS, max_size=8))
+def test_covers_reads_the_split_and_join_prefix_closure(keys, probes):
+    closure = oracles.prefix_closure(keys)
+    key_set = keyset(*keys)
+    for path in sorted(closure | set(probes) | {"", "."}):
+        assert key_set.covers(path) == (path in closure), path
+
+
+LEAVES = st.sampled_from(["", "x", treeops.DATE_TOKEN, 0, 1.5, False, None])
+TREE_KEYS = st.sampled_from(["a", "b", "", "description", treeops.FALLBACK_DESCRIPTION_KEY])
+TREES = st.recursive(
+    LEAVES | st.just("A note."),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TREE_KEYS, inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES, prefix=st.sampled_from(["", "p", "p.q"]))
+def test_leaf_paths_equal_the_nested_generators_in_order(tree, prefix):
+    for items in (treeops.data_items, dict.items):
+        expected = list(oracles.leaf_paths_generator(tree, prefix, items))
+        assert list(treeops.iter_leaf_paths(tree, prefix, items)) == expected
