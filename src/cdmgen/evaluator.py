@@ -125,47 +125,38 @@ def evaluate_document(doc: dict, index: SchemaIndex) -> EvaluationReport:
     beside the schema; the per-path detail records ``exists`` and
     ``adheres`` for each key occurrence, annotation keys included.
 
-    A key is read from the properties of the schema document its object
-    stands for, as the template builder reads them. Where
-    :meth:`SchemaIndex.lookup` would read its path otherwise (a key that is
-    empty, all digits or holds a ``.``, a key that is not a property there,
-    or a path deeper than the depth guard), the key and everything under it
-    are resolved from the root by :meth:`SchemaIndex.property_at`. The walk
-    keeps its own stack, so any document the JSON parser reads is scored.
+    Each key is read by :meth:`SchemaIndex.step` from the place its object
+    stands at, so it scores as a lookup of its path from the root would.
+    The walk keeps its own stack, so any document the JSON parser reads is
+    scored.
     """
     if not isinstance(doc, dict) or not doc:
         raise EmptyDocument("document contains no keys")
     detail = []
     existing = adhering = 0
-    guard = index.max_path_depth
     # The objects and arrays being read, innermost last: an iterator over
-    # their entries left (an array's under the key _ELEMENT), the properties
-    # their keys are read from (None: resolve each from the root), and their
-    # path with its number of segments.
-    stack = [(iter(doc.items()), index.doc(index.start_id).properties, "", 0)]
+    # their entries left (an array's under the key _ELEMENT), their place in
+    # the schema and their path.
+    stack = [(iter(doc.items()), index.root_place, "")]
     while stack:
-        entries, properties, prefix, depth = stack[-1]
+        entries, place, prefix = stack[-1]
         for key, value in entries:
             if key is _ELEMENT:
-                inner, path, below = properties, prefix, depth
+                inner, path = place, prefix
             else:
                 path = f"{prefix}.{key}" if prefix else key
-                prop = properties.get(key) if properties is not None and depth < guard else None
-                if prop is not None and key and "." not in key and not key.isdigit():
-                    inner = index.doc(prop.ref_target).properties if prop.ref_target is not None else None
-                else:
-                    prop, inner = index.property_at(path), None
+                inner = index.step(place, key)
+                prop = inner[2]
                 exists = prop is not None
                 adheres = exists and _value_conforms(prop, value)
                 existing += exists
                 adhering += adheres
                 detail.append({"path": path, "exists": exists, "adheres": adheres})
-                below = depth + 1
             if isinstance(value, dict):
-                stack.append((iter(value.items()), inner, path, below))
+                stack.append((iter(value.items()), inner, path))
                 break
             if isinstance(value, list):
-                stack.append((zip(repeat(_ELEMENT), value), inner, path, below))
+                stack.append((zip(repeat(_ELEMENT), value), inner, path))
                 break
         else:
             stack.pop()

@@ -111,9 +111,10 @@ class PopulatedDocument:
 
 
 def compute_depths(template: Template) -> int:
-    """The template's depth by :func:`treeops.depth`, its root container
-    included."""
-    return treeops.depth(template.tree)
+    """The template's depth, its root container included: a leaf is 1, a
+    container 1 + its deepest child, an empty container 1; annotations are
+    not children."""
+    return _select("", "", (), template.tree, 1, [])
 
 
 def select_tasks(template: Template, d: int) -> list[PopulationTask]:
@@ -136,8 +137,8 @@ def select_tasks(template: Template, d: int) -> list[PopulationTask]:
 def _select(name: str, path: str, segments: tuple, fragment, d: int, kept: list) -> int:
     """Add to ``kept`` the maximal fragments of depth <= ``d`` in the
     container ``fragment``, each as ``(name, path, segments, fragment)``,
-    and return its depth by :func:`treeops.depth`. A leaf child is kept as
-    it is met, since its depth, 1, is within any bound."""
+    and return its depth by the rule :func:`compute_depths` states. A leaf
+    child is kept as it is met, since its depth, 1, is within any bound."""
     if isinstance(fragment, dict):
         children = [
             (key, f"{path}.{key}" if path else key, segments + (key,), value)

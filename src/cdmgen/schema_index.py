@@ -4,7 +4,7 @@ A schema corpus is a directory of ``.json`` documents that reference each
 other by relative file path via ``$ref``. This module resolves the whole
 graph once, normalizes every property into a :class:`PropertyDef`, and
 answers "does this dot-path exist, and what lives there?" queries with array
-indices stripped.
+indices stripped, for a whole path or one key at a time.
 
 Supported schema keywords: ``properties``, ``items``, ``$ref``,
 ``description``, ``enum``, ``format``, ``type``, and the composites
@@ -22,6 +22,7 @@ import posixpath
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 from . import treeops
@@ -34,7 +35,8 @@ _OBJECT = object()  # what _IndexBuilder._kind gives for an object
 
 DEFAULT_MAX_PATH_DEPTH = 64
 
-_MISS = object()
+# The properties under a place where nothing is.
+_NOTHING = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,13 @@ class SchemaIndex:
     ``start_id``, the document at the end of the root's ``$ref`` chain (the
     root itself unless its body is a ``$ref``).
 
-    The path table is a lazy memo over :meth:`lookup`; it is bounded by the
-    set of distinct normalized paths ever queried. Scoring reads each
-    document's ``properties`` as it walks and asks :meth:`lookup` only for
-    a path it cannot read that way, so it adds only those paths.
+    A place in the schema is where a path leads: ``(properties, depth,
+    property)``, the properties its next segment is read from (empty when
+    nothing is under it), the number of segments read to reach it, and the
+    property it names (None for the root or a miss). :meth:`step` moves
+    from a place by one key, and :meth:`lookup` is one step from
+    :attr:`root_place` by a whole path, so a walk of a document's keys reads
+    each key as a lookup of its path would.
     """
 
     root_id: str
@@ -93,59 +98,50 @@ class SchemaIndex:
     documents: dict[str, SchemaDocument]
     max_path_depth: int = DEFAULT_MAX_PATH_DEPTH
     _inline: dict[str, SchemaDocument] = field(default_factory=dict, repr=False)
-    _path_table: dict[str, Optional[PropertyDef]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def doc(self, doc_id: str) -> SchemaDocument:
         if doc_id in self.documents:
             return self.documents[doc_id]
         return self._inline[doc_id]
 
+    @property
+    def root_place(self) -> tuple:
+        """The place no segment has been read from: the root's properties."""
+        return self.doc(self.start_id).properties, 0, None
+
+    def step(self, place: tuple, key: str) -> tuple:
+        """The place ``key`` leads to from ``place``: each of its
+        ``.``-separated segments is read in turn from the properties the one
+        before it leads to. Empty and all-digit segments (array indices) are
+        not read, so a key made only of them stays at ``place``; a segment
+        past ``max_path_depth`` names nothing."""
+        properties, depth, prop = place
+        for segment in key.split("."):
+            if not segment or segment.isdigit():
+                continue
+            depth += 1
+            prop = properties.get(segment) if depth <= self.max_path_depth else None
+            if prop is not None and prop.ref_target is not None:
+                properties = self.doc(prop.ref_target).properties
+            else:
+                properties = _NOTHING
+        return properties, depth, prop
+
     def lookup(self, path: str) -> tuple[bool, Optional[PropertyDef]]:
         """Whether ``path`` names a property reachable from the root schema.
 
-        Numeric segments are stripped before the walk; the result is memoized
-        per normalized path. Raises :class:`CycleDetected` when the walk
-        would exceed ``max_path_depth`` segments and ``ValueError`` on an
-        empty path.
+        Numeric and empty segments are not read (see :meth:`step`). Raises
+        :class:`CycleDetected` when the path has more than
+        ``max_path_depth`` segments and ``ValueError`` on an empty path.
         """
-        # A memo key is a normalized path, which normalizes to itself, so a
-        # raw path equal to a key needs no normalizing. Empty, over-deep and
-        # indexed paths are never keys: they take the checks below.
-        hit = self._path_table.get(path, _MISS)
-        if hit is not _MISS:
-            return hit is not None, hit
         if not path or not path.strip("."):
             raise ValueError("path must be a non-empty dot-separated string")
-        segments = [seg for seg in path.split(".") if seg and not seg.isdigit()]
-        if not segments:
-            return False, None
-        if len(segments) > self.max_path_depth:
+        _, depth, prop = self.step(self.root_place, path)
+        if depth > self.max_path_depth:
             raise CycleDetected(
-                f"path has {len(segments)} segments, exceeding the depth guard "
-                f"of {self.max_path_depth}"
+                f"path has {depth} segments, exceeding the depth guard of {self.max_path_depth}"
             )
-        normalized = ".".join(segments)
-        if normalized in self._path_table:
-            hit = self._path_table[normalized]
-            return hit is not None, hit
-
-        prop: Optional[PropertyDef] = None
-        doc_id = self.start_id
-        for i, segment in enumerate(segments):
-            properties = self.doc(doc_id).properties
-            prop = properties.get(segment)
-            if prop is None:
-                self._path_table[normalized] = None
-                return False, None
-            if i < len(segments) - 1:
-                if prop.ref_target is None:
-                    self._path_table[normalized] = None
-                    return False, None
-                doc_id = prop.ref_target
-        self._path_table[normalized] = prop
-        return True, prop
+        return prop is not None, prop
 
     def property_at(self, path: str) -> Optional[PropertyDef]:
         """The property ``path`` names, or None when it names nothing, is

@@ -86,26 +86,6 @@ class Template:
         )
 
 
-def _read_examples(example_dir):
-    """(file name, parsed instance) for each ``.json`` file under a
-    directory, read as the caller asks for it."""
-    files = treeops.json_files(example_dir) if os.path.isdir(example_dir) else []
-    if not files:
-        raise EmptyExampleDir(f"no example files found in {example_dir}")
-    for rel in files:
-        name = posixpath.basename(rel)
-        yield name, treeops.read_json(os.path.join(example_dir, rel), name)
-
-
-def _leaf_paths(example_dir, examples) -> list[str]:
-    """The leaf paths of ``examples``, each walked once; none raises
-    :class:`EmptyExampleDir`."""
-    paths = [path for _, parsed in examples for path, _ in treeops.iter_leaf_paths(parsed, items=dict.items)]
-    if not paths:
-        raise EmptyExampleDir(f"no example in {example_dir} has a leaf value")
-    return paths
-
-
 def load_examples(example_dir) -> list[tuple[str, Any]]:
     """(file name, parsed instance) for every ``.json`` file under a directory.
 
@@ -113,8 +93,19 @@ def load_examples(example_dir) -> list[tuple[str, Any]]:
     leaf, and :class:`MalformedDocument` naming the first file that is not
     UTF-8 JSON.
     """
-    examples = list(_read_examples(example_dir))
-    _leaf_paths(example_dir, examples)
+    files = treeops.json_files(example_dir) if os.path.isdir(example_dir) else []
+    if not files:
+        raise EmptyExampleDir(f"no example files found in {example_dir}")
+    examples = []
+    has_leaf = False
+    for rel in files:
+        name = posixpath.basename(rel)
+        parsed = treeops.read_json(os.path.join(example_dir, rel), name)
+        examples.append((name, parsed))
+        # Examples are walked only until one with a leaf is found.
+        has_leaf = has_leaf or next(treeops.iter_leaf_paths(parsed, items=dict.items), None) is not None
+    if not has_leaf:
+        raise EmptyExampleDir(f"no example in {example_dir} has a leaf value")
     return examples
 
 
@@ -123,10 +114,10 @@ def flatten_examples(example_dir) -> KeyPathSet:
 
     Array indices contribute no segment, so ``a[0].b`` and ``a[3].b`` both
     flatten to ``a.b``. Examples are data: a field named ``description`` is
-    a key like any other. Each example is walked once, as it is read.
-    Errors are those of :func:`load_examples`.
+    a key like any other. Errors are those of :func:`load_examples`.
     """
-    return KeyPathSet(frozenset(_leaf_paths(example_dir, _read_examples(example_dir))))
+    leaves = (treeops.iter_leaf_paths(parsed, items=dict.items) for _, parsed in load_examples(example_dir))
+    return KeyPathSet(frozenset(path for paths in leaves for path, _ in paths))
 
 
 def build_template(index: SchemaIndex, keys: KeyPathSet, contract_type: str) -> Template:

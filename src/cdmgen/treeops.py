@@ -241,16 +241,6 @@ def strip_annotations(value: Any) -> Any:
     return value
 
 
-def depth(value: Any) -> int:
-    """The depth rule: a leaf is 1, a container 1 + its deepest child, an
-    empty container 1. Annotations are not children."""
-    if isinstance(value, dict):
-        return 1 + max((depth(child) for _, child in data_items(value)), default=0)
-    if isinstance(value, list):
-        return 1 + max((depth(child) for child in value), default=0)
-    return 1
-
-
 def prune(value: Any, removable: Callable[[Any], bool]) -> Any:
     """Copy of ``value`` without the object fields and array elements that
     ``removable`` flags once their own contents are pruned.

@@ -485,6 +485,35 @@ def plan_two_pass(tree: dict, d: int) -> list:
 # prefixes, a lookup from the root for every key occurrence
 
 
+def lookup_path(index, path):
+    """``(exists, property)`` for a dot-path of a ``SchemaIndex``, as lookup
+    was first written: the path is split at every ``.``, its empty and
+    all-digit segments are dropped, and the rest are read in turn from the
+    start document, each from the document the property before it refers
+    to. ``"empty"`` for a path that is empty or only dots, ``"too deep"``
+    for one with more segments left than ``index.max_path_depth``."""
+    if not path.strip("."):
+        return "empty"
+    segments = [segment for segment in path.split(".") if segment and not segment.isdigit()]
+    if len(segments) > index.max_path_depth:
+        return "too deep"
+    prop, doc_id = None, index.start_id
+    for segment in segments:
+        if doc_id is None:
+            return False, None
+        prop = index.doc(doc_id).properties.get(segment)
+        if prop is None:
+            return False, None
+        doc_id = prop.ref_target
+    return prop is not None, prop
+
+
+def property_at_path(index, path):
+    """The property :func:`lookup_path` finds, or None."""
+    outcome = lookup_path(index, path)
+    return outcome[1] if isinstance(outcome, tuple) else None
+
+
 def leaf_paths_generator(value, prefix="", items=dict.items):
     """Yield (dot-path, leaf) for every leaf of a tree, by nested
     generators: array indices add no segment, an empty container is a leaf,
@@ -524,7 +553,7 @@ def prefix_closure(paths) -> set[str]:
 def key_occurrence_detail(doc, resolve) -> list[dict]:
     """``exists`` and ``adheres`` of every key occurrence of ``doc``, in
     pre-order under its dot-path (array indices add no segment), each path
-    resolved from the root by ``resolve`` (``SchemaIndex.property_at``).
+    resolved from the root by ``resolve`` (such as :func:`property_at_path`).
 
     A value adheres when it has a list at each of the property's ``array``
     levels and every innermost element is an object (a property with a

@@ -475,7 +475,7 @@ def _draw_value(data, index, prop, depth):
 
 
 def _assert_scored_as_lookups(index, doc) -> None:
-    expected = oracles.key_occurrence_detail(doc, index.property_at)
+    expected = oracles.key_occurrence_detail(doc, lambda path: oracles.property_at_path(index, path))
     result = evaluate_document(doc, index)
     assert result.per_path_detail == expected
     assert result.syntactical_correctness == 100.0 * sum(d["exists"] for d in expected) / len(expected)

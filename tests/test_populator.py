@@ -75,8 +75,9 @@ class FakeGateway:
 
 def test_depth_of_single_leaf():
     template = make_template({"value": ""})
-    assert treeops.depth(template.tree["value"]) == 1
     assert compute_depths(template) == 2
+    # The leaf alone has depth 1, so d=1 keeps it whole.
+    assert [t.target_path for t in select_tasks(template, 1)] == ["value"]
 
 
 def test_depth_of_nested_object():
