@@ -50,7 +50,6 @@ from .template_builder import (
     Template,
     build_template,
     flatten_examples,
-    prune_empty,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +89,6 @@ __all__ = [
     "load_schema_dir",
     "populate",
     "prompt_hash",
-    "prune_empty",
     "retrieve",
     "select_tasks",
     "synthesize_description",

@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import random
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -259,8 +258,10 @@ class HttpProvider:
             *self._address, timeout=self.cfg.timeout, context=self._context
         )
         if self._tunnel:
-            connection.set_tunnel(*self._tunnel, headers=self._proxy_headers)
-            if ":" in self._tunnel[0] and sys.version_info < (3, 12):
+            host, port = self._tunnel
+            authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+            connection.set_tunnel(host, port, headers={**self._proxy_headers, "Host": authority})
+            if ":" in host:
                 connection._tunnel = lambda: _bracketed_tunnel(connection)
         return connection
 
@@ -381,9 +382,10 @@ class HttpProvider:
 
 
 def _bracketed_tunnel(connection) -> None:
-    """Open a tunnel as ``http.client`` before Python 3.12 does, but with an
-    IPv6 host bracketed in CONNECT; the TLS check and ``Host`` header, which
-    bracket it themselves, still see it bare."""
+    """Open a tunnel as ``http.client`` does, but with an IPv6 host
+    bracketed in CONNECT, which only Python 3.13 and later do themselves;
+    the TLS check and the request's ``Host`` header are made afterwards from
+    the bare host."""
     host = connection._tunnel_host
     connection._tunnel_host = f"[{host}]"
     try:

@@ -573,10 +573,20 @@ def clean(doc):
     containers — applied at fixpoint, so the result is idempotent under a
     second pass. Accepts a :class:`PopulatedDocument` or a bare tree.
 
-    Emptiness is tested on plain values, not through annotation detection:
-    grafted data may hold a filled field named ``description``."""
-    tree = doc.tree if isinstance(doc, PopulatedDocument) else doc
-    return treeops.prune(tree, _removable)
+    One bottom-up walk reaches the fixpoint: a removal can only empty a
+    container, and a container is tested after its contents. Emptiness is
+    tested on plain values, not through annotation detection: grafted data
+    may hold a filled field named ``description``."""
+    return _clean(doc.tree if isinstance(doc, PopulatedDocument) else doc)
+
+
+def _clean(value):
+    if isinstance(value, dict):
+        kept = ((key, _clean(child)) for key, child in value.items())
+        return {key: child for key, child in kept if not _removable(child)}
+    if isinstance(value, list):
+        return [child for child in map(_clean, value) if not _removable(child)]
+    return value
 
 
 def _removable(value) -> bool:

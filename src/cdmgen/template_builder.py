@@ -6,8 +6,9 @@ from the root; a property is kept only when its path is a prefix of (or
 equal to) some example key, referenced objects are expanded recursively,
 arrays carry a single prototype element, leaves receive typed placeholders,
 and object nodes are annotated with the description of the schema that
-defines them. Empty structures are pruned away at fixpoint, so the result
-is the smallest schema-conformant skeleton that covers the examples.
+defines them. An object that keeps no data property is dropped as the walk
+returns from it, and with it the property and arrays that held it, so one
+walk gives the smallest schema-conformant skeleton that covers the examples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import posixpath
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Optional
 
 from . import treeops
 from .errors import CycleDetected, EmptyExampleDir, MalformedDocument
@@ -55,7 +56,7 @@ class KeyPathSet:
 
 @dataclass
 class Template:
-    """A pruned tree of placeholder fields ready for population."""
+    """A tree of placeholder fields ready for population."""
 
     tree: dict
     contract_type: str
@@ -123,67 +124,48 @@ def flatten_examples(example_dir) -> KeyPathSet:
 def build_template(index: SchemaIndex, keys: KeyPathSet, contract_type: str) -> Template:
     """Traverse the schema from its root, keeping only example-covered paths.
 
-    Keys that name nothing in the schema contribute nothing. The returned
-    tree is already pruned; field order follows schema declaration order so
-    identical inputs serialize identically.
+    Keys that name nothing in the schema contribute nothing, and a root that
+    keeps no data property gives the tree ``{}``. Field order follows schema
+    declaration order so identical inputs serialize identically.
     """
     if not keys.paths:
         raise ValueError("key path set is empty; need at least one example key")
     tree = _traverse(index, index.start_id, "", keys, depth=0)
-    return Template(tree=prune_empty(tree), contract_type=contract_type, schema_root=index.root_id)
+    return Template(tree=tree or {}, contract_type=contract_type, schema_root=index.root_id)
 
 
-def _traverse(index: SchemaIndex, doc_id: str, prefix: str, keys: KeyPathSet, depth: int) -> dict:
+def _traverse(index: SchemaIndex, doc_id: str, prefix: str, keys: KeyPathSet, depth: int) -> Optional[dict]:
+    """The covered subtree of a document, annotated with its description
+    ahead of the data fields; None when it keeps no data property.
+
+    When a covered property is named ``description``, the annotation moves
+    to ``_template_description`` so real data is never shadowed, even when
+    that property keeps nothing itself.
+    """
     if depth > index.max_path_depth:
         raise CycleDetected(
             f"schema traversal exceeded {index.max_path_depth} levels at {prefix!r}"
         )
     doc = index.doc(doc_id)
     children: dict[str, Any] = {}
+    displaced = False
     for name, prop in doc.properties.items():
         path = f"{prefix}.{name}" if prefix else name
         if not keys.covers(path):
             continue
-        if prop.ref_target is not None:
-            value = _traverse(index, prop.ref_target, path, keys, depth + 1)
-        else:
+        displaced = displaced or name == treeops.DESCRIPTION_KEY
+        if prop.ref_target is None:
             value = treeops.PLACEHOLDERS[prop.scalar_type]
-        # Each array level gets one prototype element; a bare [] would be
-        # pruned and the example-covered key lost.
+        else:
+            value = _traverse(index, prop.ref_target, path, keys, depth + 1)
+            if value is None:
+                continue
         for _ in range(prop.array):
             value = [value]
         children[name] = value
-    return _annotate(children, doc.description)
-
-
-def _annotate(children: dict, description) -> dict:
-    """Attach a document description ahead of the data fields.
-
-    When the data itself contains a field named ``description``, the
-    annotation moves to ``_template_description`` so real data is never
-    shadowed.
-    """
-    if not description:
+    if not children:
+        return None
+    if not doc.description:
         return children
-    key = treeops.DESCRIPTION_KEY
-    if key in children:
-        key = treeops.FALLBACK_DESCRIPTION_KEY
-    return {key: description, **children}
-
-
-def prune_empty(tree):
-    """Remove empty objects and arrays (annotations discounted) at fixpoint.
-
-    Scalar placeholders are leaves, not empty structures, and survive. An
-    object left with only its description annotation counts as empty, the
-    root included. The operation is idempotent.
-    """
-    pruned = treeops.prune(tree, _is_empty_container)
-    return pruned if isinstance(pruned, dict) and treeops.data_items(pruned) else {}
-
-
-def _is_empty_container(value) -> bool:
-    if isinstance(value, dict):
-        return not treeops.data_items(value)
-    return isinstance(value, list) and not value
-
+    key = treeops.FALLBACK_DESCRIPTION_KEY if displaced else treeops.DESCRIPTION_KEY
+    return {key: doc.description, **children}

@@ -17,7 +17,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .errors import MalformedDocument, OutputUnwritable
 
@@ -238,26 +238,6 @@ def strip_annotations(value: Any) -> Any:
         return {k: strip_annotations(v) for k, v in data_items(value)}
     if isinstance(value, list):
         return [strip_annotations(v) for v in value]
-    return value
-
-
-def prune(value: Any, removable: Callable[[Any], bool]) -> Any:
-    """Copy of ``value`` without the object fields and array elements that
-    ``removable`` flags once their own contents are pruned.
-
-    One bottom-up pass reaches the fixpoint, because a removal can only make
-    a container removable, and the container is tested after its contents.
-    The root itself is never removed.
-    """
-    if isinstance(value, dict):
-        out = {}
-        for key, child in value.items():
-            kept = prune(child, removable)
-            if not removable(kept):
-                out[key] = kept
-        return out
-    if isinstance(value, list):
-        return [kept for kept in (prune(v, removable) for v in value) if not removable(kept)]
     return value
 
 

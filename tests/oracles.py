@@ -214,6 +214,44 @@ def _prune_removable(value, annotation_keys) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# two-pass template builder
+
+
+PLACEHOLDERS = {"string": "", "enum": "", "date": "YYYY-MM-DD", "number": 0, "integer": 0, "boolean": False}
+
+
+def build_two_pass(index, keys) -> dict:
+    """The template tree of a ``SchemaIndex`` for the example ``keys`` (a
+    set of dot-paths), built in two passes: first the whole covered tree,
+    where every covered object is kept and annotated with its document's
+    description (under ``_template_description`` when a covered property
+    is named ``description``), then :func:`prune_fixpoint` of that tree.
+    Recursion ends because every covered path is a prefix of a key."""
+    covered = prefix_closure(keys)
+
+    def traverse(doc_id, prefix):
+        doc = index.doc(doc_id)
+        children = {}
+        for name, prop in doc.properties.items():
+            path = f"{prefix}.{name}" if prefix else name
+            if path not in covered:
+                continue
+            if prop.ref_target is not None:
+                value = traverse(prop.ref_target, path)
+            else:
+                value = PLACEHOLDERS[prop.scalar_type]
+            for _ in range(prop.array):
+                value = [value]
+            children[name] = value
+        if not doc.description:
+            return children
+        key = "_template_description" if "description" in children else "description"
+        return {key: doc.description, **children}
+
+    return prune_fixpoint(traverse(index.start_id, ""))
+
+
+# ---------------------------------------------------------------------------
 # arithmetic and structural oracles
 
 

@@ -6,6 +6,7 @@ import json
 import select
 import socket
 import ssl
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -599,15 +600,15 @@ def test_http_provider_checks_the_server_certificate(local_server, forwarding_pr
 
 
 class _RedirectingProxy(_ForwardingProxy):
-    """_ForwardingProxy that records each CONNECT request line, then tunnels
-    to ``upstream`` whatever host the line names, so a tunnel to an IPv6
-    endpoint needs no IPv6 interface."""
+    """_ForwardingProxy that records each CONNECT request line and its
+    ``Host`` header, then tunnels to ``upstream`` whatever host the line
+    names, so a tunnel to an IPv6 endpoint needs no IPv6 interface."""
 
     lines: list = []
     upstream = ("127.0.0.1", 0)
 
     def do_CONNECT(self):
-        _RedirectingProxy.lines.append(self.requestline)
+        _RedirectingProxy.lines.append((self.requestline, self.headers["Host"]))
         self.path = "%s:%d" % _RedirectingProxy.upstream
         super().do_CONNECT()
 
@@ -650,8 +651,9 @@ def test_http_provider_tunnels_to_the_host_as_the_endpoint_writes_it(monkeypatch
         for running in (server, proxy):
             running.shutdown()
             running.server_close()
-    # Before Python 3.12, http.client writes an IPv6 host in CONNECT without brackets.
-    assert _RedirectingProxy.lines == [f"CONNECT {host}:8443 HTTP/1.0"]
+    # http.client sends CONNECT as HTTP/1.0 before Python 3.12, as HTTP/1.1 from then on.
+    version = "HTTP/1.0" if sys.version_info < (3, 12) else "HTTP/1.1"
+    assert _RedirectingProxy.lines == [(f"CONNECT {host}:8443 {version}", f"{host}:8443")]
     assert _HostHandler.hosts == [f"{host}:8443"]
 
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +18,10 @@ from cdmgen.template_builder import (
     KeyPathSet,
     build_template,
     flatten_examples,
-    prune_empty,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import corpus  # noqa: E402
 
 
 def write_example(directory, name, payload) -> None:
@@ -232,59 +237,103 @@ def test_randomized_key_subsets_hold_invariants(tiny_index, tiny_schema_dir, see
 
 
 # ---------------------------------------------------------------------------
-# prune_empty
+# objects that keep no data property are dropped
 
 
-def test_prune_removes_empty_object_keeps_placeholder_leaf():
-    assert prune_empty({"a": {}, "b": {"c": ""}}) == {"b": {"c": ""}}
+def test_a_placeholder_leaf_is_kept_beside_a_dropped_object(tiny_index):
+    template = build_template(tiny_index, keyset("party.address", "name"), "sample-record")
+    assert template.tree == {"description": "Top-level container for a simple record.", "name": ""}
 
 
-def test_prune_annotation_only_object_is_empty():
-    tree = {"a": {"description": "x"}}
-    assert prune_empty(tree) == {}
-    assert prune_empty(tree) == oracles.prune_fixpoint(tree)
+def test_an_object_with_only_its_annotation_is_dropped(tiny_index):
+    template = build_template(tiny_index, keyset("party", "tags"), "sample-record")
+    assert template.tree == {"description": "Top-level container for a simple record.", "tags": [""]}
 
 
-def test_prune_bottom():
-    assert prune_empty({}) == {}
-
-
-def test_prune_nested_vs_fixpoint_oracle():
-    tree = {
-        "a": {"b": {"c": {}}, "description": "keep until empty"},
-        "d": [{}, {"e": ""}],
-        "f": [],
-        "g": {"description": "ann", "h": []},
+def test_nested_objects_that_keep_nothing_are_dropped_with_their_arrays(tmp_path):
+    _write_schema(
+        tmp_path,
+        {
+            "description": "Root doc",
+            "properties": {
+                "legs": {"type": "array", "items": {"$ref": "leg.schema.json"}},
+                "party": {"$ref": "leg.schema.json"},
+                "name": {"type": "string"},
+            },
+        },
+        leg={
+            "description": "A leg.",
+            "properties": {"inner": {"$ref": "leg.schema.json"}, "rate": {"type": "number"}},
+        },
+    )
+    index = load_schema_dir(tmp_path, "root.schema.json")
+    keys = keyset("legs.inner.inner", "party.inner.rate", "name")
+    expected = {
+        "description": "Root doc",
+        "party": {"description": "A leg.", "inner": {"description": "A leg.", "rate": 0}},
+        "name": "",
     }
-    assert prune_empty(tree) == oracles.prune_fixpoint(tree)
-    assert prune_empty(tree) == {"d": [{"e": ""}]}
+    assert build_template(index, keys, "sample-record").tree == expected
+    assert oracles.build_two_pass(index, keys.paths) == expected
+
+
+def test_a_root_that_keeps_nothing_is_empty(tiny_index):
+    for keys in (keyset("party.address"), keyset("ghost"), keyset("party", "ghost.spooky")):
+        template = build_template(tiny_index, keys, "sample-record")
+        assert template.tree == {}
+        assert template.to_text().endswith('"tree": {}\n}\n')
+
+
+def test_a_dropped_description_property_still_displaces_the_annotation(tmp_path):
+    # The annotation key is chosen from the covered properties, before any
+    # of them is dropped: the example's "description" reaches an object
+    # without reaching its one leaf.
+    _write_schema(
+        tmp_path,
+        {
+            "description": "Root doc",
+            "properties": {
+                "description": {"type": "object", "properties": {"x": {"type": "string"}}},
+                "name": {"type": "string"},
+            },
+        },
+    )
+    write_example(tmp_path / "examples", "e1.json", {"description": "free text", "name": "n"})
+    index = load_schema_dir(tmp_path, "root.schema.json")
+    keys = flatten_examples(tmp_path / "examples")
+    template = build_template(index, keys, "sample-record")
+    assert template.tree == {"_template_description": "Root doc", "name": ""}
+    assert template.tree == oracles.build_two_pass(index, keys.paths)
+
+
+def _write_schema(directory, root, **documents) -> None:
+    (directory / "root.schema.json").write_text(json.dumps(root), encoding="utf-8")
+    for name, document in documents.items():
+        (directory / f"{name}.schema.json").write_text(json.dumps(document), encoding="utf-8")
 
 
 @st.composite
-def template_trees(draw, depth=0):
-    if depth >= 4:
-        return draw(st.sampled_from(["", "YYYY-MM-DD", 0, False]))
-    choice = draw(st.integers(0, 5))
-    if choice <= 2:
-        keys = draw(st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=4))
-        node = {k: draw(template_trees(depth=depth + 1)) for k in keys}
-        if draw(st.booleans()):
-            node = {"description": "Annotation text.", **node}
-        return node
-    if choice == 3:
-        return [draw(template_trees(depth=depth + 1)) for _ in range(draw(st.integers(0, 2)))]
-    return draw(st.sampled_from(["", "YYYY-MM-DD", 0, False]))
+def smoke_corpus_keys(draw):
+    """A generated SMOKE_SCALE corpus's schema index, with a drawn subset of
+    one type's example keys and of their proper prefixes: a prefix that
+    names an object reaches it and none of its leaves."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    with tempfile.TemporaryDirectory() as work:
+        batch = corpus.cdm_scale_batch(Path(work), random.Random(seed), corpus.SMOKE_SCALE)
+        index = load_schema_dir(batch.schema_dir, batch.root_file)
+        examples_dir = draw(st.sampled_from(sorted(batch.examples_dirs.values())))
+        example_keys = flatten_examples(examples_dir).paths
+    prefixes = oracles.prefix_closure(example_keys) - example_keys
+    keys = draw(st.frozensets(st.sampled_from(sorted(example_keys)), min_size=1))
+    keys |= draw(st.frozensets(st.sampled_from(sorted(prefixes)), max_size=6))
+    return index, keys
 
 
-@settings(max_examples=120, deadline=None)
-@given(tree=template_trees())
-def test_prune_is_idempotent_and_matches_oracle(tree):
-    if not isinstance(tree, dict):
-        tree = {"root": tree}
-    once = prune_empty(tree)
-    assert prune_empty(once) == once
-    assert once == oracles.prune_fixpoint(tree)
-
+@settings(max_examples=60, deadline=None)
+@given(case=smoke_corpus_keys())
+def test_the_one_walk_equals_the_two_pass_reference_on_generated_corpora(case):
+    index, keys = case
+    assert build_template(index, KeyPathSet(keys), "sample-record").tree == oracles.build_two_pass(index, keys)
 
 
 # ---------------------------------------------------------------------------
