@@ -28,7 +28,7 @@ SAMPLE_INTEGER = 1
 
 def sample_leaf_value(index: SchemaIndex, path: str, placeholder):
     """A schema-conformant sample value for the leaf at ``path``."""
-    prop = index.property_at(path)
+    prop = index.lookup(path)
     scalar = prop.scalar_type if prop else treeops.placeholder_kind(placeholder)
     if scalar == "enum" and prop and prop.enum_values:
         return prop.enum_values[0]

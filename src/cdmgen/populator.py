@@ -78,28 +78,6 @@ class PopulationTask:
         self.structure_text = json.dumps(self.target_subtree, indent=2, ensure_ascii=False)
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    path: str
-    kind: str  # "missing_key" | "extra_key" | "type_clash" | "unparseable" | "truncated"
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "kind": self.kind, "detail": self.detail}
-
-
-@dataclass
-class ShapeReport:
-    mismatches: list[Mismatch]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def to_payload(self) -> list[dict]:
-        return [m.to_dict() for m in self.mismatches]
-
-
 @dataclass
 class PopulatedDocument:
     tree: dict
@@ -237,76 +215,74 @@ def build_prompt(
     return chat_prompt("populate", contract_text, sections, task.retrieved_chunks if cfg.use_rag else ())
 
 
-def repair_prompt(original: PromptBundle, report: ShapeReport) -> PromptBundle:
-    """Follow-up prompt: the original request plus the mismatch report."""
-    return follow_up(original, "repair_followup.txt", report.to_payload())
+def repair_prompt(original: PromptBundle, mismatches: list[dict]) -> PromptBundle:
+    """Follow-up prompt: the original request plus the mismatch records
+    :func:`validate_shape` (or a truncated or unparseable reply) gave."""
+    return follow_up(original, "repair_followup.txt", mismatches)
 
 
 def task_query(task: PopulationTask) -> str:
-    """Retrieval query: the task's field names, definition, and path."""
-    names: list[str] = []
-    _collect_names(task.target_subtree, names)
-    parts = names
+    """Retrieval query: the leaf paths of the task's subtree, its
+    definition, and its path. Retrieval reads the query's token set, and
+    the leaf paths hold exactly the tokens of the subtree's data keys."""
+    parts = [path for path, _ in treeops.iter_leaf_paths(task.target_subtree)]
     if task.object_definition:
-        parts = parts + [task.object_definition]
+        parts.append(task.object_definition)
     if task.traversal_context:
-        parts = parts + [".".join(task.traversal_context)]
+        parts.append(".".join(task.traversal_context))
     return " ".join(parts)
-
-
-def _collect_names(value, out: list[str]) -> None:
-    if isinstance(value, dict):
-        for key, child in treeops.data_items(value):
-            if key not in out:
-                out.append(key)
-            _collect_names(child, out)
-    elif isinstance(value, list):
-        for child in value:
-            _collect_names(child, out)
 
 
 # ---------------------------------------------------------------------------
 # shape validation
 
 
-def validate_shape(input_subtree, output) -> ShapeReport:
-    """Check that ``output`` mirrors the placeholder structure exactly.
+def validate_shape(input_subtree, output) -> list[dict]:
+    """The ways ``output`` fails to mirror the placeholder structure, as
+    ``{"path", "kind", "detail"}`` records; empty when it fits.
 
     Object key sets must match (annotations excluded), arrays must carry at
-    least one element each matching the single prototype, and every leaf
-    must hold a value of its placeholder's kind. Never raises; all problems
-    come back in the report.
+    least one element each matching the single prototype (an empty
+    prototype array accepts any list), and every leaf must hold a value of
+    its placeholder's kind. ``kind`` is ``missing_key``, ``extra_key`` or
+    ``type_clash``; a reply that is cut off or holds no JSON gets one
+    ``truncated`` or ``unparseable`` record instead (see :func:`_assess`).
+    Never raises.
     """
-    mismatches: list[Mismatch] = []
+    mismatches: list[dict] = []
     _check_shape(input_subtree, output, "", mismatches)
-    return ShapeReport(mismatches=mismatches)
+    return mismatches
 
 
-def _check_shape(inp, out, path, issues: list[Mismatch]) -> None:
+def _mismatch(path: str, kind: str, detail: str) -> dict:
+    return {"path": path, "kind": kind, "detail": detail}
+
+
+def _check_shape(inp, out, path, issues: list[dict]) -> None:
     label = path or "(root)"
     if isinstance(inp, dict):
         if not isinstance(out, dict):
-            issues.append(Mismatch(label, "type_clash", f"expected an object, got {_kind(out)}"))
+            issues.append(_mismatch(label, "type_clash", f"expected an object, got {_kind(out)}"))
             return
         expected = dict(treeops.data_items(inp))
         for key in expected:
             if key not in out:
-                issues.append(Mismatch(_join(path, key), "missing_key", "required key absent"))
+                issues.append(_mismatch(_join(path, key), "missing_key", "required key absent"))
         for key in out:
             if key not in expected:
-                issues.append(Mismatch(_join(path, key), "extra_key", "key not in structure"))
+                issues.append(_mismatch(_join(path, key), "extra_key", "key not in structure"))
         for key, proto in expected.items():
             if key in out:
                 _check_shape(proto, out[key], _join(path, key), issues)
         return
     if isinstance(inp, list):
         if not isinstance(out, list):
-            issues.append(Mismatch(label, "type_clash", f"expected an array, got {_kind(out)}"))
+            issues.append(_mismatch(label, "type_clash", f"expected an array, got {_kind(out)}"))
             return
         if not inp:
             return
         if not out:
-            issues.append(Mismatch(label, "type_clash", "array must contain at least one element"))
+            issues.append(_mismatch(label, "type_clash", "array must contain at least one element"))
             return
         prototype = inp[0]
         for element in out:
@@ -315,16 +291,14 @@ def _check_shape(inp, out, path, issues: list[Mismatch]) -> None:
     _check_leaf(inp, out, label, issues)
 
 
-def _check_leaf(placeholder, out, label, issues: list[Mismatch]) -> None:
+def _check_leaf(placeholder, out, label, issues: list[dict]) -> None:
     kind = treeops.placeholder_kind(placeholder)
     if kind == "date":
         # A date the contract does not give may stay unfilled.
         if out != treeops.DATE_TOKEN and not treeops.conforms(kind, out):
-            issues.append(
-                Mismatch(label, "type_clash", "expected a YYYY-MM-DD date or the placeholder")
-            )
+            issues.append(_mismatch(label, "type_clash", "expected a YYYY-MM-DD date or the placeholder"))
     elif not treeops.conforms(kind, out):
-        issues.append(Mismatch(label, "type_clash", f"expected a {kind}, got {_kind(out)}"))
+        issues.append(_mismatch(label, "type_clash", f"expected a {kind}, got {_kind(out)}"))
 
 
 def _kind(value) -> str:
@@ -359,7 +333,7 @@ def populate(
     """Fill a template from contract text, one validated task at a time.
 
     Each selected substructure is prompted, parsed, and shape-checked; a
-    mismatching reply triggers a follow-up carrying the validation report,
+    mismatching reply triggers a follow-up carrying its mismatch records,
     up to ``cfg.retry_limit`` re-prompts. Exhausted tasks keep their
     placeholders and are recorded as failures. A provider outage
     (:class:`ProviderOutage`) aborts the run, attaching the partial
@@ -523,15 +497,15 @@ def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> tuple[Optiona
     base_hash = prompt_hash(original)
     prompt = original
     for attempts in range(1, cfg.retry_limit + 2):
-        report, parsed = _assess(task, gateway.complete(prompt))
-        if report.ok:
+        mismatches, parsed = _assess(task, gateway.complete(prompt))
+        if not mismatches:
             result = parsed[task.unwrap_key] if task.unwrap_key else parsed
             logger.info(
                 "task=%s attempts=%d status=ok", task.target_path or "(root)", attempts
             )
             return result, {"prompt_hash": base_hash, "attempts": attempts, "failed": False}
         if attempts <= cfg.retry_limit:
-            prompt = repair_prompt(original, report)
+            prompt = repair_prompt(original, mismatches)
     logger.info(
         "task=%s attempts=%d status=failed", task.target_path or "(root)", attempts
     )
@@ -539,18 +513,18 @@ def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> tuple[Optiona
         "prompt_hash": base_hash,
         "attempts": attempts,
         "failed": True,
-        "mismatches": report.to_payload(),
+        "mismatches": mismatches,
     }
 
 
-def _assess(task: PopulationTask, completion) -> tuple[ShapeReport, Optional[dict]]:
+def _assess(task: PopulationTask, completion) -> tuple[list[dict], Optional[dict]]:
     label = task.target_path or "(root)"
     if completion.finish_reason == "length":
-        return ShapeReport([Mismatch(label, "truncated", "output was cut off")]), None
+        return [_mismatch(label, "truncated", "output was cut off")], None
     try:
         parsed = extract_structured(completion.text)
     except NoStructuredPayload as exc:
-        return ShapeReport([Mismatch(label, "unparseable", str(exc))]), None
+        return [_mismatch(label, "unparseable", str(exc))], None
     return validate_shape(task.target_subtree, parsed), parsed
 
 

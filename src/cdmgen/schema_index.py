@@ -3,8 +3,8 @@
 A schema corpus is a directory of ``.json`` documents that reference each
 other by relative file path via ``$ref``. This module resolves the whole
 graph once, normalizes every property into a :class:`PropertyDef`, and
-answers "does this dot-path exist, and what lives there?" queries with array
-indices stripped, for a whole path or one key at a time.
+answers "what property does this dot-path name?", with array indices
+stripped, for a whole path or one key at a time.
 
 Supported schema keywords: ``properties``, ``items``, ``$ref``,
 ``description``, ``enum``, ``format``, ``type``, and the composites
@@ -89,8 +89,9 @@ class SchemaIndex:
     nothing is under it), the number of segments read to reach it, and the
     property it names (None for the root or a miss). :meth:`step` moves
     from a place by one key, and :meth:`lookup` is one step from
-    :attr:`root_place` by a whole path, so a walk of a document's keys reads
-    each key as a lookup of its path would.
+    :attr:`root_place` by a whole path, returning the property or None, so
+    a walk of a document's keys reads each key as a lookup of its path
+    would.
     """
 
     root_id: str
@@ -127,29 +128,11 @@ class SchemaIndex:
                 properties = _NOTHING
         return properties, depth, prop
 
-    def lookup(self, path: str) -> tuple[bool, Optional[PropertyDef]]:
-        """Whether ``path`` names a property reachable from the root schema.
-
-        Numeric and empty segments are not read (see :meth:`step`). Raises
-        :class:`CycleDetected` when the path has more than
-        ``max_path_depth`` segments and ``ValueError`` on an empty path.
-        """
-        if not path or not path.strip("."):
-            raise ValueError("path must be a non-empty dot-separated string")
-        _, depth, prop = self.step(self.root_place, path)
-        if depth > self.max_path_depth:
-            raise CycleDetected(
-                f"path has {depth} segments, exceeding the depth guard of {self.max_path_depth}"
-            )
-        return prop is not None, prop
-
-    def property_at(self, path: str) -> Optional[PropertyDef]:
-        """The property ``path`` names, or None when it names nothing, is
-        empty, or is deeper than the depth guard."""
-        try:
-            return self.lookup(path)[1]
-        except (ValueError, CycleDetected):
-            return None
+    def lookup(self, path: str) -> Optional[PropertyDef]:
+        """The property ``path`` names from the root, or None when it names
+        nothing: :meth:`step` from :attr:`root_place` by the whole path, so
+        an empty path, or one deeper than ``max_path_depth``, is None."""
+        return self.step(self.root_place, path)[2]
 
 
 def _keyword(where: str, raw: dict, keyword: str):

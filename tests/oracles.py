@@ -391,6 +391,33 @@ def exhaustive_retrieve(chunks, query: str, k: int) -> list:
     return [chunks[position] for _, _, position in sorted(scored)[:k]]
 
 
+def task_query_by_names(task) -> str:
+    """A population task's retrieval query as first written: each data key
+    of its subtree once, in the order first met, then its object definition
+    and its traversal path, joined by spaces."""
+    names: list[str] = []
+
+    def collect(value):
+        if isinstance(value, dict):
+            for key, child in value.items():
+                if _is_annotation(key, child, ("description", "_template_description")):
+                    continue
+                if key not in names:
+                    names.append(key)
+                collect(child)
+        elif isinstance(value, list):
+            for child in value:
+                collect(child)
+
+    collect(task.target_subtree)
+    parts = names
+    if task.object_definition:
+        parts = parts + [task.object_definition]
+    if task.traversal_context:
+        parts = parts + [".".join(task.traversal_context)]
+    return " ".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # knowledge-base ingest with indented bodies
 

@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import os
 import re
 import stat
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 import helpers
 import cdmgen
-from cdmgen import cli, populator, prompts
+from cdmgen import cli, populator, prompts, treeops
 from cdmgen.cli import build_parser, main, write_json
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure, OutputUnwritable, ProviderUnavailable, Timeout
@@ -126,6 +127,28 @@ def test_make_template_counts_for_its_log_line_only_when_verbose(tmp_path, cdm_s
     calls, err = make_template("-v")
     assert calls == 1
     assert "template written out=" in err
+
+
+def test_make_template_logs_its_leaf_count_and_depth(tmp_path, cdm_schema_dir, examples_root, caplog):
+    # main's basicConfig does nothing under pytest's log handler, so the
+    # level is set here.
+    caplog.set_level(logging.INFO, logger="cdmgen.cli")
+    out = tmp_path / "template.json"
+    argv = [
+        "-v", "make-template",
+        "--schema-dir", cdm_schema_dir,
+        "--root", "contract.schema.json",
+        "--examples", examples_root / "equity_swap",
+        "--contract-type", "EquitySwap",
+        "--out", out,
+    ]
+    assert run(argv) == 0
+    template = Template.load(out)
+    leaves = sum(1 for _ in treeops.iter_leaf_paths(template.tree))
+    depth = populator.compute_depths(template) - 1
+    assert (leaves, depth) == (13, 8)
+    [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("template written")]
+    assert message == f"template written out={out} leaves={leaves} depth={depth}"
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +296,7 @@ def test_populate_reply_with_a_lone_surrogate_is_unparseable_not_a_traceback(
     for task in populator.plan_tasks(Template.load(template_path), cfg, None):
         key = prompt_hash(populator.build_prompt(task, text, cfg))
         swaps = _leaf_swaps(json.loads(script[key]), lambda leaf: "\ud800" if isinstance(leaf, str) else None)
-        valid = next((s for s in swaps if populator.validate_shape(task.target_subtree, s).ok), None)
+        valid = next((s for s in swaps if not populator.validate_shape(task.target_subtree, s)), None)
         if valid is not None:
             script[key] = json.dumps(valid)
             break
@@ -1022,6 +1045,24 @@ BAD_INPUTS = {
     "config_name_number": (2, "pipeline --config {config_name_number}"),
     "config_provider_list": (2, "pipeline --config {config_provider_list}"),
     "report_contract_type_combined": (1, "report --in {reports_contract_type_combined}"),
+    "report_without_report_files": (2, "report --in {reports_none}"),
+    "schema_dir_missing": (
+        1, "make-template --schema-dir {missing} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "schema_top_level_list": (
+        1, "make-template --schema-dir {schema_top_level_list} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    # A self-referencing schema and an example 70 levels deep: the template
+    # walk passes the depth guard (64).
+    "template_past_depth_guard": (
+        1, "make-template --schema-dir {schema_self_reference} --root node.json"
+        " --examples {examples_70_levels} --contract-type Node"
+    ),
+    "config_contracts_number": (2, "pipeline --config {config_contracts_number}"),
+    "config_out_dir_number": (2, "pipeline --config {config_out_dir_number}"),
+    "config_out_dir_empty": (2, "pipeline --config {config_out_dir_empty}"),
 }
 # The error a case with exit code 1 names, when it is not MalformedDocument.
 BAD_INPUT_ERRORS = {
@@ -1030,6 +1071,8 @@ BAD_INPUT_ERRORS = {
     "examples_without_leaves": "EmptyExampleDir",
     "ingest_examples_without_leaves": "EmptyExampleDir",
     "schema_ref_pointer": "UnresolvedRef",
+    "schema_dir_missing": "MissingRoot",
+    "template_past_depth_guard": "CycleDetected",
 }
 # A pattern the error detail of a case with exit code 1 must match: only a
 # file that does not parse names a byte offset.
@@ -1052,6 +1095,9 @@ BAD_INPUT_DETAILS = {
     "mock_script_lone_surrogate": r"lone_surrogate\.json: the lone surrogate \\ud800 is not UTF-8 text$",
     "kb_lone_surrogate": r"kb_lone_surrogate\.json: the lone surrogate \\ud800 is not UTF-8 text$",
     "config_lone_surrogate": r"config_lone_surrogate\.json: the lone surrogate \\udbff is not UTF-8 text$",
+    "schema_dir_missing": r"^schema directory .*missing\.txt does not exist$",
+    "schema_top_level_list": r"^bad\.json: top-level value is not an object$",
+    "template_past_depth_guard": r"^schema traversal exceeded 64 levels at 'next(\.next){64}'$",
 }
 # Text the usage message of a case with exit code 2 must hold.
 BAD_INPUT_USAGE = {
@@ -1068,6 +1114,10 @@ BAD_INPUT_USAGE = {
     "config_name_list": "error: contract name ['a'] is not a plain file name",
     "config_name_number": "error: contract name 5 is not a plain file name",
     "config_provider_list": "error: provider [['model', 'x']] is not an object",
+    "config_contracts_number": "error: contracts 5 is not a list",
+    "config_out_dir_number": "error: out_dir 5 is not a path",
+    "config_out_dir_empty": "error: out_dir '' is not a path",
+    "report_without_report_files": "error: no report files found in ",
 }
 
 
@@ -1126,6 +1176,9 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_name_list": json.dumps({**config, "contracts": [{**job, "name": ["a"]}]}),
         "config_name_number": json.dumps({**config, "contracts": [{**job, "name": 5}]}),
         "config_provider_list": json.dumps({**http_config, "provider": [["model", "x"]]}),
+        "config_contracts_number": json.dumps({**config, "contracts": 5}),
+        "config_out_dir_number": json.dumps({**config, "out_dir": 5}),
+        "config_out_dir_empty": json.dumps({**config, "out_dir": ""}),
         "script_usage_5": json.dumps({"0" * 64: {"text": "{}", "usage": 5}}),
         "blank": " \n\t\n",
         "cdm_one_key": json.dumps({"trade": {}}),
@@ -1196,6 +1249,11 @@ def test_bad_input_is_typed_not_a_traceback(
         ("schema_ref_member_text", "x.schema.json", '{"type": "string", "anyOf": [{"type": "string"}, "y"]}'),
         ("schema_ref_pointer", "contract.schema.json", '{"properties": {"x": {"$ref": "x.schema.json#/definitions/Y"}}}'),
         ("schema_ref_pointer", "x.schema.json", '{"definitions": {"Y": {"type": "string"}}}'),
+        ("reports_none", "notes.txt", "not a report"),
+        ("schema_top_level_list", "contract.schema.json", '{"properties": {"x": {"type": "string"}}}'),
+        ("schema_top_level_list", "bad.json", "[1]"),
+        ("schema_self_reference", "node.json", '{"properties": {"next": {"$ref": "node.json"}, "v": {"type": "string"}}}'),
+        ("examples_70_levels", "e1.json", '{"next": ' * 70 + '{"v": "x"}' + "}" * 70),
     ]
     for name, file_name, text in dirs:
         paths[name] = tmp_path / name
@@ -2234,9 +2292,11 @@ def test_populate_writes_the_incomplete_population_the_pipeline_writes(
         assert (tmp_path / f"{key}{suffix}").read_bytes() == (out_dir / f"{key}{suffix}").read_bytes()
 
 
-def test_pipeline_plans_a_template_once_per_knowledge_base(
-    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir
-):
+def _write_rag_pair(tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir):
+    """Write a RAG batch (k=2) of two contracts that share one type, text
+    and template, each with its own knowledge base built from different
+    examples, so only their retrieved chunks differ. Returns the config
+    path, the jobs, the template path and the contract path."""
     key = "interest_rate_swap"
     contract_type = helpers.CONTRACT_TYPES[key]
     template = build_template(cdm_index, flatten_examples(examples_root / key), contract_type)
@@ -2246,8 +2306,6 @@ def test_pipeline_plans_a_template_once_per_knowledge_base(
     text = contract.read_text(encoding="utf-8")
     cfg = PopulationConfig(use_rag=True, k_chunks=2)
     script, jobs = {}, []
-    # Two bases for one type, from different examples: the contracts share
-    # a template and a text, so only their retrieved chunks differ.
     for i, source in enumerate([key, "equity_swap"]):
         kb_path = tmp_path / f"kb{i}.json"
         ingest_examples(examples_root / source, contract_type, 60).save(kb_path)
@@ -2262,6 +2320,15 @@ def test_pipeline_plans_a_template_once_per_knowledge_base(
             }
         )
     config_path = _write_batch(tmp_path, cdm_schema_dir, jobs, script, use_rag=True, k_chunks=2)
+    return config_path, jobs, template_path, contract
+
+
+def test_pipeline_plans_a_template_once_per_knowledge_base(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir
+):
+    config_path, jobs, template_path, contract = _write_rag_pair(
+        tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir
+    )
     assert run(["pipeline", "--config", config_path]) == 0
 
     hashes = []
@@ -2278,6 +2345,33 @@ def test_pipeline_plans_a_template_once_per_knowledge_base(
         assert (tmp_path / "out" / f"{name}.provenance.json").read_bytes() == single.read_bytes()
         hashes.append({record["prompt_hash"] for record in json.loads(single.read_text(encoding="utf-8")).values()})
     assert hashes[0].isdisjoint(hashes[1])
+
+
+@pytest.mark.parametrize("batch", ["fixtures", "rag_pair"])
+def test_pipeline_writes_the_same_bytes_under_any_hash_seed(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir, batch
+):
+    # Each run is a fresh interpreter with its own string hash seed, so
+    # output ordered by iterating a set of strings would differ.
+    if batch == "fixtures":
+        config_path, _, _ = helpers.prepare_pipeline(tmp_path, cdm_schema_dir, examples_root, contracts_dir)
+    else:
+        config_path, *_ = _write_rag_pair(tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir)
+    src = Path(cdmgen.__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("1", "2"):
+        out_dir = tmp_path / f"seed-{seed}"
+        result = subprocess.run(
+            [sys.executable, "-m", "cdmgen.cli", "pipeline", "--config", str(config_path), "--out-dir", str(out_dir)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted(out_dir.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == (4 * len(helpers.CONTRACT_TYPES) + 1 if batch == "fixtures" else 4 * 2 + 1)
 
 
 def test_mock_script_runs_never_load_the_http_transport(tmp_path, cdm_schema_dir, examples_root, contracts_dir):

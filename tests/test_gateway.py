@@ -319,6 +319,18 @@ def test_http_provider_reads_a_null_or_odd_content_or_usage_as_empty(local_serve
     assert result.usage == (usage if isinstance(usage, dict) else {})
 
 
+@pytest.mark.parametrize(
+    "finish, expected",
+    [("stop", "stop"), ("length", "length"), ("content_filter", "stop"), (None, "stop")],
+)
+def test_http_provider_reads_a_finish_reason_other_than_length_as_stop(local_server, finish, expected):
+    _Handler.behavior = "raw"
+    choice = {"message": {"content": "{}"}, "finish_reason": finish}
+    _Handler.raw_body = json.dumps({"choices": [choice]}).encode()
+    result = HttpProvider(ProviderConfig(endpoint=local_server, model="m")).complete(BUNDLE)
+    assert result.finish_reason == expected
+
+
 def test_http_provider_reply_without_choices_is_provider_unavailable(local_server):
     _Handler.behavior = "raw"
     _Handler.raw_body = json.dumps({"id": "reply-1", "usage": {}}).encode()

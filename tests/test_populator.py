@@ -18,11 +18,9 @@ import oracles
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure, GenerationIncomplete, ProviderUnavailable, Timeout
 from cdmgen.gateway import CompletionResult, MockProvider, prompt_hash
-from cdmgen.knowledge_base import Chunk, KnowledgeBase
+from cdmgen.knowledge_base import Chunk, KnowledgeBase, lexical_tokens
 from cdmgen.populator import (
-    Mismatch,
     PopulationConfig,
-    ShapeReport,
     baseline_generate,
     build_prompt,
     clean,
@@ -30,6 +28,7 @@ from cdmgen.populator import (
     populate,
     repair_prompt,
     select_tasks,
+    task_query,
     validate_shape,
 )
 from cdmgen.evaluator import evaluate_document
@@ -309,6 +308,24 @@ def test_the_plan_equals_the_two_pass_reference_on_generated_corpora(seed):
                 assert_plan_matches_two_pass(template, d)
 
 
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_a_task_query_holds_the_tokens_of_its_field_names(seed):
+    # Retrieval scores a query's token set, so a query of leaf paths ranks
+    # chunks as a query of the subtree's distinct data keys does. Every d
+    # from 1 to 4 is checked: on these corpora only d = 4 plans tasks whose
+    # inner keys appear in neither the definition nor the path.
+    with tempfile.TemporaryDirectory() as work:
+        batch = corpus.cdm_scale_batch(Path(work), random.Random(seed), corpus.SMOKE_SCALE)
+        index = load_schema_dir(batch.schema_dir, batch.root_file)
+        templates = [build_template(index, flatten_examples(path), t) for t, path in batch.examples_dirs.items()]
+    for template in templates:
+        for d in range(1, 5):
+            for task in select_tasks(template, d):
+                expected = set(lexical_tokens(oracles.task_query_by_names(task)))
+                assert set(lexical_tokens(task_query(task))) == expected, (seed, d, task.target_path)
+
+
 # ---------------------------------------------------------------------------
 # prompt construction
 
@@ -376,13 +393,12 @@ def test_prompt_section_order(cdm_index, examples_root):
 
 
 def test_shape_simple_fill_ok():
-    assert validate_shape({"v": ""}, {"v": "UC-001"}).ok
+    assert validate_shape({"v": ""}, {"v": "UC-001"}) == []
 
 
 def test_shape_extra_key_reported():
-    report = validate_shape({"v": ""}, {"v": "x", "extra": 1})
-    assert not report.ok
-    assert [(m.kind, m.path) for m in report.mismatches] == [("extra_key", "extra")]
+    mismatches = validate_shape({"v": ""}, {"v": "x", "extra": 1})
+    assert mismatches == [{"path": "extra", "kind": "extra_key", "detail": "key not in structure"}]
 
 
 def test_shape_array_repetition_ok():
@@ -390,21 +406,21 @@ def test_shape_array_repetition_ok():
     inp = {"ids": [{"v": ""}]}
     out = {"ids": [{"v": "a"}, {"v": "b"}]}
     assert oracles.shape_matches(inp, out)
-    assert validate_shape(inp, out).ok
+    assert validate_shape(inp, out) == []
 
 
 def test_shape_missing_key_and_empty_array():
-    report = validate_shape({"a": "", "ids": [{"v": ""}]}, {"ids": []})
-    kinds = {(m.kind, m.path) for m in report.mismatches}
+    mismatches = validate_shape({"a": "", "ids": [{"v": ""}]}, {"ids": []})
+    kinds = {(m["kind"], m["path"]) for m in mismatches}
     assert ("missing_key", "a") in kinds
     assert ("type_clash", "ids") in kinds
 
 
 def test_shape_annotations_are_not_required():
     inp = {"description": "Ann.", "v": ""}
-    assert validate_shape(inp, {"v": "x"}).ok
-    report = validate_shape(inp, {"description": "Ann.", "v": "x"})
-    assert [(m.kind, m.path) for m in report.mismatches] == [("extra_key", "description")]
+    assert validate_shape(inp, {"v": "x"}) == []
+    mismatches = validate_shape(inp, {"description": "Ann.", "v": "x"})
+    assert [(m["kind"], m["path"]) for m in mismatches] == [("extra_key", "description")]
 
 
 @pytest.mark.parametrize(
@@ -419,20 +435,20 @@ def test_shape_annotations_are_not_required():
     ],
 )
 def test_shape_leaf_kinds(placeholder, good, bad, tmp_path):
-    assert validate_shape({"x": placeholder}, {"x": good}).ok
-    assert not validate_shape({"x": placeholder}, {"x": bad}).ok
+    assert validate_shape({"x": placeholder}, {"x": good}) == []
+    assert validate_shape({"x": placeholder}, {"x": bad}) != []
     # One leaf rule: validation accepts what treeops.conforms accepts for
     # the placeholder's kind, plus an unfilled date, and the score agrees
     # with treeops.conforms for every schema kind with this placeholder.
     kind = treeops.placeholder_kind(placeholder)
     for value in LEAF_SAMPLES:
-        report = validate_shape({"x": placeholder}, {"x": value})
-        assert report.ok == (
+        mismatches = validate_shape({"x": placeholder}, {"x": value})
+        assert (not mismatches) == (
             treeops.conforms(kind, value) or (kind == "date" and value == "YYYY-MM-DD")
         ), value
-        if not report.ok:
+        if mismatches:
             detail = CLASH_DETAILS[kind].format(got=_value_kind(value))
-            assert report.to_payload() == [{"path": "x", "kind": "type_clash", "detail": detail}]
+            assert mismatches == [{"path": "x", "kind": "type_clash", "detail": detail}]
     (tmp_path / "root.schema.json").write_text(json.dumps(LEAF_SCHEMA), encoding="utf-8")
     index = load_schema_dir(tmp_path, "root.schema.json")
     for name, prop in index.doc("root.schema.json").properties.items():
@@ -477,9 +493,23 @@ def _value_kind(value) -> str:
 
 
 def test_shape_object_vs_list_clash():
-    report = validate_shape({"a": {"b": ""}}, {"a": [{"b": "x"}]})
-    assert report.mismatches[0].kind == "type_clash"
-    assert report.mismatches[0].path == "a"
+    mismatches = validate_shape({"a": {"b": ""}}, {"a": [{"b": "x"}]})
+    assert mismatches[0]["kind"] == "type_clash"
+    assert mismatches[0]["path"] == "a"
+
+
+@pytest.mark.parametrize("reply, got", [({"v": "x"}, "an object"), ("x", "a string")])
+def test_shape_object_or_text_where_an_array_is_expected(reply, got):
+    mismatches = validate_shape({"ids": [{"v": ""}]}, {"ids": reply})
+    assert mismatches == [{"path": "ids", "kind": "type_clash", "detail": f"expected an array, got {got}"}]
+
+
+def test_shape_empty_template_array_accepts_any_list():
+    for reply in ([], [""], [1, {"a": "x"}, ["y"]]):
+        assert validate_shape({"ids": []}, {"ids": reply}) == []
+    assert validate_shape({"ids": []}, {"ids": {}}) == [
+        {"path": "ids", "kind": "type_clash", "detail": "expected an array, got an object"}
+    ]
 
 
 def test_shape_randomized_against_oracle():
@@ -487,7 +517,7 @@ def test_shape_randomized_against_oracle():
     for _ in range(200):
         tree = random_template_tree(rng, max_depth=4, max_nodes=30)
         candidate = _mutate(rng, copy.deepcopy(_fill_naive(tree)))
-        assert validate_shape(tree, candidate).ok == oracles.shape_matches(tree, candidate)
+        assert (validate_shape(tree, candidate) == []) == oracles.shape_matches(tree, candidate)
 
 
 def _fill_naive(value):
@@ -732,8 +762,8 @@ def test_populate_truncated_reply_is_retried():
     [task] = select_tasks(template, cfg.depth_threshold)
     prompt = build_prompt(task, "contract", cfg)
 
-    truncated_report = ShapeReport([Mismatch("(root)", "truncated", "output was cut off")])
-    retry = repair_prompt(prompt, truncated_report)
+    truncated = [{"path": "(root)", "kind": "truncated", "detail": "output was cut off"}]
+    retry = repair_prompt(prompt, truncated)
     good = {"id": {"value": "UC-1"}, "amount": 1}
     gateway = MockProvider(
         {
@@ -777,7 +807,7 @@ def test_populate_lone_surrogate_reply_is_repaired_on_the_next_attempt(reply, su
     assert doc.provenance["(root)"]["attempts"] == 2
     first, retry = gateway.prompts
     detail = f"the JSON object in model output holds the lone surrogate {surrogate}"
-    assert retry == repair_prompt(first, ShapeReport([Mismatch("(root)", "unparseable", detail)]))
+    assert retry == repair_prompt(first, [{"path": "(root)", "kind": "unparseable", "detail": detail}])
 
 
 def test_populate_reply_nested_too_deeply_is_repaired_on_the_next_attempt():
@@ -791,7 +821,7 @@ def test_populate_reply_nested_too_deeply_is_repaired_on_the_next_attempt():
     assert doc.provenance["(root)"]["attempts"] == 2
     first, retry = gateway.prompts
     detail = "the JSON in model output is nested too deeply to read"
-    assert retry == repair_prompt(first, ShapeReport([Mismatch("(root)", "unparseable", detail)]))
+    assert retry == repair_prompt(first, [{"path": "(root)", "kind": "unparseable", "detail": detail}])
 
 
 def test_populate_empty_template_short_circuits():
@@ -809,7 +839,7 @@ def test_populate_full_fixture_with_dryrun_script(cdm_index, examples_root, cont
     gateway = MockProvider(script)
     doc = populate(template, contract_text, None, gateway, cfg)
     # shape preservation: the populated tree mirrors the template exactly
-    assert validate_shape(template.tree, doc.tree).ok
+    assert validate_shape(template.tree, doc.tree) == []
     # every placeholder was filled with something non-empty
     for path, leaf in treeops.iter_leaf_paths(doc.tree):
         assert leaf not in ("", treeops.DATE_TOKEN), path

@@ -55,7 +55,7 @@ def test_a_root_whose_body_is_a_ref_is_read_at_its_chains_end(tmp_path):
     write(tmp_path / "entry.schema.json", {"$ref": "contract.schema.json"})
     index = load_schema_dir(tmp_path, "entry.schema.json")
     assert index.root_id == "entry.schema.json"
-    assert index.lookup("tradeDate") == (True, index.documents["contract.schema.json"].properties["tradeDate"])
+    assert index.lookup("tradeDate") == index.documents["contract.schema.json"].properties["tradeDate"]
     assert evaluate_document({"tradeDate": "2024-01-01", "notional": 5}, index).schema_adherence == 100.0
     direct = load_schema_dir(tmp_path, "contract.schema.json")
     keys = KeyPathSet(frozenset({"tradeDate", "notional"}))
@@ -99,8 +99,8 @@ def test_an_empty_fragment_is_the_whole_document(tmp_path):
         {"properties": {"m": {"$ref": "common.schema.json#"}, "again": {"$ref": "#"}}},
     )
     index = load_schema_dir(tmp_path, "root.schema.json")
-    assert index.lookup("m.note")[0] is True
-    assert index.lookup("again.again.m.note")[0] is True
+    assert index.lookup("m.note") is not None
+    assert index.lookup("again.again.m.note") is not None
 
 
 def test_a_ref_chain_cycle_is_detected_through_annotated_aliases(tmp_path):
@@ -116,6 +116,15 @@ def test_missing_root(tmp_path):
     write(tmp_path / "other.schema.json", {"properties": {}})
     with pytest.raises(MissingRoot):
         load_schema_dir(tmp_path, "root.schema.json")
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_a_root_inside_the_schema_dir_reads_as_its_relative_id(tmp_path, absolute):
+    write(tmp_path / "sub" / "root.json", {"properties": {"x": {"type": "string"}}})
+    root = tmp_path / "sub" / "root.json" if absolute else "sub/root.json"
+    index = load_schema_dir(tmp_path, root)
+    assert index.root_id == index.start_id == "sub/root.json"
+    assert index.lookup("x").scalar_type == "string"
 
 
 def test_malformed_document_names_file_and_offset(tmp_path):
@@ -200,7 +209,7 @@ def test_directory_named_json_is_walked_not_opened(tmp_path):
     write(tmp_path / "odd.json" / "inner.schema.json", {"properties": {"x": {"type": "string"}}})
     index = load_schema_dir(tmp_path, "root.schema.json")
     assert list(index.documents) == ["odd.json/inner.schema.json", "root.schema.json"]
-    assert index.lookup("odd.x")[0] is True
+    assert index.lookup("odd.x") is not None
 
 
 # Names whose string order differs from their order as path segments
@@ -328,8 +337,8 @@ def test_composite_union_and_choice_groups(tmp_path):
     choice_props = index.documents["choice.schema.json"].properties
     assert choice_props["cash"].choice_group == "oneOf[0]"
     assert choice_props["physical"].choice_group == "oneOf[1]"
-    assert index.lookup("settlement.cash")[0] is True
-    assert index.lookup("settlement.physical")[0] is True
+    assert index.lookup("settlement.cash") is not None
+    assert index.lookup("settlement.physical") is not None
 
 
 
@@ -359,7 +368,7 @@ def test_a_document_whose_ref_member_is_an_object_is_an_object(tmp_path):
     write(tmp_path / "root.schema.json", {"properties": {"counterparty": {"$ref": "counterparty.schema.json"}}})
     index = load_schema_dir(tmp_path, "root.schema.json")
     assert index.documents["root.schema.json"].properties["counterparty"].ref_target == "counterparty.schema.json"
-    assert index.lookup("counterparty.partyId")[0] is True
+    assert index.lookup("counterparty.partyId") is not None
 
 
 def test_an_inline_object_met_again_inside_itself_is_its_ancestor(tmp_path):
@@ -378,7 +387,7 @@ def test_an_inline_object_met_again_inside_itself_is_its_ancestor(tmp_path):
     assert related.ref_target == "party.schema.json::related"
     assert index.doc(related.ref_target).properties["related"] == related
     assert index.doc(related.ref_target).description == "A related party."
-    assert index.lookup("party.related.related.related.partyId")[0] is True
+    assert index.lookup("party.related.related.related.partyId") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +395,13 @@ def test_an_inline_object_met_again_inside_itself_is_its_ancestor(tmp_path):
 
 
 def test_figure_style_identifier_path_exists(cdm_index):
-    exists, prop = cdm_index.lookup(
-        "trade.tradeIdentifier.assignedIdentifier.identifier.value"
-    )
-    assert exists is True
+    prop = cdm_index.lookup("trade.tradeIdentifier.assignedIdentifier.identifier.value")
+    assert prop is not None
     assert prop.scalar_type == "string"
 
 
-def test_empty_path_rejected(tiny_index):
-    with pytest.raises(ValueError):
-        tiny_index.lookup("")
+def test_empty_path_names_nothing(tiny_index):
+    assert tiny_index.lookup("") is None
 
 
 def test_unknown_path_with_index_segment(cdm_index, cdm_schema_dir):
@@ -403,9 +409,7 @@ def test_unknown_path_with_index_segment(cdm_index, cdm_schema_dir):
     # absent from the exhaustively enumerated schema paths.
     enumerated = oracles.enumerate_schema_paths(cdm_schema_dir, "contract.schema.json")
     assert "trade.nonsenseField" not in enumerated
-    exists, prop = cdm_index.lookup("trade.0.nonsenseField")
-    assert exists is False
-    assert prop is None
+    assert cdm_index.lookup("trade.0.nonsenseField") is None
 
 
 def test_every_enumerated_path_exists_with_all_prefixes(cdm_index, cdm_schema_dir):
@@ -414,11 +418,11 @@ def test_every_enumerated_path_exists_with_all_prefixes(cdm_index, cdm_schema_di
     )
     assert enumerated, "oracle produced no paths"
     for path in sorted(enumerated):
-        assert cdm_index.lookup(path)[0] is True, path
+        assert cdm_index.lookup(path) is not None, path
         segments = path.split(".")
         for i in range(1, len(segments)):
             prefix = ".".join(segments[:i])
-            assert cdm_index.lookup(prefix)[0] is True, prefix
+            assert cdm_index.lookup(prefix) is not None, prefix
 
 
 def test_lookup_invariant_under_numeric_segments(cdm_index):
@@ -434,15 +438,14 @@ def test_lookup_invariant_under_numeric_segments(cdm_index):
         assert cdm_index.lookup(".".join(noisy)) == cdm_index.lookup(base)
 
 
-def test_self_reference_resolves_but_depth_guard_trips(cdm_index):
-    assert cdm_index.lookup("trade.party.relatedParty.relatedParty.partyId")[0] is True
+def test_self_reference_resolves_but_past_the_depth_guard_names_nothing(cdm_index):
+    assert cdm_index.lookup("trade.party.relatedParty.relatedParty.partyId") is not None
     runaway = "trade.party" + ".relatedParty" * 70 + ".partyId"
-    with pytest.raises(CycleDetected):
-        cdm_index.lookup(runaway)
+    assert cdm_index.lookup(runaway) is None
 
 
 def test_scalar_cannot_be_traversed_through(cdm_index):
-    assert cdm_index.lookup("trade.tradeDate.year")[0] is False
+    assert cdm_index.lookup("trade.tradeDate.year") is None
 
 
 @pytest.mark.parametrize(
@@ -450,26 +453,15 @@ def test_scalar_cannot_be_traversed_through(cdm_index):
     ["trade.nonsenseField", "", ".", "trade.party" + ".relatedParty" * 70 + ".partyId"],
     ids=["missing", "empty", "dot", "past_depth_guard"],
 )
-def test_property_at_is_none_where_a_path_names_nothing(cdm_index, path):
-    assert cdm_index.property_at(path) is None
+def test_lookup_is_none_where_a_path_names_nothing(cdm_index, path):
+    assert cdm_index.lookup(path) is None
 
 
-def test_property_at_is_the_property_a_path_names(cdm_index):
+def test_lookup_is_the_property_a_path_names(cdm_index):
     path = "trade.tradeIdentifier.assignedIdentifier.identifier.value"
-    prop = cdm_index.property_at(path)
-    assert prop is not None and prop == cdm_index.lookup(path)[1]
+    prop = cdm_index.lookup(path)
+    assert prop is not None and prop == oracles.property_at_path(cdm_index, path)
     assert prop.name == "value" and prop.scalar_type == "string"
-
-
-def _lookup_outcome(index, path):
-    """``index.lookup(path)``, or the outcome names of
-    :func:`oracles.lookup_path` for its two errors."""
-    try:
-        return index.lookup(path)
-    except CycleDetected:
-        return "too deep"
-    except ValueError:
-        return "empty"
 
 
 LOOKUP_SEGMENTS = (
@@ -486,7 +478,7 @@ LOOKUP_SEGMENTS = (
 def test_lookup_answers_as_the_path_split_and_read_from_the_root(cdm_index, paths, depth):
     index = replace(cdm_index, max_path_depth=depth)
     for path in paths:
-        assert _lookup_outcome(index, path) == oracles.lookup_path(index, path), path
+        assert index.lookup(path) == oracles.property_at_path(index, path), path
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +503,7 @@ def nested_dir_index(tmp_path):
 
 
 def test_nested_lookup_through_directories(nested_dir_index):
-    assert nested_dir_index.lookup("swap.party.partyId")[0] is True
+    assert nested_dir_index.lookup("swap.party.partyId") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +524,8 @@ def test_a_ref_to_an_array_document_reads_as_that_array(tmp_path):
         },
     )
     index = load_schema_dir(tmp_path, "root.json")
-    exists, prop = index.lookup("r")
-    assert exists and prop.ref_target is None
+    prop = index.lookup("r")
+    assert prop is not None and prop.ref_target is None
     assert (prop.scalar_type, prop.array) == ("string", 1)
     assert build_template(index, KeyPathSet(frozenset({"r"})), "T").tree == {"r": [""]}
     filled = evaluate_document({"r": ["a"]}, index)
@@ -550,7 +542,7 @@ def test_array_levels_count_on_both_sides_of_a_ref(tmp_path):
             "cells.json": {"type": "array", "items": {"type": "number"}},
         },
     )
-    prop = load_schema_dir(tmp_path, "root.json").property_at("grid")
+    prop = load_schema_dir(tmp_path, "root.json").lookup("grid")
     assert (prop.scalar_type, prop.array) == ("number", 3)
 
 
@@ -564,12 +556,12 @@ def test_an_array_documents_inline_items_are_one_inline_object(tmp_path):
         },
     )
     index = load_schema_dir(tmp_path, "root.json")
-    a, b = index.property_at("a"), index.property_at("b")
+    a, b = index.lookup("a"), index.lookup("b")
     assert a.ref_target == b.ref_target == "rows.json[]"
     assert a.array == b.array == 1
     assert list(index._inline) == ["rows.json[]"]
     assert index.doc("rows.json[]").description == "A row."
-    assert index.property_at("b.x").scalar_type == "string"
+    assert index.lookup("b.x").scalar_type == "string"
 
 
 def test_array_items_that_lead_back_to_their_document_are_a_cycle(tmp_path):

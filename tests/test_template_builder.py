@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cdmgen import treeops
-from cdmgen.errors import EmptyExampleDir, MalformedDocument
+from cdmgen.errors import CycleDetected, EmptyExampleDir, MalformedDocument
 from cdmgen.schema_index import load_schema_dir
 from cdmgen.template_builder import (
     KeyPathSet,
@@ -202,6 +202,22 @@ def test_an_example_field_named_description_is_kept_through_population(tmp_path)
 def test_examples_whose_only_leaf_is_a_description_have_a_leaf(tmp_path):
     write_example(tmp_path, "e1.json", {"trade": {"description": "A plain vanilla swap"}})
     assert flatten_examples(tmp_path).paths == {"trade.description"}
+
+
+@pytest.mark.parametrize("levels", [64, 65])
+def test_a_self_referencing_schema_builds_up_to_the_depth_guard(tmp_path, levels):
+    # A key path's lookup reads past the guard as naming nothing; the
+    # template walk is where a runaway path is an error.
+    node = {"properties": {"next": {"$ref": "node.json"}, "v": {"type": "string"}}}
+    (tmp_path / "node.json").write_text(json.dumps(node), encoding="utf-8")
+    index = load_schema_dir(tmp_path, "node.json")
+    keys = keyset("next." * levels + "v")
+    if levels > index.max_path_depth:
+        with pytest.raises(CycleDetected, match=f"exceeded {index.max_path_depth} levels"):
+            build_template(index, keys, "Node")
+        return
+    tree = build_template(index, keys, "Node").tree
+    assert [path for path, _ in treeops.iter_leaf_paths(tree)] == ["next." * levels + "v"]
 
 
 # ---------------------------------------------------------------------------
