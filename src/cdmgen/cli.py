@@ -29,7 +29,9 @@ from .schema_index import load_schema_dir
 from .template_builder import Template, build_template, flatten_examples
 from .treeops import iter_leaf_paths, make_dirs, read_json_object, read_text, write_text as atomic_write_text
 
-logger = logging.getLogger(__name__)
+# Named for the package, not __name__, so that ``python -m cdmgen.cli`` logs
+# under the logger that -v turns on.
+logger = logging.getLogger("cdmgen.cli")
 
 # The settings an environment variable can give: field -> (variable, cast).
 # Only a variable's text is converted: a flag is typed by its parser, and a
@@ -621,13 +623,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s %(message)s",
-        stream=sys.stderr,
-    )
+    # Root handlers are made once, when the process has none. -v sets the
+    # package logger's level for this call and puts it back afterwards;
+    # without -v, the logging configuration decides.
+    logging.basicConfig(format="%(levelname)s %(name)s %(message)s", stream=sys.stderr)
     try:
         with contextlib.ExitStack() as args.on_return:
+            if args.verbose:
+                package = logging.getLogger("cdmgen")
+                args.on_return.callback(package.setLevel, package.level)
+                package.setLevel(logging.INFO)
             return args.func(args, parser)
     except CdmgenError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)

@@ -15,7 +15,7 @@ import json
 from typing import Optional
 
 from . import treeops
-from .gateway import prompt_hash
+from .gateway import prompt_hash, prompt_head
 from .knowledge_base import KnowledgeBase
 from .populator import PopulationConfig, build_prompt, plan_tasks
 from .schema_index import SchemaIndex
@@ -71,12 +71,14 @@ def build_population_script(
     """Mock-script entries covering every task of one population run.
 
     Tasks come from the planner :func:`populate` uses; prompts are built
-    through this module's ``build_prompt`` name.
+    through this module's ``build_prompt`` name, from one head for the
+    contract, as :func:`populator.submit_population` builds them.
     """
     script: dict[str, str] = {}
+    head = prompt_head("populate", contract_text)
     for task in plan_tasks(template, cfg, kb):
         base = ".".join(task.traversal_context) if task.unwrap_key else task.target_path
         filled = fill_fragment(index, task.target_subtree, base)
-        prompt = build_prompt(task, contract_text, cfg)
+        prompt = build_prompt(task, head, cfg)
         script[prompt_hash(prompt)] = json.dumps(filled, ensure_ascii=False)
     return script

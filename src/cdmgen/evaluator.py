@@ -26,7 +26,7 @@ from .errors import (
     ListParseFailure,
     NoStructuredPayload,
 )
-from .gateway import PromptBundle, chat_prompt, evidence_json, extract_structured, follow_up
+from .gateway import PromptBundle, chat_prompt, evidence_json, extract_structured, follow_up, prompt_head
 from .schema_index import PropertyDef, SchemaIndex
 
 DEFAULT_MU = 0.3
@@ -194,7 +194,8 @@ def _holds(prop: PropertyDef, value) -> bool:
 def coverage_prompt(contract_text: str, doc: dict) -> PromptBundle:
     """The coverage request: the contract text, then the document, encoded
     by :func:`gateway.evidence_json`."""
-    return chat_prompt("coverage", contract_text, ["Structured representation:\n" + evidence_json(doc)])
+    head = prompt_head("coverage", contract_text)
+    return chat_prompt(head, ["Structured representation:\n" + evidence_json(doc)])
 
 
 def coverage_retry_prompt(first: PromptBundle) -> PromptBundle:

@@ -23,7 +23,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import prompts
@@ -45,14 +45,43 @@ TEMPERATURE = 0.0
 
 
 @dataclass(frozen=True)
+class PromptHead:
+    """What every prompt of one kind and contract opens with: the system
+    text and the start of the user text, with a sha256 state over both.
+
+    Made once per contract by the caller, which passes it to every task's
+    :func:`chat_prompt`. Nothing updates ``state`` after it is made: a
+    bundle hashes its tail on a copy, so worker threads may share a head.
+    """
+
+    system_text: str
+    user_text: str
+    state: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        state = hashlib.sha256(self.system_text.encode("utf-8"))
+        state.update(b"\x00")
+        state.update(self.user_text.encode("utf-8"))
+        object.__setattr__(self, "state", state)
+
+
+@dataclass(frozen=True)
 class PromptBundle:
     system_text: str
     user_text: str
+    # The head this prompt opens with, when built from one: its system text
+    # is the head's, its user text begins with the head's.
+    head: Optional[PromptHead] = field(default=None, repr=False, compare=False)
 
     @property
     def digest(self) -> str:
         """sha256 over system text, a NUL byte and user text, computed once
         per bundle: the populator and the mock provider both ask for it.
+
+        It continues from a copy of the state of the bundle's
+        :class:`PromptHead` over the rest of the user text alone; SHA-256 is
+        a stream, so the hash is that of the whole text. A bundle built
+        without a head hashes as one whose head is its system text alone.
 
         Kept in the instance dict by hand, as ``functools.cached_property``
         would, but without its class-wide lock, so worker threads hash
@@ -60,10 +89,9 @@ class PromptBundle:
         """
         cached = self.__dict__.get("_digest")
         if cached is None:
-            digest = hashlib.sha256()
-            digest.update(self.system_text.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(self.user_text.encode("utf-8"))
+            head = self.head or PromptHead(self.system_text, "")
+            digest = head.state.copy()
+            digest.update(self.user_text[len(head.user_text) :].encode("utf-8"))
             cached = self.__dict__["_digest"] = digest.hexdigest()
         return cached
 
@@ -116,21 +144,25 @@ def prompt_hash(prompt: PromptBundle) -> str:
     return prompt.digest
 
 
-def chat_prompt(
-    kind: str, contract_text: Optional[str] = None, sections: Sequence[str] = (), references=()
-) -> PromptBundle:
-    """The one request layout: ``{kind}_system.txt`` as the system text; as
-    the user text, ``{kind}_instructions.txt``, the contract description when
-    given, the caller's ``sections`` and the bodies of the retrieved chunks
-    in ``references`` under one heading when any, joined by blank lines."""
+def prompt_head(kind: str, contract_text: Optional[str] = None) -> PromptHead:
+    """The head of a ``kind`` request: ``{kind}_system.txt`` as the system
+    text; ``{kind}_instructions.txt`` and the contract description, when
+    given, as the start of the user text, joined by a blank line."""
     parts = [prompts.load(f"{kind}_instructions.txt")]
     if contract_text is not None:
         parts.append(f"Contract description:\n{contract_text}")
-    parts += sections
+    return PromptHead(prompts.load(f"{kind}_system.txt"), "\n\n".join(parts))
+
+
+def chat_prompt(head: PromptHead, sections: Sequence[str] = (), references=()) -> PromptBundle:
+    """The one request layout: the ``head``, then the caller's ``sections``
+    and the bodies of the retrieved chunks in ``references`` under one
+    heading when any, joined by blank lines."""
+    parts = [head.user_text, *sections]
     if references:
         bodies = "\n\n".join(chunk.body for chunk in references)
         parts.append(f"Reference examples from similar contracts:\n{bodies}")
-    return PromptBundle(prompts.load(f"{kind}_system.txt"), "\n\n".join(parts))
+    return PromptBundle(head.system_text, "\n\n".join(parts), head)
 
 
 def follow_up(prompt: PromptBundle, resource: str, report=None) -> PromptBundle:
@@ -141,7 +173,7 @@ def follow_up(prompt: PromptBundle, resource: str, report=None) -> PromptBundle:
     user_text = prompt.user_text + "\n\n" + prompts.load(resource)
     if report is not None:
         user_text += "\n" + evidence_json(report)
-    return PromptBundle(prompt.system_text, user_text)
+    return PromptBundle(prompt.system_text, user_text, prompt.head)
 
 
 class MockProvider:
@@ -478,7 +510,7 @@ def synthesize_description(provider, cdm_example: dict, reference_texts: Sequenc
         raise ValueError("cdm_example must be a non-empty structured value")
     sections = [f"Reference term sheet {i}:\n{sheet}" for i, sheet in enumerate(reference_texts, start=1)]
     sections.append("Structured contract data:\n" + evidence_json(cdm_example))
-    text = provider.complete(chat_prompt("synthesize", sections=sections)).text
+    text = provider.complete(chat_prompt(prompt_head("synthesize"), sections)).text
     if not text.strip():
         raise GenerationIncomplete("the model's reply holds no description")
     return text

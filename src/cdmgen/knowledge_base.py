@@ -15,7 +15,6 @@ the chunks that share one of its tokens; every other chunk scores zero.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import operator
 import re
@@ -27,7 +26,7 @@ from typing import Optional
 from .errors import MalformedDocument
 from .gateway import evidence_json
 from .template_builder import load_examples
-from .treeops import conforms, read_json_object, write_text
+from .treeops import conforms, indented_json, read_json_object, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -92,8 +91,10 @@ class KnowledgeBase:
         return self._index
 
     def to_text(self) -> str:
+        """The saved file's text: the chunks as indented JSON
+        (:func:`treeops.indented_json`) and a final newline."""
         payload = {"chunks": [asdict(chunk) for chunk in self.chunks]}
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        return indented_json(payload) + "\n"
 
     def save(self, path) -> None:
         write_text(path, self.to_text())

@@ -14,16 +14,15 @@ Direct single-prompt generation (the non-template baseline) lives here too.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import treeops
 from .errors import CdmgenError, GenerationIncomplete, NoStructuredPayload, ProviderOutage
-from .gateway import PromptBundle, chat_prompt, extract_structured, follow_up, prompt_hash
+from .gateway import PromptBundle, PromptHead, chat_prompt, extract_structured, follow_up, prompt_hash, prompt_head
 from .knowledge_base import Chunk, KnowledgeBase, retrieve
 from .template_builder import Template
 
@@ -57,9 +56,10 @@ class PopulationTask:
     """A maximal substructure of bounded depth plus its prompt context.
 
     ``structure_text`` is the placeholder structure as the prompt shows it,
-    encoded once when the task is made. Unlike the evidence a prompt
-    carries (:func:`gateway.evidence_json`), it stays indented: it is the
-    shape the reply must copy. A batch shares one planned task
+    encoded once when the task is made by :func:`treeops.indented_json`,
+    the encoder of saved templates and knowledge bases too. Unlike the
+    evidence a prompt carries (:func:`gateway.evidence_json`), it stays
+    indented: it is the shape the reply must copy. A batch shares one planned task
     among its contracts, so nothing changes a task after it is planned;
     its subtree is the template's own fragment, which is not changed
     either.
@@ -75,7 +75,7 @@ class PopulationTask:
     structure_text: str = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.structure_text = json.dumps(self.target_subtree, indent=2, ensure_ascii=False)
+        self.structure_text = treeops.indented_json(self.target_subtree)
 
 
 @dataclass
@@ -203,16 +203,21 @@ def _provenance_keys(tasks: list[PopulationTask]) -> list[str]:
 
 
 def build_prompt(
-    task: PopulationTask, contract_text: str, cfg: PopulationConfig
+    task: PopulationTask, contract: str | PromptHead, cfg: PopulationConfig
 ) -> PromptBundle:
     """Deterministic prompt: instructions, contract, path, definition,
-    placeholder structure, then retrieved reference chunks when RAG is on."""
+    placeholder structure, then retrieved reference chunks when RAG is on.
+
+    ``contract`` is the contract text, or the head that all its tasks'
+    prompts share, ``prompt_head("populate", contract_text)``, made once
+    so that the shared part is built and hashed once."""
+    head = contract if isinstance(contract, PromptHead) else prompt_head("populate", contract)
     context = ".".join(task.traversal_context)
     sections = [f"Location in the document: {context if context else 'document root'}"]
     if task.object_definition:
         sections.append(f"Object definition: {task.object_definition}")
     sections.append("Structure to populate:\n" + task.structure_text)
-    return chat_prompt("populate", contract_text, sections, task.retrieved_chunks if cfg.use_rag else ())
+    return chat_prompt(head, sections, task.retrieved_chunks if cfg.use_rag else ())
 
 
 def repair_prompt(original: PromptBundle, mismatches: list[dict]) -> PromptBundle:
@@ -350,16 +355,37 @@ class _Skipped(Exception):
     call never reached the provider."""
 
 
+class _Finished:
+    """A call that ran on the submitting thread: its value or its error,
+    read as a finished :class:`Future` reads them."""
+
+    __slots__ = ("_value", "_error")
+
+    def __init__(self, value=None, error: Optional[BaseException] = None):
+        self._value = value
+        self._error = error
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def exception(self) -> Optional[BaseException]:
+        return self._error
+
+
 class CallPool:
     """Carries every provider call of a run, so calls of different contracts
     share the same slots.
 
     A provider whose calls wait, on a socket for instance, gets an executor
-    of ``max_inflight`` worker threads. One whose class declares
-    ``calls_wait = False``, such as :class:`MockProvider`, answers from
-    memory: each call then runs at once on the thread that submits it and
-    comes back as a finished future, since worker threads would only take
-    the interpreter lock from the caller. Any provider without that
+    of ``max_inflight`` worker threads, and each call a :class:`Future`.
+    One whose class declares ``calls_wait = False``, such as
+    :class:`MockProvider`, answers from memory: each call then runs at once
+    on the thread that submits it, since worker threads would only take
+    the interpreter lock from the caller, and settles as a small finished
+    record with the same ``result()`` and ``exception()``, without the
+    lock and condition a future carries. Any provider without that
     attribute is taken to wait.
 
     The first provider outage, or any exception that is not a domain error
@@ -385,19 +411,17 @@ class CallPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
 
-    def submit(self, fn, *args) -> Future:
+    def submit(self, fn, *args) -> "Future | _Finished":
         """Queue ``fn(*args)``, or run it now when the provider's calls never
         wait; read its outcome with :meth:`result`."""
         if self._executor is not None:
             return self._executor.submit(self._call, fn, args)
-        future: Future = Future()
         try:
-            future.set_result(self._call(fn, args))
+            return _Finished(self._call(fn, args))
         except Exception as exc:
-            future.set_exception(exc)
-        return future
+            return _Finished(error=exc)
 
-    def result(self, future: Future):
+    def result(self, future: "Future | _Finished"):
         """Wait for a queued call; one skipped because the pool stopped
         raises the pool's ``failure``."""
         try:
@@ -428,12 +452,14 @@ def submit_population(
 ) -> "PendingPopulation":
     """Queue every task of ``template``'s plan (:func:`plan_tasks`) for one
     contract on ``pool``. The tasks are only read, so one plan serves any
-    number of contracts.
+    number of contracts. The head the tasks' prompts share is built and
+    hashed here, once for the contract (:func:`build_prompt`).
 
     Nothing waits here, so a caller can queue the next contract's tasks
     behind this one's before collecting it.
     """
-    futures = [pool.submit(_run_one, task, contract_text, gateway, cfg) for task in tasks]
+    head = prompt_head("populate", contract_text)
+    futures = [pool.submit(_run_one, task, head, gateway, cfg) for task in tasks]
     return PendingPopulation(pool, template, tasks, futures)
 
 
@@ -448,7 +474,7 @@ class PendingPopulation:
         self.pool = pool
         self.template = template
         self.tasks = tasks
-        self.futures: list[Future] = futures
+        self.futures: list[Future | _Finished] = futures
         self.keys = _provenance_keys(tasks)
 
     def collect(self) -> PopulatedDocument:
@@ -480,8 +506,7 @@ class PendingPopulation:
     def finished_records(self) -> Optional[dict[str, dict]]:
         """Provenance records of the tasks that finished, under the keys a
         completed run gives them, or None when no task reached the
-        provider."""
-        wait(self.futures)
+        provider. Reading each call's ``exception()`` waits for it."""
         records: dict[str, dict] = {}
         called = False
         for key, future in zip(self.keys, self.futures):
@@ -492,8 +517,8 @@ class PendingPopulation:
         return records if called else None
 
 
-def _run_one(task: PopulationTask, contract_text, gateway, cfg) -> tuple[Optional[Any], dict]:
-    original = build_prompt(task, contract_text, cfg)
+def _run_one(task: PopulationTask, head: PromptHead, gateway, cfg) -> tuple[Optional[Any], dict]:
+    original = build_prompt(task, head, cfg)
     base_hash = prompt_hash(original)
     prompt = original
     for attempts in range(1, cfg.retry_limit + 2):
@@ -591,7 +616,7 @@ def baseline_generate(
     if cfg.use_rag and kb is None:
         raise ValueError("use_rag requires a knowledge base")
     chunks = retrieve(kb, contract_text, cfg.k_chunks) if cfg.use_rag else ()
-    completion = gateway.complete(chat_prompt("baseline", contract_text, references=chunks))
+    completion = gateway.complete(chat_prompt(prompt_head("baseline", contract_text), references=chunks))
     if completion.finish_reason == "length":
         raise GenerationIncomplete("model output was truncated before the document closed")
     return extract_structured(completion.text)

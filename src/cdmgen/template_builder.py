@@ -13,7 +13,6 @@ walk gives the smallest schema-conformant skeleton that covers the examples.
 
 from __future__ import annotations
 
-import json
 import os
 import posixpath
 from dataclasses import dataclass
@@ -63,12 +62,14 @@ class Template:
     schema_root: str
 
     def to_text(self) -> str:
+        """The saved file's text: the template as indented JSON
+        (:func:`treeops.indented_json`) and a final newline."""
         payload = {
             "contract_type": self.contract_type,
             "schema_root": self.schema_root,
             "tree": self.tree,
         }
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        return treeops.indented_json(payload) + "\n"
 
     def save(self, path) -> None:
         treeops.write_text(path, self.to_text())

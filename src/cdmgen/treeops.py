@@ -17,6 +17,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
+from json.encoder import encode_basestring as _encode_string
 from typing import Any, Iterator, Optional
 
 from .errors import MalformedDocument, OutputUnwritable
@@ -169,6 +170,49 @@ def lone_surrogate(value) -> Optional[str]:
     except UnicodeEncodeError as exc:
         return f"\\u{ord(exc.object[exc.start]):04x}"
     return None
+
+
+def indented_json(value) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte,
+    for a JSON value with string keys.
+
+    With ``indent`` set, json leaves its C encoder for a pure-Python one
+    whose closures the garbage collector must clear; this recursion
+    encodes each string with json's C ``encode_basestring`` instead.
+    """
+    parts: list[str] = []
+    _encode_indented(value, "\n", parts)
+    return "".join(parts)
+
+
+def _encode_indented(value, newline: str, parts: list) -> None:
+    if isinstance(value, str):
+        parts.append(_encode_string(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, child in value.items():
+            parts += (separator, _encode_string(key), ": ")
+            _encode_indented(child, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        separator = "[" + inner
+        for child in value:
+            parts.append(separator)
+            _encode_indented(child, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        # null, floats and empty containers, none of which a template's
+        # placeholders are, as json writes them; json raises TypeError for
+        # a value it cannot encode.
+        parts.append(json.dumps(value))
 
 
 def read_json(path, name: Optional[str] = None):

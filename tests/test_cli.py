@@ -127,12 +127,19 @@ def test_make_template_counts_for_its_log_line_only_when_verbose(tmp_path, cdm_s
     calls, err = make_template("-v")
     assert calls == 1
     assert "template written out=" in err
+    # Run as a module, the CLI's logger is still the package's.
+    result = subprocess.run(
+        [sys.executable, "-m", "cdmgen.cli", "-v", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "INFO cdmgen.cli template written out=" in result.stderr
 
 
 def test_make_template_logs_its_leaf_count_and_depth(tmp_path, cdm_schema_dir, examples_root, caplog):
-    # main's basicConfig does nothing under pytest's log handler, so the
-    # level is set here.
-    caplog.set_level(logging.INFO, logger="cdmgen.cli")
     out = tmp_path / "template.json"
     argv = [
         "-v", "make-template",
@@ -149,6 +156,33 @@ def test_make_template_logs_its_leaf_count_and_depth(tmp_path, cdm_schema_dir, e
     assert (leaves, depth) == (13, 8)
     [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("template written")]
     assert message == f"template written out={out} leaves={leaves} depth={depth}"
+
+
+def test_verbose_holds_for_its_own_call_in_a_process_that_configured_logging(
+    tmp_path, cdm_schema_dir, examples_root, caplog
+):
+    # pytest's log handler is on the root logger, as an embedding
+    # application's would be, so main's basicConfig adds none.
+    assert logging.getLogger().handlers
+    argv = [
+        "make-template",
+        "--schema-dir", cdm_schema_dir,
+        "--root", "contract.schema.json",
+        "--examples", examples_root / "equity_swap",
+        "--contract-type", "EquitySwap",
+        "--out", tmp_path / "template.json",
+    ]
+
+    def written() -> list[str]:
+        return [r.name for r in caplog.records if r.getMessage().startswith("template written")]
+
+    assert run(argv) == 0
+    assert written() == []
+    assert run(["-v", *argv]) == 0
+    assert written() == ["cdmgen.cli"]
+    assert run(argv) == 0
+    assert written() == ["cdmgen.cli"]
+    assert logging.getLogger("cdmgen").level == logging.NOTSET
 
 
 # ---------------------------------------------------------------------------

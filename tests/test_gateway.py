@@ -15,7 +15,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,11 +27,15 @@ from cdmgen.gateway import (
     MockProvider,
     PromptBundle,
     ProviderConfig,
+    chat_prompt,
     evidence_json,
     extract_structured,
+    follow_up,
     prompt_hash,
+    prompt_head,
     synthesize_description,
 )
+from cdmgen.knowledge_base import Chunk
 
 BUNDLE = PromptBundle(system_text="system words", user_text="user words")
 
@@ -90,6 +94,33 @@ def test_prompt_is_hashed_once_as_sha256_of_system_nul_user(monkeypatch):
     assert MockProvider({expected: "reply"}).complete(bundle).text == "reply"
     assert prompt_hash(bundle) == expected
     assert len(passes) == 1
+
+
+def _sha256_of(system_text: str, user_text: str) -> str:
+    return hashlib.sha256(system_text.encode() + b"\x00" + user_text.encode()).hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@example(kind="populate", contract="", sections=[], bodies=[], report=None)
+@given(
+    kind=st.sampled_from(["populate", "baseline", "coverage", "synthesize"]),
+    contract=st.none() | st.text(),
+    sections=st.lists(st.text(), max_size=3),
+    bodies=st.lists(st.text(min_size=1), max_size=3),
+    report=st.none() | st.lists(st.text(), max_size=2),
+)
+def test_a_digest_continued_from_the_head_is_sha256_of_system_nul_user(kind, contract, sections, bodies, report):
+    head = prompt_head(kind, contract)
+    references = [Chunk(f"c{i}", "T", "", body, 1) for i, body in enumerate(bodies)]
+    bundle = chat_prompt(head, sections, references)
+    assert bundle.user_text.startswith(head.user_text)
+    repair = follow_up(bundle, "repair_followup.txt", report)
+    for prompt in (bundle, repair):
+        assert prompt.head is head
+        assert prompt_hash(prompt) == _sha256_of(prompt.system_text, prompt.user_text)
+        assert prompt == PromptBundle(prompt.system_text, prompt.user_text)
+    # Hashing a bundle leaves the head's own state as it was made.
+    assert head.state.hexdigest() == _sha256_of(head.system_text, head.user_text)
 
 
 # ---------------------------------------------------------------------------

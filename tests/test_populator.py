@@ -20,7 +20,9 @@ from cdmgen.errors import AuthFailure, GenerationIncomplete, ProviderUnavailable
 from cdmgen.gateway import CompletionResult, MockProvider, prompt_hash
 from cdmgen.knowledge_base import Chunk, KnowledgeBase, lexical_tokens
 from cdmgen.populator import (
+    CallPool,
     PopulationConfig,
+    _Skipped,
     baseline_generate,
     build_prompt,
     clean,
@@ -655,6 +657,26 @@ class FailingProvider:
         return self.mock.complete(prompt)
 
 
+class InlineFailingProvider(FailingProvider):
+    """A :class:`FailingProvider` whose calls a pool runs on the caller's
+    thread, as it runs a :class:`MockProvider`'s."""
+
+    calls_wait = False
+
+
+class ThreadedMockProvider:
+    """Replays a mock script, but declares no ``calls_wait``, so a pool
+    gives its calls worker threads."""
+
+    def __init__(self, script):
+        self.mock = MockProvider(script)
+        self.threads = set()
+
+    def complete(self, prompt):
+        self.threads.add(threading.current_thread())
+        return self.mock.complete(prompt)
+
+
 def valid_script(template, cfg) -> dict:
     """A reply that validates first time for every task of ``template``."""
     return {
@@ -678,20 +700,52 @@ def test_outage_keeps_partial_provenance_of_array_elements_under_distinct_keys()
 
 
 @pytest.mark.parametrize("error", [AuthFailure, Timeout])
-@pytest.mark.parametrize("max_inflight", [1, 4])
-def test_auth_failure_and_timeout_keep_partial_provenance(error, max_inflight):
+@pytest.mark.parametrize(
+    "provider, max_inflight",
+    [(FailingProvider, 1), (FailingProvider, 4), (InlineFailingProvider, 4)],
+    ids=["1", "4", "inline"],
+)
+def test_auth_failure_and_timeout_keep_partial_provenance(error, provider, max_inflight):
     template = make_template({f"f{i}": "" for i in range(6)})
     cfg = config(depth_threshold=1, max_inflight=max_inflight)
     full = populate(template, "c", None, MockProvider(valid_script(template, cfg)), cfg)
-    gateway = FailingProvider(valid_script(template, cfg), fail_on=3, error=error)
+    gateway = provider(valid_script(template, cfg), fail_on=3, error=error)
     with pytest.raises(error) as exc_info:
         populate(template, "c", None, gateway, cfg)
     partial = exc_info.value.provenance
-    # Calls 1 and 2 finished; run serially, nothing after call 3 started.
+    # Calls 1 and 2 finished; run serially or on the caller's thread,
+    # nothing after call 3 started.
     assert len(partial) >= 2
-    if max_inflight == 1:
+    if max_inflight == 1 or provider is InlineFailingProvider:
         assert set(partial) == {"f0", "f1"}
+        assert gateway.calls == 3
     assert all(full.provenance[key] == record for key, record in partial.items())
+
+
+@pytest.mark.parametrize("provider", [MockProvider({}), ThreadedMockProvider({})], ids=["inline", "threaded"])
+def test_a_pool_keeps_its_rules_for_calls_run_inline_or_on_workers(provider):
+    def domain_error():
+        raise GenerationIncomplete("one call's own failure")
+
+    def bug():
+        raise KeyError("a bug")
+
+    with CallPool(1, provider) as pool:
+        ok, domain = pool.submit(lambda: 7), pool.submit(domain_error)
+        assert pool.result(ok) == 7
+        with pytest.raises(GenerationIncomplete):
+            pool.result(domain)
+        # A domain error fails only its own call; a bug stops the pool.
+        assert pool.failure is None
+        broken = pool.submit(bug)
+        with pytest.raises(KeyError):
+            pool.result(broken)
+        skipped = pool.submit(lambda: 8)
+        assert isinstance(skipped.exception(), _Skipped)
+        with pytest.raises(KeyError) as exc_info:
+            pool.result(skipped)
+        assert exc_info.value is pool.failure
+        assert ok.exception() is None
 
 
 def test_outage_stops_queued_tasks():
@@ -857,7 +911,10 @@ def test_populate_deterministic_under_concurrency(cdm_index, examples_root, cont
     script = build_population_script(cdm_index, template, contract_text, cfg_serial)
     serial = populate(template, contract_text, None, MockProvider(script), cfg_serial)
     cfg_parallel = config(max_inflight=4)
-    parallel = populate(template, contract_text, None, MockProvider(script), cfg_parallel)
+    threaded = ThreadedMockProvider(script)
+    parallel = populate(template, contract_text, None, threaded, cfg_parallel)
+    # The calls ran on the pool's worker threads, not on this one.
+    assert threaded.threads and threading.current_thread() not in threaded.threads
     assert json.dumps(serial.tree, sort_keys=True) == json.dumps(parallel.tree, sort_keys=True)
     assert serial.provenance == parallel.provenance
 

@@ -384,3 +384,18 @@ def test_leaf_paths_equal_the_nested_generators_in_order(tree, prefix):
     for items in (treeops.data_items, dict.items):
         expected = list(oracles.leaf_paths_generator(tree, prefix, items))
         assert list(treeops.iter_leaf_paths(tree, prefix, items)) == expected
+
+
+# Strings drawn from all of Unicode, and from the characters json escapes.
+JSON_STRINGS = st.text() | st.text(alphabet='"\\/\x00\x08\x0c\x1f\x7f\n\r\t é€\U0001f600a', max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_VALUES)
+def test_indented_json_equals_json_dumps_with_indent_2(value):
+    assert treeops.indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
