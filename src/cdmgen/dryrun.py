@@ -77,8 +77,8 @@ def build_population_script(
     script: dict[str, str] = {}
     head = prompt_head("populate", contract_text)
     for task in plan_tasks(template, cfg, kb):
-        base = ".".join(task.traversal_context) if task.unwrap_key else task.target_path
+        base = task.target_path.rpartition(".")[0] if task.unwrap_key else task.target_path
         filled = fill_fragment(index, task.target_subtree, base)
-        prompt = build_prompt(task, head, cfg)
+        prompt = build_prompt(task, head)
         script[prompt_hash(prompt)] = json.dumps(filled, ensure_ascii=False)
     return script

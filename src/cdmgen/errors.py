@@ -24,15 +24,14 @@ class MissingRoot(CdmgenError):
 class UnresolvedRef(CdmgenError):
     """A schema reference names a document that does not exist.
 
-    ``referencing_path`` identifies where the dangling reference was written
-    (``<document id>#<property>`` or a dot-path during traversal).
+    ``referencing_path`` names where the dangling reference is written: a
+    document id, then ``#`` and the property or member that holds it, if any.
     """
 
-    def __init__(self, ref_text: str, referencing_path: str = ""):
+    def __init__(self, ref_text: str, referencing_path: str):
         self.ref_text = ref_text
         self.referencing_path = referencing_path
-        where = f" (referenced from {referencing_path})" if referencing_path else ""
-        super().__init__(f"unresolved schema reference {ref_text!r}{where}")
+        super().__init__(f"unresolved schema reference {ref_text!r} (referenced from {referencing_path})")
 
 
 class MalformedDocument(CdmgenError):
@@ -65,13 +64,12 @@ class EmptyExampleDir(CdmgenError):
 class ProviderOutage(CdmgenError):
     """The provider cannot serve this run, so the run stops at once.
 
-    When raised mid-run by the populator, ``provenance`` carries the partial
-    per-task records collected before the abort.
+    A population run it stops sets ``provenance`` to the records of the
+    tasks that finished first, None when no task reached the provider
+    (:meth:`populator.PendingPopulation.collect`).
     """
 
-    def __init__(self, detail: str, provenance: dict | None = None):
-        self.provenance = provenance or {}
-        super().__init__(detail)
+    provenance: dict | None = None
 
 
 class ProviderUnavailable(ProviderOutage):

@@ -122,8 +122,9 @@ class ProviderConfig:
             raise ValueError("timeout must be a number")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        # A socket refuses a NaN, infinite or huge timeout; it takes TIMEOUT_MAX.
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be positive and at most {threading.TIMEOUT_MAX:.0f} seconds")
 
 
 @dataclass(frozen=True)
@@ -265,8 +266,12 @@ class HttpProvider:
         proxies = urllib.request.getproxies_environment()
         proxy = proxies.get(url.scheme)
         if proxy and not urllib.request.proxy_bypass_environment(url.hostname, proxies):
-            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if proxy_url.scheme != "http" or not proxy_url.hostname:
+            try:
+                proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                proxy_port = proxy_url.port or 80
+            except ValueError:  # an unclosed IPv6 bracket, or a port that is not 0 to 65535
+                proxy_url = None
+            if proxy_url is None or proxy_url.scheme != "http" or not proxy_url.hostname:
                 raise ProviderUnavailable(f"proxy {proxy!r} is not an http:// URL with a host")
             if proxy_url.username is not None:
                 user_pass = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
@@ -277,7 +282,7 @@ class HttpProvider:
                 self._target = urlunsplit(("http", url.netloc, url.path or "/", url.query, ""))
             else:
                 self._tunnel = (url.hostname, url.port or 443)
-            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            self._address = (proxy_url.hostname, proxy_port)
         self._idle: list = []
         self._idle_lock = threading.Lock()
 

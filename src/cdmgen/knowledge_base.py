@@ -6,20 +6,19 @@ minified, as a prompt carries it (:func:`gateway.evidence_json`); tokens are
 alphanumeric runs, so whitespace never counts toward a budget or a score,
 and a base saved with indented bodies ranks the same. The scorer is
 a deterministic lexical overlap, so the whole pipeline runs offline. A base
-keeps a postings index, token to the chunks whose body holds it, built from
-each chunk's tokens on the first query and again whenever its chunk list no
-longer holds the chunks the index was built from. A query then scores only
-the chunks that share one of its tokens; every other chunk scores zero.
+is built once and never changes: its chunks are a tuple, and its postings
+index, token to the chunks whose body holds it, is built on the first query
+and kept. A query then scores only the chunks that share one of its tokens;
+every other chunk scores zero.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import operator
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -31,8 +30,6 @@ from .treeops import conforms, indented_json, read_json_object, write_text
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-DEFAULT_K = 3
 
 
 def lexical_tokens(text: str) -> list[str]:
@@ -56,16 +53,6 @@ class Chunk:
     token_estimate: int
     oversized: bool = False
 
-    @cached_property
-    def _lexical_terms(self) -> tuple[frozenset[str], int]:
-        """Distinct body tokens and the body's token count.
-
-        Derived from the frozen ``body`` and stored on this chunk, so it
-        can neither go stale nor outlive it; not a field, so equality,
-        ``repr`` and ``save`` ignore it."""
-        tokens = lexical_tokens(self.body)
-        return frozenset(tokens), len(tokens)
-
 
 # The kind of each field a saved chunk holds, as ``to_text`` writes it.
 _CHUNK_FIELDS = {
@@ -78,17 +65,23 @@ _CHUNK_FIELDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
-    chunks: list[Chunk]
-    _index: Optional["_Postings"] = field(default=None, init=False, repr=False, compare=False)
+    """The chunks of a corpus, built once by :func:`ingest_examples` or
+    :meth:`load` and only read after: a batch shares one base among its
+    contracts. ``chunks`` is kept as a tuple, so no later change to the
+    sequence it was built from reaches the base or its index."""
 
+    chunks: tuple[Chunk, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "chunks", tuple(self.chunks))
+
+    @cached_property
     def _postings(self) -> "_Postings":
-        """The postings index of the current chunk list, rebuilt when the
-        list no longer holds the chunks it indexes."""
-        if self._index is None or not self._index.indexes(self.chunks):
-            self._index = _Postings(self.chunks)
-        return self._index
+        """The postings index of the chunks, built on the first query; not
+        a field, so equality, ``repr`` and ``save`` ignore it."""
+        return _Postings(self.chunks)
 
     def to_text(self) -> str:
         """The saved file's text: the chunks as indented JSON
@@ -195,44 +188,40 @@ class _Postings:
     chunk's body token count (at least 1), and every position in chunk-id
     order."""
 
-    def __init__(self, chunks: list[Chunk]):
-        self.chunks = tuple(chunks)
+    def __init__(self, chunks: tuple[Chunk, ...]):
         self.sizes: list[int] = []
         self.by_token: dict[str, list[int]] = {}
-        for i, chunk in enumerate(self.chunks):
-            terms, token_count = chunk._lexical_terms
-            self.sizes.append(max(1, token_count))
-            for token in terms:
+        for i, chunk in enumerate(chunks):
+            tokens = lexical_tokens(chunk.body)
+            self.sizes.append(max(1, len(tokens)))
+            for token in set(tokens):
                 self.by_token.setdefault(token, []).append(i)
-        self.by_id = sorted(range(len(self.chunks)), key=lambda i: self.chunks[i].chunk_id)
-
-    def indexes(self, chunks: list[Chunk]) -> bool:
-        """Whether ``chunks`` holds exactly the chunk objects indexed here."""
-        return len(chunks) == len(self.chunks) and all(map(operator.is_, chunks, self.chunks))
+        self.by_id = sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id)
 
 
-def retrieve(kb: KnowledgeBase, query: str, k: int = DEFAULT_K) -> list[Chunk]:
+def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[Chunk]:
     """Top-``k`` chunks for a query, ties broken by chunk id ascending, then
-    by position in the base.
+    by position in the base; pipeline callers pass ``cfg.k_chunks``.
 
     A chunk's score is the number of distinct query tokens present in its
     body, normalized by the body's token count. Only chunks that share a
-    query token are scored, through the base's postings index; slots left
-    over go to the others, which all score zero, in chunk-id order.
+    query token are scored, through the base's postings index, built on
+    the base's first query; slots left over go to the others, which all
+    score zero, in chunk-id order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not kb.chunks:
         raise ValueError("knowledge base is empty")
-    index = kb._postings()
+    index = kb._postings
     shared = Counter()
     for token in set(lexical_tokens(query)):
         shared.update(index.by_token.get(token, ()))
     scored = sorted(
-        (-(overlap / index.sizes[i]), index.chunks[i].chunk_id, i) for i, overlap in shared.items()
+        (-(overlap / index.sizes[i]), kb.chunks[i].chunk_id, i) for i, overlap in shared.items()
     )
     ranked = [i for _, _, i in scored[:k]]
     if len(ranked) < k:
         zero = (i for i in index.by_id if i not in shared)
         ranked += itertools.islice(zero, k - len(ranked))
-    return [index.chunks[i] for i in ranked]
+    return [kb.chunks[i] for i in ranked]

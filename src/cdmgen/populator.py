@@ -55,6 +55,9 @@ class PopulationConfig:
 class PopulationTask:
     """A maximal substructure of bounded depth plus its prompt context.
 
+    ``target_path`` is the task's one location; its prompt and retrieval
+    query read its parent's path, ``target_path.rpartition(".")[0]``.
+
     ``structure_text`` is the placeholder structure as the prompt shows it,
     encoded once when the task is made by :func:`treeops.indented_json`,
     the encoder of saved templates and knowledge bases too. Unlike the
@@ -69,7 +72,6 @@ class PopulationTask:
     segments: tuple
     target_subtree: Any
     object_definition: str
-    traversal_context: list[str]
     retrieved_chunks: list[Chunk] = field(default_factory=list)
     unwrap_key: Optional[str] = None
     structure_text: str = field(init=False, repr=False)
@@ -154,7 +156,6 @@ def _task(name: str, path: str, segments: tuple, fragment) -> PopulationTask:
         segments=segments,
         target_subtree=subtree,
         object_definition=_definition_of(fragment),
-        traversal_context=path.split(".")[:-1] if path else [],
         unwrap_key=unwrap_key,
     )
 
@@ -202,22 +203,20 @@ def _provenance_keys(tasks: list[PopulationTask]) -> list[str]:
 # prompt construction
 
 
-def build_prompt(
-    task: PopulationTask, contract: str | PromptHead, cfg: PopulationConfig
-) -> PromptBundle:
+def build_prompt(task: PopulationTask, head: PromptHead) -> PromptBundle:
     """Deterministic prompt: instructions, contract, path, definition,
-    placeholder structure, then retrieved reference chunks when RAG is on.
+    placeholder structure, then the task's retrieved reference chunks, which
+    :func:`plan_tasks` gives a task only when RAG is on.
 
-    ``contract`` is the contract text, or the head that all its tasks'
-    prompts share, ``prompt_head("populate", contract_text)``, made once
-    so that the shared part is built and hashed once."""
-    head = contract if isinstance(contract, PromptHead) else prompt_head("populate", contract)
-    context = ".".join(task.traversal_context)
-    sections = [f"Location in the document: {context if context else 'document root'}"]
+    ``head`` is the part that all of one contract's task prompts share,
+    ``prompt_head("populate", contract_text)``, made once so that it is
+    built and hashed once."""
+    context = task.target_path.rpartition(".")[0]
+    sections = [f"Location in the document: {context or 'document root'}"]
     if task.object_definition:
         sections.append(f"Object definition: {task.object_definition}")
     sections.append("Structure to populate:\n" + task.structure_text)
-    return chat_prompt(head, sections, task.retrieved_chunks if cfg.use_rag else ())
+    return chat_prompt(head, sections, task.retrieved_chunks)
 
 
 def repair_prompt(original: PromptBundle, mismatches: list[dict]) -> PromptBundle:
@@ -228,13 +227,14 @@ def repair_prompt(original: PromptBundle, mismatches: list[dict]) -> PromptBundl
 
 def task_query(task: PopulationTask) -> str:
     """Retrieval query: the leaf paths of the task's subtree, its
-    definition, and its path. Retrieval reads the query's token set, and
+    definition, and the path of its parent. Retrieval reads the query's token set, and
     the leaf paths hold exactly the tokens of the subtree's data keys."""
     parts = [path for path, _ in treeops.iter_leaf_paths(task.target_subtree)]
     if task.object_definition:
         parts.append(task.object_definition)
-    if task.traversal_context:
-        parts.append(".".join(task.traversal_context))
+    context = task.target_path.rpartition(".")[0]
+    if context:
+        parts.append(context)
     return " ".join(parts)
 
 
@@ -518,7 +518,7 @@ class PendingPopulation:
 
 
 def _run_one(task: PopulationTask, head: PromptHead, gateway, cfg) -> tuple[Optional[Any], dict]:
-    original = build_prompt(task, head, cfg)
+    original = build_prompt(task, head)
     base_hash = prompt_hash(original)
     prompt = original
     for attempts in range(1, cfg.retry_limit + 2):

@@ -12,16 +12,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-CONTRACT_TYPES = {
-    "interest_rate_swap": "InterestRateSwap",
-    "equity_swap": "EquitySwap",
-    "equity_option": "EquityOption",
-    "commodity_option": "CommodityOption",
-    "foreign_exchange": "ForeignExchange",
-    "credit_default_swap": "CreditDefaultSwap",
-}
-
-
 # How long a thread a test started may take to end once the test returns.
 THREAD_GRACE_S = 2.0
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from cdmgen.dryrun import build_population_script
 from cdmgen.populator import PopulationConfig, build_prompt, select_tasks
-from cdmgen.gateway import prompt_hash
+from cdmgen.gateway import prompt_hash, prompt_head
 from cdmgen.schema_index import load_schema_dir
 from cdmgen.template_builder import build_template, flatten_examples
 
@@ -50,7 +50,7 @@ def prepare_pipeline(
         contract_text = contract_path.read_text(encoding="utf-8")
         if key in sabotage:
             for task in select_tasks(template, cfg.depth_threshold):
-                prompt = build_prompt(task, contract_text, cfg)
+                prompt = build_prompt(task, prompt_head("populate", contract_text))
                 script[prompt_hash(prompt)] = json.dumps({"notTheRightShape": 1})
         else:
             script.update(build_population_script(index, template, contract_text, cfg))

@@ -413,8 +413,9 @@ def task_query_by_names(task) -> str:
     parts = names
     if task.object_definition:
         parts = parts + [task.object_definition]
-    if task.traversal_context:
-        parts = parts + [".".join(task.traversal_context)]
+    parent = task.target_path.split(".")[:-1]
+    if parent:
+        parts = parts + [".".join(parent)]
     return " ".join(parts)
 
 
@@ -473,7 +474,6 @@ TASK_FIELDS = (
     "structure_text",
     "unwrap_key",
     "object_definition",
-    "traversal_context",
 )
 
 
@@ -529,7 +529,6 @@ def plan_two_pass(tree: dict, d: int) -> list:
             structure_text=json.dumps(subtree, indent=2, ensure_ascii=False),
             unwrap_key=unwrap_key,
             object_definition=definition(node.fragment),
-            traversal_context=node.path.split(".")[:-1] if node.path else [],
         )
 
     tasks = []

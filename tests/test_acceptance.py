@@ -21,7 +21,7 @@ from cdmgen.evaluator import (
     coverage_score,
     evaluate_document,
 )
-from cdmgen.gateway import MockProvider, PromptBundle, prompt_hash
+from cdmgen.gateway import MockProvider, PromptBundle, prompt_hash, prompt_head
 from cdmgen import prompts
 from cdmgen.knowledge_base import Chunk, KnowledgeBase, lexical_tokens, retrieve
 from cdmgen.populator import (
@@ -229,7 +229,7 @@ def test_criterion_6_repair_loop():
     )
     cfg = PopulationConfig(retry_limit=2, max_inflight=1)
     [task] = select_tasks(template, cfg.depth_threshold)
-    first = build_prompt(task, "contract", cfg)
+    first = build_prompt(task, prompt_head("populate", "contract"))
     good = {"id": {"value": "UC-1"}, "amount": 3}
     bad = {"id": {"value": "UC-1"}, "amount": 3, "extra": True}
 

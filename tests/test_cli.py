@@ -30,7 +30,7 @@ from cdmgen.cli import build_parser, main, write_json
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure, OutputUnwritable, ProviderUnavailable, Timeout
 from cdmgen.evaluator import CoverageWeights
-from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, evidence_json, prompt_hash
+from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, evidence_json, prompt_hash, prompt_head
 from cdmgen.knowledge_base import KnowledgeBase, ingest_examples
 from cdmgen.populator import PopulationConfig
 from cdmgen.template_builder import Template, build_template, flatten_examples
@@ -275,7 +275,7 @@ def test_populate_exhaustion_exits_1_but_writes_artifacts(
 
     script = {}
     for task in select_tasks(template, cfg.depth_threshold):
-        prompt = build_prompt(task, contract_path.read_text(encoding="utf-8"), cfg)
+        prompt = build_prompt(task, prompt_head("populate", contract_path.read_text(encoding="utf-8")))
         script[prompt_hash(prompt)] = json.dumps({"wrongShape": 1})
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps(script), encoding="utf-8")
@@ -328,7 +328,7 @@ def test_populate_reply_with_a_lone_surrogate_is_unparseable_not_a_traceback(
     cfg = PopulationConfig(max_inflight=1)
     text = contract_path.read_text(encoding="utf-8")
     for task in populator.plan_tasks(Template.load(template_path), cfg, None):
-        key = prompt_hash(populator.build_prompt(task, text, cfg))
+        key = prompt_hash(populator.build_prompt(task, prompt_head("populate", text)))
         swaps = _leaf_swaps(json.loads(script[key]), lambda leaf: "\ud800" if isinstance(leaf, str) else None)
         valid = next((s for s in swaps if not populator.validate_shape(task.target_subtree, s)), None)
         if valid is not None:
@@ -971,6 +971,9 @@ BAD_INPUTS = {
     "evaluate_mu_2": (2, EVALUATE + " --cdm {empty_object} --coverage --mu 2 --mock-script {script}"),
     "pipeline_mu_2": (2, "pipeline --config {config} --mu 2"),
     "provider_timeout_0": (2, "baseline --contract {contract} --provider http://127.0.0.1:9 --timeout 0"),
+    "provider_timeout_inf": (2, "baseline --contract {contract} --provider http://127.0.0.1:9 --timeout inf"),
+    "provider_timeout_nan": (2, "baseline --contract {contract} --provider http://127.0.0.1:9 --timeout nan"),
+    "provider_timeout_1e300": (2, "baseline --contract {contract} --provider http://127.0.0.1:9 --timeout 1e300"),
     "ingest_budget_0": (2, "ingest-kb --examples {examples} --contract-type CommodityOption --budget 0"),
     "missing_contract": (2, "populate --template {template} --contract {missing} --mock-script {script}"),
     "missing_config": (2, "pipeline --config {missing}"),
@@ -995,6 +998,7 @@ BAD_INPUTS = {
     "config_mu_text": (2, "pipeline --config {config_mu_text}"),
     "config_provider_retries_float": (2, "pipeline --config {config_provider_retries_float}"),
     "config_provider_timeout_text": (2, "pipeline --config {config_provider_timeout_text}"),
+    "config_provider_timeout_nan": (2, "pipeline --config {config_provider_timeout_nan}"),
     "config_provider_model_number": (2, "pipeline --config {config_provider_model_number}"),
     "config_provider_credential_env_number": (2, "pipeline --config {config_provider_credential_env_number}"),
     "config_unknown_key": (2, "pipeline --config {config_unknown_key}"),
@@ -1141,6 +1145,10 @@ BAD_INPUT_USAGE = {
     "config_duplicate_name": "contract name 'c1' is used twice",
     "config_duplicate_stem": "contract name 'commodity_option' is used twice",
     "config_provider_model_number": "error: model must be a string",
+    "provider_timeout_inf": "error: timeout must be positive and at most ",
+    "provider_timeout_nan": "error: timeout must be positive and at most ",
+    "provider_timeout_1e300": "error: timeout must be positive and at most ",
+    "config_provider_timeout_nan": "error: timeout must be positive and at most ",
     "config_provider_credential_env_number": "error: credential_env must be a string",
     "config_contract_type_number": "contract 'c1': contract_type must be a non-empty string other than 'combined'",
     "config_contract_type_combined": "contract 'c1': contract_type must be a non-empty string other than 'combined'",
@@ -1195,6 +1203,7 @@ def test_bad_input_is_typed_not_a_traceback(
         "config_mu_text": json.dumps({**config, "mu": "0.3"}),
         "config_provider_retries_float": json.dumps({**http_config, "provider": {**provider, "retries": 2.5}}),
         "config_provider_timeout_text": json.dumps({**http_config, "provider": {**provider, "timeout": "60"}}),
+        "config_provider_timeout_nan": json.dumps({**http_config, "provider": {**provider, "timeout": float("nan")}}),
         "config_provider_model_number": json.dumps({**http_config, "provider": {**provider, "model": 5}}),
         "config_provider_credential_env_number": json.dumps(
             {**http_config, "provider": {**provider, "credential_env": 5}}

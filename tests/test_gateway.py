@@ -595,9 +595,14 @@ def test_http_provider_sends_through_the_environment_proxy(
     assert len(_Handler.captured) == 1
 
 
-def test_http_provider_refuses_a_proxy_that_is_not_http(forwarding_proxy, monkeypatch):
-    monkeypatch.setenv("HTTPS_PROXY", f"https://{forwarding_proxy}")
-    with pytest.raises(ProviderUnavailable, match="not an http:// URL"):
+@pytest.mark.parametrize(
+    "proxy",
+    ["https://{}", "http://proxy.example:notaport", "http://proxy.example:99999", "http://[::1"],
+    ids=["https", "port_not_a_number", "port_out_of_range", "unclosed_ipv6_bracket"],
+)
+def test_http_provider_refuses_a_proxy_that_is_not_http(forwarding_proxy, monkeypatch, proxy):
+    monkeypatch.setenv("HTTPS_PROXY", proxy.format(forwarding_proxy))
+    with pytest.raises(ProviderUnavailable, match="not an http:// URL with a host"):
         HttpProvider(ProviderConfig(endpoint="https://127.0.0.1:1/v1", model="m"))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -167,13 +168,13 @@ def test_minified_bodies_chunk_and_rank_as_indented_ones(examples, budget, queri
 @pytest.fixture()
 def five_chunks() -> KnowledgeBase:
     return KnowledgeBase(
-        chunks=[
+        chunks=(
             make_chunk("c1", '{"alpha": "one"}'),
             make_chunk("c2", '{"beta": "two"}'),
             make_chunk("c3", '{"notional": 500, "currency": "USD"}'),
             make_chunk("c4", '{"delta": "four"}'),
             make_chunk("c5", '{"epsilon": "five"}'),
-        ]
+        )
     )
 
 
@@ -203,7 +204,7 @@ def test_retrieval_is_deterministic(five_chunks):
 def test_irrelevant_chunk_preserves_relative_order(five_chunks):
     query = "notional currency alpha"
     before = [c.chunk_id for c in retrieve(five_chunks, query, k=5)]
-    extended = KnowledgeBase(chunks=five_chunks.chunks + [make_chunk("zz-pad", '{"qqq": 1}')])
+    extended = KnowledgeBase(chunks=five_chunks.chunks + (make_chunk("zz-pad", '{"qqq": 1}'),))
     after = [c.chunk_id for c in retrieve(extended, query, k=6) if c.chunk_id != "zz-pad"]
     assert after == before
 
@@ -227,8 +228,7 @@ _QUERIES = st.one_of(_TEXT, st.sampled_from(["alpha", "beta one", "a b", "01 1"]
 )
 def test_retrieval_matches_an_exhaustive_scan(bodies, queries, data):
     # Ids are drawn with replacement, so chunks may share one; one base
-    # answers every query, and between queries a chunk may be replaced or
-    # added, which the base's index must follow.
+    # answers every query from the index its first query built.
     ids = st.sampled_from([f"c{i}" for i in range(len(bodies))])
     kb = KnowledgeBase(chunks=[make_chunk(data.draw(ids), body) for body in bodies])
     for query in queries:
@@ -236,13 +236,6 @@ def test_retrieval_matches_an_exhaustive_scan(bodies, queries, data):
         got = retrieve(kb, query, k)
         expected = oracles.exhaustive_retrieve(kb.chunks, query, k)
         assert [id(chunk) for chunk in got] == [id(chunk) for chunk in expected]
-        change = data.draw(st.sampled_from(["none", "replace", "add"]))
-        if change != "none":
-            chunk = make_chunk(data.draw(ids), data.draw(_BODIES))
-            if change == "add":
-                kb.chunks.append(chunk)
-            else:
-                kb.chunks[data.draw(st.integers(0, len(kb.chunks) - 1))] = chunk
 
 
 def test_retrieval_ranks_by_current_bodies_under_reused_chunk_ids():
@@ -254,9 +247,6 @@ def test_retrieval_ranks_by_current_bodies_under_reused_chunk_ids():
         chunks=[make_chunk("c1", '{"beta": "two"}'), make_chunk("c2", '{"alpha": "one"}')]
     )
     assert [c.chunk_id for c in retrieve(second, "alpha", k=1)] == ["c2"]
-    # A chunk replaced in a base's list is scored by its own body.
-    first.chunks[1] = make_chunk("c2", "alpha")
-    assert [c.chunk_id for c in retrieve(first, "alpha", k=2)] == ["c2", "c1"]
 
 
 def test_retrieve_rejects_bad_arguments(five_chunks):
@@ -264,6 +254,24 @@ def test_retrieve_rejects_bad_arguments(five_chunks):
         retrieve(five_chunks, "q", k=0)
     with pytest.raises(ValueError):
         retrieve(KnowledgeBase(chunks=[]), "q", k=1)
+
+
+def test_a_base_is_immutable_and_indexed_once(tmp_path, five_chunks):
+    write_example(tmp_path / "examples", "e1.json", TWO_SUBTREE_EXAMPLE)
+    ingested = ingest_examples(tmp_path / "examples", "sample", chunk_budget=12)
+    five_chunks.save(tmp_path / "kb.json")
+    loaded = KnowledgeBase.load(tmp_path / "kb.json")
+    source = list(five_chunks.chunks)
+    from_list = KnowledgeBase(chunks=source)
+    source.append(make_chunk("c6", '{"alpha": "six"}'))
+    assert from_list == five_chunks
+    for kb in (ingested, loaded, five_chunks, from_list):
+        assert isinstance(kb.chunks, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kb.chunks = ()
+        retrieve(kb, "alpha", k=1)
+        assert kb._postings is kb._postings
+    assert loaded == five_chunks
 
 
 # ---------------------------------------------------------------------------

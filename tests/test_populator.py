@@ -17,7 +17,7 @@ import helpers
 import oracles
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure, GenerationIncomplete, ProviderUnavailable, Timeout
-from cdmgen.gateway import CompletionResult, MockProvider, prompt_hash
+from cdmgen.gateway import CompletionResult, MockProvider, prompt_hash, prompt_head
 from cdmgen.knowledge_base import Chunk, KnowledgeBase, lexical_tokens
 from cdmgen.populator import (
     CallPool,
@@ -122,7 +122,6 @@ def test_chain_depth_six_emits_single_depth_four_task():
     assert len(tasks) == 1
     assert tasks[0].target_path == "a.b"
     assert tasks[0].target_subtree == {"c": {"d": {"e": ""}}}
-    assert tasks[0].traversal_context == ["a"]
 
 
 def test_shallow_tree_is_one_whole_task():
@@ -131,6 +130,11 @@ def test_shallow_tree_is_one_whole_task():
     assert len(tasks) == 1
     assert tasks[0].target_path == ""
     assert tasks[0].target_subtree == template.tree
+
+
+def test_threshold_below_one_is_refused():
+    with pytest.raises(ValueError, match="depth threshold must be >= 1"):
+        select_tasks(chain_template(), 0)
 
 
 def test_threshold_one_emits_one_task_per_leaf():
@@ -148,7 +152,6 @@ def test_fig2_style_fixture_emits_assigned_identifier_task(cdm_index, examples_r
     assert "trade.tradeIdentifier.assignedIdentifier" in by_path
     task = by_path["trade.tradeIdentifier.assignedIdentifier"]
     assert set(dict(treeops.data_items(task.target_subtree))) == {"identifier", "version"}
-    assert task.traversal_context == ["trade", "tradeIdentifier"]
     # mixed-depth siblings are their own tasks
     assert "trade.tradeIdentifier.issuer" in by_path
     assert "trade.tradeDate" in by_path
@@ -341,7 +344,7 @@ def fig2_task(cdm_index, examples_root):
 
 def test_prompt_contains_path_and_subtree(cdm_index, examples_root):
     task = fig2_task(cdm_index, examples_root)
-    bundle = build_prompt(task, "The contract text.", config())
+    bundle = build_prompt(task, prompt_head("populate", "The contract text."))
     assert "trade.tradeIdentifier" in bundle.user_text
     assert json.dumps(task.target_subtree, indent=2, ensure_ascii=False) in bundle.user_text
     assert "The contract text." in bundle.user_text
@@ -355,20 +358,21 @@ def test_prompt_includes_chunks_when_rag(cdm_index, examples_root):
         Chunk("c1", "t", "p", '{"chunk": "body-one"}', 3),
         Chunk("c2", "t", "p", '{"chunk": "body-two"}', 3),
     ]
-    bundle = build_prompt(task, "text", config(use_rag=True))
+    bundle = build_prompt(task, prompt_head("populate", "text"))
     assert '{"chunk": "body-one"}' in bundle.user_text
     assert '{"chunk": "body-two"}' in bundle.user_text
 
 
 def test_prompt_is_deterministic(cdm_index, examples_root):
     task = fig2_task(cdm_index, examples_root)
-    assert build_prompt(task, "text", config()) == build_prompt(task, "text", config())
+    first = build_prompt(task, prompt_head("populate", "text"))
+    assert build_prompt(task, prompt_head("populate", "text")) == first
 
 
 def test_prompt_object_definition_present(cdm_index, examples_root):
     task = fig2_task(cdm_index, examples_root)
     assert task.object_definition
-    bundle = build_prompt(task, "text", config())
+    bundle = build_prompt(task, prompt_head("populate", "text"))
     assert task.object_definition in bundle.user_text
 
 
@@ -377,7 +381,7 @@ def test_prompt_section_order(cdm_index, examples_root):
     task = fig2_task(cdm_index, examples_root)
     task.retrieved_chunks = [Chunk("c1", "t", "p", '{"ref": "chunk-body"}', 2)]
     contract = "UNIQUE-CONTRACT-MARKER"
-    bundle = build_prompt(task, contract, config(use_rag=True))
+    bundle = build_prompt(task, prompt_head("populate", contract))
     positions = [
         bundle.user_text.find(contract),
         bundle.user_text.find("trade.tradeIdentifier"),
@@ -573,7 +577,7 @@ def test_populate_happy_path_single_attempt():
     template = simple_template()
     cfg = config()
     [task] = select_tasks(template, cfg.depth_threshold)
-    prompt = build_prompt(task, "contract", cfg)
+    prompt = build_prompt(task, prompt_head("populate", "contract"))
     fill = {"id": {"value": "UC-1"}, "amount": 12.5}
     gateway = MockProvider({prompt_hash(prompt): json.dumps(fill)})
     doc = populate(template, "contract", None, gateway, cfg)
@@ -589,7 +593,7 @@ def test_populate_retries_after_shape_mismatch():
     template = simple_template()
     cfg = config()
     [task] = select_tasks(template, cfg.depth_threshold)
-    prompt = build_prompt(task, "contract", cfg)
+    prompt = build_prompt(task, prompt_head("populate", "contract"))
     bad = {"id": {"value": "UC-1"}, "amount": 12.5, "extra": 1}
     retry = repair_prompt(prompt, validate_shape(task.target_subtree, bad))
     good = {"id": {"value": "UC-1"}, "amount": 12.5}
@@ -606,7 +610,7 @@ def test_populate_exhaustion_keeps_placeholders():
     template = simple_template()
     cfg = config(retry_limit=2)
     [task] = select_tasks(template, cfg.depth_threshold)
-    prompt = build_prompt(task, "contract", cfg)
+    prompt = build_prompt(task, prompt_head("populate", "contract"))
     bad = {"wrong": True}
     retry = repair_prompt(prompt, validate_shape(task.target_subtree, bad))
     # The second and third attempts share the retry prompt: same failure,
@@ -627,7 +631,7 @@ def test_populate_aborts_on_provider_outage_with_partial_provenance():
     cfg = config(depth_threshold=2)
     tasks = select_tasks(template, cfg.depth_threshold)
     assert [t.target_path for t in tasks] == ["a", "b"]
-    first_prompt = build_prompt(tasks[0], "contract", cfg)
+    first_prompt = build_prompt(tasks[0], prompt_head("populate", "contract"))
     gateway = MockProvider({prompt_hash(first_prompt): json.dumps({"x": "done"})})
     with pytest.raises(ProviderUnavailable) as exc_info:
         populate(template, "contract", None, gateway, cfg)
@@ -680,7 +684,7 @@ class ThreadedMockProvider:
 def valid_script(template, cfg) -> dict:
     """A reply that validates first time for every task of ``template``."""
     return {
-        prompt_hash(build_prompt(task, "c", cfg)): json.dumps(_fill_naive(task.target_subtree))
+        prompt_hash(build_prompt(task, prompt_head("populate", "c"))): json.dumps(_fill_naive(task.target_subtree))
         for task in select_tasks(template, cfg.depth_threshold)
     }
 
@@ -814,7 +818,7 @@ def test_populate_truncated_reply_is_retried():
     template = simple_template()
     cfg = config()
     [task] = select_tasks(template, cfg.depth_threshold)
-    prompt = build_prompt(task, "contract", cfg)
+    prompt = build_prompt(task, prompt_head("populate", "contract"))
 
     truncated = [{"path": "(root)", "kind": "truncated", "detail": "output was cut off"}]
     retry = repair_prompt(prompt, truncated)
@@ -834,7 +838,7 @@ def test_populate_unparseable_reply_is_retried_then_falls_back():
     template = simple_template()
     cfg = config(retry_limit=0)
     [task] = select_tasks(template, cfg.depth_threshold)
-    prompt = build_prompt(task, "contract", cfg)
+    prompt = build_prompt(task, prompt_head("populate", "contract"))
     gateway = MockProvider({prompt_hash(prompt): "no json at all"})
     doc = populate(template, "contract", None, gateway, cfg)
     assert doc.provenance["(root)"]["failed"] is True
@@ -920,8 +924,10 @@ def test_populate_deterministic_under_concurrency(cdm_index, examples_root, cont
 
 
 def test_populate_requires_kb_for_rag():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="use_rag requires a knowledge base"):
         populate(simple_template(), "c", None, MockProvider({}), config(use_rag=True))
+    with pytest.raises(ValueError, match="use_rag requires a knowledge base"):
+        baseline_generate("c", None, MockProvider({}), config(use_rag=True))
 
 
 def test_populate_preserves_data_field_named_description():
@@ -932,7 +938,7 @@ def test_populate_preserves_data_field_named_description():
     )
     cfg = config()
     [task] = select_tasks(template, cfg.depth_threshold)
-    prompt = build_prompt(task, "contract", cfg)
+    prompt = build_prompt(task, prompt_head("populate", "contract"))
     fill = {"description": "A five year payer swap.", "label": "L-1"}
     gateway = MockProvider({prompt_hash(prompt): json.dumps(fill)})
     doc = populate(template, "contract", None, gateway, cfg)
@@ -944,7 +950,7 @@ def test_populate_failed_task_keeps_placeholders_without_annotations():
     template = make_template({"a": {"description": "Ann.", "x": ""}, "b": {"y": ""}})
     cfg = config(depth_threshold=2, retry_limit=0)
     tasks = select_tasks(template, cfg.depth_threshold)
-    prompts_by_path = {t.target_path: build_prompt(t, "c", cfg) for t in tasks}
+    prompts_by_path = {t.target_path: build_prompt(t, prompt_head("populate", "c")) for t in tasks}
     gateway = MockProvider(
         {
             prompt_hash(prompts_by_path["a"]): json.dumps({"bad": 1}),

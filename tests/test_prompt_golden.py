@@ -15,7 +15,7 @@ import json
 import pytest
 
 from cdmgen.evaluator import coverage_prompt, coverage_retry_prompt
-from cdmgen.gateway import CompletionResult, synthesize_description
+from cdmgen.gateway import CompletionResult, prompt_head, synthesize_description
 from cdmgen.knowledge_base import ingest_examples
 from cdmgen.populator import (
     PopulationConfig,
@@ -26,7 +26,7 @@ from cdmgen.populator import (
     validate_shape,
 )
 from cdmgen.template_builder import build_template, flatten_examples, load_examples
-from conftest import CONTRACT_TYPES
+from helpers import CONTRACT_TYPES
 
 GOLDEN = {
     "populate": (36, "a6a250782080c0275fa44dd864afaf6d104114bf964c6337ad1f63564b5daabf"),
@@ -62,12 +62,12 @@ def prompts_by_kind(cdm_index, examples_root, contracts_dir):
         template = build_template(cdm_index, flatten_examples(examples_dir), contract_type)
         kb = ingest_examples(examples_dir, contract_type, 120)
         for task in plan_tasks(template, plain, None):
-            prompt = build_prompt(task, text, plain)
+            prompt = build_prompt(task, prompt_head("populate", text))
             kinds["populate"].append(prompt)
             report = validate_shape(task.target_subtree, {"notTheRightShape": 1})
             kinds["repair"].append(repair_prompt(prompt, report))
         for task in plan_tasks(template, rag, kb):
-            kinds["populate_rag"].append(build_prompt(task, text, rag))
+            kinds["populate_rag"].append(build_prompt(task, prompt_head("populate", text)))
         for kind, cfg in (("baseline", plain), ("baseline_rag", rag)):
             recorder = Recorder()
             baseline_generate(text, kb if cfg.use_rag else None, recorder, cfg)

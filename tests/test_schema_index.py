@@ -14,7 +14,7 @@ import oracles
 from cdmgen import treeops
 from cdmgen.errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
 from cdmgen.evaluator import evaluate_document
-from cdmgen.schema_index import load_schema_dir
+from cdmgen.schema_index import PropertyDef, load_schema_dir
 from cdmgen.template_builder import KeyPathSet, build_template
 
 
@@ -283,6 +283,14 @@ def test_scalar_classification(cdm_index):
     assert fx.properties["deliverable"].scalar_type == "boolean"
     assigned = cdm_index.documents["assigned-identifier.schema.json"]
     assert assigned.properties["version"].scalar_type == "integer"
+
+
+def test_a_property_is_an_object_or_a_scalar():
+    with pytest.raises(ValueError, match="x: a property without a ref_target requires a scalar_type"):
+        PropertyDef("x")
+    with pytest.raises(ValueError, match="requires a scalar_type"):
+        PropertyDef("x", scalar_type="text")
+    assert PropertyDef("x", ref_target="trade.schema.json").scalar_type is None
 
 
 def test_inline_object_becomes_internal_document(cdm_index):
