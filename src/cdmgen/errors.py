@@ -35,8 +35,8 @@ class UnresolvedRef(CdmgenError):
 
 
 class MalformedDocument(CdmgenError):
-    """A JSON input file failed to parse, at byte ``offset``, or parsed but
-    is not the object expected (``offset`` is None)."""
+    """An input file cannot be read, failed to parse, at byte ``offset``,
+    or parsed but is not the object expected (``offset`` is None)."""
 
     def __init__(self, file: str, detail: str, offset: int | None = None):
         self.file = file
@@ -92,8 +92,8 @@ class NoStructuredPayload(CdmgenError):
 
 class GenerationIncomplete(CdmgenError):
     """Generation ended without a complete result: direct generation was
-    truncated before the document closed, or a synthesized description is
-    empty."""
+    truncated before the document closed, or a synthesized description was
+    cut off or is empty."""
 
 
 class PopulationIncomplete(CdmgenError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -394,7 +395,7 @@ class HttpProvider:
             except (ValueError, RecursionError) as exc:
                 raise ProviderUnavailable(f"provider sent a non-JSON body: {exc}") from exc
             return self._parse(reply)
-        raise last_error if last_error else ProviderUnavailable("provider call failed")
+        raise last_error
 
     @staticmethod
     def _parse(body: dict) -> CompletionResult:
@@ -446,7 +447,16 @@ def _readable(sock) -> bool:
 # structured output extraction
 
 
-_DECODER = json.JSONDecoder()
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a number a JSON file can hold")
+    return value
+
+
+# json's C scanner would read NaN, Infinity, -Infinity and 1e400 as
+# non-finite floats; its hooks never run on integers or strings.
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
 def extract_structured(text: str) -> dict:
@@ -454,9 +464,12 @@ def extract_structured(text: str) -> dict:
 
     Fenced code blocks are tried first and must decode whole; then the raw
     text is decoded from each ``{`` in turn, ignoring what follows the
-    object. Raises :class:`NoStructuredPayload` when nothing decodes, when
-    a candidate is nested deeper than the parser's recursion limit, or
-    when the object found holds a lone surrogate, which no file can hold.
+    object. A candidate holding a number no JSON file can hold (``NaN``,
+    ``Infinity``, ``-Infinity``, one too large for a float) or an integer
+    too long for Python to read does not decode. Raises
+    :class:`NoStructuredPayload` when nothing decodes, when a candidate is
+    nested deeper than the parser's recursion limit, or when the object
+    found holds a lone surrogate, which no file can hold.
     """
     try:
         payload = _first_object(text) if text else None
@@ -474,8 +487,8 @@ def extract_structured(text: str) -> dict:
 def _first_object(text: str) -> Optional[dict]:
     for block in _fenced_blocks(text):
         try:
-            parsed = json.loads(block)
-        except json.JSONDecodeError:
+            parsed = _DECODER.decode(block)
+        except ValueError:
             continue
         if isinstance(parsed, dict):
             return parsed
@@ -483,7 +496,7 @@ def _first_object(text: str) -> Optional[dict]:
     while start != -1:
         try:
             return _DECODER.raw_decode(text, start)[0]
-        except json.JSONDecodeError:
+        except ValueError:
             start = text.find("{", start + 1)
     return None
 
@@ -508,14 +521,17 @@ def synthesize_description(provider, cdm_example: dict, reference_texts: Sequenc
 
     The prompt embeds the structured example, encoded by
     :func:`evidence_json`, plus any reference term sheets as style guides.
-    ``provider`` is any object with ``complete(prompt)``. An empty or blank
-    reply raises :class:`GenerationIncomplete`.
+    ``provider`` is any object with ``complete(prompt)``. A reply cut off
+    at the length limit, or an empty or blank one, raises
+    :class:`GenerationIncomplete`.
     """
     if not cdm_example:
         raise ValueError("cdm_example must be a non-empty structured value")
     sections = [f"Reference term sheet {i}:\n{sheet}" for i, sheet in enumerate(reference_texts, start=1)]
     sections.append("Structured contract data:\n" + evidence_json(cdm_example))
-    text = provider.complete(chat_prompt(prompt_head("synthesize"), sections)).text
-    if not text.strip():
+    completion = provider.complete(chat_prompt(prompt_head("synthesize"), sections))
+    if completion.finish_reason == "length":
+        raise GenerationIncomplete("the model's reply was cut off before the description ended")
+    if not completion.text.strip():
         raise GenerationIncomplete("the model's reply holds no description")
-    return text
+    return completion.text

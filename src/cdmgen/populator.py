@@ -55,8 +55,10 @@ class PopulationConfig:
 class PopulationTask:
     """A maximal substructure of bounded depth plus its prompt context.
 
-    ``target_path`` is the task's one location; its prompt and retrieval
-    query read its parent's path, ``target_path.rpartition(".")[0]``.
+    ``segments``, the exact address (list indices included), is the task's
+    one location: ``target_path`` (its keys joined by ``.``) and
+    ``unwrap_key`` come from it. Its prompt and retrieval query read its
+    parent's path, ``target_path.rpartition(".")[0]``.
 
     ``structure_text`` is the placeholder structure as the prompt shows it,
     encoded once when the task is made by :func:`treeops.indented_json`,
@@ -94,7 +96,7 @@ def compute_depths(template: Template) -> int:
     """The template's depth, its root container included: a leaf is 1, a
     container 1 + its deepest child, an empty container 1; annotations are
     not children."""
-    return _select("", "", (), template.tree, 1, [])
+    return _select((), template.tree, 1, [])
 
 
 def select_tasks(template: Template, d: int) -> list[PopulationTask]:
@@ -103,56 +105,50 @@ def select_tasks(template: Template, d: int) -> list[PopulationTask]:
     The walk learns each fragment's depth from its children's. A fragment
     within the bound is kept whole, in place of what was kept below it; a
     deeper object is split into its data items, and a deeper array into
-    its elements, which keep the array's name and path. Tasks are built
-    for the kept fragments only, in document order; they are disjoint and
-    jointly cover every leaf of the template.
+    its elements. Only addresses are walked. Tasks are built for the kept
+    fragments only, in document order; they are disjoint and jointly cover
+    every leaf of the template.
     """
     if d < 1:
         raise ValueError("depth threshold must be >= 1")
     kept: list[tuple] = []
-    _select("", "", (), template.tree, d, kept)
+    _select((), template.tree, d, kept)
     return [_task(*fragment) for fragment in kept]
 
 
-def _select(name: str, path: str, segments: tuple, fragment, d: int, kept: list) -> int:
+def _select(segments: tuple, fragment, d: int, kept: list) -> int:
     """Add to ``kept`` the maximal fragments of depth <= ``d`` in the
-    container ``fragment``, each as ``(name, path, segments, fragment)``,
+    container ``fragment`` at ``segments``, each as ``(segments, fragment)``,
     and return its depth by the rule :func:`compute_depths` states. A leaf
     child is kept as it is met, since its depth, 1, is within any bound."""
-    if isinstance(fragment, dict):
-        children = [
-            (key, f"{path}.{key}" if path else key, segments + (key,), value)
-            for key, value in treeops.data_items(fragment)
-        ]
-    else:
-        # An array's elements share its name.
-        children = [(name, path, segments + (i,), value) for i, value in enumerate(fragment)]
+    items = treeops.data_items(fragment) if isinstance(fragment, dict) else enumerate(fragment)
     mark = len(kept)
     deepest = 0
-    for child in children:
-        if isinstance(child[3], (dict, list)):
-            depth = _select(*child, d, kept)
+    for key, child in items:
+        if isinstance(child, (dict, list)):
+            depth = _select(segments + (key,), child, d, kept)
             if depth > deepest:
                 deepest = depth
         else:
-            kept.append(child)
+            kept.append((segments + (key,), child))
             deepest = deepest or 1
     if deepest < d:
         del kept[mark:]
-        kept.append((name, path, segments, fragment))
+        kept.append((segments, fragment))
     return deepest + 1
 
 
-def _task(name: str, path: str, segments: tuple, fragment) -> PopulationTask:
-    """The task for ``fragment``, named ``name``, at dot-path ``path`` and
-    exact address ``segments`` (list indices included, for grafting)."""
+def _task(segments: tuple, fragment) -> PopulationTask:
+    """The task for ``fragment`` at exact address ``segments`` (list
+    indices included, for grafting), at the dot-path of its keys."""
+    keys = [key for key in segments if isinstance(key, str)]
     subtree, unwrap_key = fragment, None
     if not isinstance(fragment, dict):
-        # Leaf and whole-array tasks are presented wrapped under their field
-        # name so the model can reply with a JSON object.
-        subtree, unwrap_key = {name: fragment}, name
+        # Leaf and whole-array tasks are wrapped under the address's last key,
+        # their field name, so the model can reply with a JSON object.
+        subtree, unwrap_key = {keys[-1]: fragment}, keys[-1]
     return PopulationTask(
-        target_path=path,
+        target_path=".".join(keys),
         segments=segments,
         target_subtree=subtree,
         object_definition=_definition_of(fragment),
@@ -485,7 +481,8 @@ class PendingPopulation:
         fail re-raises its error (a skipped task the pool's ``failure``),
         and a provider outage carries :meth:`finished_records` as its
         ``provenance``. A pool stopped by another run's call does not
-        fail a run whose tasks all finished.
+        fail a run whose tasks all finished. A complete run's provenance is
+        :meth:`finished_records` too (empty for an empty plan).
         """
         try:
             outcomes = [self.pool.result(future) for future in self.futures]
@@ -499,14 +496,13 @@ class PendingPopulation:
         for task, (tree, _) in zip(self.tasks, outcomes):
             if tree is not None:
                 doc = _graft(doc, task.segments, tree)
-        return PopulatedDocument(
-            tree=doc, provenance={key: record for key, (_, record) in zip(self.keys, outcomes)}
-        )
+        return PopulatedDocument(tree=doc, provenance=self.finished_records() or {})
 
     def finished_records(self) -> Optional[dict[str, dict]]:
-        """Provenance records of the tasks that finished, under the keys a
-        completed run gives them, or None when no task reached the
-        provider. Reading each call's ``exception()`` waits for it."""
+        """The records of the tasks that finished, under their provenance
+        keys, or None when no task reached the provider. A record is
+        ``{"prompt_hash", "attempts", "failed"}``, plus ``mismatches`` when
+        the task failed. Reading each call's ``exception()`` waits for it."""
         records: dict[str, dict] = {}
         called = False
         for key, future in zip(self.keys, self.futures):
@@ -518,28 +514,21 @@ class PendingPopulation:
 
 
 def _run_one(task: PopulationTask, head: PromptHead, gateway, cfg) -> tuple[Optional[Any], dict]:
-    original = build_prompt(task, head)
-    base_hash = prompt_hash(original)
-    prompt = original
+    original = prompt = build_prompt(task, head)
     for attempts in range(1, cfg.retry_limit + 2):
         mismatches, parsed = _assess(task, gateway.complete(prompt))
-        if not mismatches:
-            result = parsed[task.unwrap_key] if task.unwrap_key else parsed
-            logger.info(
-                "task=%s attempts=%d status=ok", task.target_path or "(root)", attempts
-            )
-            return result, {"prompt_hash": base_hash, "attempts": attempts, "failed": False}
-        if attempts <= cfg.retry_limit:
-            prompt = repair_prompt(original, mismatches)
+        if not mismatches or attempts > cfg.retry_limit:
+            break
+        prompt = repair_prompt(original, mismatches)
+    failed = bool(mismatches)
     logger.info(
-        "task=%s attempts=%d status=failed", task.target_path or "(root)", attempts
+        "task=%s attempts=%d status=%s", task.target_path or "(root)", attempts, "failed" if failed else "ok"
     )
-    return None, {
-        "prompt_hash": base_hash,
-        "attempts": attempts,
-        "failed": True,
-        "mismatches": mismatches,
-    }
+    record = {"prompt_hash": prompt_hash(original), "attempts": attempts, "failed": failed}
+    if failed:
+        record["mismatches"] = mismatches
+        return None, record
+    return (parsed[task.unwrap_key] if task.unwrap_key else parsed), record
 
 
 def _assess(task: PopulationTask, completion) -> tuple[list[dict], Optional[dict]]:

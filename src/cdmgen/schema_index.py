@@ -279,9 +279,12 @@ class _IndexBuilder:
     def _kind(self, doc_id, node, where, chain):
         """``_OBJECT``, the node that declares ``node`` a scalar, or None when
         ``node`` declares neither. A node read at its document's own id is a
-        whole document."""
+        whole document. A ``type`` that is not a string, on a node that is
+        not an object by ``properties``, raises :class:`MalformedDocument`."""
         if "properties" in node or node.get("type") == "object":
             return _OBJECT
+        if not isinstance(node.get("type", ""), str):
+            raise MalformedDocument(where, "'type' is not a string")
         declared = node if "enum" in node or node.get("type") in _JSON_SCALARS else None
         for *member, _ in self._members(doc_id, node, where, chain):
             kind = self._kind(*member)
@@ -360,11 +363,11 @@ class _IndexBuilder:
             return "enum", tuple(str(v) for v in enum)
         declared = raw.get("type")
         fmt = raw.get("format")
-        description = raw.get("description") or ""
+        description = raw.get("description")
         if declared in ("string", None):
             if fmt == "date":
                 return "date", None
-            if fmt is None and _DATE_WORD.search(description):
+            if fmt is None and isinstance(description, str) and _DATE_WORD.search(description):
                 return "date", None
         if declared in ("number", "integer", "boolean"):
             return declared, None

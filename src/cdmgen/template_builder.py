@@ -92,8 +92,8 @@ def load_examples(example_dir) -> list[tuple[str, Any]]:
     """(file name, parsed instance) for every ``.json`` file under a directory.
 
     Raises :class:`EmptyExampleDir` when there is none or no example has a
-    leaf, and :class:`MalformedDocument` naming the first file that is not
-    UTF-8 JSON.
+    leaf, and :class:`MalformedDocument` naming the first file that cannot
+    be read or is not UTF-8 JSON.
     """
     files = treeops.json_files(example_dir) if os.path.isdir(example_dir) else []
     if not files:

@@ -92,20 +92,24 @@ def json_files(directory) -> list[str]:
 
 def read_text(path, name: Optional[str] = None) -> str:
     """A UTF-8 text file's contents, with CRLF and CR line ends read as LF
-    as text-mode :func:`open` reads them; bytes that are not UTF-8 raise
+    as text-mode :func:`open` reads them; a file that cannot be read (the
+    system's reason given) or holds bytes that are not UTF-8 raises
     :class:`MalformedDocument` naming the file as ``name`` (by default, as
     ``path``).
 
     The file is read with :func:`os.read`: a schema corpus is thousands of
     small files, and a text-mode file object costs more than the read.
     """
-    fd = os.open(path, os.O_RDONLY)
+    chunks = []
     try:
-        chunks = []
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise MalformedDocument(name or str(path), f"cannot be read: {exc.strerror or exc}") from exc
     try:
         text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -216,8 +220,9 @@ def _encode_indented(value, newline: str, parts: list) -> None:
 
 
 def read_json(path, name: Optional[str] = None):
-    """The JSON value in a UTF-8 file; text that is not UTF-8 or not JSON,
-    a value nested deeper than the parser's recursion limit, or a value
+    """The JSON value in a UTF-8 file; a file that cannot be read, text
+    that is not UTF-8 or not JSON, a value nested deeper than the parser's
+    recursion limit, an integer too long for Python to read, or a value
     holding a lone surrogate escape, raises :class:`MalformedDocument`
     naming the file as ``name`` (by default, as ``path``)."""
     text = read_text(path, name)
@@ -226,6 +231,8 @@ def read_json(path, name: Optional[str] = None):
         surrogate = "\\u" in text and lone_surrogate(value)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(name or str(path), exc.msg, exc.pos) from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise MalformedDocument(name or str(path), "a number too long to read") from exc
     except RecursionError as exc:
         raise MalformedDocument(name or str(path), "the JSON value is nested too deeply to read") from exc
     if surrogate:

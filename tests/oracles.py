@@ -8,6 +8,7 @@ exact-fraction arithmetic) that the tests compare the real code against.
 from __future__ import annotations
 
 import json
+import math
 import posixpath
 import re
 from fractions import Fraction
@@ -312,11 +313,25 @@ def scan_structured(text: str) -> dict | None:
 
 
 def _loads_object(candidate: str) -> dict | None:
+    """The object ``candidate`` decodes to, or None when it does not decode
+    to one a JSON file can hold: an integer too long for Python to read
+    fails to decode, and a non-finite float (``NaN``, ``Infinity``, or a
+    literal too large for a float) anywhere in it is refused."""
     try:
         parsed = json.loads(candidate)
-    except json.JSONDecodeError:
+    except ValueError:
         return None
-    return parsed if isinstance(parsed, dict) else None
+    if not isinstance(parsed, dict) or not _all_finite(parsed):
+        return None
+    return parsed
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(_all_finite(child) for child in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(child) for child in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def shape_matches(prototype, value) -> bool:

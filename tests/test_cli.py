@@ -1101,6 +1101,22 @@ BAD_INPUTS = {
     "config_contracts_number": (2, "pipeline --config {config_contracts_number}"),
     "config_out_dir_number": (2, "pipeline --config {config_out_dir_number}"),
     "config_out_dir_empty": (2, "pipeline --config {config_out_dir_empty}"),
+    "schema_dangling_link": (
+        1, "make-template --schema-dir {schema_dangling_link} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "examples_number_too_long": (
+        1, "make-template --schema-dir {schema_dir} --root contract.schema.json"
+        " --examples {examples_number_too_long} --contract-type CommodityOption"
+    ),
+    "schema_type_list": (
+        1, "make-template --schema-dir {schema_type_list} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
+    "schema_type_object": (
+        1, "make-template --schema-dir {schema_type_object} --root contract.schema.json"
+        " --examples {examples} --contract-type CommodityOption"
+    ),
 }
 # The error a case with exit code 1 names, when it is not MalformedDocument.
 BAD_INPUT_ERRORS = {
@@ -1136,6 +1152,10 @@ BAD_INPUT_DETAILS = {
     "schema_dir_missing": r"^schema directory .*missing\.txt does not exist$",
     "schema_top_level_list": r"^bad\.json: top-level value is not an object$",
     "template_past_depth_guard": r"^schema traversal exceeded 64 levels at 'next(\.next){64}'$",
+    "schema_dangling_link": r"^dangling\.json: cannot be read: No such file or directory$",
+    "examples_number_too_long": r"^e1\.json: a number too long to read$",
+    "schema_type_list": r"^contract\.schema\.json::d: 'type' is not a string$",
+    "schema_type_object": r"^contract\.schema\.json::d: 'type' is not a string$",
 }
 # Text the usage message of a case with exit code 2 must hold.
 BAD_INPUT_USAGE = {
@@ -1297,11 +1317,17 @@ def test_bad_input_is_typed_not_a_traceback(
         ("schema_top_level_list", "bad.json", "[1]"),
         ("schema_self_reference", "node.json", '{"properties": {"next": {"$ref": "node.json"}, "v": {"type": "string"}}}'),
         ("examples_70_levels", "e1.json", '{"next": ' * 70 + '{"v": "x"}' + "}" * 70),
+        ("schema_dangling_link", "contract.schema.json", '{"properties": {"x": {"type": "string"}}}'),
+        ("examples_number_too_long", "e1.json", '{"trade": {"notional": %s}}' % ("9" * 5000)),
+        ("schema_type_list", "contract.schema.json", '{"properties": {"d": {"type": ["string", "null"]}}}'),
+        ("schema_type_object", "contract.schema.json", '{"properties": {"d": {"type": {"const": 1}}}}'),
     ]
     for name, file_name, text in dirs:
         paths[name] = tmp_path / name
         paths[name].mkdir(exist_ok=True)
         put(paths[name] / file_name, text)
+    # A link to nothing cannot be read, even by a user whom no permission bit stops.
+    (paths["schema_dangling_link"] / "dangling.json").symlink_to("nowhere.json")
     expected_code, flags = BAD_INPUTS[case]
     argv = [part.format(**paths) for part in flags.split()]
     if argv[0] != "pipeline":
@@ -1358,6 +1384,33 @@ def test_pipeline_contract_whose_examples_have_no_leaf_gets_failure_row(
     with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as handle:
         status = {row["group"]: row["status"] for row in csv.DictReader(handle)}
     assert status == {"EquityOption": "ok", "combined": "ok", "foreign_exchange": "failed: EmptyExampleDir"}
+    assert not list(out_dir.glob("foreign_exchange.*"))
+
+
+def test_pipeline_contract_with_an_unreadable_example_gets_failure_row(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir
+):
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option", "foreign_exchange"]
+    )
+    examples = tmp_path / "examples_with_a_dangling_link"
+    examples.mkdir()
+    for example in (examples_root / "foreign_exchange").iterdir():
+        (examples / example.name).write_bytes(example.read_bytes())
+    (examples / "dangling.json").symlink_to("nowhere.json")
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["contracts"][1]["examples_dir"] = str(examples)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["pipeline", "--config", config_path]) == 0
+    with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as handle:
+        status = {row["group"]: row["status"] for row in csv.DictReader(handle)}
+    assert status == {"EquityOption": "ok", "combined": "ok", "foreign_exchange": "failed: MalformedDocument"}
+    assert sorted(path.name for path in out_dir.glob("equity_option.*")) == [
+        "equity_option.cdm.json",
+        "equity_option.provenance.json",
+        "equity_option.report.json",
+        "equity_option.template.json",
+    ]
     assert not list(out_dir.glob("foreign_exchange.*"))
 
 

@@ -795,6 +795,20 @@ FIXTURE_VALUES = [
 ]
 
 
+@pytest.mark.parametrize(
+    "number",
+    ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "9" * 5000],
+    ids=["nan", "infinity", "minus_infinity", "1e400", "minus_1e400", "5000_digits"],
+)
+def test_extract_skips_a_candidate_holding_a_number_no_file_can_hold(number):
+    for text in ('{"a": %s}' % number, '```json\n{"a": %s}\n```' % number):
+        with pytest.raises(NoStructuredPayload):
+            extract_structured(text)
+    # The next candidate is read, as after any candidate that does not decode.
+    assert extract_structured('{"a": %s, "b": {"c": 1e3}}' % number) == {"c": 1000.0}
+    assert extract_structured('```\n{"a": %s}\n```\n{"a": -0.5}' % number) == {"a": -0.5}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     value=st.sampled_from(FIXTURE_VALUES),
@@ -856,6 +870,15 @@ def test_synthesize_rejects_an_empty_reply(reply):
 
     with pytest.raises(GenerationIncomplete):
         synthesize_description(Blank(), {"trade": {}}, [])
+
+
+def test_synthesize_rejects_a_reply_cut_off_at_the_length_limit():
+    class CutOff:
+        def complete(self, prompt):
+            return CompletionResult(text="The parties agree to exchange", finish_reason="length")
+
+    with pytest.raises(GenerationIncomplete, match="cut off"):
+        synthesize_description(CutOff(), {"trade": {}}, [])
 
 
 def test_synthesize_rejects_empty_example():

@@ -27,9 +27,11 @@ from cdmgen.populator import (
     build_prompt,
     clean,
     compute_depths,
+    plan_tasks,
     populate,
     repair_prompt,
     select_tasks,
+    submit_population,
     task_query,
     validate_shape,
 )
@@ -880,6 +882,88 @@ def test_populate_reply_nested_too_deeply_is_repaired_on_the_next_attempt():
     first, retry = gateway.prompts
     detail = "the JSON in model output is nested too deeply to read"
     assert retry == repair_prompt(first, [{"path": "(root)", "kind": "unparseable", "detail": detail}])
+
+
+@pytest.mark.parametrize(
+    "number",
+    ["NaN", "Infinity", "-Infinity", "1e400", "9" * 5000],
+    ids=["nan", "infinity", "minus_infinity", "1e400", "5000_digits"],
+)
+def test_populate_reply_with_a_number_no_file_can_hold_is_repaired_on_the_next_attempt(number):
+    # The first reply fits the structure, but its number is not one a JSON
+    # file can hold, or is too long for Python to read.
+    template = make_template({"amount": 0})
+    good = {"amount": 1}
+    gateway = FakeGateway('{"amount": %s}' % number, json.dumps(good))
+    doc = populate(template, "contract", None, gateway, config())
+    assert doc.tree == good
+    assert doc.provenance["(root)"]["attempts"] == 2
+    first, retry = gateway.prompts
+    detail = "no balanced JSON object found in model output"
+    assert retry == repair_prompt(first, [{"path": "(root)", "kind": "unparseable", "detail": detail}])
+
+
+_REPLY_KINDS = ("valid", "shape_invalid", "unparseable", "truncated")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(_REPLY_KINDS), min_size=4, max_size=4),
+    retry_limit=st.integers(0, 3),
+)
+def test_a_task_run_ends_in_one_record_and_grafts_its_first_valid_reply(kinds, retry_limit):
+    template = simple_template()
+    cfg = config(retry_limit=retry_limit)
+    [task] = select_tasks(template, cfg.depth_threshold)
+    replies, reports = [], []
+    for i, kind in enumerate(kinds):
+        fill = {"id": {"value": f"UC-{i}"}, "amount": i}
+        if kind == "valid":
+            replies.append(CompletionResult(json.dumps(fill), "stop"))
+            reports.append([])
+        elif kind == "shape_invalid":
+            replies.append(CompletionResult(json.dumps({**fill, "extra": i}), "stop"))
+            reports.append([{"path": "extra", "kind": "extra_key", "detail": "key not in structure"}])
+        elif kind == "unparseable":
+            replies.append(CompletionResult(f"no json {i}", "stop"))
+            detail = "no balanced JSON object found in model output"
+            reports.append([{"path": "(root)", "kind": "unparseable", "detail": detail}])
+        else:
+            replies.append(CompletionResult(json.dumps(fill)[:-1], "length"))
+            reports.append([{"path": "(root)", "kind": "truncated", "detail": "output was cut off"}])
+    gateway = FakeGateway(*replies)
+    doc = populate(template, "contract", None, gateway, cfg)
+
+    allowed = kinds[: retry_limit + 1]
+    attempts = allowed.index("valid") + 1 if "valid" in allowed else retry_limit + 1
+    original = build_prompt(task, prompt_head("populate", "contract"))
+    # Each re-ask carries the report of the attempt before it.
+    assert gateway.prompts == [original] + [repair_prompt(original, reports[i]) for i in range(attempts - 1)]
+    expected = {"prompt_hash": prompt_hash(original), "attempts": attempts, "failed": "valid" not in allowed}
+    if expected["failed"]:
+        expected["mismatches"] = reports[attempts - 1]
+        assert doc.tree == {"id": {"value": ""}, "amount": 0}
+    else:
+        assert doc.tree == {"id": {"value": f"UC-{attempts - 1}"}, "amount": attempts - 1}
+    assert doc.provenance == {"(root)": expected}
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_a_complete_run_s_provenance_is_its_finished_records(max_inflight):
+    template = make_template({"a": {"x": "", "n": 0}, "b": ["", ""], "c": [{"y": False}]})
+    cfg = config(depth_threshold=1, retry_limit=0, max_inflight=max_inflight)
+    script = valid_script(template, cfg)
+    # One task never validates, so its record carries mismatches.
+    script[next(iter(script))] = "no json"
+    gateway = ThreadedMockProvider(script)
+    tasks = plan_tasks(template, cfg, None)
+    with CallPool(cfg.max_inflight, gateway) as pool:
+        pending = submit_population(pool, template, tasks, "c", gateway, cfg)
+        doc = pending.collect()
+        assert doc.provenance == pending.finished_records()
+    assert list(doc.provenance) == ["a.x", "a.n", "b", "b+", "c.y"]
+    assert [record["failed"] for record in doc.provenance.values()] == [True] + [False] * 4
+    assert "mismatches" in doc.provenance["a.x"]
 
 
 def test_populate_empty_template_short_circuits():

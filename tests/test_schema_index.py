@@ -321,6 +321,28 @@ def test_date_detection_from_description_without_format(tmp_path):
     assert props["mandate"].scalar_type == "string"
 
 
+def test_a_keyword_of_the_wrong_kind_is_malformed_or_read_as_absent(tmp_path):
+    write(
+        tmp_path / "root.schema.json",
+        {
+            "properties": {
+                # A description that is not text reads as none.
+                "count": {"type": "string", "description": 5},
+                "tags": {"description": ["a date"]},
+                # A node with properties is an object, whatever its type.
+                "party": {"type": ["object", "null"], "properties": {"name": {"type": "string"}}},
+            }
+        },
+    )
+    props = load_schema_dir(tmp_path, "root.schema.json").documents["root.schema.json"].properties
+    assert props["count"].scalar_type == props["tags"].scalar_type == "string"
+    assert props["party"].ref_target == "root.schema.json::party"
+    for declared in (["string", "null"], {"const": 1}, 5, None):
+        write(tmp_path / "root.schema.json", {"properties": {"d": {"type": declared}}})
+        with pytest.raises(MalformedDocument, match=r"^root\.schema\.json::d: 'type' is not a string$"):
+            load_schema_dir(tmp_path, "root.schema.json")
+
+
 def test_composite_union_and_choice_groups(tmp_path):
     write(
         tmp_path / "choice.schema.json",
