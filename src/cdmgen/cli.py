@@ -287,19 +287,26 @@ def cmd_report(args, parser) -> int:
         parser.error(f"no report files found in {report_dir}")
     groups: dict[str, list] = {}
     for file in files:
-        envelope = read_json_object(file, "syntactical_correctness", "schema_adherence")
-        try:
-            report = evaluator.EvaluationReport.from_dict(envelope)
-        except ValueError as exc:
-            raise MalformedDocument(str(file), str(exc)) from exc
-        group = envelope.get("contract_type") or "unknown"
-        if not isinstance(group, str):
-            raise MalformedDocument(str(file), "'contract_type' is not a string")
-        if group == evaluator.COMBINED:
-            raise MalformedDocument(str(file), f"'contract_type' {group!r} names the union row")
-        groups.setdefault(group, []).append(report)
+        group, scores = _read_report(file)
+        groups.setdefault(group, []).append(scores)
     _write_summary(args.out, _summary_rows(groups, []))
     return 0
+
+
+def _read_report(file: Path) -> tuple[str, evaluator.EvaluationReport]:
+    """A report file's group and scores, once the whole file is read and
+    checked; its per-path detail and coverage lists are not kept."""
+    envelope = read_json_object(file, "syntactical_correctness", "schema_adherence")
+    try:
+        report = evaluator.EvaluationReport.from_dict(envelope)
+    except ValueError as exc:
+        raise MalformedDocument(str(file), str(exc)) from exc
+    group = envelope.get("contract_type") or "unknown"
+    if not isinstance(group, str):
+        raise MalformedDocument(str(file), "'contract_type' is not a string")
+    if group == evaluator.COMBINED:
+        raise MalformedDocument(str(file), f"'contract_type' {group!r} names the union row")
+    return group, report.scores_only()
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +498,8 @@ def cmd_pipeline(args, parser) -> int:
         return job, scores, coverage
 
     def report(job: ContractJob, scores: evaluator.EvaluationReport, coverage) -> None:
-        """Add the collected coverage, then write and group the report."""
+        """Add the collected coverage, then write the report and group its
+        scores alone."""
         try:
             lists = None if coverage is None else pool.result(coverage)
             _write_report(artifact(job, "report"), job.contract_type, scores, lists, weights)
@@ -500,22 +508,23 @@ def cmd_pipeline(args, parser) -> int:
         except CdmgenError as exc:
             failures.append((job.name, type(exc).__name__))
         else:
-            groups.setdefault(job.contract_type, []).append(scores)
+            groups.setdefault(job.contract_type, []).append(scores.scores_only())
 
     # Contract i+1's tasks queue behind contract i's before i is collected,
     # and i's coverage call is collected one step later, so the pool's
     # slots stay busy across contracts (a pool that runs its calls on this
     # thread has run them by then). Files are still written, and reports
-    # grouped, in contract order.
+    # grouped, in contract order. The last step only reports, so that no
+    # contract's document or detail outlives the loop.
     with populator.CallPool(cfg.max_inflight, gateway) as pool:
         ahead = start(run.contracts[0])
         scored = None
-        for following in [*run.contracts[1:], None]:
+        for following in [*run.contracts[1:], None, None]:
             current, ahead = ahead, (start(following) if following else None)
             try:
                 if scored is not None:
                     report(*scored)
-                scored = finish(current)
+                scored = current and finish(current)
             except ProviderOutage:
                 for started in (current, ahead):
                     population = started and started.population
@@ -523,8 +532,6 @@ def cmd_pipeline(args, parser) -> int:
                     if records is not None:
                         write_json(artifact(started.job, "provenance"), records)
                 raise
-        if scored is not None:
-            report(*scored)
 
     _write_summary(run.out_dir / "summary.csv", _summary_rows(groups, failures))
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
@@ -114,6 +114,11 @@ class EvaluationReport:
             lists=lists,
             coverage_score=payload.get("coverage_score"),
         )
+
+    def scores_only(self) -> "EvaluationReport":
+        """This report without its per-path detail and coverage lists: the
+        scores :func:`aggregate` reads, so a batch keeps no more."""
+        return replace(self, per_path_detail=[], lists=None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ every other chunk scores zero.
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import Optional
 
 from .errors import MalformedDocument
@@ -126,14 +128,14 @@ def ingest_examples(example_dir, contract_type: str, chunk_budget: int) -> Knowl
     if chunk_budget <= 0:
         raise ValueError("chunk_budget must be positive")
     chunks: list[Chunk] = []
+    counts: dict[int, int] = {}
     for file_name, parsed in load_examples(example_dir):
-        _split(parsed, file_name, "", None, False, contract_type, chunk_budget, chunks)
+        _split(parsed, file_name, "", None, False, contract_type, chunk_budget, chunks, counts)
     return KnowledgeBase(chunks=chunks)
 
 
-def _split(value, file_name, path, name, in_array, contract_type, budget, out) -> None:
-    body = _chunk_body(value, name, in_array)
-    tokens = len(lexical_tokens(body))
+def _split(value, file_name, path, name, in_array, contract_type, budget, out, counts) -> None:
+    tokens = _token_count(value, counts) + (0 if name is None else _string_tokens(name))
     splittable = (isinstance(value, dict) and value) or (isinstance(value, list) and value)
     if tokens <= budget or not splittable:
         oversized = tokens > budget
@@ -150,7 +152,7 @@ def _split(value, file_name, path, name, in_array, contract_type, budget, out) -
                 chunk_id=f"{file_name}#{path}",
                 contract_type=contract_type,
                 source_path=path,
-                body=body,
+                body=_chunk_body(value, name, in_array),
                 token_estimate=tokens,
                 oversized=oversized,
             )
@@ -159,11 +161,45 @@ def _split(value, file_name, path, name, in_array, contract_type, budget, out) -
     if isinstance(value, dict):
         for key, child in value.items():
             child_path = f"{path}.{key}" if path else key
-            _split(child, file_name, child_path, key, False, contract_type, budget, out)
+            _split(child, file_name, child_path, key, False, contract_type, budget, out, counts)
     else:
         for i, element in enumerate(value):
             child_path = f"{path}.{i}" if path else str(i)
-            _split(element, file_name, child_path, name, True, contract_type, budget, out)
+            _split(element, file_name, child_path, name, True, contract_type, budget, out, counts)
+
+
+def _token_count(value, counts: dict[int, int]) -> int:
+    """The lexical tokens in ``value``'s minified body: the sum over its keys
+    and scalars, since JSON punctuation separates tokens and an escape or a
+    case mapping stays inside its string. Kept in ``counts`` by identity for
+    ``value`` and each node under it, so one ingest counts each node once.
+    The walk keeps its own stack, as ``_split`` is the only recursion."""
+    order = []  # the nodes not yet counted, each before the nodes under it
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        if id(node) in counts:
+            continue
+        order.append(node)
+        if isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    for node in reversed(order):
+        if isinstance(node, dict):
+            total = sum(_string_tokens(key) + counts[id(child)] for key, child in node.items())
+        elif isinstance(node, list):
+            total = sum(counts[id(element)] for element in node)
+        elif isinstance(node, str):
+            total = _string_tokens(node)
+        else:
+            total = len(lexical_tokens(json.dumps(node)))
+        counts[id(node)] = total
+    return counts[id(value)]
+
+
+def _string_tokens(text: str) -> int:
+    return len(lexical_tokens(encode_basestring(text)))
 
 
 def _chunk_body(value, name: Optional[str], in_array: bool) -> str:

@@ -239,8 +239,14 @@ class _IndexBuilder:
         self.reading: dict[int, str] = {}  # node identity -> id of the inline object it is read as
 
     def build(self) -> SchemaIndex:
+        """The index; a document whose nodes nest deeper than the
+        interpreter's recursion limit allows raises
+        :class:`MalformedDocument` naming it."""
         for doc_id, raw in self.raw.items():
-            properties = self._properties(doc_id, {}, doc_id, raw, doc_id, frozenset({doc_id}))
+            try:
+                properties = self._properties(doc_id, {}, doc_id, raw, doc_id, frozenset({doc_id}))
+            except RecursionError as exc:
+                raise MalformedDocument(doc_id, "the schema is nested too deeply to read") from exc
             self.documents[doc_id] = SchemaDocument(properties, self._description(raw))
         start_id, _ = self._resolve(self.root_id, self.raw[self.root_id], self.root_id)
         return SchemaIndex(self.root_id, start_id, self.documents, _inline=self.inline)

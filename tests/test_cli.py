@@ -4,6 +4,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import gc
 import io
 import json
 import logging
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,11 +27,11 @@ from hypothesis import strategies as st
 
 import helpers
 import cdmgen
-from cdmgen import cli, populator, prompts, treeops
+from cdmgen import cli, evaluator, populator, prompts, treeops
 from cdmgen.cli import build_parser, main, write_json
 from cdmgen.dryrun import build_population_script
 from cdmgen.errors import AuthFailure, OutputUnwritable, ProviderUnavailable, Timeout
-from cdmgen.evaluator import CoverageWeights
+from cdmgen.evaluator import CoverageWeights, EvaluationReport
 from cdmgen.gateway import CompletionResult, MockProvider, PromptBundle, evidence_json, prompt_hash, prompt_head
 from cdmgen.knowledge_base import KnowledgeBase, ingest_examples
 from cdmgen.populator import PopulationConfig
@@ -2049,6 +2051,103 @@ def test_pipeline_with_coverage_writes_the_same_bytes_at_any_max_inflight(
     assert len(reports) == len(helpers.CONTRACT_TYPES) - 1
     for name in reports:
         assert json.loads(outputs[1][name])["coverage_score"] is not None
+
+
+class _Detail(list):
+    """A report's per-path detail that a weak reference can follow."""
+
+
+def _tracked(refs: list, report: EvaluationReport) -> EvaluationReport:
+    """``report`` with its detail made a :class:`_Detail`; weak references
+    to the detail and to the coverage lists, when there are any, join
+    ``refs``."""
+    report.per_path_detail = _Detail(report.per_path_detail)
+    refs.append(weakref.ref(report.per_path_detail))
+    if report.lists is not None:
+        refs.append(weakref.ref(report.lists))
+    return report
+
+
+def _alive_at_summary(monkeypatch, refs: list) -> list:
+    """Each call of ``cli._write_summary`` appends to the list returned how
+    many of ``refs`` are alive after a garbage collection."""
+    alive = []
+    write = cli._write_summary
+
+    def counted(path, rows):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        write(path, rows)
+
+    monkeypatch.setattr(cli, "_write_summary", counted)
+    return alive
+
+
+def _summary_of_full_reports(files) -> list[list[str]]:
+    """The summary rows of the report ``files``, in their order, each read
+    whole with its detail and lists."""
+    groups = {}
+    for file in files:
+        payload = json.loads(file.read_text(encoding="utf-8"))
+        groups.setdefault(payload["contract_type"], []).append(EvaluationReport.from_dict(payload))
+    return [list(cli.SUMMARY_COLUMNS), *cli._summary_rows(groups, [])]
+
+
+def _summary(path) -> list[list[str]]:
+    with path.open(newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def test_pipeline_keeps_no_contract_s_detail_or_lists_until_the_summary(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
+):
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir
+    )
+    refs = []
+    evaluate = evaluator.evaluate_document
+    monkeypatch.setattr(evaluator, "evaluate_document", lambda doc, index: _tracked(refs, evaluate(doc, index)))
+    coverage_lists = evaluator.coverage_lists
+
+    def tracked_lists(*args):
+        lists = coverage_lists(*args)
+        refs.append(weakref.ref(lists))
+        return lists
+
+    monkeypatch.setattr(evaluator, "coverage_lists", tracked_lists)
+    alive = _alive_at_summary(monkeypatch, refs)
+    gateway = _ProbeGateway(json.loads(script_path.read_text(encoding="utf-8")))
+    assert _pipeline_with_probe(monkeypatch, config_path, gateway, coverage=True) == 0
+    assert len(refs) == 2 * len(helpers.CONTRACT_TYPES)
+    assert alive == [0]
+    reports = [out_dir / f"{name}.report.json" for name in helpers.CONTRACT_TYPES]
+    assert _summary(out_dir / "summary.csv") == _summary_of_full_reports(reports)
+
+
+def test_report_keeps_no_file_s_detail_or_lists_until_the_summary(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
+):
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir
+    )
+    gateway = _ProbeGateway(json.loads(script_path.read_text(encoding="utf-8")))
+    assert _pipeline_with_probe(monkeypatch, config_path, gateway, coverage=True) == 0
+    report_dir = tmp_path / "reports"
+    report_dir.mkdir()
+    for file in out_dir.glob("*.report.json"):
+        (report_dir / file.name).write_bytes(file.read_bytes())
+    refs = []
+    from_dict = EvaluationReport.from_dict
+    monkeypatch.setattr(
+        EvaluationReport, "from_dict", classmethod(lambda cls, payload: _tracked(refs, from_dict(payload)))
+    )
+    alive = _alive_at_summary(monkeypatch, refs)
+    assert run(["report", "--in", report_dir, "--out", tmp_path / "summary.csv"]) == 0
+    assert len(refs) == 2 * len(helpers.CONTRACT_TYPES)
+    assert alive == [0]
+    monkeypatch.undo()
+    expected = _summary_of_full_reports(sorted(report_dir.glob("*.json")))
+    assert _summary(tmp_path / "summary.csv") == expected == _summary(out_dir / "summary.csv")
 
 
 def test_pipeline_blank_contract_gets_failure_row(

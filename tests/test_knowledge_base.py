@@ -80,6 +80,18 @@ def test_oversized_leaf_emitted_and_flagged(tmp_path):
     assert kb.chunks[0].token_estimate > 3
 
 
+def test_an_example_nested_hundreds_of_levels_deep_is_split(tmp_path):
+    # The split recurses once per level, and counting tokens adds no frame.
+    example = "x"
+    for _ in range(600):
+        example = {"a": example}
+    write_example(tmp_path, "deep.json", example)
+    [chunk] = ingest_examples(tmp_path, "sample", 5).chunks
+    assert chunk.source_path == ".".join(["a"] * 597)
+    assert chunk.token_estimate == 5
+    assert json.loads(chunk.body) == {"a": {"a": {"a": {"a": "x"}}}}
+
+
 def test_leaf_partition_across_chunks(tmp_path):
     example = {
         "a": {"x": 1, "y": [2, 3]},
@@ -122,8 +134,9 @@ def test_token_estimates_respect_budget_unless_oversized(tmp_path, examples_root
 
 # Strings with what indentation and separators would add around them, and
 # with text that is not ASCII; keys from a smaller alphabet, so they repeat.
-_WORDS = st.text(alphabet='ab Z9,:."é€中', max_size=10)
-_KEYS = st.text(alphabet="abZ9 :,é", min_size=1, max_size=4)
+# Escapes and the case mappings of "İ" and the Kelvin sign give ASCII letters.
+_WORDS = st.text(alphabet='ab Z9,:."é€中\\\nİ\u212a', max_size=10)
+_KEYS = st.text(alphabet="abZ9 :,é\\\nİ\u212a", min_size=1, max_size=4)
 _TREES = st.recursive(
     st.none() | st.booleans() | st.integers(-99, 99) | st.floats(allow_nan=False, allow_infinity=False) | _WORDS,
     lambda children: st.lists(children, max_size=3) | st.dictionaries(_KEYS, children, max_size=3),

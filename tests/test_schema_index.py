@@ -343,6 +343,24 @@ def test_a_keyword_of_the_wrong_kind_is_malformed_or_read_as_absent(tmp_path):
             load_schema_dir(tmp_path, "root.schema.json")
 
 
+@pytest.mark.parametrize("depth", [20, 400])
+def test_inline_objects_nested_too_deeply_are_a_malformed_document(tmp_path, depth):
+    node = {"type": "string"}
+    for _ in range(depth):
+        node = {"type": "object", "properties": {"a": node}}
+    text = json.dumps(node)
+    (tmp_path / "root.schema.json").write_text(text, encoding="utf-8")
+    # The parser reads the file here, so a failure is the index's, not
+    # the parser's.
+    assert json.loads(text) == node
+    if depth == 400:
+        with pytest.raises(MalformedDocument, match=r"^root\.schema\.json: the schema is nested too deeply to read$"):
+            load_schema_dir(tmp_path, "root.schema.json")
+    else:
+        index = load_schema_dir(tmp_path, "root.schema.json")
+        assert index.lookup(".".join(["a"] * depth)).scalar_type == "string"
+
+
 def test_composite_union_and_choice_groups(tmp_path):
     write(
         tmp_path / "choice.schema.json",
