@@ -123,7 +123,10 @@ def ingest_examples(example_dir, contract_type: str, chunk_budget: int) -> Knowl
     A subtree becomes one chunk when its serialized body fits the budget;
     otherwise the split recurses into its children, so every leaf of every
     example lands in exactly one chunk. Leaves that alone exceed the budget
-    are emitted oversized rather than dropped.
+    are emitted oversized rather than dropped. A chunk's id is its
+    example's name, as :func:`load_examples` gives it (the path relative to
+    ``example_dir``), then ``#`` and the subtree's dot path (array indices
+    included, empty for the whole example): ``a/x.json#trade.legs.0``.
     """
     if chunk_budget <= 0:
         raise ValueError("chunk_budget must be positive")

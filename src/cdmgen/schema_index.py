@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import treeops
 from .errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
@@ -32,6 +32,7 @@ _JSON_SCALARS = {"string", "number", "integer", "boolean"}
 _COMPOSITES = ("allOf", "anyOf", "oneOf")
 _DATE_WORD = re.compile(r"\bdate\b", re.IGNORECASE)
 _OBJECT = object()  # what _IndexBuilder._kind gives for an object
+_NO_CHAIN = frozenset()
 
 DEFAULT_MAX_PATH_DEPTH = 64
 
@@ -39,8 +40,16 @@ DEFAULT_MAX_PATH_DEPTH = 64
 _NOTHING = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class _PropertyFields(NamedTuple):
+    name: str
+    ref_target: Optional[str] = None
+    scalar_type: Optional[str] = None
+    enum_values: Optional[tuple[str, ...]] = None
+    array: int = 0
+    choice_group: Optional[str] = None
+
+
+class PropertyDef(_PropertyFields):
     """One normalized property of a schema document.
 
     A property holds one object when it has a ``ref_target`` (inline objects
@@ -49,18 +58,23 @@ class PropertyDef:
     list levels around these: 0 for none, 1 for a list, 2 for a list of
     lists, and so on. ``choice_group`` records which
     ``oneOf``/``anyOf`` alternative contributed the property, when any.
+
+    A record is an immutable named tuple, the cheapest record Python builds:
+    a CDM-scale corpus has thousands of properties. Every way of making one
+    (calling the class, ``_make``, ``_replace``) raises ValueError for a
+    property with neither a ``ref_target`` nor a scalar kind.
     """
 
-    name: str
-    ref_target: Optional[str] = None
-    scalar_type: Optional[str] = None
-    enum_values: Optional[tuple[str, ...]] = None
-    array: int = 0
-    choice_group: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ref_target is None and self.scalar_type not in treeops.PLACEHOLDERS:
-            raise ValueError(f"{self.name}: a property without a ref_target requires a scalar_type")
+    def __new__(cls, name, ref_target=None, scalar_type=None, enum_values=None, array=0, choice_group=None):
+        if ref_target is None and scalar_type not in treeops.PLACEHOLDERS:
+            raise ValueError(f"{name}: a property without a ref_target requires a scalar_type")
+        return tuple.__new__(cls, (name, ref_target, scalar_type, enum_values, array, choice_group))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -152,13 +166,19 @@ def _normalize_ref(from_doc: str, ref_text) -> Optional[str]:
     path relative to its directory, or ``#`` for the document itself. A ref
     that is not a non-empty string, or is a JSON pointer (a non-empty
     fragment), gives None."""
-    if not isinstance(ref_text, str) or not ref_text or ref_text.partition("#")[2]:
+    if not isinstance(ref_text, str) or not ref_text:
         return None
-    file_part = ref_text.partition("#")[0].strip()
+    file_part, _, fragment = ref_text.partition("#")
+    if fragment:
+        return None
+    file_part = file_part.strip()
     if not file_part:
         return from_doc
-    base = posixpath.dirname(from_doc)
-    return posixpath.normpath(posixpath.join(base, file_part))
+    if file_part[0] == "/":
+        return posixpath.normpath(file_part)
+    # ``from_doc`` is a normalized relative id, so its directory with a
+    # trailing slash is the text before its last one.
+    return posixpath.normpath(from_doc[: from_doc.rfind("/") + 1] + file_part)
 
 
 def load_schema_dir(schema_dir, root_file) -> SchemaIndex:
@@ -174,8 +194,9 @@ def load_schema_dir(schema_dir, root_file) -> SchemaIndex:
     root_id = _root_id_for(base, Path(root_file))
 
     raw_docs: dict[str, dict] = {}
+    prefix = os.path.join(base, "")
     for doc_id in treeops.json_files(base):
-        parsed = treeops.read_json(os.path.join(base, doc_id), doc_id)
+        parsed = treeops.read_json(prefix + doc_id, doc_id)
         if not isinstance(parsed, dict):
             raise MalformedDocument(doc_id, "top-level value is not an object")
         raw_docs[doc_id] = parsed
@@ -237,6 +258,7 @@ class _IndexBuilder:
         self.documents: dict[str, SchemaDocument] = {}
         self.inline: dict[str, SchemaDocument] = {}
         self.reading: dict[int, str] = {}  # node identity -> id of the inline object it is read as
+        self.kinds: dict[str, object] = {}  # document id -> its kind, read as a whole document
 
     def build(self) -> SchemaIndex:
         """The index; a document whose nodes nest deeper than the
@@ -254,11 +276,13 @@ class _IndexBuilder:
     def _properties(self, obj_id, merged, doc_id, node, where, chain, group=None) -> dict[str, PropertyDef]:
         """Adds to ``merged`` the properties of ``node``, written in ``doc_id``
         at ``where``, as properties of the object ``obj_id``."""
-        for name, raw_prop in _keyword(where, node, "properties").items():
-            if name not in merged:
-                merged[name] = self._classify(doc_id, obj_id, name, raw_prop, group)
-        for *member, label in self._members(doc_id, node, where, chain):
-            self._properties(obj_id, merged, *member, group or label)
+        if "properties" in node:
+            for name, raw_prop in _keyword(where, node, "properties").items():
+                if name not in merged:
+                    merged[name] = self._classify(doc_id, obj_id, name, raw_prop, group)
+        if "allOf" in node or "anyOf" in node or "oneOf" in node:
+            for *member, label in self._members(doc_id, node, where, chain):
+                self._properties(obj_id, merged, *member, group or label)
         return merged
 
     def _members(self, doc_id, node, where, chain):
@@ -287,17 +311,27 @@ class _IndexBuilder:
         ``node`` declares neither. A node read at its document's own id is a
         whole document. A ``type`` that is not a string, on a node that is
         not an object by ``properties``, raises :class:`MalformedDocument`."""
-        if "properties" in node or node.get("type") == "object":
+        declared_type = node.get("type", "")
+        if "properties" in node or declared_type == "object":
             return _OBJECT
-        if not isinstance(node.get("type", ""), str):
+        if not isinstance(declared_type, str):
             raise MalformedDocument(where, "'type' is not a string")
-        declared = node if "enum" in node or node.get("type") in _JSON_SCALARS else None
-        for *member, _ in self._members(doc_id, node, where, chain):
-            kind = self._kind(*member)
-            if kind is _OBJECT:
-                return _OBJECT
-            declared = declared or kind
+        declared = node if "enum" in node or declared_type in _JSON_SCALARS else None
+        if "allOf" in node or "anyOf" in node or "oneOf" in node:
+            for *member, _ in self._members(doc_id, node, where, chain):
+                kind = self._kind(*member)
+                if kind is _OBJECT:
+                    return _OBJECT
+                declared = declared or kind
         return declared or (_OBJECT if where == doc_id else None)
+
+    def _document_kind(self, doc_id):
+        """:meth:`_kind` of the document ``doc_id`` read whole (never None),
+        read once."""
+        kind = self.kinds.get(doc_id)
+        if kind is None:
+            kind = self.kinds[doc_id] = self._kind(doc_id, self.raw[doc_id], doc_id, frozenset({doc_id}))
+        return kind
 
     def _classify(self, doc_id: str, obj_id: str, name: str, raw_prop, group) -> PropertyDef:
         """One property of the object ``obj_id``, written in ``doc_id``: the
@@ -306,31 +340,32 @@ class _IndexBuilder:
         before a ``$ref`` or after one. Items that lead back to a document
         already passed raise :class:`CycleDetected`."""
         node = raw_prop if isinstance(raw_prop, dict) else {}
-        array = 0
-        where, chain, written = f"{obj_id}::{name}", frozenset(), f"{doc_id}#{name}"
-        passed: list[str] = []
+        array = levels = 0  # list levels in all, and since the last $ref
+        passed: list[str] = []  # the documents the $refs reached
         while True:
             if "$ref" in node:
+                written = passed[-1] if passed else f"{doc_id}#{name}"
                 doc_id, node = self._resolve(doc_id, node, written)
                 if doc_id in passed:
                     raise CycleDetected(f"array items cycle through {' -> '.join(passed + [doc_id])}")
                 passed.append(doc_id)
-                where, chain, written = doc_id, frozenset({doc_id}), doc_id
+                levels = 0
             elif node.get("type") == "array" or isinstance(node.get("items"), dict):
                 array += 1
-                where += "[]"
+                levels += 1
                 items = node.get("items")
                 node = items if isinstance(items, dict) else {}
             else:
                 break
-        kind = self._kind(doc_id, node, where, chain)
+        if passed and not levels:
+            where, kind = doc_id, self._document_kind(doc_id)
+        else:
+            where = (doc_id if passed else f"{obj_id}::{name}") + "[]" * levels
+            kind = self._kind(doc_id, node, where, frozenset({doc_id}) if passed else _NO_CHAIN)
         if kind is _OBJECT:
             target = doc_id if where == doc_id else self._register_inline(doc_id, where, node)
-            return PropertyDef(name, ref_target=target, array=array, choice_group=group)
-        scalar_type, enum_values = self._scalar_type(kind or node)
-        return PropertyDef(
-            name, scalar_type=scalar_type, enum_values=enum_values, array=array, choice_group=group
-        )
+            return PropertyDef(name, target, None, None, array, group)
+        return PropertyDef(name, None, *self._scalar_type(kind or node), array, group)
 
     def _register_inline(self, doc_id: str, inline_id: str, node: dict) -> str:
         """``inline_id`` for the inline object ``node`` declares, or an ancestor's while it is read."""
@@ -366,15 +401,15 @@ class _IndexBuilder:
     def _scalar_type(raw: dict) -> tuple[str, Optional[tuple[str, ...]]]:
         enum = raw.get("enum")
         if isinstance(enum, list) and enum:
-            return "enum", tuple(str(v) for v in enum)
+            return "enum", tuple(map(str, enum))
         declared = raw.get("type")
-        fmt = raw.get("format")
-        description = raw.get("description")
-        if declared in ("string", None):
-            if fmt == "date":
-                return "date", None
-            if fmt is None and isinstance(description, str) and _DATE_WORD.search(description):
-                return "date", None
         if declared in ("number", "integer", "boolean"):
             return declared, None
+        if declared in ("string", None):
+            fmt = raw.get("format")
+            if fmt == "date":
+                return "date", None
+            description = raw.get("description")
+            if fmt is None and isinstance(description, str) and _DATE_WORD.search(description):
+                return "date", None
         return "string", None

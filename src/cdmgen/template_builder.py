@@ -14,7 +14,6 @@ walk gives the smallest schema-conformant skeleton that covers the examples.
 from __future__ import annotations
 
 import os
-import posixpath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Optional
@@ -89,20 +88,24 @@ class Template:
 
 
 def load_examples(example_dir) -> list[tuple[str, Any]]:
-    """(file name, parsed instance) for every ``.json`` file under a directory.
+    """(name, parsed instance) for every ``.json`` file under a directory.
 
-    Raises :class:`EmptyExampleDir` when there is none or no example has a
-    leaf, and :class:`MalformedDocument` naming the first file that cannot
-    be read or is not UTF-8 JSON.
+    An example is named by its POSIX path relative to the directory, so a
+    file directly in it by its file name (``x.json``) and one in a
+    subdirectory by its path (``a/x.json``): two files of one name in two
+    subdirectories keep two names. Raises :class:`EmptyExampleDir` when
+    there is none or no example has a leaf, and :class:`MalformedDocument`
+    naming, by that name, the first file that cannot be read, is not a
+    regular file or is not UTF-8 JSON.
     """
     files = treeops.json_files(example_dir) if os.path.isdir(example_dir) else []
     if not files:
         raise EmptyExampleDir(f"no example files found in {example_dir}")
     examples = []
     has_leaf = False
-    for rel in files:
-        name = posixpath.basename(rel)
-        parsed = treeops.read_json(os.path.join(example_dir, rel), name)
+    prefix = os.path.join(example_dir, "")
+    for name in files:
+        parsed = treeops.read_json(prefix + name, name)
         examples.append((name, parsed))
         # Examples are walked only until one with a leaf is found.
         has_leaf = has_leaf or next(treeops.iter_leaf_paths(parsed, items=dict.items), None) is not None

@@ -14,8 +14,10 @@ one atomic writer of every output file.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
+import stat
 from contextlib import contextmanager
 from json.encoder import encode_basestring as _encode_string
 from typing import Any, Iterator, Optional
@@ -79,39 +81,72 @@ def json_files(directory) -> list[str]:
     The order is that of the paths' segments, as ``sorted(Path.rglob(...))``
     gives it: ``a/b.json`` sorts before ``a-b.json``. Directories are never
     listed, even when their names end in ``.json``; symbolic links to
-    directories are not followed.
+    directories are not followed, and a directory that cannot be listed
+    lists nothing, as :func:`os.walk` skips it.
+
+    Each directory's entries are visited in name order, and a
+    subdirectory's files are listed where its name sorts: that is the
+    segment order, with no sort of the whole list.
     """
-    found = []
-    for parent, _, names in os.walk(directory):
-        rel = os.path.relpath(parent, directory)
-        prefix = [] if rel == os.curdir else rel.split(os.sep)
-        found.extend(prefix + [name] for name in names if name.endswith(".json"))
-    found.sort()
-    return ["/".join(segments) for segments in found]
+    found: list[str] = []
+    _list_json_files(os.fspath(directory), "", found)
+    return found
+
+
+_entry_name = operator.attrgetter("name")
+
+
+def _list_json_files(path: str, prefix: str, found: list) -> None:
+    try:
+        with os.scandir(path) as listing:
+            entries = sorted(listing, key=_entry_name)
+    except OSError:
+        return
+    for entry in entries:
+        try:
+            is_dir = entry.is_dir()
+        except OSError:
+            is_dir = False
+        if is_dir:
+            if not entry.is_symlink():
+                _list_json_files(entry.path, f"{prefix}{entry.name}/", found)
+        elif entry.name.endswith(".json"):
+            found.append(prefix + entry.name)
 
 
 def read_text(path, name: Optional[str] = None) -> str:
     """A UTF-8 text file's contents, with CRLF and CR line ends read as LF
     as text-mode :func:`open` reads them; a file that cannot be read (the
-    system's reason given) or holds bytes that are not UTF-8 raises
-    :class:`MalformedDocument` naming the file as ``name`` (by default, as
-    ``path``).
+    system's reason given), is not a regular file, or holds bytes that are
+    not UTF-8 raises :class:`MalformedDocument` naming the file as ``name``
+    (by default, as ``path``).
 
-    The file is read with :func:`os.read`: a schema corpus is thousands of
-    small files, and a text-mode file object costs more than the read.
+    The file is opened without blocking and checked before it is read, so
+    a FIFO or a device named like an input fails at once instead of
+    waiting for a writer or reading without end. It is read with
+    :func:`os.read`, asking for one byte more than its size, so that one
+    read returns a file that has not grown since and its short count shows
+    the end: a schema corpus is thousands of small files, and a text-mode
+    file object costs more than the read.
     """
-    chunks = []
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                raise MalformedDocument(name or str(path), "is not a regular file")
+            data = os.read(fd, info.st_size + 1)
+            if len(data) > info.st_size:
+                chunks = [data]
+                while chunk := os.read(fd, 1 << 16):
+                    chunks.append(chunk)
+                data = b"".join(chunks)
         finally:
             os.close(fd)
     except OSError as exc:
         raise MalformedDocument(name or str(path), f"cannot be read: {exc.strerror or exc}") from exc
     try:
-        text = b"".join(chunks).decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(name or str(path), f"not UTF-8 ({exc.reason})", exc.start) from exc
     if "\r" in text:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from cdmgen import treeops
 from cdmgen.dryrun import build_population_script
 from cdmgen.populator import PopulationConfig, build_prompt, select_tasks
 from cdmgen.gateway import prompt_hash, prompt_head
@@ -84,3 +85,35 @@ def prepare_pipeline(
         encoding="utf-8",
     )
     return config_path, out_dir, script_path
+
+
+def wrap_refs(node):
+    """``node`` with every ``$ref`` property and items node rewritten as an
+    annotated ``allOf`` over that ref."""
+    if isinstance(node, list):
+        return [wrap_refs(child) for child in node]
+    if not isinstance(node, dict):
+        return node
+
+    def wrap(child):
+        child = wrap_refs(child)
+        if isinstance(child, dict) and "$ref" in child:
+            return {"description": "Wrapped.", "allOf": [{"$ref": child["$ref"]}]}
+        return child
+
+    out = {}
+    for key, value in node.items():
+        if key == "properties" and isinstance(value, dict):
+            out[key] = {name: wrap(prop) for name, prop in value.items()}
+        else:
+            out[key] = wrap(value) if key == "items" else wrap_refs(value)
+    return out
+
+
+def write_wrapped_schema(schema_dir: Path, wrapped_dir: Path) -> None:
+    """Write every document of ``schema_dir`` to ``wrapped_dir`` with its
+    ``$ref`` nodes wrapped by :func:`wrap_refs`."""
+    for doc_id in treeops.json_files(schema_dir):
+        body = json.loads((schema_dir / doc_id).read_text(encoding="utf-8"))
+        (wrapped_dir / doc_id).parent.mkdir(parents=True, exist_ok=True)
+        (wrapped_dir / doc_id).write_text(json.dumps(wrap_refs(body)), encoding="utf-8")

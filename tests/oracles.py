@@ -11,9 +11,11 @@ import json
 import math
 import posixpath
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Optional
 
 
 # ---------------------------------------------------------------------------
@@ -678,3 +680,218 @@ def _scalar_of(kind, value, enum_values) -> bool:
     if kind == "date":
         return re.match(r"^\d{4}-\d{2}-\d{2}$", value) is not None
     return kind != "enum" or value in (enum_values or ())
+
+
+# ---------------------------------------------------------------------------
+# the schema index builder as first written: frozen-dataclass records, a
+# members generator for every node, both error locations formatted for
+# every property, a $ref-reached document's kind read each time it is met
+
+
+class ReferenceBuildError(Exception):
+    """An error of the reference builder; its class name and text are what
+    the real builder's must equal."""
+
+    name = ""
+
+    def __repr__(self):
+        return f"{self.name}({str(self)!r})"
+
+
+class ReferenceMalformed(ReferenceBuildError):
+    name = "MalformedDocument"
+
+    def __init__(self, file, detail):
+        super().__init__(f"{file}: {detail}")
+
+
+class ReferenceUnresolved(ReferenceBuildError):
+    name = "UnresolvedRef"
+
+    def __init__(self, ref_text, referencing_path):
+        super().__init__(f"unresolved schema reference {ref_text!r} (referenced from {referencing_path})")
+
+
+class ReferenceCycle(ReferenceBuildError):
+    name = "CycleDetected"
+
+
+_REF_SCALARS = {"string", "number", "integer", "boolean"}
+_REF_COMPOSITES = ("allOf", "anyOf", "oneOf")
+_REF_DATE_WORD = re.compile(r"\bdate\b", re.IGNORECASE)
+_REF_OBJECT = object()
+
+
+@dataclass(frozen=True)
+class ReferenceProperty:
+    name: str
+    ref_target: Optional[str] = None
+    scalar_type: Optional[str] = None
+    enum_values: Optional[tuple] = None
+    array: int = 0
+    choice_group: Optional[str] = None
+
+    def __post_init__(self):
+        if self.ref_target is None and self.scalar_type not in PLACEHOLDERS:
+            raise ValueError(f"{self.name}: a property without a ref_target requires a scalar_type")
+
+
+@dataclass(frozen=True)
+class ReferenceDocument:
+    properties: dict
+    description: Optional[str] = None
+
+
+def reference_index(raw_docs: dict, root_id: str) -> SimpleNamespace:
+    """``root_id``, ``start_id``, ``documents`` and ``inline`` of the index
+    the first builder made of parsed documents ``raw_docs``; its errors are
+    :class:`ReferenceBuildError`."""
+    return _ReferenceBuilder(raw_docs, root_id).build()
+
+
+def _ref_keyword(where, raw, keyword):
+    expected = dict if keyword == "properties" else list
+    value = raw.get(keyword, expected())
+    if not isinstance(value, expected):
+        article = "an object" if expected is dict else "a list"
+        raise ReferenceMalformed(where, f"{keyword!r} is not {article}")
+    return value
+
+
+def _ref_normalize(from_doc, ref_text):
+    if not isinstance(ref_text, str) or not ref_text or ref_text.partition("#")[2]:
+        return None
+    file_part = ref_text.partition("#")[0].strip()
+    if not file_part:
+        return from_doc
+    base = posixpath.dirname(from_doc)
+    return posixpath.normpath(posixpath.join(base, file_part))
+
+
+class _ReferenceBuilder:
+    def __init__(self, raw_docs, root_id):
+        self.raw = raw_docs
+        self.root_id = root_id
+        self.documents = {}
+        self.inline = {}
+        self.reading = {}
+
+    def build(self):
+        for doc_id, raw in self.raw.items():
+            try:
+                properties = self._properties(doc_id, {}, doc_id, raw, doc_id, frozenset({doc_id}))
+            except RecursionError as exc:
+                raise ReferenceMalformed(doc_id, "the schema is nested too deeply to read") from exc
+            self.documents[doc_id] = ReferenceDocument(properties, self._description(raw))
+        start_id, _ = self._resolve(self.root_id, self.raw[self.root_id], self.root_id)
+        return SimpleNamespace(root_id=self.root_id, start_id=start_id, documents=self.documents, inline=self.inline)
+
+    def _properties(self, obj_id, merged, doc_id, node, where, chain, group=None):
+        for name, raw_prop in _ref_keyword(where, node, "properties").items():
+            if name not in merged:
+                merged[name] = self._classify(doc_id, obj_id, name, raw_prop, group)
+        for *member, label in self._members(doc_id, node, where, chain):
+            self._properties(obj_id, merged, *member, group or label)
+        return merged
+
+    def _members(self, doc_id, node, where, chain):
+        for keyword in _REF_COMPOSITES:
+            if keyword not in node:
+                continue
+            for i, member in enumerate(_ref_keyword(where, node, keyword)):
+                label = f"{keyword}[{i}]"
+                member_where = f"{where}#{label}"
+                if not isinstance(member, dict):
+                    raise ReferenceMalformed(member_where, "the member is not an object")
+                group = None if keyword == "allOf" else label
+                if "$ref" not in member:
+                    yield doc_id, member, member_where, chain, group
+                    continue
+                target, member = self._resolve(doc_id, member, member_where)
+                if target not in chain:
+                    yield target, member, target, chain | {target}, group
+
+    def _kind(self, doc_id, node, where, chain):
+        if "properties" in node or node.get("type") == "object":
+            return _REF_OBJECT
+        if not isinstance(node.get("type", ""), str):
+            raise ReferenceMalformed(where, "'type' is not a string")
+        declared = node if "enum" in node or node.get("type") in _REF_SCALARS else None
+        for *member, _ in self._members(doc_id, node, where, chain):
+            kind = self._kind(*member)
+            if kind is _REF_OBJECT:
+                return _REF_OBJECT
+            declared = declared or kind
+        return declared or (_REF_OBJECT if where == doc_id else None)
+
+    def _classify(self, doc_id, obj_id, name, raw_prop, group):
+        node = raw_prop if isinstance(raw_prop, dict) else {}
+        array = 0
+        where, chain, written = f"{obj_id}::{name}", frozenset(), f"{doc_id}#{name}"
+        passed = []
+        while True:
+            if "$ref" in node:
+                doc_id, node = self._resolve(doc_id, node, written)
+                if doc_id in passed:
+                    raise ReferenceCycle(f"array items cycle through {' -> '.join(passed + [doc_id])}")
+                passed.append(doc_id)
+                where, chain, written = doc_id, frozenset({doc_id}), doc_id
+            elif node.get("type") == "array" or isinstance(node.get("items"), dict):
+                array += 1
+                where += "[]"
+                items = node.get("items")
+                node = items if isinstance(items, dict) else {}
+            else:
+                break
+        kind = self._kind(doc_id, node, where, chain)
+        if kind is _REF_OBJECT:
+            target = doc_id if where == doc_id else self._register_inline(doc_id, where, node)
+            return ReferenceProperty(name, ref_target=target, array=array, choice_group=group)
+        scalar_type, enum_values = self._scalar_type(kind or node)
+        return ReferenceProperty(
+            name, scalar_type=scalar_type, enum_values=enum_values, array=array, choice_group=group
+        )
+
+    def _register_inline(self, doc_id, inline_id, node):
+        if id(node) in self.reading:
+            return self.reading[id(node)]
+        self.reading[id(node)] = inline_id
+        properties = self._properties(inline_id, {}, doc_id, node, inline_id, frozenset())
+        del self.reading[id(node)]
+        self.inline[inline_id] = ReferenceDocument(properties, self._description(node))
+        return inline_id
+
+    def _resolve(self, doc_id, node, where):
+        seen = []
+        while "$ref" in node:
+            ref_text = node["$ref"]
+            target = _ref_normalize(doc_id, ref_text)
+            if target not in self.raw:
+                raise ReferenceUnresolved(str(ref_text), where)
+            if target in seen:
+                raise ReferenceCycle(f"$ref alias cycle through {' -> '.join(seen)}")
+            seen.append(target)
+            doc_id, node, where = target, self.raw[target], target
+        return doc_id, node
+
+    @staticmethod
+    def _description(raw):
+        value = raw.get("description")
+        return value if isinstance(value, str) and value else None
+
+    @staticmethod
+    def _scalar_type(raw):
+        enum = raw.get("enum")
+        if isinstance(enum, list) and enum:
+            return "enum", tuple(str(v) for v in enum)
+        declared = raw.get("type")
+        fmt = raw.get("format")
+        description = raw.get("description")
+        if declared in ("string", None):
+            if fmt == "date":
+                return "date", None
+            if fmt is None and isinstance(description, str) and _REF_DATE_WORD.search(description):
+                return "date", None
+        if declared in ("number", "integer", "boolean"):
+            return declared, None
+        return "string", None

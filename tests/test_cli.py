@@ -576,6 +576,47 @@ def test_evaluate_reads_a_deep_document_or_fails_typed(tmp_path, cdm_schema_dir,
         assert len(json.loads(out.read_text(encoding="utf-8"))["per_path_detail"]) == levels
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_fifo_or_device_named_like_an_input_fails_at_once(tmp_path, cdm_schema_dir, examples_root):
+    # Each command runs in a fresh interpreter with a timeout, so a reader
+    # that waits for the FIFO's writer fails this test instead of hanging
+    # the suite.
+    def copy_with(source, name, make):
+        target = tmp_path / f"{source.name}-{name}"
+        target.mkdir()
+        for file in source.glob("*.json"):
+            (target / file.name).write_bytes(file.read_bytes())
+        make(target / name)
+        return target
+
+    examples = examples_root / "interest_rate_swap"
+    fifo_schema = copy_with(cdm_schema_dir, "pipe.json", os.mkfifo)
+    device_schema = copy_with(cdm_schema_dir, "null.json", lambda link: link.symlink_to(os.devnull))
+    fifo_examples = copy_with(examples, "pipe.json", os.mkfifo)
+    fifo_reports = tmp_path / "reports"
+    fifo_reports.mkdir()
+    os.mkfifo(fifo_reports / "pipe.json")
+    template = ["make-template", "--root", "contract.schema.json", "--contract-type", "T", "--out", tmp_path / "t.json"]
+    cases = [
+        ("pipe.json", [*template, "--schema-dir", fifo_schema, "--examples", examples]),
+        ("null.json", [*template, "--schema-dir", device_schema, "--examples", examples]),
+        ("pipe.json", [*template, "--schema-dir", cdm_schema_dir, "--examples", fifo_examples]),
+        ("pipe.json", ["ingest-kb", "--examples", fifo_examples, "--contract-type", "T", "--budget", 40, "--out", tmp_path / "kb.json"]),
+        (str(fifo_reports / "pipe.json"), ["report", "--in", fifo_reports, "--out", tmp_path / "summary.csv"]),
+    ]
+    for name, argv in cases:
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from cdmgen.cli import main; sys.exit(main(sys.argv[1:]))", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": str(Path(cdmgen.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1, (argv, result.stderr)
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error == {"error": "MalformedDocument", "detail": f"{name}: is not a regular file"}, argv
+
+
 def test_evaluate_with_coverage_via_mock(tmp_path, cdm_schema_dir, contracts_dir):
     from cdmgen.evaluator import coverage_prompt
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cdmgen.errors import EmptyExampleDir
+from cdmgen.errors import EmptyExampleDir, MalformedDocument
 from cdmgen.knowledge_base import Chunk, KnowledgeBase, ingest_examples, lexical_tokens, retrieve
+from cdmgen.template_builder import load_examples
 
 TWO_SUBTREE_EXAMPLE = {
     "alpha": {"first": "one two three", "second": "four five"},
@@ -120,6 +121,19 @@ def test_chunk_ids_unique(tmp_path):
     kb = ingest_examples(tmp_path, "sample", chunk_budget=2)
     ids = [c.chunk_id for c in kb.chunks]
     assert len(ids) == len(set(ids))
+
+
+def test_nested_examples_of_one_name_keep_their_paths_in_chunk_ids(tmp_path):
+    write_example(tmp_path / "a", "x.json", {"k": 1})
+    write_example(tmp_path / "b", "x.json", {"k": 2})
+    write_example(tmp_path, "x.json", {"k": 3})
+    ids = [c.chunk_id for c in ingest_examples(tmp_path, "sample", chunk_budget=50).chunks]
+    assert ids == ["a/x.json#", "b/x.json#", "x.json#"]
+    assert [name for name, _ in load_examples(tmp_path)] == ["a/x.json", "b/x.json", "x.json"]
+    (tmp_path / "b" / "x.json").write_text("{", encoding="utf-8")
+    with pytest.raises(MalformedDocument) as exc_info:
+        load_examples(tmp_path)
+    assert exc_info.value.file == "b/x.json"
 
 
 def test_token_estimates_respect_budget_unless_oversized(tmp_path, examples_root):

@@ -27,6 +27,7 @@ from cdmgen.template_builder import build_template, flatten_examples
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import corpus  # noqa: E402
+from helpers import write_wrapped_schema  # noqa: E402
 
 P = treeops.PLACEHOLDERS
 THING = {treeops.DESCRIPTION_KEY: "A thing.", "id": P["string"]}
@@ -163,39 +164,13 @@ def test_every_dry_run_filled_corpus_template_scores_100(seed):
             assert report.schema_adherence == 100.0, (seed, contract_type)
 
 
-def _wrap_refs(node):
-    """``node`` with every ``$ref`` property and items node rewritten as an
-    annotated ``allOf`` over that ref."""
-    if isinstance(node, list):
-        return [_wrap_refs(child) for child in node]
-    if not isinstance(node, dict):
-        return node
-
-    def wrap(child):
-        child = _wrap_refs(child)
-        if isinstance(child, dict) and "$ref" in child:
-            return {"description": "Wrapped.", "allOf": [{"$ref": child["$ref"]}]}
-        return child
-
-    out = {}
-    for key, value in node.items():
-        if key == "properties" and isinstance(value, dict):
-            out[key] = {name: wrap(prop) for name, prop in value.items()}
-        else:
-            out[key] = wrap(value) if key == "items" else _wrap_refs(value)
-    return out
-
-
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_a_ref_wrapped_in_an_annotated_all_of_reads_as_the_ref(seed):
     with tempfile.TemporaryDirectory() as work:
         batch = corpus.cdm_scale_batch(Path(work), random.Random(seed), corpus.SMOKE_SCALE)
         wrapped_dir = Path(work) / "wrapped"
-        for doc_id in treeops.json_files(batch.schema_dir):
-            body = json.loads((batch.schema_dir / doc_id).read_text(encoding="utf-8"))
-            (wrapped_dir / doc_id).parent.mkdir(parents=True, exist_ok=True)
-            (wrapped_dir / doc_id).write_text(json.dumps(_wrap_refs(body)), encoding="utf-8")
+        write_wrapped_schema(batch.schema_dir, wrapped_dir)
         index = load_schema_dir(batch.schema_dir, batch.root_file)
         wrapped = load_schema_dir(wrapped_dir, batch.root_file)
         for contract_type, examples_dir in batch.examples_dirs.items():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,11 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import write_wrapped_schema
 from cdmgen import treeops
-from cdmgen.errors import CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
+from cdmgen.errors import CdmgenError, CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
 from cdmgen.evaluator import evaluate_document
-from cdmgen.schema_index import PropertyDef, load_schema_dir
+from cdmgen.schema_index import PropertyDef, SchemaDocument, load_schema_dir
 from cdmgen.template_builder import KeyPathSet, build_template
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import corpus  # noqa: E402
 
 
 def write(path, payload) -> None:
@@ -202,6 +208,14 @@ def test_line_ends_read_as_text_mode_reads_them(tmp_path):
     with pytest.raises(MalformedDocument) as exc_info:
         load_schema_dir(tmp_path, "root.schema.json")
     assert exc_info.value.offset == expected.value.pos
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/cmdline"), reason="no procfs")
+def test_a_file_longer_than_its_stated_size_is_read_whole():
+    # A procfs file states a size of 0 and holds more.
+    assert os.stat("/proc/self/cmdline").st_size == 0
+    with open("/proc/self/cmdline", encoding="utf-8") as file:
+        assert treeops.read_text("/proc/self/cmdline") == file.read() != ""
 
 
 def test_directory_named_json_is_walked_not_opened(tmp_path):
@@ -622,3 +636,176 @@ def test_array_items_that_lead_back_to_their_document_are_a_cycle(tmp_path):
     )
     with pytest.raises(CycleDetected, match="array items cycle through nest.json -> nest.json"):
         load_schema_dir(tmp_path, "root.json")
+
+
+# ---------------------------------------------------------------------------
+# the index equals the one the first builder made (oracles.reference_index)
+
+
+def _records(documents) -> list:
+    """Every document of a table, in order, field by field."""
+    return [
+        (
+            doc_id,
+            doc.description,
+            [
+                (key, prop.name, prop.ref_target, prop.scalar_type, prop.enum_values, prop.array, prop.choice_group)
+                for key, prop in doc.properties.items()
+            ],
+        )
+        for doc_id, doc in documents.items()
+    ]
+
+
+def assert_index_as_first_built(schema_dir, root_file: str) -> None:
+    """``load_schema_dir`` gives the reference builder's index, or raises an
+    error of the same type with the same text."""
+    try:
+        expected = oracles.reference_index(oracles.load_raw_schemas(schema_dir), root_file)
+    except oracles.ReferenceBuildError as error:
+        with pytest.raises(CdmgenError) as exc_info:
+            load_schema_dir(schema_dir, root_file)
+        assert (type(exc_info.value).__name__, str(exc_info.value)) == (error.name, str(error))
+        return
+    index = load_schema_dir(schema_dir, root_file)
+    assert (index.root_id, index.start_id) == (expected.root_id, expected.start_id)
+    assert _records(index.documents) == _records(expected.documents)
+    assert _records(index._inline) == _records(expected.inline)
+    tables = (index.documents, index._inline)
+    assert all(type(doc) is SchemaDocument for table in tables for doc in table.values())
+    assert all(type(prop) is PropertyDef for table in tables for doc in table.values() for prop in doc.properties.values())
+
+
+def _rarely(strategy, *odd_values):
+    """``strategy``'s values, one draw in ten one of ``odd_values``."""
+    return st.tuples(st.integers(0, 9), strategy, st.sampled_from(odd_values)).map(
+        lambda drawn: drawn[1] if drawn[0] else drawn[2]
+    )
+
+
+# Names that resolve from the top-level documents or from ``sub/``, then
+# rarer ones: a ref that resolves nowhere, a JSON pointer, a ref that is
+# not text.
+TOP_REFS = ("a.json", "b.json", "c.json", "sub/d.json", "#", "b.json#", "./c.json")
+SUB_REFS = ("../a.json", "../b.json", "d.json", "../sub/d.json", "#", "../c.json")
+ODD_REFS = ("ghost.json", "sub/d.json#/x", 5)
+_drawn_types = _rarely(st.sampled_from(("string", "number", "integer", "boolean", "object", "array")), None, 5)
+_drawn_descriptions = st.sampled_from(("A date.", "Text.", "The trade date.", "", 3))
+
+
+def _drawn_nodes(refs):
+    """Schema nodes as a document at ``refs``' place may hold them, now
+    and then of a wrong kind."""
+    leaves = st.fixed_dictionaries(
+        {},
+        optional={
+            "type": _drawn_types,
+            "enum": st.lists(st.sampled_from(("x", "y", 1)), max_size=2),
+            "format": st.just("date"),
+            "description": _drawn_descriptions,
+            "$ref": _rarely(st.sampled_from(refs), *ODD_REFS),
+        },
+    )
+    # A composite of such nodes: a scalar, an object or nothing by its members.
+    leaves |= st.dictionaries(
+        st.sampled_from(("allOf", "anyOf", "oneOf")), st.lists(leaves, min_size=1, max_size=2), min_size=1, max_size=2
+    )
+
+    def extend(children):
+        members = _rarely(st.lists(children, max_size=3), [5], {})
+        return st.fixed_dictionaries(
+            {},
+            optional={
+                "type": _drawn_types,
+                "description": _drawn_descriptions,
+                "properties": st.dictionaries(st.sampled_from(("p", "q", "r", "description")), children, max_size=4),
+                "items": children,
+                "allOf": members,
+                "anyOf": members,
+                "oneOf": members,
+            },
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+_drawn_schemas = st.fixed_dictionaries(
+    {
+        "a.json": _drawn_nodes(TOP_REFS),
+        "b.json": _drawn_nodes(TOP_REFS),
+        "c.json": _drawn_nodes(TOP_REFS),
+        "sub/d.json": _drawn_nodes(SUB_REFS),
+    }
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_drawn_schemas)
+def test_a_drawn_schema_indexes_as_first_built(documents):
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_schema(Path(tmp), documents)
+        assert_index_as_first_built(tmp, "a.json")
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_a_corpus_and_its_all_of_wrapped_variant_index_as_first_built(seed):
+    with tempfile.TemporaryDirectory() as work:
+        batch = corpus.cdm_scale_batch(Path(work), random.Random(seed), corpus.SMOKE_SCALE)
+        assert_index_as_first_built(batch.schema_dir, batch.root_file)
+        wrapped_dir = Path(work) / "wrapped"
+        write_wrapped_schema(batch.schema_dir, wrapped_dir)
+        assert_index_as_first_built(wrapped_dir, batch.root_file)
+
+
+def test_the_fixture_schemas_and_a_cdm_scale_corpus_index_as_first_built(tiny_schema_dir, cdm_schema_dir, tmp_path):
+    assert_index_as_first_built(tiny_schema_dir, "root.schema.json")
+    assert_index_as_first_built(cdm_schema_dir, "contract.schema.json")
+    batch = corpus.cdm_scale_batch(tmp_path, random.Random(5), corpus.CDM_SCALE)
+    assert_index_as_first_built(batch.schema_dir, batch.root_file)
+
+
+MALFORMED_SCHEMAS = {
+    "properties": {"r.json": {"properties": None}},
+    "composite": {"r.json": {"allOf": {"properties": {}}}},
+    "member": {"r.json": {"properties": {"x": {"type": "string"}}, "oneOf": [5, "y"]}},
+    "member_properties": {"r.json": {"anyOf": [{"properties": []}]}},
+    "inline": {"r.json": {"properties": {"a": {"type": "object", "properties": {"b": {"items": {"properties": 2}}}}}}},
+    "type": {"r.json": {"properties": {"d": {"type": ["string", "null"]}}}},
+    "member_type": {"r.json": {"properties": {"d": {"$ref": "t.json"}}}, "t.json": {"anyOf": [{"type": 5}]}},
+    "unresolved": {"r.json": {"properties": {"g": {"type": "array", "items": {"$ref": "ghost.json"}}}}},
+    "unresolved_member": {"r.json": {"properties": {"z": {"$ref": "z.json"}}}, "z.json": {"allOf": [{"$ref": 5}]}},
+    "unresolved_alias": {"r.json": {"properties": {"a": {"$ref": "sub/a.json"}}}, "sub/a.json": {"$ref": "r.json"}},
+    "pointer": {"r.json": {"properties": {"m": {"$ref": "r.json#/definitions/Money"}}}},
+    "alias_cycle": {
+        "r.json": {"properties": {"x": {"$ref": "a.json"}}},
+        "a.json": {"description": "A.", "$ref": "b.json"},
+        "b.json": {"$ref": "a.json"},
+    },
+    "items_cycle": {
+        "r.json": {"properties": {"r": {"$ref": "nest.json"}}},
+        "nest.json": {"type": "array", "items": {"$ref": "nest.json"}},
+    },
+    "too_deep": {"r.json": json.loads('{"type": "object", "properties": {"a": ' * 400 + "{}" + "}}" * 400)},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SCHEMAS)
+def test_a_malformed_schema_fails_as_first_built(tmp_path, name):
+    _write_schema(tmp_path, MALFORMED_SCHEMAS[name])
+    with pytest.raises(oracles.ReferenceBuildError):
+        oracles.reference_index(oracles.load_raw_schemas(tmp_path), "r.json")
+    assert_index_as_first_built(tmp_path, "r.json")
+
+
+def test_a_property_record_is_an_immutable_checked_tuple():
+    prop = PropertyDef("x", scalar_type="string")
+    assert prop == ("x", None, "string", None, 0, None)
+    assert repr(prop) == "PropertyDef(name='x', ref_target=None, scalar_type='string', enum_values=None, array=0, choice_group=None)"
+    with pytest.raises(AttributeError):
+        prop.array = 1
+    assert prop._replace(array=2).array == 2
+    with pytest.raises(ValueError, match="requires a scalar_type"):
+        prop._replace(scalar_type="text")
+    with pytest.raises(ValueError, match="requires a scalar_type"):
+        PropertyDef._make(("x", None, None, None, 0, None))
