@@ -108,9 +108,12 @@ def _read_contract(path) -> str:
 
 
 def _input_file(value: str) -> str:
-    """argparse type of an input-file flag: a missing file is a usage error."""
-    if not Path(value).is_file():
-        raise argparse.ArgumentTypeError(f"no such file: {value}")
+    """argparse type of an input-file flag: a missing file, or a path that
+    is not a regular file (a FIFO, a device, a directory), is a usage error."""
+    path = Path(value)
+    if not path.is_file():
+        problem = f"{value} is not a regular file" if path.exists() else f"no such file: {value}"
+        raise argparse.ArgumentTypeError(problem)
     return value
 
 
@@ -240,6 +243,8 @@ def _write_report(path, contract_type: str, report: evaluator.EvaluationReport, 
 
 
 def cmd_evaluate(args, parser) -> int:
+    if args.coverage and not args.contract:
+        parser.error("--coverage requires --contract FILE")
     lists = None
     weights = _configure(parser, evaluator.CoverageWeights, args, {}) if args.coverage else None
     index = load_schema_dir(args.schema_dir, args.root)
@@ -315,10 +320,14 @@ def _read_report(file: Path) -> tuple[str, evaluator.EvaluationReport]:
 
 def _existing(value, test, kind: str) -> Path:
     """``value`` as a Path when ``test`` (``Path.is_file`` or ``Path.is_dir``)
-    accepts it; else a ValueError names ``kind`` and the value."""
-    if not (isinstance(value, (str, Path)) and value != "" and test(Path(value))):
+    accepts it; else a ValueError names ``kind`` and the value, and says
+    whether the path is missing or of the wrong kind."""
+    path = Path(value) if isinstance(value, (str, Path)) and value != "" else None
+    if path is None or not path.exists():
         raise ValueError(f"{kind} does not exist: {value}")
-    return Path(value)
+    if not test(path):
+        raise ValueError(f"{kind} {value} is not {'a directory' if test is Path.is_dir else 'a regular file'}")
+    return path
 
 
 @dataclass
@@ -412,19 +421,6 @@ def _run_config(parser, args) -> tuple[RunConfig, dict]:
     return _configure(parser, RunConfig, args, run), values
 
 
-@dataclass
-class _StartedContract:
-    """A pipeline contract whose tasks are queued, or the domain error
-    that stopped it before. ``template_text`` is its template's file
-    text, once the template is built."""
-
-    job: ContractJob
-    template_text: Optional[str] = None
-    text: str = ""
-    population: Optional[populator.PendingPopulation] = None
-    error: Optional[CdmgenError] = None
-
-
 def cmd_pipeline(args, parser) -> int:
     run, values = _run_config(parser, args)
     cfg = _configure(parser, PopulationConfig, args, values)
@@ -447,91 +443,76 @@ def cmd_pipeline(args, parser) -> int:
     make_dirs(run.out_dir)
     groups: dict[str, list] = {}
     failures: list[tuple[str, str]] = []
+    # The population of each contract whose tasks are queued and not yet
+    # collected, by contract name.
+    pending: dict[str, populator.PendingPopulation] = {}
 
-    def artifact(job: ContractJob, kind: str) -> Path:
-        return run.out_dir / f"{job.name}.{kind}.json"
+    def artifact(name: str, kind: str) -> Path:
+        return run.out_dir / f"{name}.{kind}.json"
 
-    def start(job: ContractJob) -> _StartedContract:
-        """Plan one contract and queue its tasks; a domain error is kept
-        for the contract's turn."""
+    def turns(job: ContractJob):
+        """One contract's three turns: queue its tasks; write its template,
+        provenance and document, score it and queue its coverage call;
+        collect the coverage, write its report and group its scores. A
+        domain error stops the contract, as a failure row; one met while
+        queuing is kept for the second turn."""
         logger.info("pipeline contract=%s type=%s", job.name, job.contract_type)
-        started = _StartedContract(job)
+        template_text = error = None
         try:
             template_key = (job.examples_dir, job.contract_type)
             if template_key not in templates:
-                keys = flatten_examples(job.examples_dir)
-                template = build_template(index, keys, job.contract_type)
+                template = build_template(index, flatten_examples(job.examples_dir), job.contract_type)
                 templates[template_key] = template, template.to_text()
-            template, started.template_text = templates[template_key]
-            started.text = _read_contract(job.contract_path)
+            template, template_text = templates[template_key]
+            text = _read_contract(job.contract_path)
             plan_key = (*template_key, job.kb_path)
             if plan_key not in plans:
                 plans[plan_key] = populator.plan_tasks(template, cfg, bases.get(job.kb_path))
-            started.population = populator.submit_population(
-                pool, template, plans[plan_key], started.text, gateway, cfg
-            )
+            pending[job.name] = populator.submit_population(pool, template, plans[plan_key], text, gateway, cfg)
         except CdmgenError as exc:
-            started.error = exc
-        return started
-
-    def finish(started: _StartedContract):
-        """Write one contract's template, provenance and document, and
-        queue its coverage call; returns what :func:`report` needs, or None
-        when the contract failed."""
-        job = started.job
-        if started.template_text is not None:
-            atomic_write_text(artifact(job, "template"), started.template_text)
+            error = exc
+        yield
+        if template_text is not None:
+            atomic_write_text(artifact(job.name, "template"), template_text)
         try:
-            if started.error is not None:
-                raise started.error
-            doc = started.population.collect()
-            cleaned = _write_population(doc, artifact(job, "cdm"), artifact(job, "provenance"))
+            if error is not None:
+                raise error
+            doc = pending[job.name].collect()
+            del pending[job.name]
+            cleaned = _write_population(doc, artifact(job.name, "cdm"), artifact(job.name, "provenance"))
             scores = evaluator.evaluate_document(cleaned, index)
-        except (ProviderOutage, OutputUnwritable):
-            raise
-        except CdmgenError as exc:
-            failures.append((job.name, type(exc).__name__))
-            return None
-        coverage = None
-        if run.coverage:
-            coverage = pool.submit(evaluator.coverage_lists, started.text, cleaned, gateway)
-        return job, scores, coverage
-
-    def report(job: ContractJob, scores: evaluator.EvaluationReport, coverage) -> None:
-        """Add the collected coverage, then write the report and group its
-        scores alone."""
-        try:
+            coverage = pool.submit(evaluator.coverage_lists, text, cleaned, gateway) if run.coverage else None
+            # Only the scores and the coverage call are kept for the last turn.
+            del doc, cleaned, text
+            yield
             lists = None if coverage is None else pool.result(coverage)
-            _write_report(artifact(job, "report"), job.contract_type, scores, lists, weights)
+            _write_report(artifact(job.name, "report"), job.contract_type, scores, lists, weights)
         except (ProviderOutage, OutputUnwritable):
             raise
         except CdmgenError as exc:
+            pending.pop(job.name, None)
             failures.append((job.name, type(exc).__name__))
         else:
             groups.setdefault(job.contract_type, []).append(scores.scores_only())
 
-    # Contract i+1's tasks queue behind contract i's before i is collected,
-    # and i's coverage call is collected one step later, so the pool's
-    # slots stay busy across contracts (a pool that runs its calls on this
-    # thread has run them by then). Files are still written, and reports
-    # grouped, in contract order. The last step only reports, so that no
-    # contract's document or detail outlives the loop.
+    # Step i queues contract i+1's tasks behind contract i's before i is
+    # collected, and collects i-1's coverage call one step after it was
+    # queued, so the pool's slots stay busy across contracts (a pool that
+    # runs its calls on this thread has run them by then). Files are still
+    # written, and reports grouped, in contract order.
     with populator.CallPool(cfg.max_inflight, gateway) as pool:
-        ahead = start(run.contracts[0])
-        scored = None
-        for following in [*run.contracts[1:], None, None]:
-            current, ahead = ahead, (start(following) if following else None)
-            try:
-                if scored is not None:
-                    report(*scored)
-                scored = current and finish(current)
-            except ProviderOutage:
-                for started in (current, ahead):
-                    population = started and started.population
-                    records = population and population.finished_records()
-                    if records is not None:
-                        write_json(artifact(started.job, "provenance"), records)
-                raise
+        contracts = [turns(job) for job in run.contracts]
+        try:
+            for step in range(-1, len(contracts) + 1):
+                for i in (step + 1, step - 1, step):
+                    if 0 <= i < len(contracts):
+                        next(contracts[i], None)
+        except ProviderOutage:
+            for name, population in pending.items():
+                records = population.finished_records()
+                if records is not None:
+                    write_json(artifact(name, "provenance"), records)
+            raise
 
     _write_summary(run.out_dir / "summary.csv", _summary_rows(groups, failures))
     return 0
@@ -598,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("evaluate", help="score a generated document against the schema")
-    p.add_argument("--contract", required=True, type=_input_file)
+    p.add_argument("--contract", type=_input_file, help="contract text; read only by --coverage")
     p.add_argument("--cdm", required=True, type=_input_file)
     p.add_argument("--schema-dir", required=True)
     p.add_argument("--root", required=True)

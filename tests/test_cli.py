@@ -652,6 +652,23 @@ def test_evaluate_with_coverage_via_mock(tmp_path, cdm_schema_dir, contracts_dir
     assert report["lists"]["captured"] == ["c1", "c2", "c3"]
 
 
+def test_evaluate_needs_a_contract_only_for_coverage(tmp_path, cdm_schema_dir, capsys):
+    cdm_path = tmp_path / "cdm.json"
+    cdm_path.write_text(json.dumps({"contractType": "EquitySwap"}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = [
+        "evaluate", "--cdm", cdm_path, "--schema-dir", cdm_schema_dir, "--root", "contract.schema.json",
+        "--out", out,
+    ]
+    run_expecting_usage_error([*argv, "--coverage"])
+    assert "error: --coverage requires --contract FILE\n" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["coverage_score"] is None
+    assert "lists" not in report
+
+
 def test_populate_provider_outage_saves_partial_provenance(
     tmp_path, cdm_index, examples_root, contracts_dir, capsys
 ):
@@ -959,6 +976,54 @@ def test_a_run_config_input_that_does_not_exist_is_a_usage_error_naming_it(
     # A relative path names a file beside the config; root_file one in schema_dir.
     missing = cdm_schema_dir / "absent" if key == "root_file" else work / "absent"
     assert f"error: {kind} does not exist: {missing}\n" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _not_regular(tmp_path, kind: str) -> Path:
+    """A FIFO, or a link to the null device, named ``kind`` in ``tmp_path``."""
+    path = tmp_path / kind
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.symlink_to(os.devnull)
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@pytest.mark.parametrize("kind", ["fifo", "device", "missing"])
+def test_an_input_flag_naming_a_fifo_or_device_is_a_usage_error_saying_so(tmp_path, cdm_schema_dir, capsys, kind):
+    path = tmp_path / kind if kind == "missing" else _not_regular(tmp_path, kind)
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--cdm", path, "--schema-dir", cdm_schema_dir, "--root", "contract.schema.json", "--out", out]
+    run_expecting_usage_error(argv)
+    problem = f"no such file: {path}" if kind == "missing" else f"{path} is not a regular file"
+    assert f"argument --cdm: {problem}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@pytest.mark.parametrize(
+    "key, kind, problem",
+    [
+        ("contract_path", "fifo", "contract file {} is not a regular file"),
+        ("contract_path", "device", "contract file {} is not a regular file"),
+        ("examples_dir", "fifo", "examples dir {} is not a directory"),
+        ("examples_dir", "file", "examples dir {} is not a directory"),
+    ],
+)
+def test_a_run_config_input_of_the_wrong_kind_is_a_usage_error_saying_so(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, capsys, key, kind, problem
+):
+    work = tmp_path / "work"
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        work, cdm_schema_dir, examples_root, contracts_dir, type_keys=["equity_option"]
+    )
+    path = script_path if kind == "file" else _not_regular(tmp_path, kind)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["contracts"][0][key] = str(path)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    run_expecting_usage_error(["pipeline", "--config", config_path])
+    assert f"error: {problem.format(path)}\n" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -2051,6 +2116,55 @@ def test_pipeline_queues_the_next_contract_behind_the_current_one(
         assert (out_dir / f"{name}.report.json").is_file()
 
 
+def test_pipeline_collects_a_coverage_call_one_contract_later(
+    tmp_path, cdm_schema_dir, cdm_index, examples_root, contracts_dir, monkeypatch
+):
+    names = ["interest_rate_swap", "equity_swap", "foreign_exchange"]
+    config_path, out_dir, script_path = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, type_keys=names
+    )
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    full_dir = tmp_path / "full"
+    assert _pipeline_with_probe(monkeypatch, config_path, _ProbeGateway(script), out_dir=str(full_dir)) == 0
+    cdm = json.loads((full_dir / f"{names[0]}.cdm.json").read_text(encoding="utf-8"))
+    text = (contracts_dir / f"{names[0]}.txt").read_text(encoding="utf-8")
+    third = _task_hashes(cdm_index, examples_root, contracts_dir, names[2])
+    # Contract 1's coverage call is held until a call of contract 3
+    # arrives, which happens only if contract 3's tasks were queued before
+    # contract 1's coverage was collected.
+    gateway = _ProbeGateway(script, hold=prompt_hash(evaluator.coverage_prompt(text, cdm)), release=third)
+    code = _pipeline_with_probe(
+        monkeypatch, config_path, gateway, coverage=True, max_inflight=2, out_dir=str(out_dir)
+    )
+    assert code == 0
+    assert gateway.held_ok is True
+    assert gateway.peak <= 2
+    for name in names:
+        assert json.loads((out_dir / f"{name}.report.json").read_text(encoding="utf-8"))["coverage_score"]
+
+
+def test_pipeline_releases_a_contract_s_population_once_it_is_collected(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
+):
+    config_path, out_dir, _ = helpers.prepare_pipeline(tmp_path, cdm_schema_dir, examples_root, contracts_dir)
+    refs, alive = [], []
+    submit = populator.submit_population
+
+    def counted(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        population = submit(*args)
+        refs.append(weakref.ref(population))
+        return population
+
+    monkeypatch.setattr(populator, "submit_population", counted)
+    assert run(["pipeline", "--config", config_path]) == 0
+    assert len(alive) == len(helpers.CONTRACT_TYPES)
+    # Only the contract queued just before is still to be collected.
+    assert alive == [0] + [1] * (len(alive) - 1)
+    assert (out_dir / "summary.csv").is_file()
+
+
 def test_pipeline_with_coverage_writes_the_same_bytes_at_any_max_inflight(
     tmp_path, cdm_schema_dir, examples_root, contracts_dir, monkeypatch
 ):
@@ -2714,7 +2828,7 @@ CLI_SURFACE = {
     ],
     "evaluate": [
         "-h --help nargs=0",
-        "--contract CONTRACT required",
+        "--contract CONTRACT",
         "--cdm CDM required",
         "--schema-dir SCHEMA_DIR required",
         "--root ROOT required",
