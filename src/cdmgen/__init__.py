@@ -46,7 +46,6 @@ from .schema_index import (
     load_schema_dir,
 )
 from .template_builder import (
-    KeyPathSet,
     Template,
     build_template,
     flatten_examples,
@@ -62,7 +61,6 @@ __all__ = [
     "CoverageWeights",
     "EvaluationReport",
     "HttpProvider",
-    "KeyPathSet",
     "KnowledgeBase",
     "MockProvider",
     "PopulatedDocument",

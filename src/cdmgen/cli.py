@@ -243,6 +243,8 @@ def _write_report(path, contract_type: str, report: evaluator.EvaluationReport, 
 
 
 def cmd_evaluate(args, parser) -> int:
+    if args.contract_type == evaluator.COMBINED:
+        parser.error(f"--contract-type {evaluator.COMBINED!r} names the union row")
     if args.coverage and not args.contract:
         parser.error("--coverage requires --contract FILE")
     lists = None

@@ -87,12 +87,12 @@ class EvaluationReport:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "EvaluationReport":
         """The report :meth:`to_dict` wrote; raises ``ValueError`` when a
-        score is neither a number nor null, or ``lists`` or
-        ``per_path_detail`` has another shape."""
+        score is neither a percentage (a number from 0 to 100) nor null, or
+        ``lists`` or ``per_path_detail`` has another shape."""
         for metric in METRICS:
             value = payload.get(metric)
-            if value is not None and not treeops.conforms("number", value):
-                raise ValueError(f"{metric!r} is neither a number nor null")
+            if value is not None and not (treeops.conforms("number", value) and 0 <= value <= 100):
+                raise ValueError(f"{metric!r} is neither a number from 0 to 100 nor null")
         if not isinstance(payload.get("per_path_detail", []), list):
             raise ValueError("'per_path_detail' is not a list")
         lists = None

@@ -15,41 +15,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Optional
 
 from . import treeops
 from .errors import CycleDetected, EmptyExampleDir, MalformedDocument
 from .schema_index import SchemaIndex
-
-
-@dataclass(frozen=True)
-class KeyPathSet:
-    """Normalized leaf paths flattened out of example instances.
-
-    :meth:`covers` reads the closure of the paths under taking prefixes at
-    a ``.``, built once: each key is trimmed at its last ``.`` until it
-    meets a prefix already in the closure, whose own prefixes are then in
-    it too.
-    """
-
-    paths: frozenset[str]
-
-    @cached_property
-    def _prefixes(self) -> frozenset[str]:
-        closure: set[str] = set()
-        for key in self.paths:
-            while key not in closure:
-                closure.add(key)
-                cut = key.rfind(".")
-                if cut < 0:
-                    break
-                key = key[:cut]
-        return frozenset(closure)
-
-    def covers(self, path: str) -> bool:
-        """True when ``path`` equals a key or is a proper prefix of one."""
-        return path in self._prefixes
 
 
 @dataclass
@@ -114,7 +84,7 @@ def load_examples(example_dir) -> list[tuple[str, Any]]:
     return examples
 
 
-def flatten_examples(example_dir) -> KeyPathSet:
+def flatten_examples(example_dir) -> frozenset[str]:
     """Union of dot-separated leaf paths over every example in a directory.
 
     Array indices contribute no segment, so ``a[0].b`` and ``a[3].b`` both
@@ -122,23 +92,40 @@ def flatten_examples(example_dir) -> KeyPathSet:
     a key like any other. Errors are those of :func:`load_examples`.
     """
     leaves = (treeops.iter_leaf_paths(parsed, items=dict.items) for _, parsed in load_examples(example_dir))
-    return KeyPathSet(frozenset(path for paths in leaves for path, _ in paths))
+    return frozenset(path for paths in leaves for path, _ in paths)
 
 
-def build_template(index: SchemaIndex, keys: KeyPathSet, contract_type: str) -> Template:
+def build_template(index: SchemaIndex, keys: frozenset[str], contract_type: str) -> Template:
     """Traverse the schema from its root, keeping only example-covered paths.
 
+    ``keys`` are leaf paths as :func:`flatten_examples` returns them; a path
+    is covered when it equals a key or is a proper prefix of one at a ``.``.
     Keys that name nothing in the schema contribute nothing, and a root that
     keeps no data property gives the tree ``{}``. Field order follows schema
     declaration order so identical inputs serialize identically.
     """
-    if not keys.paths:
+    if not keys:
         raise ValueError("key path set is empty; need at least one example key")
-    tree = _traverse(index, index.start_id, "", keys, depth=0)
+    tree = _traverse(index, index.start_id, "", _prefixes(keys), depth=0)
     return Template(tree=tree or {}, contract_type=contract_type, schema_root=index.root_id)
 
 
-def _traverse(index: SchemaIndex, doc_id: str, prefix: str, keys: KeyPathSet, depth: int) -> Optional[dict]:
+def _prefixes(keys: frozenset[str]) -> frozenset[str]:
+    """The closure of ``keys`` under taking prefixes at a ``.``: each key is
+    trimmed at its last ``.`` until it meets a prefix already in the
+    closure, whose own prefixes are then in it too."""
+    closure: set[str] = set()
+    for key in keys:
+        while key not in closure:
+            closure.add(key)
+            cut = key.rfind(".")
+            if cut < 0:
+                break
+            key = key[:cut]
+    return frozenset(closure)
+
+
+def _traverse(index: SchemaIndex, doc_id: str, prefix: str, covered: frozenset[str], depth: int) -> Optional[dict]:
     """The covered subtree of a document, annotated with its description
     ahead of the data fields; None when it keeps no data property.
 
@@ -155,13 +142,13 @@ def _traverse(index: SchemaIndex, doc_id: str, prefix: str, keys: KeyPathSet, de
     displaced = False
     for name, prop in doc.properties.items():
         path = f"{prefix}.{name}" if prefix else name
-        if not keys.covers(path):
+        if path not in covered:
             continue
         displaced = displaced or name == treeops.DESCRIPTION_KEY
         if prop.ref_target is None:
             value = treeops.PLACEHOLDERS[prop.scalar_type]
         else:
-            value = _traverse(index, prop.ref_target, path, keys, depth + 1)
+            value = _traverse(index, prop.ref_target, path, covered, depth + 1)
             if value is None:
                 continue
         for _ in range(prop.array):

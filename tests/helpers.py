@@ -7,7 +7,7 @@ from pathlib import Path
 
 from cdmgen import treeops
 from cdmgen.dryrun import build_population_script
-from cdmgen.populator import PopulationConfig, build_prompt, select_tasks
+from cdmgen.populator import PopulationConfig, build_prompt, repair_prompt, select_tasks, validate_shape
 from cdmgen.gateway import prompt_hash, prompt_head
 from cdmgen.schema_index import load_schema_dir
 from cdmgen.template_builder import build_template, flatten_examples
@@ -50,9 +50,13 @@ def prepare_pipeline(
         template = build_template(index, keys, contract_type)
         contract_text = contract_path.read_text(encoding="utf-8")
         if key in sabotage:
+            wrong = {"notTheRightShape": 1}
             for task in select_tasks(template, cfg.depth_threshold):
                 prompt = build_prompt(task, prompt_head("populate", contract_text))
-                script[prompt_hash(prompt)] = json.dumps({"notTheRightShape": 1})
+                # Each attempt fails alike, so every re-ask is this one prompt.
+                repair = repair_prompt(prompt, validate_shape(task.target_subtree, wrong))
+                for asked in (prompt, repair):
+                    script[prompt_hash(asked)] = json.dumps(wrong)
         else:
             script.update(build_population_script(index, template, contract_text, cfg))
         contracts.append(

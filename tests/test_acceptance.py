@@ -34,7 +34,7 @@ from cdmgen.populator import (
     select_tasks,
     validate_shape,
 )
-from cdmgen.template_builder import KeyPathSet, Template, build_template, flatten_examples
+from cdmgen.template_builder import Template, build_template, flatten_examples
 from cdmgen import treeops
 
 
@@ -149,7 +149,7 @@ def test_criterion_3_coverage_formula():
 def test_criterion_4_template_goldens(tiny_index, tiny_schema_dir, golden_dir, tmp_path):
     # golden set 1: single chain
     single = build_template(
-        tiny_index, KeyPathSet(frozenset({"party.address.city"})), "sample-record"
+        tiny_index, frozenset({"party.address.city"}), "sample-record"
     )
     assert single.to_text() == (golden_dir / "template_single_chain.json").read_text(
         encoding="utf-8"
@@ -173,7 +173,7 @@ def test_criterion_4_template_goldens(tiny_index, tiny_schema_dir, golden_dir, t
     )
     # golden set 3: a key the schema does not know
     absent = build_template(
-        tiny_index, KeyPathSet(frozenset({"party.partyId", "ghost.spooky"})), "sample-record"
+        tiny_index, frozenset({"party.partyId", "ghost.spooky"}), "sample-record"
     )
     assert absent.to_text() == (golden_dir / "template_absent_key.json").read_text(
         encoding="utf-8"
@@ -188,12 +188,12 @@ def test_criterion_4_template_goldens(tiny_index, tiny_schema_dir, golden_dir, t
     for _ in range(200):
         chosen = rng.sample(schema_leaves, rng.randint(1, len(schema_leaves)))
         bogus = [f"ghost.k{rng.randrange(5)}", "party.phantom"][: rng.randint(0, 2)]
-        keys = KeyPathSet(frozenset(chosen + bogus))
+        keys = frozenset(chosen + bogus)
         template = build_template(tiny_index, keys, "sample-record")
         leaf_paths = {path for path, _ in treeops.iter_leaf_paths(template.tree)}
         for path in leaf_paths:
             assert path in all_paths  # soundness
-            assert any(k == path or k.startswith(path + ".") for k in keys.paths)  # minimality
+            assert any(k == path or k.startswith(path + ".") for k in keys)  # minimality
         for key in chosen:
             assert key in leaf_paths  # completeness
 

@@ -1126,6 +1126,14 @@ BAD_INPUTS = {
     "report_score_text": (1, "report --in {reports_score_text}"),
     "report_detail_not_list": (1, "report --in {reports_detail_5}"),
     "report_contract_type_list": (1, "report --in {reports_contract_type_list}"),
+    "report_score_1e400": (1, "report --in {reports_score_1e400}"),
+    "report_score_nan": (1, "report --in {reports_score_nan}"),
+    "report_score_minus_infinity": (1, "report --in {reports_score_minus_infinity}"),
+    "report_score_401_digits": (1, "report --in {reports_score_401_digits}"),
+    "report_score_1e308_twice": (1, "report --in {reports_score_1e308_twice}"),
+    "report_score_100_5": (1, "report --in {reports_score_100_5}"),
+    "report_score_minus_1": (1, "report --in {reports_score_minus_1}"),
+    "evaluate_contract_type_combined": (2, EVALUATE + " --cdm {cdm_one_key} --contract-type combined"),
     "schema_not_utf8": (
         1, "make-template --schema-dir {schema_not_utf8} --root contract.schema.json"
         " --examples {examples} --contract-type CommodityOption"
@@ -1251,6 +1259,13 @@ BAD_INPUT_DETAILS = {
     "schema_ref_member_text": r"^x\.schema\.json#anyOf\[1\]: the member is not an object$",
     "schema_ref_pointer": r"'x\.schema\.json#/definitions/Y' \(referenced from contract\.schema\.json#x\)$",
     "report_contract_type_combined": r"r1\.report\.json: 'contract_type' 'combined' names the union row$",
+    "report_score_1e400": r"r1\.report\.json: 'syntactical_correctness' is neither a number from 0 to 100 nor null$",
+    "report_score_nan": r"r1\.report\.json: 'schema_adherence' is neither a number from 0 to 100 nor null$",
+    "report_score_minus_infinity": r"r1\.report\.json: 'coverage_score' is neither a number from 0 to 100 nor null$",
+    "report_score_401_digits": r"r1\.report\.json: 'schema_adherence' is neither a number from 0 to 100 nor null$",
+    "report_score_1e308_twice": r"r1\.report\.json: 'syntactical_correctness' is neither a number from 0 to 100 nor null$",
+    "report_score_100_5": r"r1\.report\.json: 'coverage_score' is neither a number from 0 to 100 nor null$",
+    "report_score_minus_1": r"r1\.report\.json: 'syntactical_correctness' is neither a number from 0 to 100 nor null$",
     "examples_lone_surrogate": r"^e1\.json: the lone surrogate \\ud800 is not UTF-8 text$",
     "schema_lone_surrogate": r"^contract\.schema\.json: the lone surrogate \\udc00 is not UTF-8 text$",
     "template_lone_surrogate_key": r"lone_surrogate_key\.json: the lone surrogate \\udfff is not UTF-8 text$",
@@ -1288,6 +1303,7 @@ BAD_INPUT_USAGE = {
     "config_out_dir_number": "error: out_dir 5 is not a path",
     "config_out_dir_empty": "error: out_dir '' is not a path",
     "report_without_report_files": "error: no report files found in ",
+    "evaluate_contract_type_combined": "error: --contract-type 'combined' names the union row",
 }
 
 
@@ -1379,6 +1395,15 @@ def test_bad_input_is_typed_not_a_traceback(
         "detail_5": json.dumps({**scores, "per_path_detail": 5}),
         "contract_type_list": json.dumps({**scores, "contract_type": ["x"]}),
         "contract_type_combined": json.dumps({**scores, "contract_type": "combined"}),
+        # Numbers outside 0-100 that JSON can state and Python reads as
+        # inf, nan or an int too large for a float.
+        "score_1e400": '{"syntactical_correctness": 1e400, "schema_adherence": 100.0}',
+        "score_nan": '{"syntactical_correctness": 100.0, "schema_adherence": NaN}',
+        "score_minus_infinity": json.dumps({**scores, "coverage_score": float("-inf")}),
+        "score_401_digits": '{"syntactical_correctness": 100.0, "schema_adherence": 1%s}' % ("0" * 400),
+        "score_1e308_twice": json.dumps({**scores, "syntactical_correctness": 1e308}),
+        "score_100_5": json.dumps({**scores, "coverage_score": 100.5}),
+        "score_minus_1": json.dumps({**scores, "syntactical_correctness": -1}),
     }
     files["config_kb_without_chunks"] = json.dumps(
         {
@@ -1421,6 +1446,7 @@ def test_bad_input_is_typed_not_a_traceback(
         ("schema_ref_pointer", "contract.schema.json", '{"properties": {"x": {"$ref": "x.schema.json#/definitions/Y"}}}'),
         ("schema_ref_pointer", "x.schema.json", '{"definitions": {"Y": {"type": "string"}}}'),
         ("reports_none", "notes.txt", "not a report"),
+        ("reports_score_1e308_twice", "r2.report.json", reports["score_1e308_twice"]),
         ("schema_top_level_list", "contract.schema.json", '{"properties": {"x": {"type": "string"}}}'),
         ("schema_top_level_list", "bad.json", "[1]"),
         ("schema_self_reference", "node.json", '{"properties": {"next": {"$ref": "node.json"}, "v": {"type": "string"}}}'),
@@ -1473,6 +1499,22 @@ def test_pipeline_failed_contract_gets_failure_row(
     assert by_group["InterestRateSwap"]["status"] == "ok"
     assert by_group["foreign_exchange"]["status"].startswith("failed:")
     assert "combined" in by_group
+
+
+def test_a_sabotaged_contract_fails_at_the_default_retry_limit(
+    tmp_path, cdm_schema_dir, examples_root, contracts_dir
+):
+    config_path, out_dir, _ = helpers.prepare_pipeline(
+        tmp_path, cdm_schema_dir, examples_root, contracts_dir, sabotage={"equity_swap"}
+    )
+    assert run(["pipeline", "--config", config_path]) == 0
+    with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as handle:
+        status = {row["group"]: row["status"] for row in csv.DictReader(handle)}
+    assert status.pop("equity_swap") == "failed: PopulationIncomplete"
+    assert set(status.values()) == {"ok"}
+    records = json.loads((out_dir / "equity_swap.provenance.json").read_text(encoding="utf-8"))
+    assert records
+    assert all((record["attempts"], record["failed"]) == (3, True) for record in records.values())
 
 
 def test_pipeline_contract_whose_examples_have_no_leaf_gets_failure_row(

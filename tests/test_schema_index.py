@@ -18,7 +18,7 @@ from cdmgen import treeops
 from cdmgen.errors import CdmgenError, CycleDetected, MalformedDocument, MissingRoot, UnresolvedRef
 from cdmgen.evaluator import evaluate_document
 from cdmgen.schema_index import PropertyDef, SchemaDocument, load_schema_dir
-from cdmgen.template_builder import KeyPathSet, build_template
+from cdmgen.template_builder import build_template
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import corpus  # noqa: E402
@@ -64,7 +64,7 @@ def test_a_root_whose_body_is_a_ref_is_read_at_its_chains_end(tmp_path):
     assert index.lookup("tradeDate") == index.documents["contract.schema.json"].properties["tradeDate"]
     assert evaluate_document({"tradeDate": "2024-01-01", "notional": 5}, index).schema_adherence == 100.0
     direct = load_schema_dir(tmp_path, "contract.schema.json")
-    keys = KeyPathSet(frozenset({"tradeDate", "notional"}))
+    keys = frozenset({"tradeDate", "notional"})
     template = build_template(index, keys, "X")
     assert template.schema_root == "entry.schema.json"
     assert template.tree == build_template(direct, keys, "X").tree
@@ -589,7 +589,7 @@ def test_a_ref_to_an_array_document_reads_as_that_array(tmp_path):
     prop = index.lookup("r")
     assert prop is not None and prop.ref_target is None
     assert (prop.scalar_type, prop.array) == ("string", 1)
-    assert build_template(index, KeyPathSet(frozenset({"r"})), "T").tree == {"r": [""]}
+    assert build_template(index, frozenset({"r"}), "T").tree == {"r": [""]}
     filled = evaluate_document({"r": ["a"]}, index)
     assert (filled.syntactical_correctness, filled.schema_adherence) == (100.0, 100.0)
     assert evaluate_document({"r": {}}, index).schema_adherence == 0.0

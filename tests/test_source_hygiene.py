@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ``ast``
 alone: every import and every module-level private name (``_x``) in
-``src/cdmgen`` is referenced somewhere, so that a deletion leaves no
+``src/cdmgen`` is referenced somewhere, and every entry of ``cdmgen.__all__``
+names an attribute of the package once, so that a deletion leaves no
 leftovers behind."""
 
 from __future__ import annotations
@@ -126,3 +127,9 @@ def test_the_check_finds_an_unread_import_and_private_name():
         "a.py:8: _UNUSED",
         "a.py:13: _orphan",
     ]
+
+
+def test_every_public_name_is_defined_once():
+    # An entry whose import was deleted would make `from cdmgen import *` fail.
+    assert [name for name in cdmgen.__all__ if not hasattr(cdmgen, name)] == []
+    assert len(set(cdmgen.__all__)) == len(cdmgen.__all__)

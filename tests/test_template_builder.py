@@ -11,14 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cdmgen import treeops
+from cdmgen import template_builder, treeops
 from cdmgen.errors import CycleDetected, EmptyExampleDir, MalformedDocument
 from cdmgen.schema_index import load_schema_dir
-from cdmgen.template_builder import (
-    KeyPathSet,
-    build_template,
-    flatten_examples,
-)
+from cdmgen.template_builder import build_template, flatten_examples
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import corpus  # noqa: E402
@@ -29,8 +25,8 @@ def write_example(directory, name, payload) -> None:
     (directory / name).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def keyset(*paths: str) -> KeyPathSet:
-    return KeyPathSet(frozenset(paths))
+def keyset(*paths: str) -> frozenset[str]:
+    return frozenset(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +41,7 @@ def test_flatten_nested_arrays_to_dot_paths(tmp_path):
         {"trade": {"tradeIdentifier": [{"assignedIdentifier": [{"identifier": {"value": "X"}}]}]}},
     )
     keys = flatten_examples(tmp_path)
-    assert keys.paths == frozenset({"trade.tradeIdentifier.assignedIdentifier.identifier.value"})
+    assert keys == frozenset({"trade.tradeIdentifier.assignedIdentifier.identifier.value"})
 
 
 def test_flatten_examples_without_a_leaf_raise_empty_example_dir(tmp_path):
@@ -59,7 +55,7 @@ def test_flatten_shared_paths_collapse(tmp_path):
     write_example(tmp_path, "a.json", {"name": "A"})
     write_example(tmp_path, "b.json", {"name": "B"})
     keys = flatten_examples(tmp_path)
-    assert keys.paths == frozenset({"name"})
+    assert keys == frozenset({"name"})
 
 
 def test_flatten_empty_dir_raises(tmp_path):
@@ -87,7 +83,7 @@ def test_flatten_reads_escapes_and_refuses_a_lone_surrogate(tmp_path):
     # "\u00e4" is a character and "\ud83d\ude00" a whole UTF-16 pair;
     # "\uDBFF" alone is half of one, which is not UTF-8 text.
     (tmp_path / "escaped.json").write_text('{"n\\u00e4me": "\\ud83d\\ude00"}', encoding="utf-8")
-    assert flatten_examples(tmp_path).paths == frozenset({"n\u00e4me"})
+    assert flatten_examples(tmp_path) == frozenset({"n\u00e4me"})
     (tmp_path / "half.json").write_text('{"name": ["ok", "\\uDBFF"]}', encoding="utf-8")
     with pytest.raises(MalformedDocument, match=r"^half\.json: the lone surrogate \\udbff is not UTF-8 text$"):
         flatten_examples(tmp_path)
@@ -97,7 +93,7 @@ def test_examples_dir_walks_directory_named_json(tmp_path):
     write_example(tmp_path, "a.json", {"name": "A"})
     write_example(tmp_path / "odd.json", "b.json", {"nested": {"x": 1}})
     keys = flatten_examples(tmp_path)
-    assert keys.paths == frozenset({"name", "nested.x"})
+    assert keys == frozenset({"name", "nested.x"})
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +186,7 @@ def test_an_example_field_named_description_is_kept_through_population(tmp_path)
     write_example(examples, "e1.json", {"trade": {"description": "A plain vanilla swap", "tradeId": "T-1"}})
     index = load_schema_dir(schema, "root.schema.json")
     keys = flatten_examples(examples)
-    assert keys.paths == {"trade.description", "trade.tradeId"}
+    assert keys == {"trade.description", "trade.tradeId"}
     template = build_template(index, keys, "Swap")
     assert template.tree == {"trade": {"_template_description": "A trade.", "description": "", "tradeId": ""}}
     cfg = PopulationConfig()
@@ -201,7 +197,7 @@ def test_an_example_field_named_description_is_kept_through_population(tmp_path)
 
 def test_examples_whose_only_leaf_is_a_description_have_a_leaf(tmp_path):
     write_example(tmp_path, "e1.json", {"trade": {"description": "A plain vanilla swap"}})
-    assert flatten_examples(tmp_path).paths == {"trade.description"}
+    assert flatten_examples(tmp_path) == {"trade.description"}
 
 
 @pytest.mark.parametrize("levels", [64, 65])
@@ -249,7 +245,7 @@ def test_randomized_key_subsets_hold_invariants(tiny_index, tiny_schema_dir, see
         assert key in leaf_paths
     # minimality: every leaf is a prefix of (or equal to) some requested key
     for path in leaf_paths:
-        assert any(k == path or k.startswith(path + ".") for k in keys.paths)
+        assert any(k == path or k.startswith(path + ".") for k in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +286,7 @@ def test_nested_objects_that_keep_nothing_are_dropped_with_their_arrays(tmp_path
         "name": "",
     }
     assert build_template(index, keys, "sample-record").tree == expected
-    assert oracles.build_two_pass(index, keys.paths) == expected
+    assert oracles.build_two_pass(index, keys) == expected
 
 
 def test_a_root_that_keeps_nothing_is_empty(tiny_index):
@@ -319,7 +315,7 @@ def test_a_dropped_description_property_still_displaces_the_annotation(tmp_path)
     keys = flatten_examples(tmp_path / "examples")
     template = build_template(index, keys, "sample-record")
     assert template.tree == {"_template_description": "Root doc", "name": ""}
-    assert template.tree == oracles.build_two_pass(index, keys.paths)
+    assert template.tree == oracles.build_two_pass(index, keys)
 
 
 def _write_schema(directory, root, **documents) -> None:
@@ -338,7 +334,7 @@ def smoke_corpus_keys(draw):
         batch = corpus.cdm_scale_batch(Path(work), random.Random(seed), corpus.SMOKE_SCALE)
         index = load_schema_dir(batch.schema_dir, batch.root_file)
         examples_dir = draw(st.sampled_from(sorted(batch.examples_dirs.values())))
-        example_keys = flatten_examples(examples_dir).paths
+        example_keys = flatten_examples(examples_dir)
     prefixes = oracles.prefix_closure(example_keys) - example_keys
     keys = draw(st.frozensets(st.sampled_from(sorted(example_keys)), min_size=1))
     keys |= draw(st.frozensets(st.sampled_from(sorted(prefixes)), max_size=6))
@@ -349,7 +345,7 @@ def smoke_corpus_keys(draw):
 @given(case=smoke_corpus_keys())
 def test_the_one_walk_equals_the_two_pass_reference_on_generated_corpora(case):
     index, keys = case
-    assert build_template(index, KeyPathSet(keys), "sample-record").tree == oracles.build_two_pass(index, keys)
+    assert build_template(index, frozenset(keys), "sample-record").tree == oracles.build_two_pass(index, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +357,9 @@ DOTTED_KEYS = st.text(alphabet="ab.", max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(keys=st.frozensets(DOTTED_KEYS, max_size=8), probes=st.lists(DOTTED_KEYS, max_size=8))
-def test_covers_reads_the_split_and_join_prefix_closure(keys, probes):
-    closure = oracles.prefix_closure(keys)
-    key_set = keyset(*keys)
-    for path in sorted(closure | set(probes) | {"", "."}):
-        assert key_set.covers(path) == (path in closure), path
+@given(keys=st.frozensets(DOTTED_KEYS, max_size=8))
+def test_covers_reads_the_split_and_join_prefix_closure(keys):
+    assert template_builder._prefixes(frozenset(keys)) == oracles.prefix_closure(keys)
 
 
 LEAVES = st.sampled_from(["", "x", treeops.DATE_TOKEN, 0, 1.5, False, None])
