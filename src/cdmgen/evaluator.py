@@ -86,9 +86,13 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "EvaluationReport":
-        """The report :meth:`to_dict` wrote; raises ``ValueError`` when a
+        """The report :meth:`to_dict` wrote; raises ``ValueError`` when the
+        syntactical correctness or schema adherence score is missing, a
         score is neither a percentage (a number from 0 to 100) nor null, or
         ``lists`` or ``per_path_detail`` has another shape."""
+        for metric in ("syntactical_correctness", "schema_adherence"):
+            if metric not in payload:
+                raise ValueError(f"no {metric!r} score")
         for metric in METRICS:
             value = payload.get(metric)
             if value is not None and not (treeops.conforms("number", value) and 0 <= value <= 100):

@@ -391,6 +391,14 @@ def test_report_round_trips_through_dict():
     assert coverage_score(restored.lists, CoverageWeights()) == restored.coverage_score
 
 
+@pytest.mark.parametrize("metric", ["syntactical_correctness", "schema_adherence"])
+def test_a_report_without_a_structural_score_is_a_value_error_naming_it(metric):
+    payload = report(syntactical=80.0, adherence=60.0).to_dict()
+    del payload[metric]
+    with pytest.raises(ValueError, match=f"^no '{metric}' score$"):
+        EvaluationReport.from_dict(payload)
+
+
 # ---------------------------------------------------------------------------
 # randomized cross-check of the structural walk
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -224,6 +226,133 @@ def test_directory_named_json_is_walked_not_opened(tmp_path):
     index = load_schema_dir(tmp_path, "root.schema.json")
     assert list(index.documents) == ["odd.json/inner.schema.json", "root.schema.json"]
     assert index.lookup("odd.x") is not None
+
+
+def _load_in_a_fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run with ``treeops`` and
+    ``load_schema_dir`` imported, in an interpreter that a read waiting on
+    a FIFO would time out instead of hanging the suite."""
+    src = Path(treeops.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "from cdmgen import treeops\nfrom cdmgen.schema_index import load_schema_dir\n" + code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_link_to_a_fifo_in_a_schema_dir_is_refused_at_once(tmp_path):
+    schema = tmp_path / "schema"
+    write(schema / "root.schema.json", {"properties": {}})
+    os.mkfifo(tmp_path / "fifo")
+    (schema / "pipe.json").symlink_to(tmp_path / "fifo")
+    assert treeops.json_files(schema) == [("pipe.json", False), ("root.schema.json", True)]
+    out = _load_in_a_fresh_interpreter(
+        "try:\n"
+        f"    load_schema_dir({str(schema)!r}, 'root.schema.json')\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    assert out == "MalformedDocument pipe.json: is not a regular file\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_file_listed_regular_then_swapped_for_a_fifo_or_device_fails_typed(tmp_path):
+    # The listing typed each name a regular file; by the time it is read it
+    # is a FIFO with no writer, one holding a whole document, an empty
+    # device or an endless one.
+    os.mkfifo(tmp_path / "pipe.json")
+    os.mkfifo(tmp_path / "full.json")
+    (tmp_path / "null.json").symlink_to(os.devnull)
+    (tmp_path / "zero.json").symlink_to("/dev/zero")
+    names = [name for name in ("pipe.json", "full.json", "null.json", "zero.json") if os.path.exists(tmp_path / name)]
+    writer = os.open(tmp_path / "full.json", os.O_RDWR | os.O_NONBLOCK)
+    try:
+        os.write(writer, b"{}")
+        out = _load_in_a_fresh_interpreter(
+            f"for name in {names!r}:\n"
+            "    try:\n"
+            f"        treeops.read_json({str(tmp_path)!r} + '/' + name, name, regular=True)\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+    finally:
+        os.close(writer)
+    assert out.splitlines() == [f"MalformedDocument {name}: is not a regular file" for name in names]
+
+
+def test_a_dangling_json_link_is_refused_as_unreadable(tmp_path):
+    write(tmp_path / "root.schema.json", {"properties": {}})
+    (tmp_path / "ghost.json").symlink_to(tmp_path / "nowhere.json")
+    with pytest.raises(MalformedDocument) as exc_info:
+        load_schema_dir(tmp_path, "root.schema.json")
+    assert str(exc_info.value) == "ghost.json: cannot be read: No such file or directory"
+
+
+def test_a_file_larger_than_the_first_read_is_read_whole(tmp_path):
+    description = "x" * (3 * treeops._FIRST_READ)
+    text = json.dumps({"description": description, "properties": {"a": {"type": "string"}}}, indent=2)
+    (tmp_path / "root.schema.json").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    index = load_schema_dir(tmp_path, "root.schema.json")
+    assert index.documents["root.schema.json"].description == description
+    assert index.lookup("a").scalar_type == "string"
+    one_buffer = tmp_path / "one.json"
+    one_buffer.write_bytes(b'"' + b"y" * (treeops._FIRST_READ - 2) + b'"')
+    assert treeops.read_json(one_buffer, regular=True) == "y" * (treeops._FIRST_READ - 2)
+
+
+# A schema directory that makes the load raise each of its errors.
+FAILING_SCHEMAS = {
+    MalformedDocument: {"root.json": "{"},
+    UnresolvedRef: {"root.json": {"properties": {"a": {"$ref": "gone.json"}}}},
+    CycleDetected: {"root.json": {"properties": {"a": {"$ref": "b.json"}}}, "b.json": {"$ref": "c.json"}, "c.json": {"$ref": "b.json"}},
+    MissingRoot: {"other.json": {"properties": {}}},
+}
+
+
+@pytest.mark.parametrize("error", [None, *FAILING_SCHEMAS], ids=lambda e: e.__name__ if e else "loaded")
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_a_load_leaves_the_collector_as_the_caller_set_it(tmp_path, error, collecting):
+    files = FAILING_SCHEMAS.get(error, {"root.json": {"properties": {"a": {"type": "string"}}}})
+    for name, body in files.items():
+        (tmp_path / name).write_text(body if isinstance(body, str) else json.dumps(body), encoding="utf-8")
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if error is None:
+            load_schema_dir(tmp_path, "root.json")
+        else:
+            with pytest.raises(error):
+                load_schema_dir(tmp_path, "root.json")
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_corpus_load_runs_no_collection(tmp_path):
+    batch = corpus.cdm_scale_batch(tmp_path, random.Random(5), corpus.SMOKE_SCALE)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        index = load_schema_dir(batch.schema_dir, batch.root_file)
+        during = len(collections)  # read without allocating, which could start one
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(index.documents) == len(treeops.json_files(batch.schema_dir))
+    assert during == 0
 
 
 # Names whose string order differs from their order as path segments
