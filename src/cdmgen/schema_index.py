@@ -187,8 +187,13 @@ def load_schema_dir(schema_dir, root_file) -> SchemaIndex:
 
     ``root_file`` may be an absolute path, a path relative to ``schema_dir``,
     or a bare filename within it. Every reference in every file must
-    resolve; files the root never links to are loaded too. The garbage
-    collector is paused during the load, and the caller's setting restored.
+    resolve; files the root never links to are loaded too.
+
+    The garbage collector is paused during the load, for the whole process
+    and not only this thread, and the setting it had when the load began
+    is restored when it returns or raises. That restore is not safe
+    against another thread that turns the collector off during a load:
+    the load's restore may turn it on again.
     """
     # A load allocates thousands of parsed dicts and records, none of which
     # a collection would free: a CDM-scale corpus ran 27 collections a load.
@@ -208,8 +213,8 @@ def _load(base: Path, root_file) -> SchemaIndex:
 
     raw_docs: dict[str, dict] = {}
     prefix = os.path.join(base, "")
-    for doc_id, regular in treeops.json_files(base):
-        parsed = treeops.read_json(prefix + doc_id, doc_id, regular)
+    for doc_id in treeops.json_files(base):
+        parsed = treeops.read_json(prefix + doc_id, doc_id)
         if not isinstance(parsed, dict):
             raise MalformedDocument(doc_id, "top-level value is not an object")
         raw_docs[doc_id] = parsed

@@ -74,8 +74,8 @@ def load_examples(example_dir) -> list[tuple[str, Any]]:
     examples = []
     has_leaf = False
     prefix = os.path.join(example_dir, "")
-    for name, regular in files:
-        parsed = treeops.read_json(prefix + name, name, regular)
+    for name in files:
+        parsed = treeops.read_json(prefix + name, name)
         examples.append((name, parsed))
         # Examples are walked only until one with a leaf is found.
         has_leaf = has_leaf or next(treeops.iter_leaf_paths(parsed, items=dict.items), None) is not None

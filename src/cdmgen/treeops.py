@@ -75,10 +75,8 @@ def conforms(kind: str, value, enum_values=()) -> bool:
     return True
 
 
-def json_files(directory) -> list[tuple[str, bool]]:
-    """Relative POSIX paths of the ``.json`` files under ``directory``, each
-    with whether the listing typed it a regular file (a link never is), to
-    pass to :func:`read_json` as ``regular``.
+def json_files(directory) -> list[str]:
+    """Relative POSIX paths of the ``.json`` files under ``directory``.
 
     The order is that of the paths' segments, as ``sorted(Path.rglob(...))``
     gives it: ``a/b.json`` sorts before ``a-b.json``. Directories are never
@@ -90,7 +88,7 @@ def json_files(directory) -> list[tuple[str, bool]]:
     subdirectory's files are listed where its name sorts: that is the
     segment order, with no sort of the whole list.
     """
-    found: list[tuple[str, bool]] = []
+    found: list[str] = []
     _list_json_files(os.fspath(directory), "", found)
     return found
 
@@ -113,50 +111,48 @@ def _list_json_files(path: str, prefix: str, found: list) -> None:
             if not entry.is_symlink():
                 _list_json_files(entry.path, f"{prefix}{entry.name}/", found)
         elif entry.name.endswith(".json"):
-            found.append((prefix + entry.name, entry.is_file(follow_symlinks=False)))
+            found.append(prefix + entry.name)
 
 
-# What read_text asks for first from a file a listing typed regular: more
-# than a schema file holds, so one read returns it whole.
+# What read_text asks for first: more than a schema file holds, so one
+# read returns it whole with no other system call.
 _FIRST_READ = 1 << 16
 
 
-def read_text(path, name: Optional[str] = None, regular: bool = False) -> str:
+def read_text(path, name: Optional[str] = None) -> str:
     """A UTF-8 text file's contents, with CRLF and CR line ends read as LF
     as text-mode :func:`open` reads them; a file that cannot be read (the
     system's reason given), is not a regular file, or holds bytes that are
     not UTF-8 raises :class:`MalformedDocument` naming the file as ``name``
     (by default, as ``path``).
 
-    The file is opened without blocking and checked before it is read, so
-    a FIFO or a device named like an input fails at once instead of
-    waiting for a writer or reading without end. It is read with
-    :func:`os.read`, asking for one byte more than its size, so that one
-    read returns a file that has not grown since and its short count shows
-    the end: a schema corpus is thousands of small files, and a text-mode
-    file object costs more than the read.
-
-    ``regular`` says that a directory listing typed ``path`` a regular
-    file (see :func:`json_files`); such a file is checked only when one
-    bounded read from its start fails, returns nothing or fills its buffer.
+    The file is opened without blocking and read with one :func:`os.pread`
+    from its start; only a read that fails, returns nothing or fills the
+    buffer has the file checked and read again, so a FIFO or a device named
+    like an input fails at once instead of waiting for a writer or reading
+    without end. A schema corpus is thousands of small files, and a
+    text-mode file object, or a check of each file's type before the read,
+    costs more than the read.
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            data = b""
-            if regular:
-                # pread leaves the offset for the checked read below. A name
-                # swapped for a FIFO or a device since the listing still
-                # fails at once as not a regular file: a pipe cannot be read
-                # at an offset, and a device gives nothing or fills the buffer.
-                try:
-                    data = os.pread(fd, _FIRST_READ, 0)
-                except OSError:
-                    pass
+            # A FIFO or a device, even one a listing saw as a regular file
+            # before it was swapped, meets the check at once: a pipe cannot
+            # be read at an offset (even one holding a whole document), an
+            # empty device gives nothing and an endless one fills the buffer.
+            # pread leaves the offset at 0 for the checked read.
+            try:
+                data = os.pread(fd, _FIRST_READ, 0)
+            except OSError:
+                data = b""
             if not 0 < len(data) < _FIRST_READ:
                 info = os.fstat(fd)
                 if not stat.S_ISREG(info.st_mode):
                     raise MalformedDocument(name or str(path), "is not a regular file")
+                # One byte more than its size, so that one read returns a
+                # file that has not grown since and its short count shows
+                # the end.
                 data = os.read(fd, info.st_size + 1)
                 if len(data) > info.st_size:
                     chunks = [data]
@@ -276,14 +272,13 @@ def _encode_indented(value, newline: str, parts: list) -> None:
         parts.append(json.dumps(value))
 
 
-def read_json(path, name: Optional[str] = None, regular: bool = False):
+def read_json(path, name: Optional[str] = None):
     """The JSON value in a UTF-8 file; a file that cannot be read, text
     that is not UTF-8 or not JSON, a value nested deeper than the parser's
     recursion limit, an integer too long for Python to read, or a value
     holding a lone surrogate escape, raises :class:`MalformedDocument`
-    naming the file as ``name`` (by default, as ``path``). ``regular`` is
-    :func:`read_text`'s."""
-    text = read_text(path, name, regular)
+    naming the file as ``name`` (by default, as ``path``)."""
+    text = read_text(path, name)
     try:
         value = json.loads(text)
         surrogate = "\\u" in text and lone_surrogate(value)

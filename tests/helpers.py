@@ -117,7 +117,7 @@ def wrap_refs(node):
 def write_wrapped_schema(schema_dir: Path, wrapped_dir: Path) -> None:
     """Write every document of ``schema_dir`` to ``wrapped_dir`` with its
     ``$ref`` nodes wrapped by :func:`wrap_refs`."""
-    for doc_id, _ in treeops.json_files(schema_dir):
+    for doc_id in treeops.json_files(schema_dir):
         body = json.loads((schema_dir / doc_id).read_text(encoding="utf-8"))
         (wrapped_dir / doc_id).parent.mkdir(parents=True, exist_ok=True)
         (wrapped_dir / doc_id).write_text(json.dumps(wrap_refs(body)), encoding="utf-8")

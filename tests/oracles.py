@@ -22,13 +22,12 @@ from typing import Optional
 # brute-force schema path enumeration (walks the raw JSON files directly)
 
 
-def json_files(directory) -> list[tuple[str, bool]]:
+def json_files(directory) -> list[str]:
     """Relative POSIX paths of the ``.json`` files under ``directory``, as a
-    sorted pathlib listing gives them, directories left out, each with
-    whether it is a regular file and not a link."""
+    sorted pathlib listing gives them, directories left out."""
     base = Path(directory)
     return [
-        (file.relative_to(base).as_posix(), file.is_file() and not file.is_symlink())
+        file.relative_to(base).as_posix()
         for file in sorted(base.rglob("*.json"))
         if not file.is_dir()
     ]
@@ -38,7 +37,7 @@ def load_raw_schemas(schema_dir) -> dict[str, dict]:
     base = Path(schema_dir)
     return {
         doc_id: json.loads((base / doc_id).read_text(encoding="utf-8"))
-        for doc_id, _ in json_files(base)
+        for doc_id in json_files(base)
     }
 
 

@@ -250,7 +250,7 @@ def test_a_link_to_a_fifo_in_a_schema_dir_is_refused_at_once(tmp_path):
     write(schema / "root.schema.json", {"properties": {}})
     os.mkfifo(tmp_path / "fifo")
     (schema / "pipe.json").symlink_to(tmp_path / "fifo")
-    assert treeops.json_files(schema) == [("pipe.json", False), ("root.schema.json", True)]
+    assert treeops.json_files(schema) == ["pipe.json", "root.schema.json"]
     out = _load_in_a_fresh_interpreter(
         "try:\n"
         f"    load_schema_dir({str(schema)!r}, 'root.schema.json')\n"
@@ -261,10 +261,10 @@ def test_a_link_to_a_fifo_in_a_schema_dir_is_refused_at_once(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
-def test_a_file_listed_regular_then_swapped_for_a_fifo_or_device_fails_typed(tmp_path):
-    # The listing typed each name a regular file; by the time it is read it
-    # is a FIFO with no writer, one holding a whole document, an empty
-    # device or an endless one.
+def test_a_fifo_or_device_read_as_a_schema_file_fails_typed(tmp_path):
+    # What a listing could have seen as a regular file and found swapped by
+    # the time it is read: a FIFO with no writer, one holding a whole
+    # document, an empty device or an endless one.
     os.mkfifo(tmp_path / "pipe.json")
     os.mkfifo(tmp_path / "full.json")
     (tmp_path / "null.json").symlink_to(os.devnull)
@@ -276,7 +276,7 @@ def test_a_file_listed_regular_then_swapped_for_a_fifo_or_device_fails_typed(tmp
         out = _load_in_a_fresh_interpreter(
             f"for name in {names!r}:\n"
             "    try:\n"
-            f"        treeops.read_json({str(tmp_path)!r} + '/' + name, name, regular=True)\n"
+            f"        treeops.read_json({str(tmp_path)!r} + '/' + name, name)\n"
             "    except Exception as exc:\n"
             "        print(type(exc).__name__, exc)\n"
         )
@@ -302,7 +302,7 @@ def test_a_file_larger_than_the_first_read_is_read_whole(tmp_path):
     assert index.lookup("a").scalar_type == "string"
     one_buffer = tmp_path / "one.json"
     one_buffer.write_bytes(b'"' + b"y" * (treeops._FIRST_READ - 2) + b'"')
-    assert treeops.read_json(one_buffer, regular=True) == "y" * (treeops._FIRST_READ - 2)
+    assert treeops.read_json(one_buffer) == "y" * (treeops._FIRST_READ - 2)
 
 
 # A schema directory that makes the load raise each of its errors.
