@@ -162,7 +162,7 @@ def cmd_make_template(args, parser) -> int:
         logger.info(
             "template written out=%s leaves=%d depth=%d",
             args.out,
-            sum(1 for _ in iter_leaf_paths(template.tree)),
+            sum(1 for _ in iter_leaf_paths(template.tree, items=dict.items)),
             populator.compute_depths(template) - 1,
         )
     return 0

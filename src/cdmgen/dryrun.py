@@ -45,17 +45,11 @@ def sample_leaf_value(index: SchemaIndex, path: str, placeholder):
 
 
 def fill_fragment(index: SchemaIndex, fragment, base_path: str):
-    """Replace every placeholder in ``fragment`` with a sample value.
-
-    Annotation entries are dropped, matching what a well-behaved model
-    reply looks like.
-    """
+    """Replace every placeholder in ``fragment``, a plain subtree such as a
+    task's ``target_subtree``, with a sample value."""
     if isinstance(fragment, dict):
-        out = {}
-        for key, value in treeops.data_items(fragment):
-            child_path = f"{base_path}.{key}" if base_path else key
-            out[key] = fill_fragment(index, value, child_path)
-        return out
+        join = f"{base_path}." if base_path else ""
+        return {key: fill_fragment(index, value, join + key) for key, value in fragment.items()}
     if isinstance(fragment, list):
         return [fill_fragment(index, element, base_path) for element in fragment]
     return sample_leaf_value(index, base_path, fragment)
@@ -77,7 +71,7 @@ def build_population_script(
     script: dict[str, str] = {}
     head = prompt_head("populate", contract_text)
     for task in plan_tasks(template, cfg, kb):
-        base = task.target_path.rpartition(".")[0] if task.unwrap_key else task.target_path
+        base = task.context if task.unwrap_key else task.target_path
         filled = fill_fragment(index, task.target_subtree, base)
         prompt = build_prompt(task, head)
         script[prompt_hash(prompt)] = json.dumps(filled, ensure_ascii=False)

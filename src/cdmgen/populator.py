@@ -56,30 +56,23 @@ class PopulationTask:
     """A maximal substructure of bounded depth plus its prompt context.
 
     ``segments``, the exact address (list indices included), is the task's
-    one location: ``target_path`` (its keys joined by ``.``) and
-    ``unwrap_key`` come from it. Its prompt and retrieval query read its
-    parent's path, ``target_path.rpartition(".")[0]``.
-
-    ``structure_text`` is the placeholder structure as the prompt shows it,
-    encoded once when the task is made by :func:`treeops.indented_json`,
-    the encoder of saved templates and knowledge bases too. Unlike the
-    evidence a prompt carries (:func:`gateway.evidence_json`), it stays
-    indented: it is the shape the reply must copy. A batch shares one planned task
-    among its contracts, so nothing changes a task after it is planned;
-    its subtree is the template's own fragment, which is not changed
-    either.
+    one location: ``target_path`` (its keys joined by ``.``), ``context``
+    (its parent's path, which its prompt and retrieval query read) and
+    ``unwrap_key`` come from it. ``target_subtree`` is the plain structure
+    a reply must fill, ``structure_text`` the shape the prompt shows it to
+    copy (:meth:`Template.shown`, indented by :func:`treeops.indented_json`).
+    A batch's contracts share a task and its subtree, the template's own
+    fragment, so nothing changes either.
     """
 
     target_path: str
     segments: tuple
+    context: str
     target_subtree: Any
+    structure_text: str = field(repr=False)
     object_definition: str
     retrieved_chunks: list[Chunk] = field(default_factory=list)
     unwrap_key: Optional[str] = None
-    structure_text: str = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.structure_text = treeops.indented_json(self.target_subtree)
 
 
 @dataclass
@@ -94,8 +87,7 @@ class PopulatedDocument:
 
 def compute_depths(template: Template) -> int:
     """The template's depth, its root container included: a leaf is 1, a
-    container 1 + its deepest child, an empty container 1; annotations are
-    not children."""
+    container 1 + its deepest child, an empty container 1."""
     return _select((), template.tree, 1, [])
 
 
@@ -104,16 +96,15 @@ def select_tasks(template: Template, d: int) -> list[PopulationTask]:
 
     The walk learns each fragment's depth from its children's. A fragment
     within the bound is kept whole, in place of what was kept below it; a
-    deeper object is split into its data items, and a deeper array into
-    its elements. Only addresses are walked. Tasks are built for the kept
-    fragments only, in document order; they are disjoint and jointly cover
-    every leaf of the template.
+    deeper container is split into its children. Only addresses are
+    walked. Tasks are built for the kept fragments only, in document
+    order; they are disjoint and jointly cover every leaf of the template.
     """
     if d < 1:
         raise ValueError("depth threshold must be >= 1")
     kept: list[tuple] = []
     _select((), template.tree, d, kept)
-    return [_task(*fragment) for fragment in kept]
+    return [_task(template, *fragment) for fragment in kept]
 
 
 def _select(segments: tuple, fragment, d: int, kept: list) -> int:
@@ -121,7 +112,7 @@ def _select(segments: tuple, fragment, d: int, kept: list) -> int:
     container ``fragment`` at ``segments``, each as ``(segments, fragment)``,
     and return its depth by the rule :func:`compute_depths` states. A leaf
     child is kept as it is met, since its depth, 1, is within any bound."""
-    items = treeops.data_items(fragment) if isinstance(fragment, dict) else enumerate(fragment)
+    items = fragment.items() if isinstance(fragment, dict) else enumerate(fragment)
     mark = len(kept)
     deepest = 0
     for key, child in items:
@@ -138,30 +129,25 @@ def _select(segments: tuple, fragment, d: int, kept: list) -> int:
     return deepest + 1
 
 
-def _task(segments: tuple, fragment) -> PopulationTask:
-    """The task for ``fragment`` at exact address ``segments`` (list
-    indices included, for grafting), at the dot-path of its keys."""
+def _task(template: Template, segments: tuple, fragment) -> PopulationTask:
+    """The task for ``template``'s ``fragment`` at exact address
+    ``segments`` (list indices included, for grafting)."""
     keys = [key for key in segments if isinstance(key, str)]
     subtree, unwrap_key = fragment, None
+    shown, definition = template.shown(segments, fragment)
     if not isinstance(fragment, dict):
         # Leaf and whole-array tasks are wrapped under the address's last key,
         # their field name, so the model can reply with a JSON object.
-        subtree, unwrap_key = {keys[-1]: fragment}, keys[-1]
+        subtree, shown, unwrap_key = {keys[-1]: fragment}, {keys[-1]: shown}, keys[-1]
     return PopulationTask(
         target_path=".".join(keys),
         segments=segments,
+        context=".".join(keys).rpartition(".")[0],
         target_subtree=subtree,
-        object_definition=_definition_of(fragment),
+        structure_text=treeops.indented_json(shown),
+        object_definition=definition,
         unwrap_key=unwrap_key,
     )
-
-
-def _definition_of(fragment) -> str:
-    if isinstance(fragment, dict):
-        return treeops.node_annotation(fragment)
-    if isinstance(fragment, list) and fragment and isinstance(fragment[0], dict):
-        return treeops.node_annotation(fragment[0])
-    return ""
 
 
 def plan_tasks(
@@ -174,7 +160,7 @@ def plan_tasks(
     contracts that share a template and knowledge base can share it."""
     if cfg.use_rag and kb is None:
         raise ValueError("use_rag requires a knowledge base")
-    if not treeops.data_items(template.tree):
+    if not template.tree:
         return []
     tasks = select_tasks(template, cfg.depth_threshold)
     if cfg.use_rag:
@@ -207,8 +193,7 @@ def build_prompt(task: PopulationTask, head: PromptHead) -> PromptBundle:
     ``head`` is the part that all of one contract's task prompts share,
     ``prompt_head("populate", contract_text)``, made once so that it is
     built and hashed once."""
-    context = task.target_path.rpartition(".")[0]
-    sections = [f"Location in the document: {context or 'document root'}"]
+    sections = [f"Location in the document: {task.context or 'document root'}"]
     if task.object_definition:
         sections.append(f"Object definition: {task.object_definition}")
     sections.append("Structure to populate:\n" + task.structure_text)
@@ -225,12 +210,11 @@ def task_query(task: PopulationTask) -> str:
     """Retrieval query: the leaf paths of the task's subtree, its
     definition, and the path of its parent. Retrieval reads the query's token set, and
     the leaf paths hold exactly the tokens of the subtree's data keys."""
-    parts = [path for path, _ in treeops.iter_leaf_paths(task.target_subtree)]
+    parts = [path for path, _ in treeops.iter_leaf_paths(task.target_subtree, items=dict.items)]
     if task.object_definition:
         parts.append(task.object_definition)
-    context = task.target_path.rpartition(".")[0]
-    if context:
-        parts.append(context)
+    if task.context:
+        parts.append(task.context)
     return " ".join(parts)
 
 
@@ -242,13 +226,13 @@ def validate_shape(input_subtree, output) -> list[dict]:
     """The ways ``output`` fails to mirror the placeholder structure, as
     ``{"path", "kind", "detail"}`` records; empty when it fits.
 
-    Object key sets must match (annotations excluded), arrays must carry at
-    least one element each matching the single prototype (an empty
-    prototype array accepts any list), and every leaf must hold a value of
-    its placeholder's kind. ``kind`` is ``missing_key``, ``extra_key`` or
-    ``type_clash``; a reply that is cut off or holds no JSON gets one
-    ``truncated`` or ``unparseable`` record instead (see :func:`_assess`).
-    Never raises.
+    ``input_subtree`` is plain data, a task's ``target_subtree``: object
+    key sets must match, arrays must carry at least one element each
+    matching the single prototype (an empty prototype array accepts any
+    list), and every leaf must hold a value of its placeholder's kind.
+    ``kind`` is ``missing_key``, ``extra_key`` or ``type_clash``; a reply
+    that is cut off or holds no JSON gets one ``truncated`` or
+    ``unparseable`` record instead (see :func:`_assess`). Never raises.
     """
     mismatches: list[dict] = []
     _check_shape(input_subtree, output, "", mismatches)
@@ -265,14 +249,13 @@ def _check_shape(inp, out, path, issues: list[dict]) -> None:
         if not isinstance(out, dict):
             issues.append(_mismatch(label, "type_clash", f"expected an object, got {_kind(out)}"))
             return
-        expected = dict(treeops.data_items(inp))
-        for key in expected:
+        for key in inp:
             if key not in out:
                 issues.append(_mismatch(_join(path, key), "missing_key", "required key absent"))
         for key in out:
-            if key not in expected:
+            if key not in inp:
                 issues.append(_mismatch(_join(path, key), "extra_key", "key not in structure"))
-        for key, proto in expected.items():
+        for key, proto in inp.items():
             if key in out:
                 _check_shape(proto, out[key], _join(path, key), issues)
         return
@@ -489,10 +472,7 @@ class PendingPopulation:
         except ProviderOutage as outage:
             outage.provenance = self.finished_records()
             raise
-        # Annotations are removed from the template copy up front: validated
-        # replies never carry them, and stripping afterwards would also delete
-        # genuine data fields named "description" that a reply filled with text.
-        doc = treeops.strip_annotations(self.template.tree)
+        doc = _copy(self.template.tree)  # every contract of its type shares the tree
         for task, (tree, _) in zip(self.tasks, outcomes):
             if tree is not None:
                 doc = _graft(doc, task.segments, tree)
@@ -542,6 +522,13 @@ def _assess(task: PopulationTask, completion) -> tuple[list[dict], Optional[dict
     return validate_shape(task.target_subtree, parsed), parsed
 
 
+def _copy(value):
+    """A copy of a plain tree's containers, down to its leaves."""
+    if type(value) is dict:
+        return {key: _copy(child) for key, child in value.items()}
+    return [_copy(child) for child in value] if type(value) is list else value
+
+
 def _graft(doc, segments: tuple, value):
     if not segments:
         return value
@@ -562,9 +549,7 @@ def clean(doc):
     second pass. Accepts a :class:`PopulatedDocument` or a bare tree.
 
     One bottom-up walk reaches the fixpoint: a removal can only empty a
-    container, and a container is tested after its contents. Emptiness is
-    tested on plain values, not through annotation detection: grafted data
-    may hold a filled field named ``description``."""
+    container, and a container is tested after its contents."""
     return _clean(doc.tree if isinstance(doc, PopulatedDocument) else doc)
 
 

@@ -14,7 +14,7 @@ walk gives the smallest schema-conformant skeleton that covers the examples.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import treeops
@@ -24,20 +24,41 @@ from .schema_index import SchemaIndex
 
 @dataclass
 class Template:
-    """A tree of placeholder fields ready for population."""
+    """A plain tree of placeholder fields ready for population, and the
+    schema descriptions that annotate its objects.
+
+    ``tree`` is data only: keys and typed placeholders. ``notes`` maps the
+    exact address of each annotated object (keys and list indices, as a
+    task's ``segments``) to the annotation entries its saved form writes
+    ahead of that object's data. Only :meth:`from_saved` and the builder
+    tell annotations from data; :meth:`to_text` and :meth:`shown` put them back.
+    """
 
     tree: dict
     contract_type: str
     schema_root: str
+    notes: dict[tuple, dict] = field(default_factory=dict)
+
+    @classmethod
+    def from_saved(cls, tree: dict, contract_type: str, schema_root: str) -> "Template":
+        """The template whose saved form holds ``tree``, each entry that
+        :func:`treeops.is_annotation` calls an annotation moved to ``notes``."""
+        notes: dict[tuple, dict] = {}
+        return cls(_split(tree, (), notes), contract_type, schema_root, notes)
+
+    def shown(self, segments: tuple, fragment) -> tuple[Any, str]:
+        """``fragment``, the node at ``segments``, as its saved form writes
+        it, and the description of that object, or of an array's first one."""
+        entries = self.notes.get(segments + (0,) if isinstance(fragment, list) else segments, {})
+        fallback = entries.get(treeops.FALLBACK_DESCRIPTION_KEY)
+        definition = fallback if isinstance(fallback, str) else entries.get(treeops.DESCRIPTION_KEY, "")
+        return _annotated(fragment, segments, self.notes), definition
 
     def to_text(self) -> str:
-        """The saved file's text: the template as indented JSON
-        (:func:`treeops.indented_json`) and a final newline."""
-        payload = {
-            "contract_type": self.contract_type,
-            "schema_root": self.schema_root,
-            "tree": self.tree,
-        }
+        """The saved file's text: the template, its notes put back, as
+        indented JSON (:func:`treeops.indented_json`) and a final newline."""
+        tree = _annotated(self.tree, (), self.notes)
+        payload = {"contract_type": self.contract_type, "schema_root": self.schema_root, "tree": tree}
         return treeops.indented_json(payload) + "\n"
 
     def save(self, path) -> None:
@@ -50,11 +71,33 @@ class Template:
         payload = treeops.read_json_object(path, "tree")
         if not isinstance(payload["tree"], dict):
             raise MalformedDocument(str(path), "'tree' is not an object")
-        return cls(
-            tree=payload["tree"],
-            contract_type=payload.get("contract_type", ""),
-            schema_root=payload.get("schema_root", ""),
-        )
+        return cls.from_saved(payload["tree"], payload.get("contract_type", ""), payload.get("schema_root", ""))
+
+
+def _annotated(value, segments: tuple, notes: dict):
+    """``value``, the node at ``segments``, with each object's notes put
+    back ahead of its data."""
+    if type(value) is list:
+        return [_annotated(child, segments + (i,), notes) for i, child in enumerate(value)]
+    if type(value) is not dict:
+        return value
+    node = dict(notes.get(segments, ()))
+    for key, child in value.items():
+        node[key] = _annotated(child, segments + (key,), notes) if type(child) in (dict, list) else child
+    return node
+
+
+def _split(value, segments: tuple, notes: dict):
+    """``value``, the saved tree's node at ``segments``, with each object's
+    annotation entries moved to ``notes`` under its address."""
+    if type(value) is list:
+        return [_split(child, segments + (i,), notes) for i, child in enumerate(value)]
+    if type(value) is not dict:
+        return value
+    entries = {key: child for key, child in value.items() if treeops.is_annotation(key, child)}
+    if entries:
+        notes[segments] = entries
+    return {key: _split(child, segments + (key,), notes) for key, child in value.items() if key not in entries}
 
 
 def load_examples(example_dir) -> list[tuple[str, Any]]:
@@ -106,8 +149,9 @@ def build_template(index: SchemaIndex, keys: frozenset[str], contract_type: str)
     """
     if not keys:
         raise ValueError("key path set is empty; need at least one example key")
-    tree = _traverse(index, index.start_id, "", _prefixes(keys), depth=0)
-    return Template(tree=tree or {}, contract_type=contract_type, schema_root=index.root_id)
+    notes: dict[tuple, dict] = {}
+    tree = _traverse(index, index.start_id, (), "", _prefixes(keys), 0, notes)
+    return Template(tree or {}, contract_type, index.root_id, notes)
 
 
 def _prefixes(keys: frozenset[str]) -> frozenset[str]:
@@ -125,18 +169,18 @@ def _prefixes(keys: frozenset[str]) -> frozenset[str]:
     return frozenset(closure)
 
 
-def _traverse(index: SchemaIndex, doc_id: str, prefix: str, covered: frozenset[str], depth: int) -> Optional[dict]:
-    """The covered subtree of a document, annotated with its description
-    ahead of the data fields; None when it keeps no data property.
+def _traverse(
+    index: SchemaIndex, doc_id: str, segments: tuple, prefix: str, covered: frozenset[str], depth: int, notes: dict
+) -> Optional[dict]:
+    """The covered subtree of a document at address ``segments``, its
+    description noted in ``notes``; None when it keeps no data property.
 
     When a covered property is named ``description``, the annotation moves
     to ``_template_description`` so real data is never shadowed, even when
     that property keeps nothing itself.
     """
     if depth > index.max_path_depth:
-        raise CycleDetected(
-            f"schema traversal exceeded {index.max_path_depth} levels at {prefix!r}"
-        )
+        raise CycleDetected(f"schema traversal exceeded {index.max_path_depth} levels at {prefix!r}")
     doc = index.doc(doc_id)
     children: dict[str, Any] = {}
     displaced = False
@@ -148,15 +192,14 @@ def _traverse(index: SchemaIndex, doc_id: str, prefix: str, covered: frozenset[s
         if prop.ref_target is None:
             value = treeops.PLACEHOLDERS[prop.scalar_type]
         else:
-            value = _traverse(index, prop.ref_target, path, covered, depth + 1)
+            address = segments + (name,) + (0,) * prop.array
+            value = _traverse(index, prop.ref_target, address, path, covered, depth + 1, notes)
             if value is None:
                 continue
         for _ in range(prop.array):
             value = [value]
         children[name] = value
-    if not children:
-        return None
-    if not doc.description:
-        return children
-    key = treeops.FALLBACK_DESCRIPTION_KEY if displaced else treeops.DESCRIPTION_KEY
-    return {key: doc.description, **children}
+    if children and doc.description:
+        key = treeops.FALLBACK_DESCRIPTION_KEY if displaced else treeops.DESCRIPTION_KEY
+        notes[segments] = {key: doc.description}
+    return children or None

@@ -1,9 +1,9 @@
 """Low-level helpers for the nested dict/list trees used throughout cdmgen.
 
-Templates and populated documents are plain JSON-style trees. Object nodes
-may carry one annotation entry (``description`` or ``_template_description``)
-that is metadata, not data; every helper here skips annotations consistently
-so depth, leaf and key enumeration agree across modules. The scalar kinds
+Templates and populated documents are plain JSON-style trees. A saved
+template's object may carry an annotation entry (``description`` or
+``_template_description``), metadata that :func:`is_annotation` tells from
+data for :class:`Template` and :func:`iter_leaf_paths`. The scalar kinds
 of template leaves, their placeholders and the rule for what each kind may
 hold live here too, and so do the listing and reading of JSON input files,
 with one rule for what a file that is not UTF-8 JSON raises (a lone
@@ -315,34 +315,12 @@ def is_annotation(key: str, value: Any) -> bool:
     """
     if key == FALLBACK_DESCRIPTION_KEY:
         return True
-    if key != DESCRIPTION_KEY:
-        return False
-    return isinstance(value, str) and value != "" and value != DATE_TOKEN
+    return key == DESCRIPTION_KEY and isinstance(value, str) and value != "" and value != DATE_TOKEN
 
 
 def data_items(node: dict) -> list[tuple[str, Any]]:
     """Key/value pairs of a dict node with annotations removed."""
     return [(k, v) for k, v in node.items() if not is_annotation(k, v)]
-
-
-def node_annotation(node: dict) -> str:
-    """The description annotation carried by an object node, or ``""``."""
-    value = node.get(FALLBACK_DESCRIPTION_KEY)
-    if isinstance(value, str):
-        return value
-    value = node.get(DESCRIPTION_KEY)
-    if isinstance(value, str) and is_annotation(DESCRIPTION_KEY, value):
-        return value
-    return ""
-
-
-def strip_annotations(value: Any) -> Any:
-    """Deep copy of ``value`` with every annotation entry removed."""
-    if isinstance(value, dict):
-        return {k: strip_annotations(v) for k, v in data_items(value)}
-    if isinstance(value, list):
-        return [strip_annotations(v) for v in value]
-    return value
 
 
 def iter_leaf_paths(value: Any, prefix: str = "", items=data_items) -> Iterator[tuple[str, Any]]:
@@ -351,8 +329,8 @@ def iter_leaf_paths(value: Any, prefix: str = "", items=data_items) -> Iterator[
 
     Array indices contribute no path segment, matching the key-flattening
     convention used for schema lookups. Empty containers are themselves
-    leaves. Annotations are skipped; ``items=dict.items`` walks plain data,
-    such as an example instance, where every key is data. The leaves are
+    leaves. A saved template's annotations are skipped; ``items=dict.items``
+    walks plain data (an example, a :class:`Template`'s tree). The leaves are
     collected by one recursion over the tree before the first is returned.
     """
     leaves: list[tuple[str, Any]] = []

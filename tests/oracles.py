@@ -487,6 +487,7 @@ def ingest_indented(examples, contract_type: str, budget: int) -> list:
 TASK_FIELDS = (
     "target_path",
     "segments",
+    "context",
     "target_subtree",
     "structure_text",
     "unwrap_key",
@@ -502,8 +503,10 @@ def plan_two_pass(tree: dict, d: int) -> list:
     task of each node of depth <= ``d`` and splits every deeper one into
     its children. Annotations (``_template_description``, or a
     ``description`` holding text that is not a placeholder) are neither
-    children nor counted in depth. Each task is a SimpleNamespace of
-    :data:`TASK_FIELDS`."""
+    children nor counted in depth. A task's ``structure_text`` shows its
+    fragment as ``tree`` holds it, annotations included, and its
+    ``target_subtree`` is that fragment without them. Each task is a
+    SimpleNamespace of :data:`TASK_FIELDS`."""
 
     def is_annotation(key, value):
         if key == "_template_description":
@@ -535,15 +538,23 @@ def plan_two_pass(tree: dict, d: int) -> list:
         value = fragment.get("description")
         return value if is_annotation("description", value) else ""
 
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(child) for key, child in value.items() if not is_annotation(key, child)}
+        if isinstance(value, list):
+            return [plain(child) for child in value]
+        return value
+
     def task(node):
-        subtree, unwrap_key = json.loads(json.dumps(node.fragment)), None
-        if not isinstance(subtree, dict):
-            subtree, unwrap_key = {node.name: subtree}, node.name
+        shown, unwrap_key = json.loads(json.dumps(node.fragment)), None
+        if not isinstance(shown, dict):
+            shown, unwrap_key = {node.name: shown}, node.name
         return SimpleNamespace(
             target_path=node.path,
             segments=node.segments,
-            target_subtree=subtree,
-            structure_text=json.dumps(subtree, indent=2, ensure_ascii=False),
+            context=node.path.rpartition(".")[0],
+            target_subtree=plain(shown),
+            structure_text=json.dumps(shown, indent=2, ensure_ascii=False),
             unwrap_key=unwrap_key,
             object_definition=definition(node.fragment),
         )

@@ -45,7 +45,7 @@ import corpus  # noqa: E402
 
 
 def make_template(tree) -> Template:
-    return Template(tree=tree, contract_type="sample-record", schema_root="root.schema.json")
+    return Template.from_saved(tree, "sample-record", "root.schema.json")
 
 
 def config(**kwargs) -> PopulationConfig:
@@ -258,10 +258,12 @@ def test_randomized_task_properties(seed):
 
 
 def assert_plan_matches_two_pass(template: Template, d: int) -> None:
-    """``select_tasks`` plans the same tasks as the two-pass reference, in
-    the same order and equal in every field the planner sets."""
+    """``select_tasks`` plans the same tasks as the two-pass reference over
+    the template's saved tree, in the same order and equal in every field
+    the planner sets."""
     planned = [{name: getattr(task, name) for name in oracles.TASK_FIELDS} for task in select_tasks(template, d)]
-    expected = [vars(task) for task in oracles.plan_two_pass(template.tree, d)]
+    saved = json.loads(template.to_text())["tree"]
+    expected = [vars(task) for task in oracles.plan_two_pass(saved, d)]
     assert planned == expected, d
 
 
@@ -348,7 +350,9 @@ def test_prompt_contains_path_and_subtree(cdm_index, examples_root):
     task = fig2_task(cdm_index, examples_root)
     bundle = build_prompt(task, prompt_head("populate", "The contract text."))
     assert "trade.tradeIdentifier" in bundle.user_text
-    assert json.dumps(task.target_subtree, indent=2, ensure_ascii=False) in bundle.user_text
+    shown = json.loads(task.structure_text)
+    assert list(shown) == ["description", *task.target_subtree]
+    assert json.dumps(shown, indent=2, ensure_ascii=False) in bundle.user_text
     assert "The contract text." in bundle.user_text
     assert "Reference examples" not in bundle.user_text
     assert bundle.system_text
@@ -388,7 +392,7 @@ def test_prompt_section_order(cdm_index, examples_root):
         bundle.user_text.find(contract),
         bundle.user_text.find("trade.tradeIdentifier"),
         bundle.user_text.find(task.object_definition),
-        bundle.user_text.find(json.dumps(task.target_subtree, indent=2, ensure_ascii=False)),
+        bundle.user_text.find(json.dumps(json.loads(task.structure_text), indent=2, ensure_ascii=False)),
         bundle.user_text.find('{"ref": "chunk-body"}'),
     ]
     assert all(p >= 0 for p in positions)
@@ -425,7 +429,7 @@ def test_shape_missing_key_and_empty_array():
 
 
 def test_shape_annotations_are_not_required():
-    inp = {"description": "Ann.", "v": ""}
+    inp = make_template({"description": "Ann.", "v": ""}).tree
     assert validate_shape(inp, {"v": "x"}) == []
     mismatches = validate_shape(inp, {"description": "Ann.", "v": "x"})
     assert [(m["kind"], m["path"]) for m in mismatches] == [("extra_key", "description")]
@@ -525,7 +529,8 @@ def test_shape_randomized_against_oracle():
     for _ in range(200):
         tree = random_template_tree(rng, max_depth=4, max_nodes=30)
         candidate = _mutate(rng, copy.deepcopy(_fill_naive(tree)))
-        assert (validate_shape(tree, candidate) == []) == oracles.shape_matches(tree, candidate)
+        plain = make_template(tree).tree
+        assert (validate_shape(plain, candidate) == []) == oracles.shape_matches(tree, candidate)
 
 
 def _fill_naive(value):

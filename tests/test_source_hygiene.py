@@ -2,7 +2,8 @@
 alone: every import and every module-level private name (``_x``) in
 ``src/cdmgen`` is referenced somewhere, and every entry of ``cdmgen.__all__``
 names an attribute of the package once, so that a deletion leaves no
-leftovers behind."""
+leftovers behind; and only the template's own modules read the rule that
+tells a saved template's annotations from its data."""
 
 from __future__ import annotations
 
@@ -133,3 +134,55 @@ def test_every_public_name_is_defined_once():
     # An entry whose import was deleted would make `from cdmgen import *` fail.
     assert [name for name in cdmgen.__all__ if not hasattr(cdmgen, name)] == []
     assert len(set(cdmgen.__all__)) == len(cdmgen.__all__)
+
+
+# The rule that tells a saved template's annotations from its data, and the
+# modules that may read it: the template (load, build and render) and the
+# helpers that define it.
+ANNOTATION_NAMES = {"is_annotation", "data_items", "DESCRIPTION_KEY", "FALLBACK_DESCRIPTION_KEY"}
+ANNOTATION_OWNERS = {"treeops.py", "template_builder.py"}
+
+
+def annotation_readers(sources: dict[str, str]) -> list[str]:
+    """``file:line: name`` for each reference to one of
+    :data:`ANNOTATION_NAMES` (a name, an attribute or an import) in a
+    module of ``sources`` other than :data:`ANNOTATION_OWNERS`."""
+    found = []
+    for file, text in sources.items():
+        if file in ANNOTATION_OWNERS:
+            continue
+        for node in ast.walk(ast.parse(text, file)):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{file}:{node.lineno}: {name}" for name in names if name in ANNOTATION_NAMES]
+    return found
+
+
+def test_only_the_template_tells_annotations_from_data():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert ANNOTATION_OWNERS <= set(sources)
+    assert annotation_readers(sources) == []
+
+
+def test_the_check_finds_each_kind_of_reference_outside_the_owners():
+    reader = textwrap.dedent(
+        '''
+        from . import treeops
+        from .treeops import data_items
+
+        def keys(node):
+            return [k for k, v in node.items() if not treeops.is_annotation(k, v)] + [treeops.DESCRIPTION_KEY]
+        '''
+    )
+    owner = "from .treeops import FALLBACK_DESCRIPTION_KEY\n"
+    assert sorted(annotation_readers({"reader.py": reader, "treeops.py": owner, "template_builder.py": owner})) == [
+        "reader.py:3: data_items",
+        "reader.py:6: DESCRIPTION_KEY",
+        "reader.py:6: is_annotation",
+    ]

@@ -14,7 +14,7 @@ import oracles
 from cdmgen import template_builder, treeops
 from cdmgen.errors import CycleDetected, EmptyExampleDir, MalformedDocument
 from cdmgen.schema_index import load_schema_dir
-from cdmgen.template_builder import build_template, flatten_examples
+from cdmgen.template_builder import Template, build_template, flatten_examples
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import corpus  # noqa: E402
@@ -27,6 +27,11 @@ def write_example(directory, name, payload) -> None:
 
 def keyset(*paths: str) -> frozenset[str]:
     return frozenset(paths)
+
+
+def saved(template: Template) -> dict:
+    """The tree of ``template``'s saved form, annotations included."""
+    return json.loads(template.to_text())["tree"]
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +160,12 @@ def test_description_data_field_displaces_annotation(tmp_path):
     )
     index = load_schema_dir(tmp_path, "root.schema.json")
     template = build_template(index, keyset("description", "label"), "sample-record")
-    assert template.tree == {
+    assert saved(template) == {
         "_template_description": "Root level documentation.",
         "description": "",
         "label": "",
     }
+    assert template.tree == {"description": "", "label": ""}
 
 
 
@@ -188,7 +194,8 @@ def test_an_example_field_named_description_is_kept_through_population(tmp_path)
     keys = flatten_examples(examples)
     assert keys == {"trade.description", "trade.tradeId"}
     template = build_template(index, keys, "Swap")
-    assert template.tree == {"trade": {"_template_description": "A trade.", "description": "", "tradeId": ""}}
+    assert saved(template) == {"trade": {"_template_description": "A trade.", "description": "", "tradeId": ""}}
+    assert template.tree == {"trade": {"description": "", "tradeId": ""}}
     cfg = PopulationConfig()
     script = build_population_script(index, template, "A swap.", cfg)
     doc = populate(template, "A swap.", None, MockProvider(script), cfg)
@@ -254,12 +261,12 @@ def test_randomized_key_subsets_hold_invariants(tiny_index, tiny_schema_dir, see
 
 def test_a_placeholder_leaf_is_kept_beside_a_dropped_object(tiny_index):
     template = build_template(tiny_index, keyset("party.address", "name"), "sample-record")
-    assert template.tree == {"description": "Top-level container for a simple record.", "name": ""}
+    assert saved(template) == {"description": "Top-level container for a simple record.", "name": ""}
 
 
 def test_an_object_with_only_its_annotation_is_dropped(tiny_index):
     template = build_template(tiny_index, keyset("party", "tags"), "sample-record")
-    assert template.tree == {"description": "Top-level container for a simple record.", "tags": [""]}
+    assert saved(template) == {"description": "Top-level container for a simple record.", "tags": [""]}
 
 
 def test_nested_objects_that_keep_nothing_are_dropped_with_their_arrays(tmp_path):
@@ -285,7 +292,7 @@ def test_nested_objects_that_keep_nothing_are_dropped_with_their_arrays(tmp_path
         "party": {"description": "A leg.", "inner": {"description": "A leg.", "rate": 0}},
         "name": "",
     }
-    assert build_template(index, keys, "sample-record").tree == expected
+    assert saved(build_template(index, keys, "sample-record")) == expected
     assert oracles.build_two_pass(index, keys) == expected
 
 
@@ -314,8 +321,8 @@ def test_a_dropped_description_property_still_displaces_the_annotation(tmp_path)
     index = load_schema_dir(tmp_path, "root.schema.json")
     keys = flatten_examples(tmp_path / "examples")
     template = build_template(index, keys, "sample-record")
-    assert template.tree == {"_template_description": "Root doc", "name": ""}
-    assert template.tree == oracles.build_two_pass(index, keys)
+    assert saved(template) == {"_template_description": "Root doc", "name": ""}
+    assert saved(template) == oracles.build_two_pass(index, keys)
 
 
 def _write_schema(directory, root, **documents) -> None:
@@ -345,7 +352,9 @@ def smoke_corpus_keys(draw):
 @given(case=smoke_corpus_keys())
 def test_the_one_walk_equals_the_two_pass_reference_on_generated_corpora(case):
     index, keys = case
-    assert build_template(index, frozenset(keys), "sample-record").tree == oracles.build_two_pass(index, keys)
+    template = build_template(index, frozenset(keys), "sample-record")
+    assert saved(template) == oracles.build_two_pass(index, keys)
+    assert Template.from_saved(saved(template), "sample-record", template.schema_root) == template
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +386,53 @@ def test_leaf_paths_equal_the_nested_generators_in_order(tree, prefix):
     for items in (treeops.data_items, dict.items):
         expected = list(oracles.leaf_paths_generator(tree, prefix, items))
         assert list(treeops.iter_leaf_paths(tree, prefix, items)) == expected
+
+
+def _annotations_first(value):
+    """``value`` with each object's annotation entries ahead of its data,
+    as the template builder writes them."""
+    if isinstance(value, dict):
+        items = [(key, _annotations_first(child)) for key, child in value.items()]
+        return dict(sorted(items, key=lambda item: not treeops.is_annotation(*item)))
+    if isinstance(value, list):
+        return [_annotations_first(child) for child in value]
+    return value
+
+
+def _annotation_entries(value) -> list:
+    """The annotation entries of a tree, and not those inside them."""
+    if isinstance(value, dict):
+        found = [(key, child) for key, child in value.items() if treeops.is_annotation(key, child)]
+        data = [child for key, child in value.items() if not treeops.is_annotation(key, child)]
+        return found + [entry for child in data for entry in _annotation_entries(child)]
+    if isinstance(value, list):
+        return [entry for child in value for entry in _annotation_entries(child)]
+    return []
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=st.dictionaries(TREE_KEYS, TREES, max_size=3).map(_annotations_first))
+def test_a_saved_template_loads_and_saves_back_to_the_same_bytes(tree):
+    text = treeops.indented_json({"contract_type": "T", "schema_root": "r.json", "tree": tree}) + "\n"
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "t.template.json"
+        path.write_text(text, encoding="utf-8")
+        template = Template.load(path)
+    assert template.to_text() == text
+    assert _annotation_entries(template.tree) == []
+    entries = [entry for note in template.notes.values() for entry in note.items()]
+    assert sorted(map(repr, entries)) == sorted(map(repr, _annotation_entries(tree)))
+
+
+def test_a_hand_written_annotation_after_its_data_is_saved_and_shown_first(tmp_path):
+    path = tmp_path / "t.template.json"
+    tree = {"legs": [{"rate": 0, "description": "A leg."}], "name": ""}
+    path.write_text(json.dumps({"contract_type": "T", "schema_root": "r.json", "tree": tree}), encoding="utf-8")
+    template = Template.load(path)
+    assert template.tree == {"legs": [{"rate": 0}], "name": ""}
+    assert template.notes == {("legs", 0): {"description": "A leg."}}
+    assert saved(template) == {"legs": [{"description": "A leg.", "rate": 0}], "name": ""}
+    assert template.shown(("legs",), template.tree["legs"]) == ([{"description": "A leg.", "rate": 0}], "A leg.")
 
 
 # Strings drawn from all of Unicode, and from the characters json escapes.
